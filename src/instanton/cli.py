@@ -12,11 +12,12 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 from . import __version__, acceptance
-from .floer import eigen_verify, hilbert_compare, solve_subleading
+from .floer import VerificationError, eigen_verify, hilbert_compare, solve_subleading
 from .poly import ALPHA, OMEGA, Poly
 from .relations import GeneratorSet, igen, jgen_n1, rho_proj, rho_series, xi
 
@@ -31,7 +32,11 @@ def default_cache_dir() -> str:
 
 
 class Cache:
-    """One JSON file per key; atomic write-temp-then-rename; byte-stable payloads."""
+    """One JSON file per key; atomic write-temp-then-rename; byte-stable payloads.
+
+    An entry is served only if it parses and carries the requested key and this
+    tool version; anything else is a miss that the caller recomputes and overwrites.
+    """
 
     def __init__(self, directory: Optional[str], enabled: bool = True):
         self.directory = directory
@@ -44,12 +49,16 @@ class Cache:
     def get(self, key: str):
         if not self.enabled:
             return None
-        path = self._path(key)
-        if not os.path.exists(path):
+        try:
+            with open(self._path(key)) as fh:
+                entry = json.load(fh)
+        except (OSError, ValueError):  # absent or unreadable
             return None
-        with open(path) as fh:
-            entry = json.load(fh)
-        return entry.get("payload")
+        if (not isinstance(entry, dict) or entry.get("key") != key
+                or entry.get("tool_version") != __version__
+                or not isinstance(entry.get("payload"), dict)):
+            return None
+        return entry["payload"]
 
     def put(self, key: str, payload) -> None:
         if not self.enabled:
@@ -57,7 +66,7 @@ class Cache:
         os.makedirs(self.directory, exist_ok=True)
         path = self._path(key)
         entry = {"key": key, "tool_version": __version__, "payload": payload}
-        tmp = path + ".tmp"
+        tmp = f"{path}.{os.getpid()}.tmp"
         with open(tmp, "w") as fh:
             json.dump(entry, fh, sort_keys=True, indent=1)
         os.replace(tmp, path)
@@ -189,14 +198,17 @@ def run(argv) -> int:
     cache = Cache(cache_dir, enabled=not args.no_cache)
 
     def emit_cached(key: str, compute):
+        """Print the payload cached under ``key``; only a miss calls ``compute``,
+        whose result's ``to_json()`` is then stored."""
         payload = cache.get(key)
         if payload is None:
-            payload = compute()
+            payload = compute().to_json()
             cache.put(key, payload)
         doc = dict(payload)
         if args.timestamps:
             doc["timestamp"] = time.time()
         print(dump_json(doc))
+        return payload
 
     try:
         if args.command == "xi":
@@ -213,39 +225,40 @@ def run(argv) -> int:
             else:
                 print(p)
         elif args.command == "igen":
-            gs = igen(args.g, args.n, args.parity)
+            compute = partial(igen, args.g, args.n, args.parity)
             if args.json:
-                emit_cached(f"igen_g{args.g}_n{args.n}_{args.parity}", gs.to_json)
+                emit_cached(f"igen_g{args.g}_n{args.n}_{args.parity}", compute)
             else:
-                _print_genset(gs, args)
+                _print_genset(compute(), args)
         elif args.command == "jgen":
-            gs = jgen_n1(args.g, _sign(args.sign), local=args.local)
+            compute = partial(jgen_n1, args.g, _sign(args.sign), local=args.local)
             if args.json:
                 emit_cached(f"jgen_g{args.g}_{args.sign}_local{int(args.local)}",
-                            gs.to_json)
+                            compute)
             else:
-                _print_genset(gs, args)
+                _print_genset(compute(), args)
         elif args.command == "hilbert":
-            rep = hilbert_compare(args.g, args.n, args.source, args.max_degree)
+            compute = partial(hilbert_compare, args.g, args.n, args.source, args.max_degree)
             if args.json:
-                emit_cached(
+                payload = emit_cached(
                     f"hilbert_g{args.g}_n{args.n}_{args.source}_d{args.max_degree}",
-                    rep.to_json)
-            else:
-                for d, c, f in rep.degrees:
-                    if c or f or d % 2 == 0:
-                        print(f"degree {d}: computed {c}, formula {f}")
-                print("match" if rep.match else "MISMATCH")
+                    compute)
+                return 0 if payload["match"] else 1
+            rep = compute()
+            for d, c, f in rep.degrees:
+                if c or f or d % 2 == 0:
+                    print(f"degree {d}: computed {c}, formula {f}")
+            print("match" if rep.match else "MISMATCH")
             return 0 if rep.match else 1
         elif args.command == "eigen":
             if args.g < 1:
                 parser.error("eigen needs g >= 1")
-            rep = eigen_verify(args.g, _sign(args.sign), theta=args.theta)
+            compute = partial(eigen_verify, args.g, _sign(args.sign), theta=args.theta)
             if args.json:
                 theta_key = "1" if args.theta is None else str(args.theta)
-                emit_cached(
-                    f"eigen_g{args.g}_{args.sign}_theta{theta_key}", rep.to_json)
+                emit_cached(f"eigen_g{args.g}_{args.sign}_theta{theta_key}", compute)
             else:
+                rep = compute()
                 print(f"subspace dim {rep.subspace_dim} of {rep.total_dim}")
                 for t in rep.tuples:
                     print(f"  (alpha,beta,gamma,delta)=({t['alpha']},{t['beta']},"
@@ -253,18 +266,18 @@ def run(argv) -> int:
         elif args.command == "solve":
             if args.n != 3:
                 parser.error("solver supports n = 3 only")
-            gs = solve_subleading(args.g, 3)
+            compute = partial(solve_subleading, args.g, 3)
             if args.json:
-                emit_cached(f"solve_g{args.g}_n3", gs.to_json)
+                emit_cached(f"solve_g{args.g}_n3", compute)
             else:
-                _print_genset(gs, args)
+                _print_genset(compute(), args)
         elif args.command == "verify":
             results = acceptance.run_suite(
                 args.suite, g_max=args.g_max, n_max=args.n_max,
                 cache_dir=cache_dir if not args.no_cache else None,
                 no_cache=args.no_cache)
             return 0 if all(r.passed for r in results) else 1
-    except AssertionError as exc:
+    except (AssertionError, VerificationError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

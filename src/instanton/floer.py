@@ -21,6 +21,12 @@ from .relations import (GeneratorSet, gamma_cofactors, igen, jgen_n1,
                         kprime_gen, specialize_u, xi)
 from .series import RationalFn, expand_rational_fn, poly_add, poly_mul, poly_pow, poly_scale, poly_shift
 
+
+class VerificationError(ValueError):
+    """A computed result contradicts the formula or construction it is checked
+    against (as opposed to a bad input)."""
+
+
 # -- Poincare formula library ----------------------------------------------------
 
 
@@ -321,7 +327,7 @@ class QuotientModel:
                     match = (idx, scaled)
                     break
             if match is None:
-                raise ValueError(f"no J-generator deforms I-generator {iname}")
+                raise VerificationError(f"no J-generator deforms I-generator {iname}")
             idx, scale = match
             used.add(idx)
             self._pairs.append((ip, jpolys[idx][1] * scale))
@@ -340,7 +346,7 @@ class QuotientModel:
             if formula_coeffs is not None:
                 want = formula_coeffs[d] if d < len(formula_coeffs) else 0
                 if dim_d != want:
-                    raise ValueError(
+                    raise VerificationError(
                         f"graded quotient dimension mismatch at degree {d}: "
                         f"computed {dim_d}, formula {want}")
             zeros = zeros + 1 if dim_d == 0 else 0
@@ -357,8 +363,8 @@ class QuotientModel:
         for name, jp in jpolys:
             coords = self.normal_form(jp)
             if any(coords):
-                raise ValueError(f"J-generator {name} has nonzero normal form; "
-                                 "J does not deform I")
+                raise VerificationError(f"J-generator {name} has nonzero normal form; "
+                                        "J does not deform I")
 
     @staticmethod
     def _scalar_ratio(a: Poly, b: Poly) -> Optional[Fraction]:
@@ -565,18 +571,19 @@ def eigen_verify(g: int, sign: str = "+", theta: Optional[Fraction] = None) -> E
                        "delta": [Fraction(0)], "gen_mult": mult})
     if total_mult != v2_dim:
         raise AssertionError("alpha spectrum multiplicities do not fill the subspace")
-    # completeness: product of shifted powers kills the subspace
+    # completeness: product of shifted powers kills the subspace; the nilpotency
+    # index of each eigenvalue is at most its multiplicity
     prod = Matrix.identity(v2_dim)
-    for lam in lambdas:
-        prod = prod * (a_res - Matrix.identity(v2_dim).scale(lam)).power(v2_dim)
+    for t in tuples:
+        shifted = a_res - Matrix.identity(v2_dim).scale(t["alpha"])
+        prod = prod * shifted.power(t["gen_mult"])
     if not prod.is_zero():
         offender = next(i for i in range(v2_dim) if any(prod.col(i)))
         raise AssertionError(f"unexpected alpha spectrum; residue on subspace vector {offender}")
     # top simultaneous generalized eigenspace for (alpha, beta) is 1-dimensional
     top_lambda = lambdas[g - 1]
-    ga = kernel_basis((a_op - Matrix.identity(D).scale(top_lambda)).power(D))
-    gb = kernel_basis((b_op - Matrix.identity(D).scale(2)).power(D))
-    top = subspace_intersection(ga, gb)
+    ga = linalg.generalized_eigenspace(a_op, top_lambda)
+    top = subspace_intersection(ga, v2)
     if top.rows != 1:
         raise AssertionError(f"top simultaneous eigenspace has dimension {top.rows}, wanted 1")
     return EigenReport(v2_dim, D, tuples)
@@ -598,7 +605,7 @@ def _eigen_verify_local(g: int, sgn: int, theta: Fraction, model: QuotientModel)
     space = None
     for var, lam in tup.items():
         op = model.operator(var)
-        ker = kernel_basis((op - Matrix.identity(D).scale(lam)).power(D))
+        ker = linalg.generalized_eigenspace(op, lam)
         space = ker if space is None else subspace_intersection(space, ker)
     mult = space.rows if space is not None else 0
     if mult < 1:
@@ -673,13 +680,13 @@ def solve_subleading(g: int, n: int = 3) -> GeneratorSet:
         A = Matrix(rows)
         sol = linalg.solve(A, rhs)
         if sol is None:
-            raise ValueError("sub-leading system is infeasible (convention drift)")
+            raise VerificationError("sub-leading system is infeasible (convention drift)")
         if kernel_basis(A).rows != 0:
-            raise ValueError("sub-leading system is not unique (convention drift)")
+            raise VerificationError("sub-leading system is not unique (convention drift)")
         h = Poly(rng, {mono: c for mono, c in zip(unknowns, sol)})
     else:
         if any(rhs):
-            raise ValueError("sub-leading system is infeasible (convention drift)")
+            raise VerificationError("sub-leading system is infeasible (convention drift)")
         h = Poly.zero(rng)
     f_hat = base + h
     gens = []

@@ -144,16 +144,19 @@ def rank(M: Matrix, strategy: str = "min_bits") -> int:
 def kernel_basis(M: Matrix) -> Matrix:
     """Rows span the right kernel {x : M x = 0}. Empty kernel gives a 0 x cols matrix."""
     R, pivots, _ = rref(M)
-    free = [j for j in range(M.cols) if j not in pivots]
+    return _kernel_from_rref(R, pivots, M.cols)
+
+
+def _kernel_from_rref(R: Matrix, pivots: List[int], cols: int) -> Matrix:
+    free = [j for j in range(cols) if j not in pivots]
     rows = []
     for f in free:
-        v = [Fraction(0)] * M.cols
+        v = [Fraction(0)] * cols
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
             v[p] = -R.data[i][f]
         rows.append(v)
-    out = Matrix(rows) if rows else Matrix.zeros(0, M.cols)
-    return out
+    return Matrix(rows) if rows else Matrix.zeros(0, cols)
 
 
 def solve(M: Matrix, b: Sequence) -> Optional[Vector]:
@@ -168,38 +171,65 @@ def solve(M: Matrix, b: Sequence) -> Optional[Vector]:
     return x
 
 
-def generalized_eigenspace_dim(M: Matrix, lam) -> int:
-    """dim ker (M - lam)^dim(M)."""
-    n = M.rows
-    shifted = M - Matrix.identity(n).scale(lam)
-    return n - rank(shifted.power(n))
-
-
 def generalized_eigenspace(M: Matrix, lam) -> Matrix:
-    """Rows span ker (M - lam)^dim(M)."""
+    """Rows span ker (M - lam)^dim(M): the canonical kernel basis of N^m, N = M - lam.
+
+    Stabilisation: m = 1, 2, 4, ... stops once ker N^m = ker N^(2m), after which
+    the kernel chain is constant, so the RREF and basis equal those of N^dim(M).
+    ker N^(2m) = ker N^m iff ker N^m meets im N^m only in 0, and im N^m is cut out
+    by the rows of T below the rank (T N^m = R), so N^(2m) is never formed.
+    """
     n = M.rows
-    shifted = M - Matrix.identity(n).scale(lam)
-    return kernel_basis(shifted.power(n))
+    power = M - Matrix.identity(n).scale(lam)
+    exponent = 1
+    while True:
+        R, pivots, T = rref(power)
+        kernel = _kernel_from_rref(R, pivots, n)
+        r = len(pivots)
+        if (r in (0, n) or exponent >= n
+                or rank(Matrix(T.data[r:]) * kernel.transpose()) == n - r):
+            return kernel
+        power = power * power
+        exponent *= 2
+
+
+def generalized_eigenspace_dim(M: Matrix, lam) -> int:
+    """dim ker (M - lam)^dim(M), read off the first power whose kernel is stable."""
+    return generalized_eigenspace(M, lam).rows
 
 
 def restrict(M: Matrix, basis: Matrix) -> Matrix:
-    """Matrix of M on the span of ``basis`` rows; error if the span is not M-invariant."""
-    k = basis.rows
-    bt = basis.transpose()  # cols are basis vectors
-    cols = []
-    for i in range(k):
-        img = M.apply(basis.row(i))
-        c = solve(bt, img)
-        if c is None:
-            raise ValueError("subspace is not invariant under the operator")
-        cols.append(c)
-    return Matrix([[cols[j][i] for j in range(k)] for i in range(k)])
+    """Matrix of M on the span of the ``basis`` rows, which must be independent.
+
+    Invariance: with one RREF R = T*basis, an image v lies in the span iff
+    v == sum_r v[p_r] R_r, and then its coordinates are v[pivots] * T.
+    """
+    R, pivots, T = rref(basis)
+    if len(pivots) != basis.rows:
+        raise ValueError("basis rows are linearly dependent")
+    images = Matrix([M.apply(b) for b in basis.data])
+    heads = Matrix([[v[p] for p in pivots] for v in images.data])
+    if heads * R != images:
+        raise ValueError("subspace is not invariant under the operator")
+    return (heads * T).transpose()
 
 
 def is_nilpotent_on(M: Matrix, basis: Matrix) -> bool:
-    if basis.rows == 0:
+    """Whether R = M restricted to the span of ``basis`` has R^k = 0, k = basis.rows.
+
+    R^m is squared until it is zero; a nonzero R^m with m >= k means R^k != 0.
+    """
+    k = basis.rows
+    if k == 0:
         return True
-    return restrict(M, basis).power(basis.rows).is_zero()
+    power = restrict(M, basis)
+    exponent = 1
+    while not power.is_zero():
+        if exponent >= k:
+            return False
+        power = power * power
+        exponent *= 2
+    return True
 
 
 def subspace_intersection(A: Matrix, B: Matrix) -> Matrix:

@@ -1,7 +1,11 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from instanton import cli
 from instanton.cli import run
+from instanton.floer import VerificationError
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -137,3 +141,66 @@ def test_timestamps_flag_changes_output(capsys, tmp_path):
     _c2, out2 = run_cli(capsys, *args, "--timestamps")
     assert out1 != out2
     assert "timestamp" in json.loads(out2)
+
+
+EIGEN_ARGS = ("eigen", "--g", "2", "--json")
+
+
+def _computed_on_hit(*_args, **_kwargs):
+    raise RuntimeError("computed on a cache hit")
+
+
+def test_hit_skips_compute_and_prints_miss_bytes(capsys, tmp_path, monkeypatch):
+    args = EIGEN_ARGS + ("--cache-dir", str(tmp_path))
+    code1, miss = run_cli(capsys, *args)
+    monkeypatch.setattr(cli, "eigen_verify", _computed_on_hit)
+    code2, hit = run_cli(capsys, *args)
+    assert code1 == code2 == 0
+    assert hit == miss
+
+
+def test_hilbert_exit_code_comes_from_cached_match(capsys, tmp_path, monkeypatch):
+    args = ("hilbert", "--g", "1", "--n", "1", "--source", "ptgn", "--max-degree", "6",
+            "--json", "--cache-dir", str(tmp_path))
+    code, out = run_cli(capsys, *args)
+    assert code == 0
+    payload = json.loads(out)
+    payload["match"] = False
+    cli.Cache(str(tmp_path)).put("hilbert_g1_n1_ptgn_d6", payload)
+    monkeypatch.setattr(cli, "hilbert_compare", _computed_on_hit)
+    code, out = run_cli(capsys, *args)
+    assert code == 1
+    assert json.loads(out)["match"] is False
+
+
+@pytest.mark.parametrize("spoil", ["foreign_key", "stale_version", "corrupt"])
+def test_invalid_cache_entry_is_a_miss(capsys, tmp_path, spoil):
+    args = EIGEN_ARGS + ("--cache-dir", str(tmp_path))
+    _code, fresh = run_cli(capsys, *args)
+    (path,) = tmp_path.glob("eigen*.json")
+    good = path.read_text()
+    entry = json.loads(good)
+    entry["payload"]["subspace_dim"] = 999
+    if spoil == "foreign_key":
+        entry["key"] = "eigen_g2_minus_theta1"
+        path.write_text(json.dumps(entry))
+    elif spoil == "stale_version":
+        entry["tool_version"] = "0.0.0-old"
+        path.write_text(json.dumps(entry))
+    else:
+        path.write_text(good[: len(good) // 2])
+    code, out = run_cli(capsys, *args)
+    assert code == 0
+    assert out == fresh
+    assert path.read_text() == good  # rewritten by the recompute
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_verification_failure_exits_one(capsys, tmp_path, monkeypatch):
+    def drift(*_a, **_k):
+        raise VerificationError("sub-leading system is infeasible (convention drift)")
+    monkeypatch.setattr(cli, "solve_subleading", drift)
+    code = run(["solve", "--g", "1", "--json", "--cache-dir", str(tmp_path)])
+    assert code == 1
+    assert "verification failure" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.json")) == []

@@ -257,3 +257,54 @@ def test_kprime_beta_fine_structure():
                         stacked = Matrix([ideal_rows.row(r) for r in range(ideal_rows.rows)]
                                          + [vec])
                         assert rank(stacked) == ideal_rows.rows, (n, g, i, I, j)
+
+
+# Reports of the seed's eigen_verify, kept byte for byte: the dimensions and
+# eigenvalues must not depend on how the eigen algebra is factored.
+SEED_EIGEN_REPORTS = {
+    (3, "+", None): {"subspace_dim": 10, "total_dim": 20, "tuples": [
+        {"alpha": "1", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 6},
+        {"alpha": "-3", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 3},
+        {"alpha": "5", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 1}]},
+    (3, "-", None): {"subspace_dim": 10, "total_dim": 20, "tuples": [
+        {"alpha": "-1", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 6},
+        {"alpha": "3", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 3},
+        {"alpha": "-5", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 1}]},
+    (3, "+", F(2)): {"subspace_dim": 1, "total_dim": 20, "tuples": [
+        {"alpha": "6", "beta": "2", "delta": ["-3/2"], "gamma": "0", "gen_mult": 1}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEED_EIGEN_REPORTS, key=str),
+                         ids=lambda c: f"g{c[0]}{c[1]}_theta{c[2] or 1}")
+def test_eigen_reports_match_seed(case):
+    g, sign, theta = case
+    assert eigen_verify(g, sign, theta=theta).to_json() == SEED_EIGEN_REPORTS[case]
+
+
+def test_model_eigen_algebra_matches_direct_forms():
+    """On the g=3 operators, the stable-power eigenspaces, the factor-once
+    restriction and the early-exit nilpotency test agree with the direct forms."""
+    from instanton import linalg
+    from instanton.linalg import Matrix, kernel_basis, rank, solve
+    model = model_for(3, "+")
+    D = model.dim
+    ops = {var: model.operator(var) for var in (ALPHA, "beta", "gamma", "delta1")}
+    v2 = None
+    for var, lam in ((ALPHA, 1), (ALPHA, 5), ("beta", 2), ("beta", 7),
+                     ("gamma", 0), ("delta1", 0)):
+        direct = (ops[var] - Matrix.identity(D).scale(lam)).power(D)
+        space = linalg.generalized_eigenspace(ops[var], lam)
+        assert space == kernel_basis(direct), (var, lam)
+        assert linalg.generalized_eigenspace_dim(ops[var], lam) == D - rank(direct)
+        if (var, lam) == ("beta", 2):
+            v2 = space
+    assert v2.rows == 10
+    bt = v2.transpose()
+    for var, op in ops.items():
+        cols = [solve(bt, op.apply(b)) for b in v2.data]
+        oracle = Matrix([[cols[j][i] for j in range(v2.rows)] for i in range(v2.rows)])
+        restricted = linalg.restrict(op, v2)
+        assert restricted == oracle, var
+        assert linalg.is_nilpotent_on(op, v2) == restricted.power(v2.rows).is_zero()
+        assert linalg.is_nilpotent_on(op, v2) == (var in ("gamma", "delta1"))

@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from instanton.linalg import (Matrix, char_poly, generalized_eigenspace_dim,
-                              is_nilpotent_on, kernel_basis, rank, restrict,
-                              rref, solve, subspace_intersection)
+from instanton.linalg import (Matrix, char_poly, generalized_eigenspace,
+                              generalized_eigenspace_dim, is_nilpotent_on,
+                              kernel_basis, rank, restrict, rref, solve,
+                              subspace_intersection)
 
 
 def test_identity_rank_and_kernel():
@@ -104,3 +105,105 @@ def test_kernel_powers_stabilize():
         prev = d
         dims.append(d)
     assert dims == [1, 2, 2]
+
+
+# -- the factor-once eigen helpers against the direct forms they replace ------------
+
+
+def _power_oracle(M, lam):
+    n = M.rows
+    return (M - Matrix.identity(n).scale(lam)).power(n)
+
+
+def _restrict_oracle(M, basis):
+    """One solve per basis vector, as restrict did before it factored the basis once."""
+    bt = basis.transpose()
+    cols = []
+    for b in basis.data:
+        c = solve(bt, M.apply(b))
+        if c is None:
+            raise ValueError("subspace is not invariant under the operator")
+        cols.append(c)
+    k = basis.rows
+    return Matrix([[cols[j][i] for j in range(k)] for i in range(k)])
+
+
+def _jordan(blocks):
+    """Block-diagonal Jordan matrix from (eigenvalue, size) pairs."""
+    n = sum(size for _lam, size in blocks)
+    rows = [[F(0)] * n for _ in range(n)]
+    start = 0
+    for lam, size in blocks:
+        for i in range(start, start + size):
+            rows[i][i] = F(lam)
+            if i + 1 < start + size:
+                rows[i][i + 1] = F(1)
+        start += size
+    return Matrix(rows)
+
+
+def _conjugated(blocks, seed):
+    """P J P^-1 for a random invertible P, so that the entries are not all 0/1."""
+    J = _jordan(blocks)
+    rng = random.Random(seed)
+    while True:
+        P = Matrix([[F(rng.randint(-3, 3)) for _ in range(J.rows)] for _ in range(J.rows)])
+        _R, pivots, P_inv = rref(P)
+        if len(pivots) == J.rows:
+            return P * J * P_inv
+
+
+# nilpotency index of M - 2 is 1, 3 and 5; the last is the whole dimension
+JORDAN_CASES = [
+    [(2, 1), (2, 1), (-1, 2)],
+    [(2, 3), (2, 1), (0, 2)],
+    [(2, 5)],
+]
+LAMBDAS = [2, -1, 0, F(7, 3)]  # 7/3 is an eigenvalue of none of them
+
+
+@pytest.mark.parametrize("blocks", JORDAN_CASES)
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_generalized_eigenspace_matches_full_power(blocks, conjugate):
+    M = _conjugated(blocks, seed=len(blocks)) if conjugate else _jordan(blocks)
+    for lam in LAMBDAS:
+        expected_dim = sum(size for mu, size in blocks if mu == lam)
+        direct = _power_oracle(M, lam)
+        assert generalized_eigenspace(M, lam) == kernel_basis(direct)
+        assert generalized_eigenspace_dim(M, lam) == M.rows - rank(direct) == expected_dim
+
+
+@pytest.mark.parametrize("blocks", JORDAN_CASES)
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_restrict_and_nilpotency_match_per_vector_solve(blocks, conjugate):
+    M = _conjugated(blocks, seed=len(blocks)) if conjugate else _jordan(blocks)
+    for lam in LAMBDAS:
+        basis = generalized_eigenspace(M, lam)
+        if basis.rows == 0:
+            assert is_nilpotent_on(M, basis)
+            continue
+        assert restrict(M, basis) == _restrict_oracle(M, basis)
+        shifted = M - Matrix.identity(M.rows).scale(lam)
+        for op in (M, shifted):
+            assert is_nilpotent_on(op, basis) == \
+                restrict(op, basis).power(basis.rows).is_zero()
+        assert is_nilpotent_on(shifted, basis)
+        assert is_nilpotent_on(M, basis) == (lam == 0)
+
+
+def test_nilpotency_needs_full_index():
+    # a single Jordan block of size 5 at 0: J^4 != 0, so squaring must reach 8 >= 5
+    J = _jordan([(0, 5)])
+    assert J.power(4) != Matrix.zeros(5, 5)
+    assert is_nilpotent_on(J, Matrix.identity(5))
+    # with the eigenvalue 1 no power is zero; squaring gives up at 8 >= 5
+    K = _jordan([(0, 4), (1, 1)])
+    assert not is_nilpotent_on(K, Matrix.identity(5))
+
+
+def test_restrict_rejects_dependent_basis_rows():
+    m = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    with pytest.raises(ValueError, match="dependent"):
+        restrict(m, Matrix([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+    with pytest.raises(ValueError, match="dependent"):
+        restrict(m, Matrix([[1, 0, 0], [2, 0, 0]]))
