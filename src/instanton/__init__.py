@@ -9,6 +9,6 @@ from .relations import (EtaChoice, GeneratorSet, delta_sym, igen, jgen_n1,  # no
                         kprime_gen, r_poly, r_poly_local, rho_proj, rho_series,
                         w0, w1, w_skeleton, xi)
 from .floer import (EigenReport, HilbertReport, QuotientModel,  # noqa: F401
-                    build_quotient_model, decomposition_identity_check,
+                    decomposition_identity_check,
                     eigen_verify, gamma_power_witness, graded_ideal_dims,
                     hilbert_compare, model_for, solve_subleading)

@@ -70,7 +70,6 @@ def _ideal_vectors(gens: GeneratorSet, degree: int, spec: Optional[QuotientSpec]
     if spec is None:
         rng = gens.ambient
         basis = monomials_of_degree(rng, degree)
-        index = {m: i for i, m in enumerate(basis)}
         vectors = []
         for _name, gp in gens.gens:
             gdeg = gp.degree()
@@ -245,52 +244,59 @@ def decomposition_identity_check(g: int, n: int, max_degree: int) -> bool:
 # -- the filtered quotient model ----------------------------------------------------
 
 
-class _DegreeTable:
-    """Per-degree elimination data for the graded ideal piece with lift tracking."""
+def _subtract_multiples(terms: Dict[Exponents, object],
+                        multipliers: List[Tuple[int, Fraction]],
+                        lifts: Dict[int, Poly]) -> None:
+    """terms -= sum f * lifts[p] over the (p, f) multipliers, in place."""
+    for p, f in multipliers:
+        for e, c in lifts[p].terms.items():
+            s = terms.get(e)
+            s = -(c * f) if s is None else s - c * f
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
 
-    __slots__ = ("monomials", "index", "pivot_rows", "basis")
+
+class _DegreeTable:
+    """Per-degree elimination data for the graded ideal piece: unit-led pivot
+    rows and, per pivot p, a lift in the J-ideal whose degree-d component is
+    sum_j pivot_rows[p][j] * monomials[j].  Lifts exist for pivots only."""
+
+    __slots__ = ("monomials", "index", "pivot_rows", "lifts", "basis")
 
     def __init__(self, monomials: List[Exponents]):
         self.monomials = monomials
         self.index = {m: i for i, m in enumerate(monomials)}
-        # pivot column -> (sparse row dict, lift Poly whose leading realizes the row)
-        self.pivot_rows: Dict[int, Tuple[Dict[int, Fraction], Poly]] = {}
+        self.pivot_rows: Dict[int, Dict[int, Fraction]] = {}  # pivot column -> unit-led row
+        self.lifts: Dict[int, Poly] = {}  # pivot column -> lift realizing that row
         self.basis: List[Exponents] = []
 
-    def reduce_vector(self, row: Dict[int, Fraction], lift: Optional[Poly]):
+    def reduce_vector(self, row: Dict[int, Fraction]):
         """Fully reduce a sparse vector against the echelon.
 
-        Returns (residual, lift); the residual carries no pivot index, so for
+        Returns (residual, multipliers) with row == residual + sum f * pivot_rows[p]
+        over the (p, f) multipliers; the residual carries no pivot index, so for
         complete tables it is supported on basis monomials only.
         """
         row = dict(row)
         residual: Dict[int, Fraction] = {}
+        multipliers: List[Tuple[int, Fraction]] = []
         while row:
             p = min(row)
-            hit = self.pivot_rows.get(p)
-            if hit is None:
+            prow = self.pivot_rows.get(p)
+            if prow is None:
                 residual[p] = row.pop(p)
                 continue
             f = row[p]
-            prow, plift = hit
+            multipliers.append((p, f))
             for j, c in prow.items():
                 s = row.get(j, Fraction(0)) - f * c
                 if s:
                     row[j] = s
                 else:
                     row.pop(j, None)
-            if lift is not None:
-                lift = lift - plift * f
-        return residual, lift
-
-    def insert(self, row: Dict[int, Fraction], lift: Poly) -> bool:
-        row, lift = self.reduce_vector(row, lift)
-        if not row:
-            return False
-        p = min(row)
-        inv = Fraction(1) / row[p]
-        self.pivot_rows[p] = ({j: c * inv for j, c in row.items()}, lift * inv)
-        return True
+        return residual, multipliers
 
 
 class QuotientModel:
@@ -399,7 +405,17 @@ class QuotientModel:
                     mp = Poly.monomial(self.ring, mono)
                     prod = ip * mp
                     row = {table.index[e]: c for e, c in prod.terms.items()}
-                    table.insert(row, jp * mp)
+                    residual, multipliers = table.reduce_vector(row)
+                    if not residual:
+                        continue
+                    # only a new pivot needs its lift: jp*mp minus the used lifts
+                    lift = dict((jp * mp).terms)
+                    _subtract_multiples(lift, multipliers, table.lifts)
+                    p = min(residual)
+                    inv = Fraction(1) / residual[p]
+                    table.pivot_rows[p] = {j: c * inv for j, c in residual.items()}
+                    table.lifts[p] = Poly(self.ring, {e: c * inv for e, c in lift.items()},
+                                          _normalized=True)
             table.basis = [table.monomials[i] for i in range(len(table.monomials))
                            if i not in table.pivot_rows]
             if hasattr(self, "basis") and table.basis:
@@ -431,14 +447,20 @@ class QuotientModel:
             table = self._ensure_degree(d)
             top = f.homogeneous_component(d)
             row = {table.index[e]: c for e, c in top.terms.items()}
-            residual, lift_delta = table.reduce_vector(row, Poly.zero(self.ring))
+            residual, multipliers = table.reduce_vector(row)
+            # f - sum f_p * lift_p - residual loses its degree-d part; the
             # residual is supported on basis monomials
-            basis_part = Poly.zero(self.ring)
+            terms = dict(f.terms)
+            _subtract_multiples(terms, multipliers, table.lifts)
             for i, c in residual.items():
                 mono = table.monomials[i]
                 coords[self.basis_index[(d, mono)]] += c
-                basis_part = basis_part + Poly.monomial(self.ring, mono, c)
-            f = f + lift_delta - basis_part
+                s = terms.get(mono, Fraction(0)) - c
+                if s:
+                    terms[mono] = s
+                else:
+                    del terms[mono]
+            f = Poly(self.ring, terms, _normalized=True)
             new_deg = f.degree()
             if not f.is_zero() and new_deg >= d:
                 raise RuntimeError("degree did not descend during reduction")
@@ -476,11 +498,6 @@ class QuotientModel:
         return True
 
 
-def build_quotient_model(J: GeneratorSet, I: GeneratorSet,
-                         formula: Optional[RationalFn] = None) -> QuotientModel:
-    return QuotientModel(J, I, formula)
-
-
 # -- standard models ---------------------------------------------------------------
 
 _model_cache: Dict[Tuple[int, str, Optional[Fraction]], QuotientModel] = {}
@@ -503,10 +520,6 @@ def model_for(g: int, sign: str = "+", theta: Optional[Fraction] = None) -> Quot
     model = QuotientModel(J, I_reduced, formula=ptgn_series(g, 1))
     _model_cache[key] = model
     return model
-
-
-def membership(f: Poly, model: QuotientModel) -> bool:
-    return model.membership(f)
 
 
 def gamma_power_witness(g: int, sign: str = "+", local: bool = False) -> Dict[str, Poly]:

@@ -19,10 +19,12 @@ def _fr(x) -> Fraction:
 class Matrix:
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data: Sequence[Sequence]):
+    def __init__(self, data: Sequence[Sequence], cols: int = 0):
+        """``cols`` is the column count of a matrix with no rows; otherwise the
+        first row gives it."""
         self.data = [[_fr(x) for x in row] for row in data]
         self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
+        self.cols = len(self.data[0]) if self.data else cols
         if any(len(r) != self.cols for r in self.data):
             raise ValueError("ragged matrix")
 
@@ -32,10 +34,10 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
+        return cls([[Fraction(0)] * cols for _ in range(rows)], cols)
 
     def copy(self) -> "Matrix":
-        return Matrix(self.data)
+        return Matrix(self.data, self.cols)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.data == other.data
@@ -50,24 +52,27 @@ class Matrix:
         return [r[j] for r in self.data]
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
+                      self.rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
+                      self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        return Matrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
+                      self.cols)
 
     def scale(self, c) -> "Matrix":
         c = _fr(c)
-        return Matrix([[c * x for x in row] for row in self.data])
+        return Matrix([[c * x for x in row] for row in self.data], self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         ot = other.transpose().data
         return Matrix([[sum(a * b for a, b in zip(row, col) if a and b)
-                        for col in ot] for row in self.data])
+                        for col in ot] for row in self.data], other.cols)
 
     def apply(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
@@ -134,7 +139,7 @@ def rref(M: Matrix, strategy: str = "min_bits") -> Tuple[Matrix, List[int], Matr
         r += 1
         if r == M.rows:
             break
-    return Matrix(a), pivots, Matrix(t)
+    return Matrix(a, M.cols), pivots, Matrix(t)
 
 
 def rank(M: Matrix, strategy: str = "min_bits") -> int:

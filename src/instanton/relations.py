@@ -9,7 +9,6 @@ is pinned empirically against rho_proj).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -23,7 +22,6 @@ from .series import SeriesT, exp_series, pow_binomial
 
 # xi lives in alpha, beta, gamma only; we store raw exponent dicts keyed (a, b, c)
 _xi_cache: Dict[Tuple[int, int], Dict[Tuple[int, int, int], Fraction]] = {}
-_xi_lock = threading.Lock()
 
 
 def _xi_raw(k: int, n: int) -> Dict[Tuple[int, int, int], Fraction]:
@@ -32,9 +30,8 @@ def _xi_raw(k: int, n: int) -> Dict[Tuple[int, int, int], Fraction]:
     if n % 2 == 0:
         raise ValueError("n must be odd")
     key = (k, n)
-    with _xi_lock:
-        if key in _xi_cache:
-            return _xi_cache[key]
+    if key in _xi_cache:
+        return _xi_cache[key]
     m = (n - 1) // 2
     table: List[Dict[Tuple[int, int, int], Fraction]] = [
         {(0, 0, 0): Fraction(1)},
@@ -70,8 +67,7 @@ def _xi_raw(k: int, n: int) -> Dict[Tuple[int, int, int], Fraction]:
         result = {(0, 0, 0): Fraction(1)}
     elif k == 1:
         result = {(1, 0, 0): Fraction(1)}
-    with _xi_lock:
-        _xi_cache[key] = result
+    _xi_cache[key] = result
     return result
 
 
@@ -113,15 +109,13 @@ def delta_sym(n: int, s: int, target: Optional[RingDescriptor] = None) -> Poly:
 # -- rho: projection route (ground truth) ---------------------------------------
 
 _rho_proj_cache: Dict[Tuple[int, int], Dict[int, Poly]] = {}
-_rho_lock = threading.Lock()
 
 
 def _rho_proj_all(k: int, n: int) -> Dict[int, Poly]:
     """All rho_{k,n,s} at once, from the decomposition of xi-bar_{k,n} in R-bar_n."""
     key = (k, n)
-    with _rho_lock:
-        if key in _rho_proj_cache:
-            return _rho_proj_cache[key]
+    if key in _rho_proj_cache:
+        return _rho_proj_cache[key]
     if n < 1:
         raise ValueError("projection route needs n >= 1")
     m = (n - 1) // 2
@@ -151,8 +145,7 @@ def _rho_proj_all(k: int, n: int) -> Dict[int, Poly]:
             out[s] = Poly.zero(coeff_ring)
     if _reassemble(out, rng, m) != xbar:
         raise AssertionError("decomposition residual nonzero")
-    with _rho_lock:
-        _rho_proj_cache[key] = out
+    _rho_proj_cache[key] = out
     return out
 
 
@@ -372,7 +365,6 @@ def kprime_gen(g: int, n: int) -> GeneratorSet:
 # -- the one-point recursion -------------------------------------------------------
 
 _r_cache: Dict[Tuple[int, bool], Poly] = {}
-_r_lock = threading.Lock()
 
 
 def _n1_ring(local: bool) -> RingDescriptor:
@@ -392,9 +384,8 @@ def r_poly(g: int, local: bool = False) -> Poly:
     if g < 0:
         raise ValueError("g must be >= 0")
     key = (g, local)
-    with _r_lock:
-        if key in _r_cache:
-            return _r_cache[key]
+    if key in _r_cache:
+        return _r_cache[key]
     rng = _n1_ring(local)
     w = Poly.variable(rng, "omega")
     b = Poly.variable(rng, "beta")
@@ -416,9 +407,8 @@ def r_poly(g: int, local: bool = False) -> Poly:
         nxt = (lin * table[j - 1] + mid * table[j - 2] * (1 - j)
                - c * table[j - 3] * half) * Fraction(1, j)
         table.append(nxt)
-    with _r_lock:
-        for i, p in enumerate(table[: g + 1]):
-            _r_cache.setdefault((i, local), p)
+    for i, p in enumerate(table[: g + 1]):
+        _r_cache.setdefault((i, local), p)
     return table[g]
 
 

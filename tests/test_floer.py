@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from instanton.floer import (build_quotient_model, decomposition_identity_check,
+from instanton.floer import (QuotientModel, decomposition_identity_check,
                              eigen_verify, expand_rational_fn, gamma_power_witness,
                              graded_ideal_dims, hilbert_compare, model_for,
                              model_n3, ptgn_series, solve_subleading)
@@ -73,7 +73,7 @@ def test_model_rejects_non_deforming_pair():
     J = jgen_n1(1)
     bad_I = GeneratorSet("bad", R1, [("one", Poly.constant(R1, 1))])
     with pytest.raises(ValueError):
-        build_quotient_model(J, bad_I)
+        QuotientModel(J, bad_I)
 
 
 def test_normal_form_examples():
@@ -308,3 +308,106 @@ def test_model_eigen_algebra_matches_direct_forms():
         assert restricted == oracle, var
         assert linalg.is_nilpotent_on(op, v2) == restricted.power(v2.rows).is_zero()
         assert linalg.is_nilpotent_on(op, v2) == (var in ("gamma", "delta1"))
+
+
+# -- lazy lifts in the model tables against eager lift tracking ---------------------
+
+
+class _EagerTable:
+    """The degree table as first written: a lift Poly is carried through every
+    pivot step, including for rows that reduce to zero."""
+
+    def __init__(self, monomials):
+        self.monomials = monomials
+        self.index = {m: i for i, m in enumerate(monomials)}
+        self.pivot_rows = {}  # pivot column -> (row, lift)
+
+    def reduce_vector(self, row, lift):
+        row = dict(row)
+        residual = {}
+        while row:
+            p = min(row)
+            hit = self.pivot_rows.get(p)
+            if hit is None:
+                residual[p] = row.pop(p)
+                continue
+            f = row[p]
+            prow, plift = hit
+            for j, c in prow.items():
+                s = row.get(j, F(0)) - f * c
+                if s:
+                    row[j] = s
+                else:
+                    row.pop(j, None)
+            lift = lift - plift * f
+        return residual, lift
+
+    def insert(self, row, lift):
+        row, lift = self.reduce_vector(row, lift)
+        if not row:
+            return False
+        p = min(row)
+        inv = F(1) / row[p]
+        self.pivot_rows[p] = ({j: c * inv for j, c in row.items()}, lift * inv)
+        return True
+
+
+def _eager_table(model, d):
+    from instanton.poly import monomials_of_degree
+    table = _EagerTable(monomials_of_degree(model.ring, d))
+    for ip, jp in model._pairs:
+        gdeg = ip.degree()
+        if gdeg > d:
+            continue
+        for mono in monomials_of_degree(model.ring, d - gdeg):
+            mp = Poly.monomial(model.ring, mono)
+            row = {table.index[e]: c for e, c in (ip * mp).terms.items()}
+            table.insert(row, jp * mp)
+    return table
+
+
+LIFT_CASES = [(g, sign, None) for g in (1, 2, 3) for sign in ("+", "-")] + [(3, "+", F(2))]
+
+
+def _lift_models():
+    for g, sign, theta in LIFT_CASES:
+        yield f"g{g}{sign}_theta{theta or 1}", model_for(g, sign, theta)
+    yield "n3_g1", model_n3(1)
+
+
+def test_lazy_lifts_match_eager_lifts():
+    """Every degree table holds the pivot rows and lift polynomials that eager
+    lift tracking builds, and each lift realizes its row and lies in J."""
+    for name, model in _lift_models():
+        for d, table in model._tables.items():
+            eager = _eager_table(model, d)
+            assert set(table.pivot_rows) == set(table.lifts) == set(eager.pivot_rows)
+            for p, (erow, elift) in eager.pivot_rows.items():
+                assert table.pivot_rows[p] == erow, (name, d, p)
+                assert table.lifts[p].terms == elift.terms, (name, d, p)
+            for p, row in table.pivot_rows.items():
+                lift = table.lifts[p]
+                realized = Poly(model.ring, {table.monomials[j]: c for j, c in row.items()})
+                assert lift.homogeneous_component(d) == realized, (name, d, p)
+                assert not any(model.normal_form(lift)), (name, d, p)
+
+
+def test_reduce_vector_multiplier_contract(rand):
+    """row == residual + sum f * pivot_rows[p], and the residual has no pivot."""
+    model = model_for(3, "+")
+    used = 0
+    for d in (6, 8, 10):
+        table = model._tables[d]
+        width = len(table.monomials)
+        for _ in range(20):
+            cols = rand.sample(range(width), min(width, rand.randint(1, 6)))
+            row = {j: F(rand.randint(-9, 9) or 1, rand.randint(1, 4)) for j in cols}
+            residual, multipliers = table.reduce_vector(row)
+            assert not set(residual) & set(table.pivot_rows)
+            total = dict(residual)
+            for p, f in multipliers:
+                for j, c in table.pivot_rows[p].items():
+                    total[j] = total.get(j, F(0)) + f * c
+            assert {j: c for j, c in total.items() if c} == row
+            used += len(multipliers)
+    assert used

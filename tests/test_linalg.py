@@ -12,7 +12,21 @@ from instanton.linalg import (Matrix, char_poly, generalized_eigenspace,
 def test_identity_rank_and_kernel():
     m = Matrix.identity(3)
     assert rank(m) == 3
-    assert kernel_basis(m).rows == 0
+    ker = kernel_basis(m)
+    assert (ker.rows, ker.cols) == (0, 3)
+
+
+def test_empty_matrix_keeps_column_count():
+    z = Matrix.zeros(0, 5)
+    assert (z.rows, z.cols) == (0, 5)
+    assert (z.copy().cols, z.scale(2).cols) == (5, 5)
+    zt = z.transpose()
+    assert (zt.rows, zt.cols) == (5, 0)
+    assert (zt.transpose().rows, zt.transpose().cols) == (0, 5)
+    prod = z * Matrix.identity(5)
+    assert (prod.rows, prod.cols) == (0, 5)
+    R, pivots, _T = rref(z)
+    assert (R.rows, R.cols, pivots) == (0, 5, [])
 
 
 def test_rank_one_kernel():
@@ -86,6 +100,11 @@ def test_subspace_intersection():
     assert inter.rows == 1
     v = inter.row(0)
     assert v[0] == 0 and v[2] == 0 and v[1] != 0
+    # an empty side, or a trivial intersection, gives 0 x cols
+    for left, right in ((Matrix.zeros(0, 3), b), (a, Matrix.zeros(0, 3)),
+                        (Matrix([[1, 0, 0]]), Matrix([[0, 0, 1]]))):
+        empty = subspace_intersection(left, right)
+        assert (empty.rows, empty.cols) == (0, 3)
 
 
 def test_char_poly_diagonal():
