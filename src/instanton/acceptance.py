@@ -204,7 +204,7 @@ def check_a6(k_max: int = 6, cache_dir: Optional[str] = None,
                 recorded = json.load(fh).get("branch")
         if recorded is None:
             os.makedirs(cache_dir, exist_ok=True)
-            tmp = path + ".tmp"
+            tmp = f"{path}.{os.getpid()}.tmp"
             with open(tmp, "w") as fh:
                 json.dump({"branch": branch}, fh, sort_keys=True)
             os.replace(tmp, path)
@@ -327,45 +327,45 @@ def check_a11(g_max: int = 3, n_max: int = 5) -> CheckResult:
                        f"degree bookkeeping identity to degree 40 for {len(done)} pairs")
 
 
-def check_a12(n_values: Sequence[int] = (3, 5)) -> CheckResult:
+def _a12_stacks(n: int, s: int):
+    """A12's two rank stacks at (n, s), each as (sparse rows, column count).
+
+    The first holds the flip images of alpha'^s over the degree-2s canonical
+    monomials modulo beta; the second, formed lazily, their products with the
+    degree-2 monomials over degree 2s+2.
+    """
     spec = mod_beta_spec()
+    rng = ring(n, coordinate=OMEGA)
+    alpha_p = Poly.variable(rng, OMEGA) - sum(
+        (Poly.variable(rng, f"delta{i}") for i in range(1, n + 1)),
+        Poly.zero(rng)) * Fraction(1, 2)
+    flips = []
+    for size in range(0, n + 1, 2):
+        for J in combinations(range(1, n + 1), size):
+            flips.append(canonical_rep((alpha_p ** s).flip(J), spec))
+    basis = canonical_monomials(rng, spec, 2 * s)
+    index = {mono: i for i, mono in enumerate(basis)}
+    flip_rows = [{index[e]: c for e, c in f.terms.items()} for f in flips]
+    tgt = canonical_monomials(rng, spec, 2 * s + 2)
+    tindex = {mono: i for i, mono in enumerate(tgt)}
+    prod_rows = ({tindex[e]: c for e, c in
+                  canonical_rep(f * Poly.monomial(rng, mono), spec).terms.items()}
+                 for f in flips for mono in canonical_monomials(rng, spec, 2))
+    return (flip_rows, len(basis)), (prod_rows, len(tgt))
+
+
+def check_a12(n_values: Sequence[int] = (3, 5)) -> CheckResult:
     details = []
     for n in n_values:
         m = (n - 1) // 2
-        rng = ring(n, coordinate=OMEGA)
-        alpha_p = Poly.variable(rng, OMEGA) - sum(
-            (Poly.variable(rng, f"delta{i}") for i in range(1, n + 1)),
-            Poly.zero(rng)) * Fraction(1, 2)
         for s in (m, m + 1):
-            flips = []
-            for size in range(0, n + 1, 2):
-                for J in combinations(range(1, n + 1), size):
-                    flips.append(canonical_rep((alpha_p ** s).flip(J), spec))
-            basis = canonical_monomials(rng, spec, 2 * s)
-            index = {mono: i for i, mono in enumerate(basis)}
-            vectors = []
-            for f in flips:
-                vec = [Fraction(0)] * len(basis)
-                for e, c in f.terms.items():
-                    vec[index[e]] = c
-                vectors.append(vec)
-            got = linalg.rank(linalg.Matrix(vectors))
+            (flip_rows, cols), (prod_rows, tcols) = _a12_stacks(n, s)
+            got = linalg.row_rank(flip_rows, cols)
             if got != 2 ** (n - 1):
                 return CheckResult("A12", False,
                                    f"independence rank {got} != {2 ** (n - 1)} at n={n}, s={s}")
             # degree-(2s+2) fullness of the ideal generated by the flips
-            tgt = canonical_monomials(rng, spec, 2 * s + 2)
-            tindex = {mono: i for i, mono in enumerate(tgt)}
-            prods = []
-            for f in flips:
-                for mono in canonical_monomials(rng, spec, 2):
-                    p = canonical_rep(f * Poly.monomial(rng, mono), spec)
-                    vec = [Fraction(0)] * len(tgt)
-                    for e, c in p.terms.items():
-                        vec[tindex[e]] = c
-                    prods.append(vec)
-            got_full = linalg.rank(linalg.Matrix(prods))
-            if got_full != len(tgt):
+            if linalg.row_rank(prod_rows, tcols) != tcols:
                 return CheckResult("A12", False,
                                    f"ideal not full in degree {2 * s + 2} at n={n}, s={s}")
             details.append(f"n={n},s={s}")

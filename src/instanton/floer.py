@@ -65,56 +65,63 @@ def ambient_series(n: int) -> RationalFn:
 # -- graded ideal dimensions -------------------------------------------------------
 
 
-def _ideal_vectors(gens: GeneratorSet, degree: int, spec: Optional[QuotientSpec]):
-    """Vectors (over the degree-d monomial basis) spanning the ideal piece."""
+def _ideal_pieces(gens: GeneratorSet, spec: Optional[QuotientSpec]):
+    """A function taking a degree d to the degree-d monomial basis and a lazy
+    iterator of sparse rows ``{basis index: coefficient}`` spanning the ideal
+    piece.  A row's product is formed only when the row is taken, and each
+    generator is brought to canonical form inside ``spec`` once, when a row of
+    any degree first needs it."""
     if spec is None:
         rng = gens.ambient
-        basis = monomials_of_degree(rng, degree)
-        vectors = []
-        for _name, gp in gens.gens:
-            gdeg = gp.degree()
-            for mono in monomials_of_degree(rng, degree - gdeg):
-                prod = gp * Poly.monomial(rng, mono)
-                vectors.append([prod.terms.get(mb, Fraction(0)) for mb in basis])
-        return basis, vectors
-    rng = gens.ambient.with_coordinate(OMEGA)
-    basis = canonical_monomials(rng, spec, degree)
-    index = {m: i for i, m in enumerate(basis)}
-    vectors = []
-    for _name, gp in gens.gens:
-        gp = canonical_rep(gp, spec)
-        if gp.is_zero():
+
+        def monomials(d):
+            return monomials_of_degree(rng, d)
+
+        def reduce(p):
+            return p
+    else:
+        rng = gens.ambient.with_coordinate(OMEGA)
+
+        def monomials(d):
+            return canonical_monomials(rng, spec, d)
+
+        def reduce(p):
+            return canonical_rep(p, spec)
+    reduced: List[Poly] = []  # the generators' reduced forms, in order, as far as used
+
+    def generators():
+        for k, (_name, gp) in enumerate(gens.gens):
+            if k == len(reduced):
+                reduced.append(reduce(gp))
+            if not reduced[k].is_zero():
+                yield reduced[k]
+
+    def piece(degree: int):
+        basis = monomials(degree)
+        index = {m: i for i, m in enumerate(basis)}
+
+        def rows():
+            for gp in generators():
+                for mono in monomials(degree - gp.degree()):
+                    prod = reduce(gp * Poly.monomial(rng, mono))
+                    yield {index[e]: c for e, c in prod.terms.items() if e in index}
+        return basis, rows()
+    return piece
+
+
+def _graded_ranks(gens: GeneratorSet, max_degree: int,
+                  spec: Optional[QuotientSpec]) -> List[Tuple[int, int]]:
+    """(piece dimension, ideal rank) in each degree 0..max_degree; odd degrees
+    give (0, 0)."""
+    piece = _ideal_pieces(gens, spec if spec is not None else gens.quotient_context)
+    out = []
+    for d in range(max_degree + 1):
+        if d % 2:
+            out.append((0, 0))
             continue
-        gdeg = gp.degree()
-        for mono in canonical_monomials(rng, spec, degree - gdeg):
-            prod = canonical_rep(gp * Poly.monomial(rng, mono), spec)
-            vec = [Fraction(0)] * len(basis)
-            for e, c in prod.terms.items():
-                vec[index[e]] = c
-            vectors.append(vec)
-    return basis, vectors
-
-
-def _span_rank(vectors: List[List[Fraction]]) -> int:
-    """Rank of a list of vectors via streaming sparse elimination."""
-    echelon: Dict[int, Dict[int, Fraction]] = {}
-    for vec in vectors:
-        row = {i: c for i, c in enumerate(vec) if c}
-        while row:
-            p = min(row)
-            if p in echelon:
-                f = row[p]
-                for j, c in echelon[p].items():
-                    s = row.get(j, Fraction(0)) - f * c
-                    if s:
-                        row[j] = s
-                    else:
-                        row.pop(j, None)
-            else:
-                inv = Fraction(1) / row[p]
-                echelon[p] = {j: c * inv for j, c in row.items()}
-                break
-    return len(echelon)
+        basis, rows = piece(d)
+        out.append((len(basis), linalg.row_rank(rows, len(basis))))
+    return out
 
 
 def graded_ideal_dims(gens: GeneratorSet, max_degree: int,
@@ -128,29 +135,13 @@ def graded_ideal_dims(gens: GeneratorSet, max_degree: int,
         probe = canonical_rep(gp, spec) if spec is not None else gp
         if not probe.is_zero() and not probe.is_homogeneous():
             raise ValueError(f"inhomogeneous generator {name} in graded mode")
-    dims = []
-    use_spec = spec if spec is not None else gens.quotient_context
-    for d in range(max_degree + 1):
-        if d % 2:
-            dims.append(0)
-            continue
-        _basis, vectors = _ideal_vectors(gens, d, use_spec)
-        dims.append(_span_rank(vectors))
-    return dims
+    return [rank for _size, rank in _graded_ranks(gens, max_degree, spec)]
 
 
 def graded_quotient_dims(gens: GeneratorSet, max_degree: int,
                          spec: Optional[QuotientSpec] = None) -> List[int]:
     """Per-degree dimensions of ambient/spec ring modulo the ideal."""
-    use_spec = spec if spec is not None else gens.quotient_context
-    dims = []
-    for d in range(max_degree + 1):
-        if d % 2:
-            dims.append(0)
-            continue
-        basis, vectors = _ideal_vectors(gens, d, use_spec)
-        dims.append(len(basis) - _span_rank(vectors))
-    return dims
+    return [size - rank for size, rank in _graded_ranks(gens, max_degree, spec)]
 
 
 # -- reports ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Dense exact linear algebra over Fraction: RREF, rank, kernels, eigen helpers.
+"""Exact linear algebra: dense RREF, kernels and eigen helpers over Fraction, and
+one fraction-free integer kernel for every rank.
 
 Matrices are lists of row lists holding Fractions.  They are treated as
 immutable after construction; every routine works on copies.
@@ -7,7 +8,8 @@ immutable after construction; every routine works on copies.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Vector = List[Fraction]
 
@@ -40,7 +42,8 @@ class Matrix:
         return Matrix(self.data, self.cols)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.data == other.data
+        return (isinstance(other, Matrix) and self.cols == other.cols
+                and self.data == other.data)
 
     def __getitem__(self, ij: Tuple[int, int]) -> Fraction:
         return self.data[ij[0]][ij[1]]
@@ -142,8 +145,58 @@ def rref(M: Matrix, strategy: str = "min_bits") -> Tuple[Matrix, List[int], Matr
     return Matrix(a, M.cols), pivots, Matrix(t)
 
 
-def rank(M: Matrix, strategy: str = "min_bits") -> int:
-    return len(rref(M, strategy)[1])
+def _primitive(row: Dict[int, int]) -> Dict[int, int]:
+    """``row`` divided by the gcd of its entries (``row`` must be nonzero)."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: c // g for j, c in row.items()}
+
+
+def row_rank(rows: Iterable[Mapping[int, Fraction]], cols: int) -> int:
+    """Exact rank of sparse rational rows ``{column: value}`` with ``cols`` columns.
+
+    Each row is scaled to a primitive integer row and reduced fraction-free
+    against the stored pivot rows, keyed by their smallest column p:
+    row <- (a/g)*row - (b/g)*pivot, a = pivot[p], b = row[p], g = gcd(a, b),
+    followed by content removal.  Primitive integer rows are independent over Z
+    iff they are over Q, so the rank is exact.  Returns as soon as the rank is
+    ``cols``, taking no further row from ``rows``.
+    """
+    if cols <= 0:
+        return 0
+    pivots: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        entries = [(j, c) for j, c in row.items() if c]
+        if not entries:
+            continue
+        den = lcm(*(c.denominator for _j, c in entries))
+        vec = _primitive({j: c.numerator * (den // c.denominator) for j, c in entries})
+        while vec:
+            p = min(vec)
+            pivot = pivots.get(p)
+            if pivot is None:
+                pivots[p] = vec
+                if len(pivots) == cols:
+                    return cols
+                break
+            a, b = pivot[p], vec[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                for j in vec:
+                    vec[j] *= a
+            for j, c in pivot.items():
+                s = vec.get(j, 0) - b * c
+                if s:
+                    vec[j] = s
+                else:
+                    del vec[j]
+            if vec:
+                vec = _primitive(vec)
+    return len(pivots)
+
+
+def rank(M: Matrix) -> int:
+    return row_rank((dict(enumerate(row)) for row in M.data), M.cols)
 
 
 def kernel_basis(M: Matrix) -> Matrix:

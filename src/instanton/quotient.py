@@ -112,20 +112,6 @@ def canonical_rep(f: Poly, spec: QuotientSpec) -> Poly:
     return out
 
 
-def is_canonical(f: Poly, spec: QuotientSpec) -> bool:
-    if f.ring.coordinate != OMEGA:
-        return False
-    ds = f.ring.delta_slice()
-    for exps in f.terms:
-        if any(d > 1 for d in exps[ds]):
-            return False
-        if spec.gamma_truncation is not None and exps[2] >= spec.gamma_truncation:
-            return False
-        if spec.beta_zero and exps[1] > 0:
-            return False
-    return True
-
-
 def delta_support(ring: RingDescriptor, exps: Exponents) -> FrozenSet[int]:
     return frozenset(i + 1 for i, d in enumerate(exps[ring.delta_slice()]) if d % 2)
 

@@ -236,11 +236,6 @@ class GeneratorSet:
     def __len__(self) -> int:
         return len(self.gens)
 
-    def map_polys(self, fn, label: Optional[str] = None) -> "GeneratorSet":
-        return GeneratorSet(label or self.label, self.ambient,
-                            [(name, fn(p)) for name, p in self.gens],
-                            self.quotient_context, dict(self.meta))
-
     def to_json(self) -> dict:
         doc = {
             "label": self.label,

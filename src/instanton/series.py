@@ -136,11 +136,6 @@ class SeriesT:
 
     __rmul__ = __mul__
 
-    def times_s(self) -> "SeriesT":
-        """Multiply by s (the formal sqrt(-beta))."""
-        minus_beta = -beta_poly()
-        return SeriesT(self.order, [(minus_beta * o, e) for e, o in self.coeffs])
-
     def divide_by_s(self) -> "SeriesT":
         """Divide by s; requires identically zero even part."""
         if not self.even_part_zero():
@@ -242,9 +237,6 @@ class RationalFn:
         self.denominator_factors = list(denominator_factors)
         if any(k < 1 for k in self.denominator_factors):
             raise ValueError("denominator factors need k >= 1")
-
-    def expand(self, N: int) -> List[int]:
-        return expand_rational_fn(self, N)
 
 
 def expand_rational_fn(rf: RationalFn, N: int) -> List[int]:

@@ -5,7 +5,10 @@ mirrors `floer verify --suite all`.  All checks are exact rational arithmetic;
 there are no tolerances to tune.
 """
 
-from instanton import acceptance
+import json
+from fractions import Fraction as F
+
+from instanton import acceptance, linalg
 
 
 def _run(check, *args, **kwargs):
@@ -43,6 +46,18 @@ def test_a6_rho_convention_pinning(tmp_path):
     assert "negate_omega" in again.detail
 
 
+def test_a6_leaves_another_writers_temp_file_alone(tmp_path):
+    stray = tmp_path / "rho_convention.json.tmp"
+    stray.write_text("half-written by another process")
+    result = _run(acceptance.check_a6, cache_dir=str(tmp_path))
+    assert result.detail == "rho convention branch: negate_omega (recorded)"
+    assert stray.read_text() == "half-written by another process"
+    recorded = json.loads((tmp_path / "rho_convention.json").read_text())
+    assert recorded == {"branch": "negate_omega"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "rho_convention.json", "rho_convention.json.tmp"]
+
+
 def test_a7_subleading_structure():
     _run(acceptance.check_a7)
 
@@ -65,6 +80,23 @@ def test_a11_decomposition_identity():
 
 def test_a12_mod_beta_lemmas():
     _run(acceptance.check_a12)
+
+
+def test_a12_n3_stacks_pinned():
+    """A12's n = 3 stacks: shapes, ranks, and the integer kernel against RREF."""
+    shapes = {}
+    for s in (1, 2):
+        (flip_rows, cols), (prod_rows, tcols) = acceptance._a12_stacks(3, s)
+        prod_rows = list(prod_rows)
+        for rows, c in ((flip_rows, cols), (prod_rows, tcols)):
+            dense = linalg.Matrix([[row.get(j, F(0)) for j in range(c)] for row in rows], c)
+            assert linalg.row_rank(rows, c) == len(linalg.rref(dense)[1])
+        shapes[s] = (len(flip_rows), cols, linalg.row_rank(flip_rows, cols),
+                     len(prod_rows), tcols, linalg.row_rank(prod_rows, tcols))
+    assert shapes == {1: (4, 4, 4, 16, 7, 7), 2: (4, 7, 4, 16, 8, 8)}
+    # alpha' = omega - (delta1 + delta2 + delta3)/2, unflipped
+    (flip_rows, _), _ = acceptance._a12_stacks(3, 1)
+    assert flip_rows[0] == {0: F(1), 1: F(-1, 2), 2: F(-1, 2), 3: F(-1, 2)}
 
 
 def test_a13_binomial_determinants():

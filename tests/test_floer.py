@@ -127,14 +127,16 @@ def test_operators_commute_and_leading_containment():
         spec = QuotientSpec(gamma_truncation=g + 1, delta_square=0)
         lead = r_poly(g).leading_order()
         from instanton.quotient import canonical_rep, canonical_monomials
-        from instanton.floer import _ideal_vectors, _span_rank
-        basis, vectors = _ideal_vectors(gs, 2 * g, spec)
+        from instanton.floer import _ideal_pieces
+        from instanton.linalg import row_rank
+        basis, rows = _ideal_pieces(gs, spec)(2 * g)
+        vectors = list(rows)
         red = canonical_rep(lead, spec)
-        vec = [F(0)] * len(basis)
+        vec = {}
         for e, c in red.terms.items():
             vec[basis.index(e)] = c
-        with_lead = _span_rank(vectors + [vec])
-        assert with_lead == _span_rank(vectors)
+        with_lead = row_rank(vectors + [vec], len(basis))
+        assert with_lead == row_rank(vectors, len(basis))
 
 
 def test_eigen_g1_full_spectrum():
@@ -215,7 +217,7 @@ def test_kprime_beta_fine_structure():
     from instanton.linalg import Matrix, subspace_intersection, rank
     from instanton.quotient import canonical_monomials, rbar_spec, delta_support
     from instanton.relations import rho_proj
-    from instanton.floer import _ideal_vectors
+    from instanton.floer import _ideal_pieces
     spec = rbar_spec()
     for n, g_vals in ((3, (0, 1)), (5, (0, 1, 2))):
         m = (n - 1) // 2
@@ -226,7 +228,8 @@ def test_kprime_beta_fine_structure():
                 for size in range(0, m - g - i + 1):
                     I = frozenset(range(1, size + 1))
                     d = 2 * (g + m + i)
-                    basis, vectors = _ideal_vectors(gens, d, spec)
+                    basis, rows = _ideal_pieces(gens, spec)(d)
+                    vectors = [[row.get(k, F(0)) for k in range(len(basis))] for row in rows]
                     index = {mono: k for k, mono in enumerate(basis)}
                     # the linear slice beta^i * (isotypic piece I)
                     slice_rows = []

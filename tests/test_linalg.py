@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction as F
+from typing import Dict, List
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from instanton.linalg import (Matrix, char_poly, generalized_eigenspace,
                               generalized_eigenspace_dim, is_nilpotent_on,
-                              kernel_basis, rank, restrict, rref, solve,
-                              subspace_intersection)
+                              kernel_basis, rank, restrict, row_rank, rref,
+                              solve, subspace_intersection)
 
 
 def test_identity_rank_and_kernel():
@@ -27,6 +30,9 @@ def test_empty_matrix_keeps_column_count():
     assert (prod.rows, prod.cols) == (0, 5)
     R, pivots, _T = rref(z)
     assert (R.rows, R.cols, pivots) == (0, 5, [])
+    # equality sees the column count of a matrix with no rows
+    assert z == Matrix.zeros(0, 5)
+    assert z != Matrix.zeros(0, 3)
 
 
 def test_rank_one_kernel():
@@ -226,3 +232,144 @@ def test_restrict_rejects_dependent_basis_rows():
         restrict(m, Matrix([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
     with pytest.raises(ValueError, match="dependent"):
         restrict(m, Matrix([[1, 0, 0], [2, 0, 0]]))
+
+
+# -- the integer rank kernel against Fraction oracles --------------------------------
+
+
+def span_rank_oracle(vectors: List[List[F]]) -> int:
+    """Rank of dense vectors by streaming sparse elimination over Fraction with
+    unit-led pivot rows (the graded rank routine the integer kernel replaced)."""
+    echelon: Dict[int, Dict[int, F]] = {}
+    for vec in vectors:
+        row = {i: c for i, c in enumerate(vec) if c}
+        while row:
+            p = min(row)
+            if p in echelon:
+                f = row[p]
+                for j, c in echelon[p].items():
+                    s = row.get(j, F(0)) - f * c
+                    if s:
+                        row[j] = s
+                    else:
+                        row.pop(j, None)
+            else:
+                inv = F(1) / row[p]
+                echelon[p] = {j: c * inv for j, c in row.items()}
+                break
+    return len(echelon)
+
+
+def _dense(rows, cols):
+    return [[row.get(j, F(0)) for j in range(cols)] for row in rows]
+
+
+def assert_rank_matches_oracles(rows, cols) -> int:
+    """row_rank of sparse rows equals the Fraction oracle and the RREF pivot count."""
+    dense = _dense(rows, cols)
+    got = row_rank(iter(rows), cols)
+    assert got == span_rank_oracle(dense)
+    assert got == len(rref(Matrix(dense, cols))[1])
+    return got
+
+
+def _random_rows(rng, count, cols, density=0.4, num=9, den=5):
+    rows = []
+    for _ in range(count):
+        row = {}
+        for j in range(cols):
+            if rng.random() < density:
+                row[j] = F(rng.randint(-num, num), rng.randint(1, den))
+        rows.append(row)
+    return rows
+
+
+def test_row_rank_edge_cases():
+    assert row_rank([], 4) == 0
+    assert row_rank([], 0) == 0
+    assert row_rank([{}, {2: F(0)}], 3) == 0
+    assert row_rank([{0: F(1)}], 0) == 0   # no columns: rank 0, no row read
+    assert row_rank([{1: F(3, 7)}, {1: F(-6, 5)}, {1: F(9)}], 2) == 1
+    # a duplicate, a multiple and a negated sum add nothing
+    a, b = {0: F(1, 2), 2: F(-3)}, {1: F(5, 3), 2: F(7)}
+    dup = [a, b, dict(a), {j: 4 * c for j, c in b.items()},
+           {0: -a[0], 1: -b[1], 2: -a[2] - b[2]}]
+    assert assert_rank_matches_oracles(dup, 3) == 2
+    assert rank(Matrix.zeros(0, 3)) == rank(Matrix.zeros(2, 3)) == 0
+
+
+def test_row_rank_large_coprime_denominators():
+    p, q, r = 2 ** 61 - 1, 10 ** 18 + 9, 998244353
+    a, b = {0: F(1, p), 1: F(-1, q)}, {0: F(q, r), 2: F(-r, p * q)}
+    # x*a + y*b with large coprime x, y, and a/r (an explicit zero entry kept)
+    x, y = F(p, r), F(-7, q)
+    combo = {j: x * a.get(j, F(0)) + y * b.get(j, F(0)) for j in range(3)}
+    rows = [a, b, combo, {0: F(1, p * r), 1: F(-1, q * r), 2: F(0)}]
+    assert assert_rank_matches_oracles(rows, 3) == 2
+    assert assert_rank_matches_oracles(rows + [{1: F(1, r), 2: F(-p, q)}], 3) == 3
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_row_rank_matches_oracles_on_random_sparse_rows(seed):
+    rng = random.Random(seed)
+    cols = rng.randint(1, 12)
+    base = _random_rows(rng, rng.randint(0, cols), cols)
+    # rank-deficient stacks: random combinations of fewer rows, zero rows mixed in
+    mixed = []
+    for _ in range(rng.randint(0, 2 * cols)):
+        combo: Dict[int, F] = {}
+        for row in base:
+            f = F(rng.randint(-3, 3), rng.randint(1, 4))
+            for j, c in row.items():
+                combo[j] = combo.get(j, F(0)) + f * c
+        mixed.append({j: c for j, c in combo.items() if c})
+    rows = base + mixed + [{}]
+    rng.shuffle(rows)
+    assert assert_rank_matches_oracles(rows, cols) <= len(base)
+
+
+def test_row_rank_stops_at_full_column_rank():
+    rng = random.Random(5)
+    cols = 6
+    rows = _random_rows(rng, 30, cols, density=0.7)
+    full = next(k for k in range(1, len(rows) + 1)
+                if span_rank_oracle(_dense(rows[:k], cols)) == cols)
+    assert full < len(rows)
+    assert assert_rank_matches_oracles(rows, cols) == cols
+    taken = []
+
+    def lazy():
+        for k, row in enumerate(rows):
+            taken.append(k)
+            yield row
+    it = lazy()
+    assert row_rank(it, cols) == cols
+    # the row that completed the rank was the last one read
+    assert taken == list(range(full))
+    assert next(it) is rows[full]
+
+
+def test_row_rank_reads_no_row_without_columns():
+    def boom():
+        raise AssertionError("a row was read")
+        yield {}
+    assert row_rank(boom(), 0) == 0
+
+
+_entries = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(0, 7).flatmap(lambda cols: st.tuples(
+    st.just(cols),
+    st.lists(st.dictionaries(st.integers(0, max(cols - 1, 0)), _entries,
+                             max_size=cols), max_size=12))))
+def test_row_rank_property_against_oracles(case):
+    cols, rows = case
+    rows = [row if cols else {} for row in rows]
+    # duplicates and sums of earlier rows keep the stacks rank-deficient
+    if len(rows) > 1:
+        rows.append(dict(rows[0]))
+        rows.append({j: rows[0].get(j, F(0)) - rows[1].get(j, F(0))
+                     for j in set(rows[0]) | set(rows[1])})
+    assert assert_rank_matches_oracles(rows, cols) <= min(cols, len(rows))
