@@ -103,7 +103,7 @@ def _ideal_pieces(gens: GeneratorSet, spec: Optional[QuotientSpec]):
         def rows():
             for gp in generators():
                 for mono in monomials(degree - gp.degree()):
-                    prod = reduce(gp * Poly.monomial(rng, mono))
+                    prod = reduce(gp.times_monomial(mono))
                     yield {index[e]: c for e, c in prod.terms.items() if e in index}
         return basis, rows()
     return piece
@@ -393,14 +393,13 @@ class QuotientModel:
                 if gdeg > dd:
                     continue
                 for mono in monomials_of_degree(self.ring, dd - gdeg):
-                    mp = Poly.monomial(self.ring, mono)
-                    prod = ip * mp
+                    prod = ip.times_monomial(mono)
                     row = {table.index[e]: c for e, c in prod.terms.items()}
                     residual, multipliers = table.reduce_vector(row)
                     if not residual:
                         continue
-                    # only a new pivot needs its lift: jp*mp minus the used lifts
-                    lift = dict((jp * mp).terms)
+                    # only a new pivot needs its lift: jp*mono minus the used lifts
+                    lift = dict(jp.times_monomial(mono).terms)
                     _subtract_multiples(lift, multipliers, table.lifts)
                     p = min(residual)
                     inv = Fraction(1) / residual[p]
@@ -474,7 +473,7 @@ class QuotientModel:
         vp = Poly.variable(self.ring, var)
         cols = []
         for _d, mono in self.basis:
-            cols.append(self.normal_form(vp * Poly.monomial(self.ring, mono)))
+            cols.append(self.normal_form(vp.times_monomial(mono)))
         mat = Matrix([[cols[j][i] for j in range(len(cols))] for i in range(len(self.basis))])
         self._op_cache[var] = mat
         return mat

@@ -1,14 +1,18 @@
-"""Exact linear algebra: dense RREF, kernels and eigen helpers over Fraction, and
-one fraction-free integer kernel for every rank.
+"""Exact linear algebra: rank, RREF with transform, products, kernels and eigen
+helpers.
 
 Matrices are lists of row lists holding Fractions.  They are treated as
-immutable after construction; every routine works on copies.
+immutable after construction; every routine works on copies.  Fractions are
+only the boundary: every elimination and every dot product runs on integer rows
+cleared over their common denominator, and eliminations keep those rows
+primitive (fraction-free, Bareiss 1968, *Math. Comp.* 22).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Vector = List[Fraction]
@@ -71,16 +75,19 @@ class Matrix:
         return Matrix([[c * x for x in row] for row in self.data], self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """Each left row and each right column is cleared to integers once, so an
+        entry is one integer dot product over the two common denominators."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = other.transpose().data
-        return Matrix([[sum(a * b for a, b in zip(row, col) if a and b)
-                        for col in ot] for row in self.data], other.cols)
+        left = [_cleared(row) for row in self.data]
+        right = [_cleared([row[j] for row in other.data]) for j in range(other.cols)]
+        return Matrix([[Fraction(sum(map(mul, rn, cn)), rd * cd) for cn, cd in right]
+                       for rn, rd in left], other.cols)
 
     def apply(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        return [sum(a * _fr(b) for a, b in zip(row, v) if a and b) for row in self.data]
+        return [row[0] for row in (self * Matrix([[x] for x in v], 1)).data]
 
     def power(self, k: int) -> "Matrix":
         if self.rows != self.cols:
@@ -102,74 +109,96 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _pick_pivot(rowdata, candidates: List[int], col: int, strategy: str) -> int:
-    if strategy == "first":
-        return candidates[0]
-    # minimal bit-length pivot entry, ties to the earliest row
-    def bits(i: int) -> int:
-        x = rowdata[i][col]
-        return x.numerator.bit_length() + x.denominator.bit_length()
-    return min(candidates, key=lambda i: (bits(i), i))
+def _cleared(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(nums, den) with values == nums / den, den the least common denominator."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _primitive(row: Dict[int, int]) -> Dict[int, int]:
+    """``row`` divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g <= 1 else {j: c // g for j, c in row.items()}
+
+
+def _primitive_row(row: Mapping[int, Fraction]) -> Dict[int, int]:
+    """The nonzero entries of a sparse rational row ``{column: value}``, cleared
+    over their common denominator and divided by their content."""
+    entries = {j: c for j, c in row.items() if c}
+    nums, _den = _cleared(list(entries.values()))
+    return _primitive(dict(zip(entries, nums)))
+
+
+def _eliminate(vec: Dict[int, int], pivot: Dict[int, int], p: int) -> Dict[int, int]:
+    """The primitive row (a/g)*vec - (b/g)*pivot with a = pivot[p], b = vec[p] and
+    g = gcd(a, b); it has no entry in column p.  ``vec`` is updated in place."""
+    a, b = pivot[p], vec[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for j in vec:
+            vec[j] *= a
+    for j, c in pivot.items():
+        s = vec.get(j, 0) - b * c
+        if s:
+            vec[j] = s
+        else:
+            del vec[j]
+    return _primitive(vec) if vec else vec
 
 
 def rref(M: Matrix, strategy: str = "min_bits") -> Tuple[Matrix, List[int], Matrix]:
     """Reduced row echelon form.
 
     Returns (R, pivots, T) with R = T*M, T invertible, pivots strictly increasing.
-    ``strategy`` selects the pivot row: 'first' or 'min_bits' (small entries, to
-    limit fraction growth).  The resulting R is the canonical RREF either way.
+    Gauss-Jordan runs on the primitive integer rows of [M | I]; the first rank
+    rows are divided by their pivot entries at the end.  ``strategy`` selects the
+    pivot row: 'first' or 'min_bits' (the pivot entry of fewest bits, to limit
+    growth).  R is the canonical RREF either way, and so is T when M has full
+    row rank; below the rank, the rows of T are a basis of the left kernel.
     """
-    a = [list(row) for row in M.data]
-    t = [[Fraction(int(i == j)) for j in range(M.rows)] for i in range(M.rows)]
+    n, cols = M.rows, M.cols
+    a = [_primitive_row({**dict(enumerate(row)), cols + i: Fraction(1)})
+         for i, row in enumerate(M.data)]
     pivots: List[int] = []
     r = 0
-    for c in range(M.cols):
-        cand = [i for i in range(r, M.rows) if a[i][c]]
+    for c in range(cols):
+        cand = [i for i in range(r, n) if c in a[i]]
         if not cand:
             continue
-        p = _pick_pivot(a, cand, c, strategy)
+        p = cand[0] if strategy == "first" else min(cand, key=lambda i: (a[i][c].bit_length(), i))
         a[r], a[p] = a[p], a[r]
-        t[r], t[p] = t[p], t[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        t[r] = [x * inv for x in t[r]]
-        for i in range(M.rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                t[i] = [x - f * y for x, y in zip(t[i], t[r])]
+        pivot = a[r]
+        for i in range(n):
+            if i != r and c in a[i]:
+                a[i] = _eliminate(a[i], pivot, c)
         pivots.append(c)
         r += 1
-        if r == M.rows:
+        if r == n:
             break
-    return Matrix(a, M.cols), pivots, Matrix(t)
-
-
-def _primitive(row: Dict[int, int]) -> Dict[int, int]:
-    """``row`` divided by the gcd of its entries (``row`` must be nonzero)."""
-    g = gcd(*row.values())
-    return row if g == 1 else {j: c // g for j, c in row.items()}
+    zero = Fraction(0)
+    R, T = [], []
+    for i, row in enumerate(a):
+        d = row[pivots[i]] if i < r else 1
+        R.append([Fraction(row[j], d) if j in row else zero for j in range(cols)])
+        T.append([Fraction(row[j], d) if j in row else zero for j in range(cols, cols + n)])
+    return Matrix(R, cols), pivots, Matrix(T, n)
 
 
 def row_rank(rows: Iterable[Mapping[int, Fraction]], cols: int) -> int:
     """Exact rank of sparse rational rows ``{column: value}`` with ``cols`` columns.
 
     Each row is scaled to a primitive integer row and reduced fraction-free
-    against the stored pivot rows, keyed by their smallest column p:
-    row <- (a/g)*row - (b/g)*pivot, a = pivot[p], b = row[p], g = gcd(a, b),
-    followed by content removal.  Primitive integer rows are independent over Z
-    iff they are over Q, so the rank is exact.  Returns as soon as the rank is
-    ``cols``, taking no further row from ``rows``.
+    against the stored pivot rows, keyed by their smallest column p (see
+    ``_eliminate``).  Primitive integer rows are independent over Z iff they are
+    over Q, so the rank is exact.  Returns as soon as the rank is ``cols``,
+    taking no further row from ``rows``.
     """
     if cols <= 0:
         return 0
     pivots: Dict[int, Dict[int, int]] = {}
     for row in rows:
-        entries = [(j, c) for j, c in row.items() if c]
-        if not entries:
-            continue
-        den = lcm(*(c.denominator for _j, c in entries))
-        vec = _primitive({j: c.numerator * (den // c.denominator) for j, c in entries})
+        vec = _primitive_row(row)
         while vec:
             p = min(vec)
             pivot = pivots.get(p)
@@ -178,21 +207,35 @@ def row_rank(rows: Iterable[Mapping[int, Fraction]], cols: int) -> int:
                 if len(pivots) == cols:
                     return cols
                 break
-            a, b = pivot[p], vec[p]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                for j in vec:
-                    vec[j] *= a
-            for j, c in pivot.items():
-                s = vec.get(j, 0) - b * c
-                if s:
-                    vec[j] = s
-                else:
-                    del vec[j]
-            if vec:
-                vec = _primitive(vec)
+            vec = _eliminate(vec, pivot, p)
     return len(pivots)
+
+
+def det(M: Matrix) -> Fraction:
+    """Determinant of a square matrix by Bareiss elimination on its rows cleared
+    to integers: each step divides exactly by the previous pivot."""
+    if M.rows != M.cols:
+        raise ValueError("square matrix required")
+    a, den = [], 1
+    for row in M.data:
+        nums, d = _cleared(row)
+        a.append(nums)
+        den *= d
+    n, sign, prev = M.rows, 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        top = a[k]
+        akk = top[k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            a[i] = [(x * akk - aik * y) // prev for x, y in zip(a[i], top)]
+        prev = akk
+    return Fraction(sign * prev, den)
 
 
 def rank(M: Matrix) -> int:
@@ -265,7 +308,7 @@ def restrict(M: Matrix, basis: Matrix) -> Matrix:
     R, pivots, T = rref(basis)
     if len(pivots) != basis.rows:
         raise ValueError("basis rows are linearly dependent")
-    images = Matrix([M.apply(b) for b in basis.data])
+    images = basis * M.transpose()
     heads = Matrix([[v[p] for p in pivots] for v in images.data])
     if heads * R != images:
         raise ValueError("subspace is not invariant under the operator")
@@ -300,35 +343,9 @@ def subspace_intersection(A: Matrix, B: Matrix) -> Matrix:
     # x = A^T u = B^T v  <=>  [A^T | -B^T] (u,v) = 0
     stacked = Matrix([A.col(j) + [-x for x in B.col(j)] for j in range(A.cols)])
     ker = kernel_basis(stacked)
-    rows = []
-    for i in range(ker.rows):
-        u = ker.row(i)[:A.rows]
-        vec = [sum(u[r] * A.data[r][j] for r in range(A.rows)) for j in range(A.cols)]
-        if any(vec):
-            rows.append(vec)
+    coeffs = Matrix([row[:A.rows] for row in ker.data], A.rows)
+    rows = [vec for vec in (coeffs * A).data if any(vec)]
     if not rows:
         return Matrix.zeros(0, A.cols)
     R, pivots, _ = rref(Matrix(rows))
     return Matrix([R.row(i) for i in range(len(pivots))])
-
-
-def char_poly(M: Matrix) -> List[Fraction]:
-    """Characteristic polynomial coefficients [c_0..c_n] of det(xI - M).
-
-    Faddeev-LeVerrier; exact but O(n^4), intended for dims <= 60.
-    """
-    n = M.rows
-    if n != M.cols:
-        raise ValueError("square matrix required")
-    if n > 60:
-        raise ValueError("char_poly limited to dimension <= 60")
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    Mk = Matrix.identity(n)
-    for k in range(1, n + 1):
-        Mk = M * Mk
-        c = -Fraction(sum(Mk.data[i][i] for i in range(n)), k)
-        coeffs[n - k] = c
-        for i in range(n):
-            Mk.data[i][i] += c
-    return coeffs

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
@@ -382,6 +383,18 @@ class Poly:
         return Poly(self.ring, out, _normalized=True)
 
     __rmul__ = __mul__
+
+    def times_monomial(self, exps: Exponents) -> "Poly":
+        """``self * Poly.monomial(self.ring, exps)`` as an exponent shift (epsilon
+        folded mod 2).  The shift is injective, so no two terms meet."""
+        has_eps = self.ring.has_epsilon
+        out: Dict[Exponents, object] = {}
+        for e, c in self.terms.items():
+            e = tuple(map(add, e, exps))
+            if has_eps and e[-1] > 1:
+                e = e[:-1] + (e[-1] % 2,)
+            out[e] = c
+        return Poly(self.ring, out, _normalized=True)
 
     def __truediv__(self, scalar) -> "Poly":
         return self * (Fraction(1) / _fr(scalar))

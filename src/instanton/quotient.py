@@ -131,26 +131,6 @@ def iso_project(f: Poly, I: Iterable[int], spec: QuotientSpec) -> Poly:
     return Poly(ring, keep, _normalized=True)
 
 
-def even_average(f: Poly, I: Iterable[int], spec: QuotientSpec) -> Poly:
-    """Character projector (1/2^{n-1}) sum_{|J| even} (-1)^{|I cap J|} tau_J.
-
-    Independent oracle for :func:`iso_project`; the two agree exactly.
-    """
-    g = canonical_rep(f, spec)
-    ring = g.ring
-    I = frozenset(I)
-    if len(I) > ring.m:
-        raise ValueError(f"|I| must be <= m = {ring.m}")
-    n = ring.n
-    total = Poly.zero(ring)
-    indices = list(range(1, n + 1))
-    for size in range(0, n + 1, 2):
-        for J in combinations(indices, size):
-            sign = (-1) ** len(I & set(J))
-            total = total + g.flip(J) * sign
-    return total * Fraction(1, 2 ** (n - 1))
-
-
 def pi_on_quotient(f: Poly, spec_from: QuotientSpec, spec_to: QuotientSpec) -> Poly:
     """Reduce then apply the point-reduction map; specs must agree."""
     if (spec_from.gamma_truncation != spec_to.gamma_truncation
@@ -185,35 +165,3 @@ def canonical_monomials(ring: RingDescriptor, spec: QuotientSpec, degree: int) -
                     out.append(tuple(exps))
     out.sort(key=ring.sort_key, reverse=True)
     return out
-
-
-def dense_reduce_oracle(f: Poly, spec: QuotientSpec) -> Poly:
-    """Second, naive reduction path: rewrite one delta-square at a time to a fixpoint."""
-    g = f.change_coordinates(OMEGA)
-    ring = g.ring
-    c = spec.delta_square
-    if ring.coeff_kind == LAURENT_U:
-        c = LaurentU.coerce(c)
-    elif isinstance(c, LaurentU):
-        c = c.constant_value()
-    cb = Poly.constant(ring, c) - Poly.variable(ring, "beta")
-    changed = True
-    while changed:
-        changed = False
-        out = Poly.zero(ring)
-        for exps, coeff in g.terms.items():
-            if spec.gamma_truncation is not None and exps[2] >= spec.gamma_truncation:
-                changed = True
-                continue
-            hit = next((i for i, d in enumerate(exps[ring.delta_slice()]) if d >= 2), None)
-            if hit is None:
-                out = out + Poly.monomial(ring, exps, coeff)
-            else:
-                changed = True
-                lowered = list(exps)
-                lowered[3 + hit] -= 2
-                out = out + Poly.monomial(ring, tuple(lowered), coeff) * cb
-        g = out
-    if spec.beta_zero:
-        g = Poly(g.ring, {e: c2 for e, c2 in g.terms.items() if e[1] == 0}, _normalized=True)
-    return g

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import Matrix
+from .linalg import Matrix, det
 from .poly import OMEGA, Poly, ring
 
 # Coefficient pairs live in a fixed tiny ring: polynomials in omega, beta.
@@ -249,24 +249,6 @@ def expand_rational_fn(rf: RationalFn, N: int) -> List[int]:
     return c
 
 
-def expand_by_long_division(rf: RationalFn, N: int) -> List[int]:
-    """Independent expansion path: multiply out the denominator, then do series division."""
-    denom = [1]
-    for k in rf.denominator_factors:
-        factor = [1] + [0] * (k - 1) + [-1]
-        denom = poly_mul(denom, factor)
-    num = list(rf.numerator[:N + 1]) + [0] * max(0, N + 1 - len(rf.numerator))
-    out = [0] * (N + 1)
-    for i in range(N + 1):
-        acc = num[i]
-        for j in range(1, min(i, len(denom) - 1) + 1):
-            acc -= denom[j] * out[i - j]
-        if acc % denom[0]:
-            raise ArithmeticError("non-integer series coefficient")
-        out[i] = acc // denom[0]
-    return out
-
-
 # -- sqrt(1+x) binomial table and its determinants ------------------------------
 
 
@@ -299,28 +281,8 @@ def binom_sqrt_dets(N: int) -> List[Fraction]:
     dets = []
     for M in range(N + 1):
         sub = Matrix([row[:M + 1] for row in table[:M + 1]])
-        d = _det(sub)
+        d = det(sub)
         if not d:
             raise AssertionError(f"det(a_ks) vanished at M={M}")
         dets.append(d)
     return dets
-
-
-def _det(M: Matrix) -> Fraction:
-    a = [list(r) for r in M.data]
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c]), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instanton.linalg import (Matrix, char_poly, generalized_eigenspace,
+from instanton.linalg import (Matrix, generalized_eigenspace,
                               generalized_eigenspace_dim, is_nilpotent_on,
                               kernel_basis, rank, restrict, row_rank, rref,
                               solve, subspace_intersection)
+from oracles import char_poly
 
 
 def test_identity_rank_and_kernel():
@@ -373,3 +374,170 @@ def test_row_rank_property_against_oracles(case):
         rows.append({j: rows[0].get(j, F(0)) - rows[1].get(j, F(0))
                      for j in set(rows[0]) | set(rows[1])})
     assert assert_rank_matches_oracles(rows, cols) <= min(cols, len(rows))
+
+
+# -- the dense integer kernels against the Fraction bodies they replaced -------------
+
+
+def rref_fraction_oracle(M: Matrix, strategy: str = "min_bits"):
+    """Gauss-Jordan with the transform over Fraction (the rref body before the
+    integer rows); 'min_bits' picks the pivot of fewest numerator plus
+    denominator bits, ties to the earliest row."""
+    a = [list(row) for row in M.data]
+    t = [[F(int(i == j)) for j in range(M.rows)] for i in range(M.rows)]
+    pivots: List[int] = []
+    r = 0
+    for c in range(M.cols):
+        cand = [i for i in range(r, M.rows) if a[i][c]]
+        if not cand:
+            continue
+        if strategy == "first":
+            p = cand[0]
+        else:
+            p = min(cand, key=lambda i: (a[i][c].numerator.bit_length()
+                                         + a[i][c].denominator.bit_length(), i))
+        a[r], a[p] = a[p], a[r]
+        t[r], t[p] = t[p], t[r]
+        inv = F(1) / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        t[r] = [x * inv for x in t[r]]
+        for i in range(M.rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                t[i] = [x - f * y for x, y in zip(t[i], t[r])]
+        pivots.append(c)
+        r += 1
+        if r == M.rows:
+            break
+    return Matrix(a, M.cols), pivots, Matrix(t, M.rows)
+
+
+def matmul_oracle(A: Matrix, B: Matrix) -> Matrix:
+    """Entry by entry Fraction dot products (the Matrix.__mul__ body before the
+    integer rows)."""
+    if A.cols != B.rows:
+        raise ValueError("shape mismatch")
+    bt = [[row[j] for row in B.data] for j in range(B.cols)]
+    return Matrix([[sum(a * b for a, b in zip(row, col) if a and b) for col in bt]
+                   for row in A.data], B.cols)
+
+
+def assert_rref_matches_oracle(M: Matrix) -> int:
+    """Same R and pivots as the oracle under both strategies; T*M == R with T
+    invertible; the same T when M has full row rank.  Returns the rank."""
+    R0, p0, T0 = rref_fraction_oracle(M)
+    for strategy in ("min_bits", "first"):
+        R, pivots, T = rref(M, strategy=strategy)
+        assert (R, pivots) == (R0, p0)
+        assert (T.rows, T.cols) == (M.rows, M.rows)
+        assert T * M == R
+        assert rank(T) == M.rows
+        if len(pivots) == M.rows:
+            assert T == T0 == rref_fraction_oracle(M, strategy)[2]
+    return len(p0)
+
+
+def assert_products_match_oracle(A: Matrix, B: Matrix) -> None:
+    assert A * B == matmul_oracle(A, B)
+    for v in B.transpose().data:
+        assert A.apply(v) == [row[0] for row in matmul_oracle(A, Matrix([[x] for x in v], 1)).data]
+
+
+def _random_matrix(rng, rows, cols, density=0.6, num=9, den=5) -> Matrix:
+    return Matrix(_dense(_random_rows(rng, rows, cols, density, num, den), cols), cols)
+
+
+def _rank_deficient(rng, rows, cols, rank_bound) -> Matrix:
+    """rows combinations of rank_bound random rows, with a zero row mixed in."""
+    base = _random_matrix(rng, rank_bound, cols)
+    coeffs = _random_matrix(rng, rows, rank_bound, density=0.8, num=4, den=3)
+    data = matmul_oracle(coeffs, base).data
+    data[rng.randrange(rows)] = [F(0)] * cols
+    return Matrix(data, cols)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rref_and_products_match_fraction_oracles_on_random_matrices(seed):
+    rng = random.Random(1000 + seed)
+    n, m = rng.randint(1, 7), rng.randint(1, 7)
+    tall = _random_matrix(rng, n + m, n)
+    wide = _random_matrix(rng, n, n + m)
+    square = _random_matrix(rng, n, n, density=0.9)
+    deficient = _rank_deficient(rng, n + 2, m + 1, min(n, m))
+    for M in (tall, wide, square):
+        assert_rref_matches_oracle(M)
+        assert_rref_matches_oracle(M.transpose())
+    assert assert_rref_matches_oracle(deficient) <= min(n, m)
+    assert assert_rref_matches_oracle(deficient.transpose()) <= min(n, m)
+    assert_products_match_oracle(tall, wide)
+    assert_products_match_oracle(wide, tall)
+    assert_products_match_oracle(square, square)
+    assert_products_match_oracle(deficient, _random_matrix(rng, m + 1, n))
+
+
+def test_rref_and_products_on_empty_and_zero_shapes():
+    for M in (Matrix.zeros(0, 4), Matrix.zeros(0, 0), Matrix([[], [], []]),
+              Matrix.zeros(3, 4), Matrix([[0, 0], [0, 5], [0, 0]])):
+        assert_rref_matches_oracle(M)
+    R, pivots, T = rref(Matrix([[], []]))
+    assert (R.rows, R.cols, pivots, T) == (2, 0, [], Matrix.identity(2))
+    # 0 x n and n x 0 factors
+    shapes = [(Matrix.zeros(0, 3), Matrix.zeros(3, 2)), (Matrix([[], []]), Matrix.zeros(0, 3)),
+              (Matrix.zeros(2, 3), Matrix.zeros(3, 0)), (Matrix.zeros(0, 0), Matrix.zeros(0, 0))]
+    for A, B in shapes:
+        prod = A * B
+        assert prod == matmul_oracle(A, B)
+        assert (prod.rows, prod.cols) == (A.rows, B.cols)
+    assert Matrix([[], []]).apply([]) == [0, 0]
+    with pytest.raises(ValueError):
+        Matrix.zeros(2, 3) * Matrix.zeros(2, 3)
+
+
+def test_rref_and_products_with_large_coprime_denominators():
+    p, q, r = 2 ** 61 - 1, 10 ** 18 + 9, 998244353
+    a = [F(1, p), F(-1, q), F(0), F(r, p * q)]
+    b = [F(q, r), F(0), F(-r, p * q), F(-7, p)]
+    combo = [F(p, r) * x - F(7, q) * y for x, y in zip(a, b)]
+    M = Matrix([a, b, combo, [F(-1, r), F(p, q), F(1, p * r), F(0)]])
+    assert assert_rref_matches_oracle(M) == 3
+    assert assert_rref_matches_oracle(Matrix([a, b, [F(1, r), F(q, p), F(-1), F(2, q)]])) == 3
+    assert_products_match_oracle(M, M.transpose())
+    assert_products_match_oracle(M.transpose(), M)
+
+
+def test_restrict_to_the_zero_subspace():
+    m = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    r = restrict(m, Matrix.zeros(0, 3))
+    assert (r.rows, r.cols) == (0, 0)
+
+
+def test_rref_and_products_on_model_operators():
+    from instanton.floer import ALPHA, model_for
+    model = model_for(3, "+")
+    beta, alpha = model.operator("beta"), model.operator(ALPHA)
+    shifted = beta - Matrix.identity(model.dim).scale(2)
+    for M in (beta, alpha, shifted):
+        assert_rref_matches_oracle(M)
+    assert assert_rref_matches_oracle(shifted) < model.dim
+    for A, B in ((beta, alpha), (alpha, beta), (shifted, shifted)):
+        assert_products_match_oracle(A, B)
+    space = generalized_eigenspace(beta, 2)
+    assert_rref_matches_oracle(space)
+    assert_products_match_oracle(space, alpha.transpose())
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.integers(0, 6).flatmap(lambda cols: st.tuples(
+    st.just(cols),
+    st.lists(st.lists(_entries, min_size=cols, max_size=cols), max_size=6),
+    st.lists(_entries, min_size=cols, max_size=cols))))
+def test_rref_and_products_property_against_oracles(case):
+    cols, rows, extra = case
+    # a sum of two rows keeps some stacks rank-deficient
+    if len(rows) > 1:
+        rows.append([x + y for x, y in zip(rows[0], rows[1])])
+    M = Matrix(rows, cols)
+    assert assert_rref_matches_oracle(M) <= min(cols, M.rows)
+    assert_products_match_oracle(M, M.transpose())
+    assert_products_match_oracle(Matrix(rows + [extra], cols), M.transpose())

@@ -3,9 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_poly
-from instanton.poly import (ALPHA, OMEGA, LaurentU, Poly, alpha, beta, delta,
-                            epsilon, epsilon_hat, gamma, monomials_of_degree,
-                            omega, ring)
+from instanton.poly import (ALPHA, LAURENT_U, OMEGA, LaurentU, Poly, alpha,
+                            beta, delta, epsilon, epsilon_hat, gamma,
+                            monomials_of_degree, omega, ring)
 
 R1 = ring(1)
 R3 = ring(3)
@@ -179,3 +179,21 @@ def test_power_and_scalar_ops():
     assert (a * 2) / 2 == a
     with pytest.raises(ValueError):
         a ** -1
+
+
+@pytest.mark.parametrize("rng", [ring(3), ring(1, coordinate=OMEGA), ring(3, has_epsilon=True),
+                                 ring(3, coeff_kind=LAURENT_U, has_epsilon=True)],
+                         ids=["rational", "omega", "epsilon", "laurent_epsilon"])
+def test_times_monomial_is_the_monomial_product(rand, rng):
+    zero = Poly.zero(rng)
+    for _ in range(25):
+        p = random_poly(rng, rand, terms=rand.randint(1, 8))
+        if rng.coeff_kind == LAURENT_U:
+            p = p * LaurentU({-2: 1, 1: F(rand.randint(1, 9), 4)})
+        mono = tuple(rand.randint(0, 2) for _ in range(rng.nvars))
+        if rng.has_epsilon:
+            mono = mono[:-1] + (rand.randint(0, 1),)
+        shifted = p.times_monomial(mono)
+        assert shifted == p * Poly.monomial(rng, mono)
+        assert len(shifted.terms) == len(p.terms)
+        assert zero.times_monomial(mono) == zero

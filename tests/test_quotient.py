@@ -4,11 +4,10 @@ import pytest
 
 from conftest import random_poly
 from instanton.poly import OMEGA, Poly, beta, delta, gamma, omega, ring
-from instanton.quotient import (canonical_monomials,
-                                canonical_rep, dense_reduce_oracle,
-                                even_average, iso_project, local_spec,
-                                mod_beta_spec, model_spec, pi_on_quotient,
-                                r1_spec, rbar_spec)
+from instanton.quotient import (canonical_monomials, canonical_rep,
+                                iso_project, local_spec, mod_beta_spec,
+                                model_spec, pi_on_quotient, r1_spec, rbar_spec)
+from oracles import dense_reduce_oracle, even_average
 
 W1 = ring(1, coordinate=OMEGA)
 W3 = ring(3, coordinate=OMEGA)

@@ -1,13 +1,17 @@
 from fractions import Fraction as F
 
+import random
+
 import pytest
 
 from instanton import floer
+from instanton.linalg import Matrix, det
 from instanton.series import (COEFF_RING, RationalFn, SeriesT, a_table,
                               beta_poly, binom_sqrt_dets, exp_series,
-                              expand_by_long_division, expand_rational_fn,
-                              log_series, omega_poly, pow_binomial)
+                              expand_rational_fn, log_series, omega_poly,
+                              pow_binomial)
 from instanton.poly import Poly
+from oracles import expand_by_long_division
 
 
 def c(x):
@@ -108,3 +112,56 @@ def test_binom_sqrt_determinants():
     assert dets[0] == 1
     assert dets[1] == F(1, 2)
     assert all(d != 0 for d in dets)
+
+
+def det_fraction_oracle(M: Matrix) -> F:
+    """Gauss elimination over Fraction (the determinant body before Bareiss)."""
+    a = [list(r) for r in M.data]
+    n = len(a)
+    det = F(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c]), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        inv = 1 / a[c][c]
+        for i in range(c + 1, n):
+            if a[i][c]:
+                f = a[i][c] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def test_bareiss_det_matches_oracle_on_a_table_minors():
+    table = a_table(12)
+    minors = [Matrix([row[:M + 1] for row in table[:M + 1]]) for M in range(13)]
+    expected = [det_fraction_oracle(sub) for sub in minors]
+    assert [det(sub) for sub in minors] == expected
+    assert binom_sqrt_dets(12) == expected
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bareiss_det_matches_oracle_on_random_matrices(seed):
+    rng = random.Random(300 + seed)
+    n = rng.randint(1, 7)
+    rows = [[F(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 998244353]))
+             if rng.random() < 0.7 else F(0) for _ in range(n)] for _ in range(n)]
+    M = Matrix(rows)
+    assert det(M) == det_fraction_oracle(M)
+    # a zero leading column forces a row swap; a repeated row gives 0
+    swapped = Matrix([[F(0)] + row[1:] for row in rows[:-1]] + [rows[-1]])
+    assert det(swapped) == det_fraction_oracle(swapped)
+    if n > 1:
+        singular = Matrix(rows[:-1] + [rows[0]])
+        assert det(singular) == det_fraction_oracle(singular) == 0
+
+
+def test_bareiss_det_edge_cases():
+    assert det(Matrix.zeros(0, 0)) == 1
+    assert det(Matrix([[F(-3, 7)]])) == F(-3, 7)
+    assert det(Matrix([[0, 1], [1, 0]])) == -1
+    with pytest.raises(ValueError):
+        det(Matrix.zeros(2, 3))
