@@ -65,7 +65,7 @@ def check_a1(g_max: int = 3) -> CheckResult:
     """Filtered quotient dimensions match the t=1 value of the Poincare expansion."""
     frozen = {0: 0, 1: 2, 2: 8}
     dims = []
-    for g in range(min(g_max, 3) + 1):
+    for g in range(g_max + 1):
         expected = sum(expand_rational_fn(ptgn_series(g, 1), 12 * g + 12))
         if g in frozen and expected != frozen[g]:
             return CheckResult("A1", False, f"series value drifted at g={g}")
@@ -73,13 +73,13 @@ def check_a1(g_max: int = 3) -> CheckResult:
         if got != expected:
             return CheckResult("A1", False, f"dim mismatch at g={g}: {got} != {expected}")
         dims.append(got)
-    return CheckResult("A1", True, f"quotient dims {dims} match series values for g<=3")
+    return CheckResult("A1", True, f"quotient dims {dims} match series values for g<={g_max}")
 
 
 def check_a2(g_max: int = 3) -> CheckResult:
     """Eigen spectra, nilpotency and one-dimensional top eigenspace, both signs."""
     details = []
-    for g in range(1, min(g_max, 3) + 1):
+    for g in range(1, g_max + 1):
         for sign in ("+", "-"):
             try:
                 rep = eigen_verify(g, sign)

@@ -6,9 +6,11 @@ three marked points.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import linalg
@@ -56,10 +58,6 @@ def k_series(g: int, n: int) -> RationalFn:
                               poly_scale(poly_shift([2 ** (n - 1)], 2 + 2 * g), -1)),
                      2 * (g + m))
     return RationalFn(num, [2, 2])
-
-
-def ambient_series(n: int) -> RationalFn:
-    return RationalFn([1], [2] * (n + 1) + [4, 6])
 
 
 # -- graded ideal dimensions -------------------------------------------------------
@@ -234,73 +232,218 @@ def decomposition_identity_check(g: int, n: int, max_degree: int) -> bool:
 
 # -- the filtered quotient model ----------------------------------------------------
 
-
-def _subtract_multiples(terms: Dict[Exponents, object],
-                        multipliers: List[Tuple[int, Fraction]],
-                        lifts: Dict[int, Poly]) -> None:
-    """terms -= sum f * lifts[p] over the (p, f) multipliers, in place."""
-    for p, f in multipliers:
-        for e, c in lifts[p].terms.items():
-            s = terms.get(e)
-            s = -(c * f) if s is None else s - c * f
-            if s:
-                terms[e] = s
-            else:
-                del terms[e]
+# Primes of the modular model build, in the order they are tried.  Each further
+# prime is combined with the earlier ones by Chinese remaindering.
+_PRIMES = (2 ** 61 - 1, 2 ** 62 - 57, 2 ** 63 - 25, 2 ** 64 - 59)
 
 
-class _DegreeTable:
-    """Per-degree elimination data for the graded ideal piece: unit-led pivot
-    rows and, per pivot p, a lift in the J-ideal whose degree-d component is
-    sum_j pivot_rows[p][j] * monomials[j].  Lifts exist for pivots only."""
+class _UnluckyPrime(Exception):
+    """The ideal rows mod p lead on other columns than over Q."""
 
-    __slots__ = ("monomials", "index", "pivot_rows", "lifts", "basis")
 
-    def __init__(self, monomials: List[Exponents]):
-        self.monomials = monomials
-        self.index = {m: i for i, m in enumerate(monomials)}
-        self.pivot_rows: Dict[int, Dict[int, Fraction]] = {}  # pivot column -> unit-led row
-        self.lifts: Dict[int, Poly] = {}  # pivot column -> lift realizing that row
-        self.basis: List[Exponents] = []
+def _rational(a: int, m: int) -> Optional[Fraction]:
+    """The fraction n/d congruent to a mod m with |n|, d <= sqrt(m/2), or None
+    (Wang 1981).  There is at most one such fraction."""
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
-    def reduce_vector(self, row: Dict[int, Fraction]):
-        """Fully reduce a sparse vector against the echelon.
 
-        Returns (residual, multipliers) with row == residual + sum f * pivot_rows[p]
-        over the (p, f) multipliers; the residual carries no pivot index, so for
-        complete tables it is supported on basis monomials only.
-        """
-        row = dict(row)
-        residual: Dict[int, Fraction] = {}
-        multipliers: List[Tuple[int, Fraction]] = []
-        while row:
-            p = min(row)
-            prow = self.pivot_rows.get(p)
-            if prow is None:
-                residual[p] = row.pop(p)
+def _mod_terms(terms: Dict[Exponents, Fraction], p: int) -> Dict[Exponents, int]:
+    return {e: c.numerator * pow(c.denominator, -1, p) % p for e, c in terms.items()}
+
+
+def _reduce_mod(row: Dict[int, int], pivots: Dict[int, Dict[int, int]], p: int):
+    """Reduce a sparse row mod p against unit-led pivot rows, each stored without
+    its leading 1 and with columns above its pivot only.
+
+    Consumes ``row``.  Returns (residual, multipliers) with row == residual +
+    sum f * (e_q + pivots[q]) over the (q, f) multipliers; the residual has no
+    pivot column.
+    """
+    residual: Dict[int, int] = {}
+    multipliers: List[Tuple[int, int]] = []
+    heap = list(row)
+    heapq.heapify(heap)
+    while heap:
+        q = heapq.heappop(heap)
+        f = row.pop(q)
+        if not f:
+            continue
+        prow = pivots.get(q)
+        if prow is None:
+            residual[q] = f
+            continue
+        multipliers.append((q, f))
+        for j, c in prow.items():
+            s = row.get(j)
+            if s is None:
+                heapq.heappush(heap, j)
+                s = 0
+            row[j] = (s - f * c) % p
+    return residual, multipliers
+
+
+def _apply(columns: List[Dict[int, int]], vec: Dict[int, int]) -> Dict[int, int]:
+    """The integer matrix with sparse ``columns`` times the sparse vector ``vec``."""
+    out: Dict[int, int] = {}
+    for j, a in vec.items():
+        for i, c in columns[j].items():
+            out[i] = out.get(i, 0) + a * c
+    return {i: c for i, c in out.items() if c}
+
+
+class _ModularTables:
+    """The model's elimination over Z/p, for normal forms mod p.
+
+    Per even degree d: unit-led pivot rows of the degree-d piece of I (columns
+    index the monomials of degree d), and per pivot the lower-degree part of a
+    lift in J mod p whose degree-d part is that row.  Inside the basis window a
+    degree must lead on the exact pivot columns, past it on every column;
+    otherwise the prime is unlucky.
+    """
+
+    def __init__(self, model: "QuotientModel", pairs: List[Tuple[Poly, Poly]],
+                 pivots: Dict[int, Set[int]], p: int):
+        self.ring = model.ring
+        self.p = p
+        self.exact_pivots = pivots
+        self.basis_index = model.basis_index
+        self.index: Dict[int, Dict[Exponents, int]] = {}
+        self.basis_at: Dict[int, Dict[int, int]] = {}  # degree -> column -> basis position
+        self.rows: Dict[int, Dict[int, Dict[int, int]]] = {}
+        self.lower: Dict[int, Dict[int, Dict[int, Dict[int, int]]]] = {}
+        self.pairs = []  # (I-row terms, lower degree pieces of the J-generator, degree)
+        for ip, jp in pairs:
+            gdeg = ip.degree()
+            pieces = {dd: _mod_terms(part.terms, p)
+                      for dd, part in jp.homogeneous_components().items() if dd < gdeg}
+            self.pairs.append((_mod_terms(ip.terms, p), pieces, gdeg))
+        self._memo: Dict[Exponents, List[int]] = {}
+
+    def _build(self, d: int) -> None:
+        for dd in range(0, d + 1, 2):
+            if dd not in self.rows:
+                self._build_degree(dd)
+
+    def _build_degree(self, d: int) -> None:
+        p = self.p
+        monos = monomials_of_degree(self.ring, d)
+        index = self.index[d] = {m: j for j, m in enumerate(monos)}
+        self.basis_at[d] = {j: self.basis_index[(d, m)] for j, m in enumerate(monos)
+                            if (d, m) in self.basis_index}
+        target = self.exact_pivots.get(d)
+        need = len(monos) if target is None else len(target)
+        rows: Dict[int, Dict[int, int]] = {}
+        lower: Dict[int, Dict[int, Dict[int, int]]] = {}
+        for iterms, jpieces, gdeg in self.pairs:
+            if gdeg > d or len(rows) == need:
                 continue
-            f = row[p]
-            multipliers.append((p, f))
-            for j, c in prow.items():
-                s = row.get(j, Fraction(0)) - f * c
-                if s:
-                    row[j] = s
-                else:
-                    row.pop(j, None)
-        return residual, multipliers
+            shift_deg = d - gdeg
+            for mono in monomials_of_degree(self.ring, shift_deg):
+                if len(rows) == need:
+                    break  # the rank mod p never exceeds the rank over Q
+                residual, multipliers = _reduce_mod(
+                    {index[tuple(map(add, e, mono))]: c for e, c in iterms.items()}, rows, p)
+                if not residual:
+                    continue
+                q = min(residual)
+                if target is not None and q not in target:
+                    raise _UnluckyPrime
+                inv = pow(residual.pop(q), -1, p)
+                rows[q] = {j: c * inv % p for j, c in residual.items()}
+                # the lift's lower part: that of J-generator * mono minus the
+                # used lifts' lower parts
+                low: Dict[int, Dict[int, int]] = {}
+                for dd, terms in jpieces.items():
+                    idx = self.index[dd + shift_deg]
+                    low[dd + shift_deg] = {idx[tuple(map(add, e, mono))]: c
+                                           for e, c in terms.items()}
+                for q2, f in multipliers:
+                    for dd, piece in lower[q2].items():
+                        tgt = low.setdefault(dd, {})
+                        for j, c in piece.items():
+                            tgt[j] = (tgt.get(j, 0) - f * c) % p
+                lower[q] = {dd: {j: c * inv % p for j, c in piece.items() if c}
+                            for dd, piece in low.items()}
+        if len(rows) != need:
+            raise _UnluckyPrime
+        self.rows[d] = rows
+        self.lower[d] = lower
+
+    def normal_form(self, terms: Dict[Exponents, int]) -> List[int]:
+        """Coordinates mod p over the basis of {exponents: coefficient mod p}."""
+        p = self.p
+        pieces: Dict[int, Dict[int, int]] = {}
+        for e, c in terms.items():
+            d = self.ring.monomial_degree(e)
+            self._build(d)
+            pieces.setdefault(d, {})[self.index[d][e]] = c
+        coords = [0] * len(self.basis_index)
+        for d in range(max(pieces, default=-1), -1, -2):
+            piece = pieces.pop(d, None)
+            if not piece:
+                continue
+            residual, multipliers = _reduce_mod(piece, self.rows[d], p)
+            basis_at = self.basis_at[d]
+            for j, c in residual.items():
+                coords[basis_at[j]] = c
+            lower = self.lower[d]
+            for q, f in multipliers:
+                for dd, lp in lower[q].items():
+                    tgt = pieces.setdefault(dd, {})
+                    for j, c in lp.items():
+                        tgt[j] = (tgt.get(j, 0) - f * c) % p
+        return coords
+
+    def columns(self, k: int, basis: List[Tuple[int, Exponents]]) -> List[List[int]]:
+        """Normal forms mod p of x_k * b for the basis monomials b."""
+        out = []
+        for _d, mono in basis:
+            e = mono[:k] + (mono[k] + 1,) + mono[k + 1:]
+            col = self._memo.get(e)
+            if col is None:
+                col = self._memo[e] = self.normal_form({e: 1})
+            out.append(col)
+        return out
 
 
 class QuotientModel:
-    """Monomial basis, lift table and multiplication operators for a quotient by
-    an inhomogeneous ideal whose leading terms generate a known graded ideal."""
+    """Monomial basis and multiplication operators of R/J for an inhomogeneous
+    ideal J whose leading forms generate a known graded ideal I.
+
+    The build has four steps.  (1) The basis, exactly over Q: per even degree,
+    the monomials that lead no vector of the degree piece of I.  (2) Over Z/p,
+    lifts in J of the pivot rows of I, normal forms, and the operator of every
+    ring variable.  (3) Rational reconstruction of every operator entry.  (4) An
+    exact certificate: (a) the operators commute, (b) b(M) e_1 = e_b for every
+    basis monomial b, (c) r(M) e_1 = 0 for every J-generator r.  By (a) and (c),
+    f -> f(M) e_1 factors through R/J, and by (b) it is onto, so dim R/J >=
+    |basis|; and dim R/J <= dim R/I = |basis|, because every I-generator is the
+    leading form of a J-generator and R/I vanishes past the degree window of
+    step (1).  So M is multiplication on R/J in that basis, and
+    ``normal_form(f)`` is f(M) e_1.  When reconstruction or the certificate
+    fails, the residues of further primes are combined by Chinese remaindering.
+
+    A prime is skipped if it divides a denominator of the generators or if some
+    degree leads on other columns mod p than over Q.  For any other prime, B is
+    a basis of R/J exactly when it is one mod p (the Z_(p)-span of the ideal
+    rows has unit-led vectors on every pivot column, so B generates the
+    quotient over Z_(p)).  So a J-generator with a nonzero normal form mod
+    such a prime proves that J does not deform I.
+    """
 
     def __init__(self, J: GeneratorSet, I: GeneratorSet, formula: Optional[RationalFn] = None):
         self.J = J
         self.I = I
         self.ring = J.ambient.with_coordinate(OMEGA)
-        self._tables: Dict[int, _DegreeTable] = {}
-        self._pairs: List[Tuple[Poly, Poly]] = []  # (I-gen canonical leading, J-gen)
-        self._op_cache: Dict[str, Matrix] = {}
+        if self.ring.has_epsilon:
+            raise ValueError("quotient models need a ring without epsilon")
         self._build(formula)
 
     # construction ---------------------------------------------------------------
@@ -312,6 +455,7 @@ class QuotientModel:
             if not ip.is_homogeneous():
                 raise ValueError(f"I-generator {name} is not homogeneous")
         # pair each I-generator with a J-generator sharing its leading term
+        pairs: List[Tuple[Poly, Poly]] = []  # (I-generator, J-generator rescaled to lead with it)
         used: Set[int] = set()
         for iname, ip in ipolys:
             match = None
@@ -327,19 +471,24 @@ class QuotientModel:
                 raise VerificationError(f"no J-generator deforms I-generator {iname}")
             idx, scale = match
             used.add(idx)
-            self._pairs.append((ip, jpolys[idx][1] * scale))
+            pairs.append((ip, jpolys[idx][1] * scale))
         formula_coeffs = None
         if formula is not None:
             n_coeffs = expand_rational_fn(formula, 4 * len(formula.numerator) + 64)
             top = max((i for i, c in enumerate(n_coeffs) if c), default=-1)
             formula_coeffs = n_coeffs[: top + 1]
-        # basis degrees: iterate until formula exhausted and three consecutive zeros
+        # (1) basis degrees: iterate until formula exhausted and three consecutive zeros
+        pivots: Dict[int, Set[int]] = {}
+        self.basis: List[Tuple[int, Exponents]] = []
         d = 0
         zeros = 0
         top_formula = len(formula_coeffs) - 1 if formula_coeffs is not None else None
         while True:
-            table = self._ensure_degree(d)
-            dim_d = len(table.basis)
+            monos = monomials_of_degree(self.ring, d)
+            pivots[d] = self._leading_columns(pairs, monos, d)
+            basis_d = [m for j, m in enumerate(monos) if j not in pivots[d]]
+            self.basis.extend((d, m) for m in basis_d)
+            dim_d = len(basis_d)
             if formula_coeffs is not None:
                 want = formula_coeffs[d] if d < len(formula_coeffs) else 0
                 if dim_d != want:
@@ -351,17 +500,17 @@ class QuotientModel:
             if past_formula and zeros >= 3 and d >= 2:
                 break
             d += 2
-        self.basis: List[Tuple[int, Exponents]] = []
-        for deg in sorted(self._tables):
-            for mono in self._tables[deg].basis:
-                self.basis.append((deg, mono))
         self.basis_index = {bm: i for i, bm in enumerate(self.basis)}
-        # every J-generator must reduce to zero
-        for name, jp in jpolys:
-            coords = self.normal_form(jp)
-            if any(coords):
-                raise VerificationError(f"J-generator {name} has nonzero normal form; "
-                                        "J does not deform I")
+        self._certified_operators(pairs, pivots, jpolys)
+
+    def _leading_columns(self, pairs: List[Tuple[Poly, Poly]], monos: List[Exponents],
+                         d: int) -> Set[int]:
+        """The pivot columns of the degree-d piece of I over the monomials ``monos``."""
+        index = {m: j for j, m in enumerate(monos)}
+        rows = ({index[e]: c for e, c in ip.times_monomial(mono).terms.items()}
+                for ip, _jp in pairs if ip.degree() <= d
+                for mono in monomials_of_degree(self.ring, d - ip.degree()))
+        return linalg.pivot_columns(rows, len(monos))
 
     @staticmethod
     def _scalar_ratio(a: Poly, b: Poly) -> Optional[Fraction]:
@@ -381,37 +530,105 @@ class QuotientModel:
                 return None
         return Fraction(1) / ratio
 
-    def _ensure_degree(self, d: int) -> _DegreeTable:
-        if d in self._tables:
-            return self._tables[d]
-        for dd in range(0, d + 1, 2):
-            if dd in self._tables:
+    def _certified_operators(self, pairs: List[Tuple[Poly, Poly]], pivots: Dict[int, Set[int]],
+                             jpolys: List[Tuple[str, Poly]]) -> None:
+        """Steps (2)-(4): operators mod p, reconstruction, the exact certificate."""
+        names = self.ring.var_names
+        if not self.basis:
+            self._install({x: Matrix.zeros(0, 0) for x in names})
+            return
+        inputs = [jp for _name, jp in jpolys] + [q for pair in pairs for q in pair]
+        dens = {c.denominator for poly in inputs for c in poly.terms.values()}
+        residues: List[List[int]] = []
+        modulus = 1
+        for p in _PRIMES:
+            if any(den % p == 0 for den in dens):
                 continue
-            table = _DegreeTable(monomials_of_degree(self.ring, dd))
-            for ip, jp in self._pairs:
-                gdeg = ip.degree()
-                if gdeg > dd:
-                    continue
-                for mono in monomials_of_degree(self.ring, dd - gdeg):
-                    prod = ip.times_monomial(mono)
-                    row = {table.index[e]: c for e, c in prod.terms.items()}
-                    residual, multipliers = table.reduce_vector(row)
-                    if not residual:
-                        continue
-                    # only a new pivot needs its lift: jp*mono minus the used lifts
-                    lift = dict(jp.times_monomial(mono).terms)
-                    _subtract_multiples(lift, multipliers, table.lifts)
-                    p = min(residual)
-                    inv = Fraction(1) / residual[p]
-                    table.pivot_rows[p] = {j: c * inv for j, c in residual.items()}
-                    table.lifts[p] = Poly(self.ring, {e: c * inv for e, c in lift.items()},
-                                          _normalized=True)
-            table.basis = [table.monomials[i] for i in range(len(table.monomials))
-                           if i not in table.pivot_rows]
-            if hasattr(self, "basis") and table.basis:
-                raise ValueError(f"unexpected new basis monomials at degree {dd}")
-            self._tables[dd] = table
-        return self._tables[d]
+            try:
+                tables = _ModularTables(self, pairs, pivots, p)
+                for name, jp in jpolys:
+                    if any(tables.normal_form(_mod_terms(jp.terms, p))):
+                        raise VerificationError(f"J-generator {name} has nonzero normal form; "
+                                                "J does not deform I")
+                cols = [col for k in range(len(names)) for col in tables.columns(k, self.basis)]
+            except _UnluckyPrime:
+                continue
+            del tables  # free the mod-p tables before the exact certificate
+            if residues:
+                inv = pow(modulus, -1, p)
+                cols = [[x + modulus * ((r - x) * inv % p) for x, r in zip(old, new)]
+                        for old, new in zip(residues, cols)]
+            residues, modulus = cols, modulus * p
+            ops = self._reconstruct(residues, modulus)
+            if ops is not None and self._certify(ops):
+                return
+        raise VerificationError("no prime of the modular build gave operators that pass "
+                                "the certificate")
+
+    def _reconstruct(self, residues: List[List[int]], modulus: int) -> Optional[Dict[str, Matrix]]:
+        """The rational operators with the given residue columns, or None."""
+        D = self.dim
+        ops = {}
+        for k, name in enumerate(self.ring.var_names):
+            cols = residues[k * D:(k + 1) * D]
+            entries = [[_rational(col[i], modulus) for col in cols] for i in range(D)]
+            if any(x is None for row in entries for x in row):
+                return None
+            ops[name] = Matrix(entries)
+        return ops
+
+    def _install(self, ops: Dict[str, Matrix]) -> None:
+        """Take ``ops`` as the operators of the ring variables: keep them, their
+        columns cleared to integers, and a fresh monomial-vector memo."""
+        D = len(self.basis)
+        self._ops = dict(ops)
+        self._columns: List[Tuple[List[Dict[int, int]], int]] = []
+        for name in self.ring.var_names:
+            data = ops[name].data
+            den = math.lcm(*(x.denominator for row in data for x in row))
+            self._columns.append(([{i: data[i][j].numerator * (den // data[i][j].denominator)
+                                    for i in range(D) if data[i][j]} for j in range(D)], den))
+        self._memo: Dict[Exponents, Tuple[Dict[int, int], int]] = (
+            {self.ring.zero_exponents(): ({0: 1}, 1)} if D else {})
+
+    def _certify(self, ops: Dict[str, Matrix]) -> bool:
+        """Install ``ops`` and check the exact certificate (a), (b), (c)."""
+        self._install(ops)
+        if not self._commute():
+            return False
+        for i, (_d, mono) in enumerate(self.basis):
+            if self._vector(mono) != ({i: 1}, 1):
+                return False
+        return not any(any(self.normal_form(jp)) for _name, jp in self.J.gens)
+
+    def _commute(self) -> bool:
+        cols = [c for c, _den in self._columns]
+        for a in range(len(cols)):
+            for b in range(a + 1, len(cols)):
+                ca, cb = cols[a], cols[b]
+                if any(_apply(ca, cb[j]) != _apply(cb, ca[j]) for j in range(len(self.basis))):
+                    return False
+        return True
+
+    def _vector(self, mono: Exponents) -> Tuple[Dict[int, int], int]:
+        """mono(M) e_1 as (numerators, denominator) in lowest terms, memoized:
+        M_x applied to the vector of mono / x for the first variable x of mono."""
+        chain = []
+        while mono not in self._memo:
+            k = next(i for i, e in enumerate(mono) if e)
+            chain.append((mono, k))
+            mono = mono[:k] + (mono[k] - 1,) + mono[k + 1:]
+        nums, den = self._memo[mono]
+        for mono, k in reversed(chain):
+            columns, cden = self._columns[k]
+            nums = _apply(columns, nums)
+            den *= cden
+            g = math.gcd(den, *nums.values())
+            if g > 1:
+                nums = {i: c // g for i, c in nums.items()}
+                den //= g
+            self._memo[mono] = (nums, den)
+        return nums, den
 
     # queries ---------------------------------------------------------------------
 
@@ -419,73 +636,37 @@ class QuotientModel:
     def dim(self) -> int:
         return len(self.basis)
 
-    def basis_polys(self) -> List[Poly]:
-        return [Poly.monomial(self.ring, mono) for _d, mono in self.basis]
-
     def normal_form(self, f: Poly) -> List[Fraction]:
-        """Coordinates of f over the basis, reducing modulo the J-ideal."""
+        """Coordinates of f modulo J over the basis: f(M) e_1."""
         f = f.change_coordinates(OMEGA).cast(self.ring)
-        coords = [Fraction(0)] * len(getattr(self, "basis", []))
-        guard = 0
-        while not f.is_zero():
-            guard += 1
-            if guard > 10000:
-                raise RuntimeError("normal form failed to terminate")
-            d = f.degree()
-            if d % 2:
-                raise ValueError("odd-degree input cannot occur in this grading")
-            table = self._ensure_degree(d)
-            top = f.homogeneous_component(d)
-            row = {table.index[e]: c for e, c in top.terms.items()}
-            residual, multipliers = table.reduce_vector(row)
-            # f - sum f_p * lift_p - residual loses its degree-d part; the
-            # residual is supported on basis monomials
-            terms = dict(f.terms)
-            _subtract_multiples(terms, multipliers, table.lifts)
-            for i, c in residual.items():
-                mono = table.monomials[i]
-                coords[self.basis_index[(d, mono)]] += c
-                s = terms.get(mono, Fraction(0)) - c
-                if s:
-                    terms[mono] = s
-                else:
-                    del terms[mono]
-            f = Poly(self.ring, terms, _normalized=True)
-            new_deg = f.degree()
-            if not f.is_zero() and new_deg >= d:
-                raise RuntimeError("degree did not descend during reduction")
-        return coords
+        if not self.basis:
+            return []
+        terms = [(c, self._vector(e)) for e, c in f.terms.items()]
+        den = math.lcm(*(c.denominator * vden for c, (_nums, vden) in terms))
+        acc = [0] * len(self.basis)
+        for c, (nums, vden) in terms:
+            s = c.numerator * (den // (c.denominator * vden))
+            for i, a in nums.items():
+                acc[i] += s * a
+        return [Fraction(a, den) for a in acc]
 
     def membership(self, f: Poly) -> bool:
         return not any(self.normal_form(f))
 
     def operator(self, var: str) -> Matrix:
         """Multiplication operator by a ring variable (or 'alpha') over the basis."""
-        if var in self._op_cache:
-            return self._op_cache[var]
-        if var == ALPHA and self.ring.coordinate == OMEGA:
+        if var not in self._ops:
+            if var != ALPHA:
+                self.ring.var_index(var)  # KeyError: the ring has no such variable
             # alpha = omega - (sum delta_i)/2
-            m = self.operator("omega")
+            m = self._ops["omega"]
             for i in range(1, self.ring.n + 1):
-                m = m - self.operator(f"delta{i}").scale(Fraction(1, 2))
-            self._op_cache[var] = m
-            return m
-        vp = Poly.variable(self.ring, var)
-        cols = []
-        for _d, mono in self.basis:
-            cols.append(self.normal_form(vp.times_monomial(mono)))
-        mat = Matrix([[cols[j][i] for j in range(len(cols))] for i in range(len(self.basis))])
-        self._op_cache[var] = mat
-        return mat
+                m = m - self._ops[f"delta{i}"].scale(Fraction(1, 2))
+            self._ops[var] = m
+        return self._ops[var]
 
     def operators_commute(self) -> bool:
-        names = ["omega", "beta", "gamma"] + [f"delta{i}" for i in range(1, self.ring.n + 1)]
-        ops = [self.operator(nm) for nm in names]
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                if ops[i] * ops[j] != ops[j] * ops[i]:
-                    return False
-        return True
+        return self._commute()
 
 
 # -- standard models ---------------------------------------------------------------
@@ -493,11 +674,8 @@ class QuotientModel:
 _model_cache: Dict[Tuple[int, str, Optional[Fraction]], QuotientModel] = {}
 
 
-def model_for(g: int, sign: str = "+", theta: Optional[Fraction] = None) -> QuotientModel:
-    """The filtered quotient model of the one-point ideal (optionally u = theta)."""
-    key = (g, sign, theta)
-    if key in _model_cache:
-        return _model_cache[key]
+def _one_point_ideals(g: int, sign: str = "+", theta: Optional[Fraction] = None):
+    """(J, I, formula) of the one-point model (optionally u = theta)."""
     local = theta is not None
     J = jgen_n1(g, sign=sign, local=local)
     if local:
@@ -507,7 +685,15 @@ def model_for(g: int, sign: str = "+", theta: Optional[Fraction] = None) -> Quot
     I_reduced = GeneratorSet(I.label, I.ambient,
                              [gv for gv in I.gens if not gv[0].startswith("gamma^")],
                              meta=I.meta)
-    model = QuotientModel(J, I_reduced, formula=ptgn_series(g, 1))
+    return J, I_reduced, ptgn_series(g, 1)
+
+
+def model_for(g: int, sign: str = "+", theta: Optional[Fraction] = None) -> QuotientModel:
+    """The filtered quotient model of the one-point ideal (optionally u = theta)."""
+    key = (g, sign, theta)
+    if key in _model_cache:
+        return _model_cache[key]
+    model = QuotientModel(*_one_point_ideals(g, sign, theta))
     _model_cache[key] = model
     return model
 
@@ -726,8 +912,8 @@ def jgen_n3(g: int) -> GeneratorSet:
     )
 
 
-def model_n3(g: int) -> QuotientModel:
-    """Filtered model of the three-point quotient built from solver output."""
+def _three_point_ideals(g: int):
+    """(J, I, formula) of the three-point model built from solver output."""
     J = jgen_n3(g)
     I_full = igen(g, 3, "even")
     keep = []
@@ -744,4 +930,9 @@ def model_n3(g: int) -> QuotientModel:
         keep.append((f"gamma*tau_{{{','.join(map(str, I))}}}(xi_{{{g},3}})",
                      gamma_p * base.flip(I)))
     I_set = GeneratorSet(I_full.label, I_full.ambient, keep, meta=I_full.meta)
-    return QuotientModel(J, I_set, formula=ptgn_series(g, 3))
+    return J, I_set, ptgn_series(g, 3)
+
+
+def model_n3(g: int) -> QuotientModel:
+    """Filtered model of the three-point quotient built from solver output."""
+    return QuotientModel(*_three_point_ideals(g))

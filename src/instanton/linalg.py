@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 Vector = List[Fraction]
 
@@ -185,18 +185,19 @@ def rref(M: Matrix, strategy: str = "min_bits") -> Tuple[Matrix, List[int], Matr
     return Matrix(R, cols), pivots, Matrix(T, n)
 
 
-def row_rank(rows: Iterable[Mapping[int, Fraction]], cols: int) -> int:
-    """Exact rank of sparse rational rows ``{column: value}`` with ``cols`` columns.
+def _echelon(rows: Iterable[Mapping[int, Fraction]], cols: int) -> Dict[int, Dict[int, int]]:
+    """Primitive integer pivot rows of the span of sparse rational rows
+    ``{column: value}``, keyed by their smallest column.
 
     Each row is scaled to a primitive integer row and reduced fraction-free
-    against the stored pivot rows, keyed by their smallest column p (see
-    ``_eliminate``).  Primitive integer rows are independent over Z iff they are
-    over Q, so the rank is exact.  Returns as soon as the rank is ``cols``,
-    taking no further row from ``rows``.
+    against the stored pivot rows (see ``_eliminate``).  Primitive integer rows
+    are independent over Z iff they are over Q, so the result is exact, and its
+    keys are the leading columns of the span.  Returns as soon as every column
+    is a pivot, taking no further row from ``rows``.
     """
-    if cols <= 0:
-        return 0
     pivots: Dict[int, Dict[int, int]] = {}
+    if cols <= 0:
+        return pivots
     for row in rows:
         vec = _primitive_row(row)
         while vec:
@@ -205,10 +206,21 @@ def row_rank(rows: Iterable[Mapping[int, Fraction]], cols: int) -> int:
             if pivot is None:
                 pivots[p] = vec
                 if len(pivots) == cols:
-                    return cols
+                    return pivots
                 break
             vec = _eliminate(vec, pivot, p)
-    return len(pivots)
+    return pivots
+
+
+def row_rank(rows: Iterable[Mapping[int, Fraction]], cols: int) -> int:
+    """Exact rank of sparse rational rows ``{column: value}`` with ``cols`` columns."""
+    return len(_echelon(rows, cols))
+
+
+def pivot_columns(rows: Iterable[Mapping[int, Fraction]], cols: int) -> Set[int]:
+    """The leading (smallest) columns of the vectors in the span of the rows: the
+    pivot columns of its reduced row echelon form."""
+    return set(_echelon(rows, cols))
 
 
 def det(M: Matrix) -> Fraction:

@@ -27,10 +27,6 @@ def _zero() -> Poly:
     return Poly.zero(COEFF_RING)
 
 
-def _one() -> Poly:
-    return Poly.constant(COEFF_RING, 1)
-
-
 def omega_poly() -> Poly:
     return Poly.variable(COEFF_RING, "omega")
 

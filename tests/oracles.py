@@ -6,12 +6,16 @@ by a plainer method.
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, List
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from instanton import floer
+from instanton.floer import VerificationError
 from instanton.linalg import Matrix
-from instanton.poly import LAURENT_U, OMEGA, LaurentU, Poly
+from instanton.poly import (ALPHA, LAURENT_U, OMEGA, Exponents, LaurentU, Poly,
+                            monomials_of_degree)
 from instanton.quotient import QuotientSpec, canonical_rep
-from instanton.series import RationalFn, poly_mul
+from instanton.relations import GeneratorSet
+from instanton.series import RationalFn, expand_rational_fn, poly_mul
 
 
 def char_poly(M: Matrix) -> List[Fraction]:
@@ -105,3 +109,279 @@ def expand_by_long_division(rf: RationalFn, N: int) -> List[int]:
             raise ArithmeticError("non-integer series coefficient")
         out[i] = acc // denom[0]
     return out
+
+
+# -- the Fraction lift-table model -------------------------------------------------
+
+
+def _subtract_multiples(terms: Dict[Exponents, object],
+                        multipliers: List[Tuple[int, Fraction]],
+                        lifts: Dict[int, Poly]) -> None:
+    """terms -= sum f * lifts[p] over the (p, f) multipliers, in place."""
+    for p, f in multipliers:
+        for e, c in lifts[p].terms.items():
+            s = terms.get(e)
+            s = -(c * f) if s is None else s - c * f
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
+
+
+class _DegreeTable:
+    """Per-degree elimination data for the graded ideal piece: unit-led pivot
+    rows and, per pivot p, a lift in the J-ideal whose degree-d component is
+    sum_j pivot_rows[p][j] * monomials[j].  Lifts exist for pivots only."""
+
+    __slots__ = ("monomials", "index", "pivot_rows", "lifts", "basis")
+
+    def __init__(self, monomials: List[Exponents]):
+        self.monomials = monomials
+        self.index = {m: i for i, m in enumerate(monomials)}
+        self.pivot_rows: Dict[int, Dict[int, Fraction]] = {}  # pivot column -> unit-led row
+        self.lifts: Dict[int, Poly] = {}  # pivot column -> lift realizing that row
+        self.basis: List[Exponents] = []
+
+    def reduce_vector(self, row: Dict[int, Fraction]):
+        """Fully reduce a sparse vector against the echelon.
+
+        Returns (residual, multipliers) with row == residual + sum f * pivot_rows[p]
+        over the (p, f) multipliers; the residual carries no pivot index, so for
+        complete tables it is supported on basis monomials only.
+        """
+        row = dict(row)
+        residual: Dict[int, Fraction] = {}
+        multipliers: List[Tuple[int, Fraction]] = []
+        while row:
+            p = min(row)
+            prow = self.pivot_rows.get(p)
+            if prow is None:
+                residual[p] = row.pop(p)
+                continue
+            f = row[p]
+            multipliers.append((p, f))
+            for j, c in prow.items():
+                s = row.get(j, Fraction(0)) - f * c
+                if s:
+                    row[j] = s
+                else:
+                    row.pop(j, None)
+        return residual, multipliers
+
+
+class LiftTableModel:
+    """Monomial basis, lift table and multiplication operators for a quotient by
+    an inhomogeneous ideal whose leading terms generate a known graded ideal.
+
+    The model build over ``Fraction`` that ``floer.QuotientModel`` replaced:
+    per-degree lift polynomials in J for the pivot rows, normal forms by degree
+    descent, and operators from the normal forms."""
+
+    def __init__(self, J: GeneratorSet, I: GeneratorSet, formula: Optional[RationalFn] = None):
+        self.J = J
+        self.I = I
+        self.ring = J.ambient.with_coordinate(OMEGA)
+        self._tables: Dict[int, _DegreeTable] = {}
+        self._pairs: List[Tuple[Poly, Poly]] = []  # (I-gen canonical leading, J-gen)
+        self._op_cache: Dict[str, Matrix] = {}
+        self._build(formula)
+
+    # construction ---------------------------------------------------------------
+
+    def _build(self, formula: Optional[RationalFn]):
+        jpolys = [(name, p.change_coordinates(OMEGA)) for name, p in self.J.gens]
+        ipolys = [(name, p.change_coordinates(OMEGA)) for name, p in self.I.gens]
+        for name, ip in ipolys:
+            if not ip.is_homogeneous():
+                raise ValueError(f"I-generator {name} is not homogeneous")
+        # pair each I-generator with a J-generator sharing its leading term
+        used: Set[int] = set()
+        for iname, ip in ipolys:
+            match = None
+            for idx, (jname, jp) in enumerate(jpolys):
+                if idx in used:
+                    continue
+                lead = jp.leading_order()
+                scaled = self._scalar_ratio(lead, ip)
+                if scaled is not None:
+                    match = (idx, scaled)
+                    break
+            if match is None:
+                raise VerificationError(f"no J-generator deforms I-generator {iname}")
+            idx, scale = match
+            used.add(idx)
+            self._pairs.append((ip, jpolys[idx][1] * scale))
+        formula_coeffs = None
+        if formula is not None:
+            n_coeffs = expand_rational_fn(formula, 4 * len(formula.numerator) + 64)
+            top = max((i for i, c in enumerate(n_coeffs) if c), default=-1)
+            formula_coeffs = n_coeffs[: top + 1]
+        # basis degrees: iterate until formula exhausted and three consecutive zeros
+        d = 0
+        zeros = 0
+        top_formula = len(formula_coeffs) - 1 if formula_coeffs is not None else None
+        while True:
+            table = self._ensure_degree(d)
+            dim_d = len(table.basis)
+            if formula_coeffs is not None:
+                want = formula_coeffs[d] if d < len(formula_coeffs) else 0
+                if dim_d != want:
+                    raise VerificationError(
+                        f"graded quotient dimension mismatch at degree {d}: "
+                        f"computed {dim_d}, formula {want}")
+            zeros = zeros + 1 if dim_d == 0 else 0
+            past_formula = top_formula is None or d > top_formula
+            if past_formula and zeros >= 3 and d >= 2:
+                break
+            d += 2
+        self.basis: List[Tuple[int, Exponents]] = []
+        for deg in sorted(self._tables):
+            for mono in self._tables[deg].basis:
+                self.basis.append((deg, mono))
+        self.basis_index = {bm: i for i, bm in enumerate(self.basis)}
+        # every J-generator must reduce to zero
+        for name, jp in jpolys:
+            coords = self.normal_form(jp)
+            if any(coords):
+                raise VerificationError(f"J-generator {name} has nonzero normal form; "
+                                        "J does not deform I")
+
+    @staticmethod
+    def _scalar_ratio(a: Poly, b: Poly) -> Optional[Fraction]:
+        """If a == c*b for a scalar c, return 1/c (to rescale); else None."""
+        if a.is_zero() or b.is_zero() or len(a.terms) != len(b.terms):
+            return None
+        items = iter(a.terms.items())
+        e0, c0 = next(items)
+        cb = b.terms.get(e0)
+        if cb is None:
+            return None
+        ratio = c0 / cb if not isinstance(c0, LaurentU) else None
+        if ratio is None:
+            return None
+        for e, c in a.terms.items():
+            if b.terms.get(e) is None or b.terms[e] * ratio != c:
+                return None
+        return Fraction(1) / ratio
+
+    def _ensure_degree(self, d: int) -> _DegreeTable:
+        if d in self._tables:
+            return self._tables[d]
+        for dd in range(0, d + 1, 2):
+            if dd in self._tables:
+                continue
+            table = _DegreeTable(monomials_of_degree(self.ring, dd))
+            for ip, jp in self._pairs:
+                gdeg = ip.degree()
+                if gdeg > dd:
+                    continue
+                for mono in monomials_of_degree(self.ring, dd - gdeg):
+                    prod = ip.times_monomial(mono)
+                    row = {table.index[e]: c for e, c in prod.terms.items()}
+                    residual, multipliers = table.reduce_vector(row)
+                    if not residual:
+                        continue
+                    # only a new pivot needs its lift: jp*mono minus the used lifts
+                    lift = dict(jp.times_monomial(mono).terms)
+                    _subtract_multiples(lift, multipliers, table.lifts)
+                    p = min(residual)
+                    inv = Fraction(1) / residual[p]
+                    table.pivot_rows[p] = {j: c * inv for j, c in residual.items()}
+                    table.lifts[p] = Poly(self.ring, {e: c * inv for e, c in lift.items()},
+                                          _normalized=True)
+            table.basis = [table.monomials[i] for i in range(len(table.monomials))
+                           if i not in table.pivot_rows]
+            if hasattr(self, "basis") and table.basis:
+                raise ValueError(f"unexpected new basis monomials at degree {dd}")
+            self._tables[dd] = table
+        return self._tables[d]
+
+    # queries ---------------------------------------------------------------------
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def normal_form(self, f: Poly) -> List[Fraction]:
+        """Coordinates of f over the basis, reducing modulo the J-ideal."""
+        f = f.change_coordinates(OMEGA).cast(self.ring)
+        coords = [Fraction(0)] * len(getattr(self, "basis", []))
+        guard = 0
+        while not f.is_zero():
+            guard += 1
+            if guard > 10000:
+                raise RuntimeError("normal form failed to terminate")
+            d = f.degree()
+            if d % 2:
+                raise ValueError("odd-degree input cannot occur in this grading")
+            table = self._ensure_degree(d)
+            top = f.homogeneous_component(d)
+            row = {table.index[e]: c for e, c in top.terms.items()}
+            residual, multipliers = table.reduce_vector(row)
+            # f - sum f_p * lift_p - residual loses its degree-d part; the
+            # residual is supported on basis monomials
+            terms = dict(f.terms)
+            _subtract_multiples(terms, multipliers, table.lifts)
+            for i, c in residual.items():
+                mono = table.monomials[i]
+                coords[self.basis_index[(d, mono)]] += c
+                s = terms.get(mono, Fraction(0)) - c
+                if s:
+                    terms[mono] = s
+                else:
+                    del terms[mono]
+            f = Poly(self.ring, terms, _normalized=True)
+            new_deg = f.degree()
+            if not f.is_zero() and new_deg >= d:
+                raise RuntimeError("degree did not descend during reduction")
+        return coords
+
+    def membership(self, f: Poly) -> bool:
+        return not any(self.normal_form(f))
+
+    def operator(self, var: str) -> Matrix:
+        """Multiplication operator by a ring variable (or 'alpha') over the basis."""
+        if var in self._op_cache:
+            return self._op_cache[var]
+        if var == ALPHA and self.ring.coordinate == OMEGA:
+            # alpha = omega - (sum delta_i)/2
+            m = self.operator("omega")
+            for i in range(1, self.ring.n + 1):
+                m = m - self.operator(f"delta{i}").scale(Fraction(1, 2))
+            self._op_cache[var] = m
+            return m
+        vp = Poly.variable(self.ring, var)
+        cols = []
+        for _d, mono in self.basis:
+            cols.append(self.normal_form(vp.times_monomial(mono)))
+        mat = Matrix([[cols[j][i] for j in range(len(cols))] for i in range(len(self.basis))])
+        self._op_cache[var] = mat
+        return mat
+
+    def operators_commute(self) -> bool:
+        names = ["omega", "beta", "gamma"] + [f"delta{i}" for i in range(1, self.ring.n + 1)]
+        ops = [self.operator(nm) for nm in names]
+        for i in range(len(ops)):
+            for j in range(i + 1, len(ops)):
+                if ops[i] * ops[j] != ops[j] * ops[i]:
+                    return False
+        return True
+
+
+_lift_table_models: Dict[tuple, LiftTableModel] = {}
+
+
+def lift_table_model(g: int, sign: str = "+", theta: Optional[Fraction] = None) -> LiftTableModel:
+    """The lift-table model of ``floer.model_for(g, sign, theta)``, memoized."""
+    key = (g, sign, theta)
+    if key not in _lift_table_models:
+        _lift_table_models[key] = LiftTableModel(*floer._one_point_ideals(g, sign, theta))
+    return _lift_table_models[key]
+
+
+def lift_table_model_n3(g: int) -> LiftTableModel:
+    """The lift-table model of ``floer.model_n3(g)``, memoized."""
+    key = ("n3", g)
+    if key not in _lift_table_models:
+        _lift_table_models[key] = LiftTableModel(*floer._three_point_ideals(g))
+    return _lift_table_models[key]

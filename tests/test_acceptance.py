@@ -26,6 +26,14 @@ def test_a2_eigen_spectra_both_signs():
     _run(acceptance.check_a2)
 
 
+def test_a1_a2_run_the_genus_asked_for():
+    assert acceptance.check_a1().detail == "quotient dims [0, 2, 8, 20] match series values for g<=3"
+    a1 = _run(acceptance.check_a1, 4)
+    assert a1.detail == "quotient dims [0, 2, 8, 20, 40] match series values for g<=4"
+    a2 = _run(acceptance.check_a2, 4)
+    assert a2.detail.endswith(" g=3-:V2=10 g=4+:V2=20 g=4-:V2=20")
+
+
 def test_a3_hilbert_series_of_quotients():
     _run(acceptance.check_a3)
 

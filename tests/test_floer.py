@@ -2,10 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from instanton.floer import (QuotientModel, decomposition_identity_check,
-                             eigen_verify, expand_rational_fn, gamma_power_witness,
+from conftest import random_poly
+from oracles import lift_table_model, lift_table_model_n3
+
+from instanton import floer
+from instanton.floer import (QuotientModel, VerificationError,
+                             decomposition_identity_check, eigen_verify,
+                             expand_rational_fn, gamma_power_witness,
                              graded_ideal_dims, hilbert_compare, model_for,
                              model_n3, ptgn_series, solve_subleading)
+from instanton.linalg import Matrix
 from instanton.poly import ALPHA, OMEGA, Poly, gamma, omega, ring
 from instanton.quotient import QuotientSpec
 from instanton.relations import (GeneratorSet, igen, jgen_n1, kprime_gen,
@@ -374,8 +380,8 @@ LIFT_CASES = [(g, sign, None) for g in (1, 2, 3) for sign in ("+", "-")] + [(3, 
 
 def _lift_models():
     for g, sign, theta in LIFT_CASES:
-        yield f"g{g}{sign}_theta{theta or 1}", model_for(g, sign, theta)
-    yield "n3_g1", model_n3(1)
+        yield f"g{g}{sign}_theta{theta or 1}", lift_table_model(g, sign, theta)
+    yield "n3_g1", lift_table_model_n3(1)
 
 
 def test_lazy_lifts_match_eager_lifts():
@@ -397,7 +403,7 @@ def test_lazy_lifts_match_eager_lifts():
 
 def test_reduce_vector_multiplier_contract(rand):
     """row == residual + sum f * pivot_rows[p], and the residual has no pivot."""
-    model = model_for(3, "+")
+    model = lift_table_model(3, "+")
     used = 0
     for d in (6, 8, 10):
         table = model._tables[d]
@@ -414,3 +420,172 @@ def test_reduce_vector_multiplier_contract(rand):
             assert {j: c for j, c in total.items() if c} == row
             used += len(multipliers)
     assert used
+
+
+# -- the certified modular model against the lift-table oracle ------------------------
+
+
+ORACLE_CASES = LIFT_CASES + [(3, "+", F(3, 2)), (3, "+", F(5, 3)), (0, "+", None), "n3_g1"]
+
+
+def _model_and_oracle(case):
+    if case == "n3_g1":
+        return model_n3(1), lift_table_model_n3(1)
+    return model_for(*case), lift_table_model(*case)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES,
+                         ids=lambda c: c if isinstance(c, str) else f"g{c[0]}{c[1]}_theta{c[2] or 1}")
+def test_modular_model_matches_lift_table_oracle(case, rand):
+    """Basis, every operator (alpha too) and the normal forms of the J-generators
+    and of seeded random polynomials equal those of the Fraction lift tables."""
+    model, oracle = _model_and_oracle(case)
+    assert model.basis == oracle.basis
+    assert model.basis_index == oracle.basis_index
+    for var in model.ring.var_names + (ALPHA,):
+        assert model.operator(var) == oracle.operator(var), var
+    for name, jp in model.J.gens:
+        assert model.normal_form(jp) == oracle.normal_form(jp) == [0] * model.dim, name
+    max_exp = 1 if model.ring.n > 1 else 2
+    for _ in range(5):
+        f = random_poly(model.ring, rand, terms=6, max_exp=max_exp)
+        assert model.normal_form(f) == oracle.normal_form(f), f
+    f = f.change_coordinates(ALPHA)
+    assert model.normal_form(f) == oracle.normal_form(f), f
+
+
+def test_small_primes_reach_the_oracle_through_crt(monkeypatch):
+    """With small primes the first reconstruction fails; Chinese remaindering over
+    further primes still gives the oracle's operators.  2 and 3 divide
+    denominators of the theta = 3/2 generators and are skipped."""
+    primes = (2, 3, 10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079, 10091, 10093)
+    monkeypatch.setattr(floer, "_PRIMES", primes)
+    reconstructions = []
+    rational = floer._rational
+
+    def spy(a, m):
+        r = rational(a, m)
+        reconstructions.append((m, r))
+        return r
+
+    monkeypatch.setattr(floer, "_rational", spy)
+    model = QuotientModel(*floer._one_point_ideals(3, "+", F(3, 2)))
+    oracle = lift_table_model(3, "+", F(3, 2))
+    moduli = sorted({m for m, _r in reconstructions})
+    assert moduli[0] == 10007 and len(moduli) > 1
+    assert any(r is None for m, r in reconstructions if m == 10007)
+    assert model.basis == oracle.basis
+    for var in model.ring.var_names + (ALPHA,):
+        assert model.operator(var) == oracle.operator(var), var
+
+
+def test_certificate_rejects_a_perturbed_operator(rand):
+    model = QuotientModel(*floer._one_point_ideals(2, "+"))
+    ops = {var: model.operator(var) for var in model.ring.var_names}
+    for _ in range(8):
+        var = rand.choice(model.ring.var_names)
+        i, j = rand.randrange(model.dim), rand.randrange(model.dim)
+        data = [list(row) for row in ops[var].data]
+        data[i][j] += F(rand.choice((1, -1)), rand.randint(1, 3))
+        assert not model._certify({**ops, var: Matrix(data)}), (var, i, j)
+    assert model._certify(ops)
+
+
+def test_certificate_needs_the_basis_condition():
+    """Scalar operators at a common zero of J commute and kill every J-generator,
+    but b(M) e_1 = e_b fails for b = delta."""
+    theta = F(2)
+    model = QuotientModel(*floer._one_point_ideals(1, "+", theta))
+    point = {"omega": (theta + 1 / theta) / 2, "delta1": 1 / theta - theta,
+             "beta": F(2), "gamma": F(0)}
+    assert all(not p.evaluate(point) for _name, p in model.J.gens)
+    ops = {var: Matrix.identity(model.dim).scale(point[var]) for var in model.ring.var_names}
+    assert model._commute() and model.dim == 2
+    assert not model._certify(ops)
+
+
+def test_certificate_needs_the_jgenerator_condition():
+    """The (3,+) and (3,-) models share I, so the (3,+) operators commute and
+    meet b(M) e_1 = e_b in the (3,-) basis, but they do not kill J^-."""
+    plus, minus = model_for(3, "+"), QuotientModel(*floer._one_point_ideals(3, "-"))
+    assert plus.basis == minus.basis
+    assert not minus._certify({var: plus.operator(var) for var in plus.ring.var_names})
+
+
+def test_model_rejects_a_generator_that_does_not_deform(monkeypatch):
+    """omega - 3 joins J but leads no I-generator: the check mod the first prime
+    raises at once."""
+    J, I, formula = floer._one_point_ideals(2, "+")
+    J = GeneratorSet(J.label, J.ambient, J.gens + [("omega-3", omega(J.ambient) - 3)],
+                     meta=J.meta)
+    built = []
+
+    class Counting(floer._ModularTables):
+        def __init__(self, *args):
+            built.append(args[-1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(floer, "_ModularTables", Counting)
+    with pytest.raises(VerificationError, match="J-generator omega-3 has nonzero normal form"):
+        QuotientModel(J, I, formula)
+    assert built == [floer._PRIMES[0]]
+
+
+def test_model_rejects_a_ring_with_epsilon():
+    """epsilon^2 = 1 is a relation, not a free variable, so the certificate's
+    polynomial ring does not apply."""
+    rng = ring(1, coordinate=OMEGA, has_epsilon=True)
+    gens = GeneratorSet("E", rng, [("epsilon-1", Poly.variable(rng, "epsilon") - 1)])
+    with pytest.raises(ValueError, match="epsilon"):
+        QuotientModel(gens, gens)
+
+
+def test_cached_model_keeps_no_build_tables():
+    model = model_for(3, "+")
+    assert set(vars(model)) == {"J", "I", "ring", "basis", "basis_index",
+                                "_ops", "_columns", "_memo"}
+    assert model.operators_commute()
+
+
+def _degree_four_model_ideals():
+    """J = I: omega*delta + delta^2, omega*delta + 8 delta^2 + beta, omega^2 and
+    every monomial of degree 6.  Degree 4 leads on omega^2, omega*delta and
+    delta^2 over Q, on beta instead of delta^2 mod 7; delta^2 = -beta/7."""
+    from instanton.poly import monomials_of_degree
+    rng = ring(1, coordinate=OMEGA)
+    w, b, d = (Poly.variable(rng, v) for v in ("omega", "beta", "delta1"))
+    gens = [("f1", w * d + d * d), ("f2", w * d + d * d * 8 + b), ("omega^2", w * w)]
+    gens += [(f"m{k}", Poly.monomial(rng, m)) for k, m in enumerate(monomials_of_degree(rng, 6))]
+    return (GeneratorSet("J", rng, gens), GeneratorSet("I", rng, gens),
+            [(w * d, [0, 0, 0, F(1, 7)]), (d * d, [0, 0, 0, F(-1, 7)]), (d + b, [0, 0, 1, 1])])
+
+
+def _degree_two_model_ideals():
+    """Mod 7, omega + delta and omega + 8 delta lead on one column, over Q on two;
+    R/J = Q with omega = 8/7 and delta = -1/7."""
+    rng = ring(1, coordinate=OMEGA)
+    w, b, c, d = (Poly.variable(rng, v) for v in ("omega", "beta", "gamma", "delta1"))
+    leading = [("f1", w + d), ("f2", w + d * 8), ("beta", b), ("gamma", c)]
+    J = [("f1-1", w + d - 1)] + leading[1:]
+    return (GeneratorSet("J", rng, J), GeneratorSet("I", rng, leading),
+            [(w, [F(8, 7)]), (d, [F(-1, 7)]), (w * w + d, [F(64, 49) - F(1, 7)])])
+
+
+@pytest.mark.parametrize("ideals", [_degree_two_model_ideals, _degree_four_model_ideals],
+                         ids=["rank_drops", "pivot_moves"])
+def test_a_prime_that_moves_a_pivot_is_skipped(monkeypatch, ideals):
+    """7 changes the leading columns of I, so the build skips it and uses 10007."""
+    J, I, values = ideals()
+    monkeypatch.setattr(floer, "_PRIMES", (7, 10007))
+    reached = []
+
+    class Recording(floer._ModularTables):
+        def columns(self, k, basis):
+            reached.append(self.p)
+            return super().columns(k, basis)
+
+    monkeypatch.setattr(floer, "_ModularTables", Recording)
+    model = QuotientModel(J, I)
+    assert set(reached) == {10007}
+    for f, coords in values:
+        assert model.normal_form(f) == coords, f
