@@ -18,10 +18,10 @@ Two checks assert sign/ambiguity-corrected statements:
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import floer, linalg, series
@@ -31,8 +31,8 @@ from .floer import (decomposition_identity_check, eigen_verify,
 from .poly import ALPHA, OMEGA, Poly, ring
 from .quotient import (QuotientSpec, canonical_monomials, canonical_rep,
                        mod_beta_spec)
-from .relations import (jgen_n1, r_poly, r_poly_local, rho_proj,
-                        rho_series, specialize_u, xi)
+from .relations import (flip_subsets, jgen_n1, r_poly, r_poly_local,
+                        rho_proj, rho_series, specialize_u, xi)
 from .series import binom_sqrt_dets
 
 
@@ -48,14 +48,11 @@ class CheckResult:
 
 
 def _negate_omega(p: Poly) -> Poly:
-    out = {}
-    for exps, coeff in p.terms.items():
-        out[exps] = -coeff if exps[0] % 2 else coeff
-    return Poly(p.ring, out, _normalized=True)
+    return Poly.from_terms(p.ring, ((e, -c if e[0] % 2 else c) for e, c in p.terms.items()))
 
 
 def _beta_zero(p: Poly) -> Poly:
-    return Poly(p.ring, {e: c for e, c in p.terms.items() if e[1] == 0}, _normalized=True)
+    return Poly.from_terms(p.ring, ((e, c) for e, c in p.terms.items() if e[1] == 0))
 
 
 # -- criteria ----------------------------------------------------------------------
@@ -154,11 +151,10 @@ def check_a5(k_max: int = 6, n_values: Sequence[int] = (1, 3, 5, 7)) -> CheckRes
                             f"unsigned identity unexpectedly holds at odd s ({k},{n},{s})")
                     odd_s_flips += 1
     # beta = 0 closed form, in the omega -> -omega branch pinned by A6
-    fact = 1
     for n in n_values:
         for k in range(9):
             closed = Poly.monomial(series.COEFF_RING, (k, 0, 0, 0),
-                                   Fraction(2 ** ((n + 1) // 2), _factorial(k)))
+                                   Fraction(2 ** ((n + 1) // 2), math.factorial(k)))
             if _beta_zero(rho_proj(k, n, 0)) != closed:
                 return CheckResult("A5", False, f"beta=0 closed form fails at (k,n)=({k},{n})")
     return CheckResult(
@@ -166,13 +162,6 @@ def check_a5(k_max: int = 6, n_values: Sequence[int] = (1, 3, 5, 7)) -> CheckRes
         f"functional identity holds with sign (-1)^s over {cases} cases "
         f"({odd_s_flips} genuine odd-s sign flips); beta=0 closed form matches "
         "in the A6 branch")
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def check_a6(k_max: int = 6, cache_dir: Optional[str] = None,
@@ -339,10 +328,7 @@ def _a12_stacks(n: int, s: int):
     alpha_p = Poly.variable(rng, OMEGA) - sum(
         (Poly.variable(rng, f"delta{i}") for i in range(1, n + 1)),
         Poly.zero(rng)) * Fraction(1, 2)
-    flips = []
-    for size in range(0, n + 1, 2):
-        for J in combinations(range(1, n + 1), size):
-            flips.append(canonical_rep((alpha_p ** s).flip(J), spec))
+    flips = [canonical_rep((alpha_p ** s).flip(J), spec) for J in flip_subsets(n, even=True)]
     basis = canonical_monomials(rng, spec, 2 * s)
     index = {mono: i for i, mono in enumerate(basis)}
     flip_rows = [{index[e]: c for e, c in f.terms.items()} for f in flips]

@@ -11,16 +11,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import linalg
 from .linalg import Matrix, kernel_basis, subspace_intersection
-from .poly import (ALPHA, OMEGA, Exponents, LaurentU, Poly,
+from .poly import (ALPHA, OMEGA, RATIONAL, Exponents, Poly,
                    monomials_of_degree, ring)
 from .quotient import (QuotientSpec, canonical_monomials, canonical_rep,
                        model_spec)
-from .relations import (GeneratorSet, gamma_cofactors, igen, jgen_n1,
-                        kprime_gen, specialize_u, xi)
+from .relations import (GeneratorSet, flip_subsets, gamma_cofactors, igen,
+                        jgen_n1, kprime_gen, specialize_u, xi)
 from .series import RationalFn, expand_rational_fn, poly_add, poly_mul, poly_pow, poly_scale, poly_shift
 
 
@@ -203,13 +203,8 @@ def hilbert_compare(g: int, n: int, source: str, max_degree: int) -> HilbertRepo
         computed = graded_ideal_dims(kprime_gen(g, n), max_degree)
     elif source == "total":
         formula = expand_rational_fn(total_series(g, n), max_degree)
-        computed = [0] * (max_degree + 1)
-        for k in range(g + 1):
-            mult = math.comb(2 * g, k) - math.comb(2 * g, k - 2) if k >= 2 else math.comb(2 * g, k)
-            sub = hilbert_compare(g - k, n, "ptgn", max_degree)
-            for d, c, _f in sub.degrees:
-                if d + 3 * k <= max_degree:
-                    computed[d + 3 * k] += mult * c
+        computed = _exterior_sum(g, max_degree, lambda h: [
+            c for _d, c, _f in hilbert_compare(h, n, "ptgn", max_degree).degrees])
     else:
         raise ValueError("source must be one of ptgn, total, k")
     rows = [(d, computed[d], formula[d]) for d in range(max_degree + 1)]
@@ -220,14 +215,20 @@ def decomposition_identity_check(g: int, n: int, max_degree: int) -> bool:
     """Exterior-factor degree bookkeeping: the weighted sum of P_t(g-k,n) t^{3k}
     equals the total-cohomology series, coefficient-wise (pure series arithmetic)."""
     rhs = expand_rational_fn(total_series(g, n), max_degree)
-    lhs = [0] * (max_degree + 1)
+    return _exterior_sum(g, max_degree,
+                         lambda h: expand_rational_fn(ptgn_series(h, n), max_degree)) == rhs
+
+
+def _exterior_sum(g: int, max_degree: int, piece: Callable[[int], List[int]]) -> List[int]:
+    """sum over k = 0..g of (C(2g,k) - C(2g,k-2)) t^{3k} piece(g-k), through
+    degree max_degree; ``piece(h)`` is a coefficient list starting at degree 0."""
+    out = [0] * (max_degree + 1)
     for k in range(g + 1):
         mult = math.comb(2 * g, k) - (math.comb(2 * g, k - 2) if k >= 2 else 0)
-        part = expand_rational_fn(ptgn_series(g - k, n), max_degree)
-        for d, c in enumerate(part):
+        for d, c in enumerate(piece(g - k)):
             if d + 3 * k <= max_degree:
-                lhs[d + 3 * k] += mult * c
-    return lhs == rhs
+                out[d + 3 * k] += mult * c
+    return out
 
 
 # -- the filtered quotient model ----------------------------------------------------
@@ -444,6 +445,8 @@ class QuotientModel:
         self.ring = J.ambient.with_coordinate(OMEGA)
         if self.ring.has_epsilon:
             raise ValueError("quotient models need a ring without epsilon")
+        if self.ring.coeff_kind != RATIONAL:
+            raise ValueError("quotient models need rational coefficients; specialize u first")
         self._build(formula)
 
     # construction ---------------------------------------------------------------
@@ -522,9 +525,7 @@ class QuotientModel:
         cb = b.terms.get(e0)
         if cb is None:
             return None
-        ratio = c0 / cb if not isinstance(c0, LaurentU) else None
-        if ratio is None:
-            return None
+        ratio = c0 / cb
         for e, c in a.terms.items():
             if b.terms.get(e) is None or b.terms[e] * ratio != c:
                 return None
@@ -810,14 +811,6 @@ def _eigen_verify_local(g: int, sgn: int, theta: Fraction, model: QuotientModel)
 # -- sub-leading solver (three points) ------------------------------------------------
 
 
-def _even_subsets(n: int) -> List[Tuple[int, ...]]:
-    from itertools import combinations
-    out = []
-    for size in range(0, n + 1, 2):
-        out.extend(combinations(range(1, n + 1), size))
-    return out
-
-
 def solve_subleading(g: int, n: int = 3) -> GeneratorSet:
     """Solve for the minimal-degree relation at three points.
 
@@ -850,7 +843,7 @@ def solve_subleading(g: int, n: int = 3) -> GeneratorSet:
             rows.append([vu[i] for vu in vec_unknowns])
             rhs.append(-vec_base[i])
 
-    for I in _even_subsets(3):
+    for I in flip_subsets(3, even=True):
         flipped_base = base.flip(I)
         nf_base = model.normal_form(flipped_base.pi_reduce())
         nf_unknowns = []
@@ -879,7 +872,7 @@ def solve_subleading(g: int, n: int = 3) -> GeneratorSet:
         h = Poly.zero(rng)
     f_hat = base + h
     gens = []
-    for I in _even_subsets(3):
+    for I in flip_subsets(3, even=True):
         name = f"tau_{{{','.join(map(str, I))}}}(fhat_{{{g},3}})"
         gens.append((name, f_hat.flip(I)))
     return GeneratorSet(
@@ -926,7 +919,7 @@ def _three_point_ideals(g: int):
     rng3 = ring(3, coordinate=ALPHA)
     gamma_p = Poly.variable(rng3, "gamma")
     base = xi(g, 3, target=rng3)
-    for I in _even_subsets(3):
+    for I in flip_subsets(3, even=True):
         keep.append((f"gamma*tau_{{{','.join(map(str, I))}}}(xi_{{{g},3}})",
                      gamma_p * base.flip(I)))
     I_set = GeneratorSet(I_full.label, I_full.ambient, keep, meta=I_full.meta)

@@ -147,15 +147,15 @@ def _eliminate(vec: Dict[int, int], pivot: Dict[int, int], p: int) -> Dict[int, 
     return _primitive(vec) if vec else vec
 
 
-def rref(M: Matrix, strategy: str = "min_bits") -> Tuple[Matrix, List[int], Matrix]:
+def rref(M: Matrix) -> Tuple[Matrix, List[int], Matrix]:
     """Reduced row echelon form.
 
     Returns (R, pivots, T) with R = T*M, T invertible, pivots strictly increasing.
     Gauss-Jordan runs on the primitive integer rows of [M | I]; the first rank
-    rows are divided by their pivot entries at the end.  ``strategy`` selects the
-    pivot row: 'first' or 'min_bits' (the pivot entry of fewest bits, to limit
-    growth).  R is the canonical RREF either way, and so is T when M has full
-    row rank; below the rank, the rows of T are a basis of the left kernel.
+    rows are divided by their pivot entries at the end.  The pivot row is the
+    one whose pivot entry has the fewest bits, to limit growth.  R is the
+    canonical RREF, and so is T when M has full row rank; below the rank, the
+    rows of T are a basis of the left kernel.
     """
     n, cols = M.rows, M.cols
     a = [_primitive_row({**dict(enumerate(row)), cols + i: Fraction(1)})
@@ -166,7 +166,7 @@ def rref(M: Matrix, strategy: str = "min_bits") -> Tuple[Matrix, List[int], Matr
         cand = [i for i in range(r, n) if c in a[i]]
         if not cand:
             continue
-        p = cand[0] if strategy == "first" else min(cand, key=lambda i: (a[i][c].bit_length(), i))
+        p = min(cand, key=lambda i: (a[i][c].bit_length(), i))
         a[r], a[p] = a[p], a[r]
         pivot = a[r]
         for i in range(n):

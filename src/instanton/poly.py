@@ -30,19 +30,30 @@ def _fr(x) -> Fraction:
     return Fraction(x)
 
 
+def _summed(pairs: Iterable[Tuple[object, object]], into: Optional[dict] = None) -> dict:
+    """Sum ``(key, coefficient)`` pairs into ``into`` (a new dict by default) and
+    return it; a key whose sum is zero is not stored.  Keys are exponent tuples
+    or u-exponents.  This is the term format of :class:`Poly` and
+    :class:`LaurentU`: one coefficient per key, never a zero."""
+    out = {} if into is None else into
+    get = out.get
+    for k, c in pairs:
+        s = get(k)
+        s = c if s is None else s + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
 class LaurentU:
     """Laurent polynomial in u over Fraction, as a map u-exponent -> coefficient."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping[int, Scalar]] = None):
-        clean: Dict[int, Fraction] = {}
-        if terms:
-            for k, c in terms.items():
-                c = _fr(c)
-                if c:
-                    clean[int(k)] = c
-        self.terms = clean
+        self.terms = _summed((int(k), _fr(c)) for k, c in terms.items()) if terms else {}
 
     @classmethod
     def coerce(cls, x: Union["LaurentU", Scalar]) -> "LaurentU":
@@ -71,15 +82,7 @@ class LaurentU:
         return LaurentU({k: -c for k, c in self.terms.items()})
 
     def __add__(self, other) -> "LaurentU":
-        other = LaurentU.coerce(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return LaurentU(out)
+        return LaurentU(_summed(LaurentU.coerce(other).terms.items(), dict(self.terms)))
 
     __radd__ = __add__
 
@@ -91,16 +94,8 @@ class LaurentU:
 
     def __mul__(self, other) -> "LaurentU":
         other = LaurentU.coerce(other)
-        out: Dict[int, Fraction] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return LaurentU(out)
+        return LaurentU(_summed((k1 + k2, c1 * c2) for k1, c1 in self.terms.items()
+                                for k2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -231,14 +226,17 @@ class Poly:
 
     def __init__(self, ring: RingDescriptor, terms: Mapping[Exponents, object],
                  _normalized: bool = False):
+        # _normalized: ``terms`` is a fresh dict already in the term format; it
+        # is taken over, not copied
         self.ring = ring
-        if _normalized:
-            self.terms = dict(terms)
-            return
-        laurent = ring.coeff_kind == LAURENT_U
+        self.terms = terms if _normalized else _summed(self._checked(terms.items()))
+
+    def _checked(self, pairs):
+        """The pairs with exponents validated (epsilon folded mod 2) and
+        coefficients coerced to the ring's kind."""
+        ring = self.ring
         nv = ring.nvars
-        clean: Dict[Exponents, object] = {}
-        for exps, coeff in terms.items():
+        for exps, coeff in pairs:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nv:
                 raise ValueError(f"expected {nv} exponents, got {len(exps)}")
@@ -246,18 +244,18 @@ class Poly:
                 raise ValueError("negative exponent")
             if ring.has_epsilon and exps[-1] > 1:
                 exps = exps[:-1] + (exps[-1] % 2,)  # epsilon^2 = 1
-            coeff = LaurentU.coerce(coeff) if laurent else _fr(coeff)
-            if not coeff:
-                continue
-            acc = clean.get(exps)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff:
-                clean[exps] = coeff
-            else:
-                clean.pop(exps, None)
-        self.terms = clean
+            yield exps, self._coerce_scalar(coeff)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_terms(cls, ring: RingDescriptor,
+                   pairs: Iterable[Tuple[Exponents, object]]) -> "Poly":
+        """The sum of ``(exponents, coefficient)`` pairs, for trusted input:
+        exponent tuples of the ring's length, nonnegative and with epsilon
+        folded, and coefficients of the ring's kind.  Pairs may repeat an
+        exponent tuple or carry a zero coefficient."""
+        return cls(ring, _summed(pairs), _normalized=True)
 
     @classmethod
     def zero(cls, ring: RingDescriptor) -> "Poly":
@@ -334,15 +332,7 @@ class Poly:
             return self + Poly.constant(self.ring, other)
         if self.ring != other.ring:
             raise ValueError("ring mismatch")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly(self.ring, out, _normalized=True)
+        return Poly(self.ring, _summed(other.terms.items(), dict(self.terms)), _normalized=True)
 
     __radd__ = __add__
 
@@ -366,21 +356,11 @@ class Poly:
                         _normalized=True)
         if self.ring != other.ring:
             raise ValueError("ring mismatch")
-        has_eps = self.ring.has_epsilon
-        out: Dict[Exponents, object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if has_eps and e[-1] > 1:
-                    e = e[:-1] + (e[-1] % 2,)
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(self.ring, out, _normalized=True)
+        pairs = ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in self.terms.items()
+                 for e2, c2 in other.terms.items())
+        if self.ring.has_epsilon:
+            pairs = ((e[:-1] + (e[-1] % 2,), c) for e, c in pairs)
+        return Poly.from_terms(self.ring, pairs)
 
     __rmul__ = __mul__
 
@@ -428,6 +408,7 @@ class Poly:
         target = next(iter(images.values())).ring if images else self.ring
         idx_image = {self.ring.var_index(name): img for name, img in images.items()}
         pow_cache: Dict[Tuple[int, int], Poly] = {}
+        one = Poly.constant(target, 1)
 
         def power(idx: int, k: int) -> Poly:
             key = (idx, k)
@@ -435,30 +416,26 @@ class Poly:
                 pow_cache[key] = idx_image[idx] ** k
             return pow_cache[key]
 
-        out = Poly.zero(target)
-        for exps, coeff in self.terms.items():
-            fixed = [0] * target.nvars
-            term = None
-            ok = True
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                if i in idx_image:
-                    p = power(i, e)
-                    term = p if term is None else term * p
-                else:
-                    name = self.ring.var_names[i]
+        def pairs():
+            for exps, coeff in self.terms.items():
+                fixed = [0] * target.nvars
+                term = one
+                for i, e in enumerate(exps):
+                    if not e:
+                        continue
+                    if i in idx_image:
+                        term = term * power(i, e)
+                        continue
                     try:
-                        j = target.var_index(name)
+                        fixed[target.var_index(self.ring.var_names[i])] = e
                     except KeyError:
-                        ok = False
-                        break
-                    fixed[j] = e
-            if not ok:
-                raise ValueError("substitution target ring lacks a needed variable")
-            mono = Poly.monomial(target, tuple(fixed), coeff)
-            out = out + (mono if term is None else mono * term)
-        return out
+                        raise ValueError("substitution target ring lacks a needed "
+                                         "variable") from None
+                coeff = one._coerce_scalar(coeff)
+                for e, c in term.times_monomial(tuple(fixed)).terms.items():
+                    yield e, c * coeff
+
+        return Poly.from_terms(target, pairs())
 
     def cast(self, target: RingDescriptor) -> "Poly":
         """Reinterpret in a larger ring; variables absent from the target must be unused."""
@@ -495,20 +472,21 @@ class Poly:
         first = Poly.variable(new_ring, target_coordinate)
         # alpha = omega - sum/2 ; omega = alpha + sum/2
         image = first - delta_sum * half if target_coordinate == OMEGA else first + delta_sum * half
-        pow_cache: Dict[int, Poly] = {0: Poly.constant(new_ring, 1), 1: image}
+        powers = [Poly.constant(new_ring, 1)]  # image^k
 
-        def power(k: int) -> Poly:
-            if k not in pow_cache:
-                pow_cache[k] = power(k - 1) * image
-            return pow_cache[k]
+        def pairs():
+            for exps, coeff in self.terms.items():
+                a = exps[0]
+                if not a:
+                    yield exps, coeff
+                    continue
+                while len(powers) <= a:
+                    powers.append(powers[-1] * image)
+                rest = (0,) + exps[1:]
+                for e, c in powers[a].terms.items():
+                    yield tuple(map(add, e, rest)), c * coeff
 
-        out = Poly.zero(new_ring)
-        for exps, coeff in self.terms.items():
-            rest = (0,) + exps[1:]
-            mono = Poly.monomial(new_ring, rest, coeff)
-            a = exps[0]
-            out = out + (mono if a == 0 else mono * power(a))
-        return out
+        return Poly.from_terms(new_ring, pairs())
 
     def flip(self, indices: Iterable[int]) -> "Poly":
         """Flip symmetry tau_I: fixes omega, beta, gamma and negates delta_i for i in I."""
@@ -538,21 +516,17 @@ class Poly:
             raise ValueError("pi_reduce needs at least 3 delta variables")
         new_ring = self.ring.with_n(n - 2)
         eps = 1 if self.ring.has_epsilon else 0
-        out: Dict[Exponents, object] = {}
-        for exps, coeff in self.terms.items():
-            d_last, d_mid, d_keep = exps[2 + n], exps[1 + n], exps[n]
-            head = exps[:n]  # first var, beta, gamma, delta_1..delta_{n-3}
-            new = head + (d_keep + d_mid + d_last,)
-            if eps:
-                new += (exps[-1],)
-            c = -coeff if d_mid % 2 else coeff
-            s = out.get(new)
-            s = c if s is None else s + c
-            if s:
-                out[new] = s
-            else:
-                out.pop(new, None)
-        return Poly(new_ring, out, _normalized=True)
+
+        def pairs():
+            for exps, coeff in self.terms.items():
+                d_last, d_mid, d_keep = exps[2 + n], exps[1 + n], exps[n]
+                head = exps[:n]  # first var, beta, gamma, delta_1..delta_{n-3}
+                new = head + (d_keep + d_mid + d_last,)
+                if eps:
+                    new += (exps[-1],)
+                yield new, -coeff if d_mid % 2 else coeff
+
+        return Poly.from_terms(new_ring, pairs())
 
     # -- evaluation ----------------------------------------------------------
 

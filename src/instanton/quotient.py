@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from .poly import (LAURENT_U, OMEGA, Exponents, LaurentU, Poly, RingDescriptor)
@@ -76,40 +77,35 @@ def canonical_rep(f: Poly, spec: QuotientSpec) -> Poly:
     """The canonical representative of f in the quotient, in omega-coordinates."""
     f = f.change_coordinates(OMEGA)
     ring = f.ring
-    n = ring.n
     G = spec.gamma_truncation
     c = spec.delta_square
     if ring.coeff_kind == LAURENT_U:
         c = LaurentU.coerce(c)
     elif isinstance(c, LaurentU):
         c = c.constant_value()
-    # powers of (c - beta) as polynomials, built on demand
     cb = Poly.constant(ring, c) - Poly.variable(ring, "beta")
-    cb_powers: Dict[int, Poly] = {0: Poly.constant(ring, 1), 1: cb}
-
-    def cb_pow(k: int) -> Poly:
-        if k not in cb_powers:
-            cb_powers[k] = cb_pow(k - 1) * cb
-        return cb_powers[k]
-
-    out = Poly.zero(ring)
+    cb_powers: Dict[int, Poly] = {}  # (c - beta)^k, a polynomial in beta
     ds = ring.delta_slice()
-    for exps, coeff in f.terms.items():
-        if G is not None and exps[2] >= G:
-            continue
-        deltas = exps[ds]
-        total_sq = sum(d // 2 for d in deltas)
-        if total_sq == 0:
-            out = out + Poly.monomial(ring, exps, coeff)
-            continue
-        reduced = list(exps)
-        for i, d in enumerate(deltas):
-            reduced[3 + i] = d % 2
-        out = out + Poly.monomial(ring, tuple(reduced), coeff) * cb_pow(total_sq)
+
+    def pairs():
+        for exps, coeff in f.terms.items():
+            if G is not None and exps[2] >= G:
+                continue
+            deltas = exps[ds]
+            k = sum(d // 2 for d in deltas)
+            if not k:
+                yield exps, coeff
+                continue
+            if k not in cb_powers:
+                cb_powers[k] = cb ** k
+            reduced = exps[:3] + tuple(d % 2 for d in deltas) + exps[ds.stop:]
+            for e, c2 in cb_powers[k].terms.items():
+                yield tuple(map(add, e, reduced)), c2 * coeff
+
+    terms = pairs()
     if spec.beta_zero:
-        out = Poly(out.ring, {e: c2 for e, c2 in out.terms.items() if e[1] == 0},
-                   _normalized=True)
-    return out
+        terms = ((e, c2) for e, c2 in terms if not e[1])
+    return Poly.from_terms(ring, terms)
 
 
 def delta_support(ring: RingDescriptor, exps: Exponents) -> FrozenSet[int]:
@@ -124,11 +120,8 @@ def iso_project(f: Poly, I: Iterable[int], spec: QuotientSpec) -> Poly:
     if len(I) > ring.m:
         raise ValueError(f"|I| must be <= m = {ring.m}")
     Ic = frozenset(range(1, ring.n + 1)) - I
-    keep = {
-        e: c for e, c in g.terms.items()
-        if delta_support(ring, e) in (I, Ic)
-    }
-    return Poly(ring, keep, _normalized=True)
+    return Poly.from_terms(ring, ((e, c) for e, c in g.terms.items()
+                                  if delta_support(ring, e) in (I, Ic)))
 
 
 def pi_on_quotient(f: Poly, spec_from: QuotientSpec, spec_to: QuotientSpec) -> Poly:

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import series as series_mod
 from .poly import (ALPHA, LAURENT_U, OMEGA, RATIONAL, LaurentU, Poly,
-                   RingDescriptor, ring)
+                   RingDescriptor, _summed, ring)
 from .quotient import QuotientSpec, canonical_rep, delta_support, rbar_spec
 from .series import SeriesT, exp_series, pow_binomial
 
@@ -39,36 +39,16 @@ def _xi_raw(k: int, n: int) -> Dict[Tuple[int, int, int], Fraction]:
     ]
     # (j+1) xi_{j+1} = alpha xi_j + (m-j) beta xi_{j-1} - (gamma/2) xi_{j-2}
     for j in range(1, k):
-        acc: Dict[Tuple[int, int, int], Fraction] = {}
-
-        def add(exps, coeff):
-            if not coeff:
-                return
-            s = acc.get(exps, Fraction(0)) + coeff
-            if s:
-                acc[exps] = s
-            else:
-                acc.pop(exps, None)
-
         inv = Fraction(1, j + 1)
-        for (a, b, c), co in table[j].items():
-            add((a + 1, b, c), co * inv)
         f = Fraction(m - j, j + 1)
-        if f:
-            for (a, b, c), co in table[j - 1].items():
-                add((a, b + 1, c), co * f)
+        half = Fraction(1, 2 * (j + 1))
+        pairs = [((a + 1, b, c), co * inv) for (a, b, c), co in table[j].items()]
+        pairs += [((a, b + 1, c), co * f) for (a, b, c), co in table[j - 1].items()]
         if j >= 2:
-            half = Fraction(1, 2 * (j + 1))
-            for (a, b, c), co in table[j - 2].items():
-                add((a, b, c + 1), -co * half)
-        table.append(acc)
-    result = table[k] if k < len(table) else table[-1]
-    if k == 0:
-        result = {(0, 0, 0): Fraction(1)}
-    elif k == 1:
-        result = {(1, 0, 0): Fraction(1)}
-    _xi_cache[key] = result
-    return result
+            pairs += [((a, b, c + 1), -co * half) for (a, b, c), co in table[j - 2].items()]
+        table.append(_summed(pairs))
+    _xi_cache[key] = table[k]
+    return table[k]
 
 
 def xi(k: int, n: int, target: Optional[RingDescriptor] = None) -> Poly:
@@ -81,11 +61,8 @@ def xi(k: int, n: int, target: Optional[RingDescriptor] = None) -> Poly:
     raw = _xi_raw(k, n)
     if target is None:
         target = ring(max(n, 1), coordinate=ALPHA)
-    terms = {}
-    pad = [0] * (target.nvars - 3)
-    for (a, b, c), co in raw.items():
-        terms[(a, b, c, *pad)] = co
-    return Poly(target, terms)
+    pad = (0,) * (target.nvars - 3)
+    return Poly.from_terms(target, ((abc + pad, co) for abc, co in raw.items()))
 
 
 def delta_sym(n: int, s: int, target: Optional[RingDescriptor] = None) -> Poly:
@@ -123,13 +100,12 @@ def _rho_proj_all(k: int, n: int) -> Dict[int, Poly]:
     rng = xbar.ring
     coeff_ring = series_mod.COEFF_RING
     scale = Fraction(2 ** (m + 1))
-    by_size: Dict[int, Dict[frozenset, Poly]] = {}
+    by_size: Dict[int, Dict[frozenset, list]] = {}
     for exps, coeff in xbar.terms.items():
         sup = delta_support(rng, exps)
-        target = by_size.setdefault(len(sup), {})
-        tgt_exps = (exps[0], exps[1], 0, 0)  # omega, beta in the small ring
-        mono = Poly.monomial(coeff_ring, tgt_exps, coeff * scale)
-        target[sup] = target.get(sup, Poly.zero(coeff_ring)) + mono
+        # omega, beta in the small ring
+        by_size.setdefault(len(sup), {}).setdefault(sup, []).append(
+            ((exps[0], exps[1], 0, 0), coeff * scale))
     out: Dict[int, Poly] = {}
     for s in range(n + 1):
         groups = by_size.get(s, {})
@@ -137,7 +113,7 @@ def _rho_proj_all(k: int, n: int) -> Dict[int, Poly]:
         if groups:
             if set(groups) != expected:
                 raise AssertionError("decomposition residual nonzero: missing supports")
-            vals = list(groups.values())
+            vals = [Poly.from_terms(coeff_ring, pairs) for pairs in groups.values()]
             if any(v != vals[0] for v in vals[1:]):
                 raise AssertionError("decomposition residual nonzero: symmetry violated")
             out[s] = vals[0]
@@ -297,7 +273,9 @@ def w_skeleton(g: int, n: int, eta: EtaChoice) -> Poly:
     return a + eps_hat * b * ((-1) ** g)
 
 
-def _flip_subsets(n: int, even: bool) -> List[Tuple[int, ...]]:
+def flip_subsets(n: int, even: bool) -> List[Tuple[int, ...]]:
+    """The subsets I of {1..n} of even (or odd) size, by size, then
+    lexicographically: the index sets of the flips tau_I."""
     out = []
     for size in range(0, n + 1):
         if (size % 2 == 0) != even:
@@ -329,7 +307,7 @@ def igen(g: int, n: int, parity: str) -> GeneratorSet:
     gens.append((f"gamma^{g + 1}", Poly.variable(rng, "gamma") ** (g + 1)))
     for j in range(3):
         base = xi(g + m + j, n, target=rng)
-        for I in _flip_subsets(n, even=use_even_flips):
+        for I in flip_subsets(n, even=use_even_flips):
             name = f"tau_{{{','.join(map(str, I))}}}(xi_{{{g + m + j},{n}}})"
             gens.append((name, base.flip(I)))
     return GeneratorSet(
@@ -348,7 +326,7 @@ def kprime_gen(g: int, n: int) -> GeneratorSet:
     gens: List[Tuple[str, Poly]] = []
     for j in range(2):
         base = canonical_rep(xi(g + m + j, n), spec)
-        for I in _flip_subsets(n, even=True):
+        for I in flip_subsets(n, even=True):
             name = f"tau_{{{','.join(map(str, I))}}}(xibar_{{{g + m + j},{n}}})"
             gens.append((name, base.flip(I)))
     return GeneratorSet(
@@ -416,12 +394,7 @@ def specialize_u(f: Poly, u_value: Fraction) -> Poly:
     if f.ring.coeff_kind != LAURENT_U:
         return f
     rng = RingDescriptor(f.ring.n, RATIONAL, f.ring.coordinate, f.ring.has_epsilon)
-    terms = {}
-    for exps, coeff in f.terms.items():
-        v = coeff.evaluate(u_value)
-        if v:
-            terms[exps] = v
-    return Poly(rng, terms, _normalized=True)
+    return Poly.from_terms(rng, ((e, c.evaluate(u_value)) for e, c in f.terms.items()))
 
 
 def phi_negate(f: Poly) -> Poly:
@@ -430,12 +403,9 @@ def phi_negate(f: Poly) -> Poly:
     In omega-coordinates it negates omega, gamma and every delta the same way,
     so one exponent-sign rule covers both coordinates.
     """
-    out = {}
     ds = f.ring.delta_slice()
-    for exps, coeff in f.terms.items():
-        s = exps[0] + exps[2] + sum(exps[ds])
-        out[exps] = -coeff if s % 2 else coeff
-    return Poly(f.ring, out, _normalized=True)
+    return Poly.from_terms(f.ring, ((e, -c if (e[0] + e[2] + sum(e[ds])) % 2 else c)
+                                    for e, c in f.terms.items()))
 
 
 def jgen_n1(g: int, sign: str = "+", local: bool = False) -> GeneratorSet:

@@ -89,7 +89,7 @@ def dense_reduce_oracle(f: Poly, spec: QuotientSpec) -> Poly:
                 out = out + Poly.monomial(ring, tuple(lowered), coeff) * cb
         g = out
     if spec.beta_zero:
-        g = Poly(g.ring, {e: c2 for e, c2 in g.terms.items() if e[1] == 0}, _normalized=True)
+        g = Poly.from_terms(g.ring, ((e, c2) for e, c2 in g.terms.items() if e[1] == 0))
     return g
 
 
@@ -287,8 +287,8 @@ class LiftTableModel:
                     p = min(residual)
                     inv = Fraction(1) / residual[p]
                     table.pivot_rows[p] = {j: c * inv for j, c in residual.items()}
-                    table.lifts[p] = Poly(self.ring, {e: c * inv for e, c in lift.items()},
-                                          _normalized=True)
+                    table.lifts[p] = Poly.from_terms(self.ring,
+                                                     ((e, c * inv) for e, c in lift.items()))
             table.basis = [table.monomials[i] for i in range(len(table.monomials))
                            if i not in table.pivot_rows]
             if hasattr(self, "basis") and table.basis:
@@ -330,7 +330,7 @@ class LiftTableModel:
                     terms[mono] = s
                 else:
                     del terms[mono]
-            f = Poly(self.ring, terms, _normalized=True)
+            f = Poly.from_terms(self.ring, terms.items())
             new_deg = f.degree()
             if not f.is_zero() and new_deg >= d:
                 raise RuntimeError("degree did not descend during reduction")

@@ -82,6 +82,13 @@ def test_model_rejects_non_deforming_pair():
         QuotientModel(J, bad_I)
 
 
+def test_model_rejects_laurent_coefficients_as_bad_input():
+    # u must be specialized first; this is bad input, not a failed verification
+    with pytest.raises(ValueError, match="rational coefficients") as exc:
+        QuotientModel(jgen_n1(1, local=True), *floer._one_point_ideals(1)[1:])
+    assert not isinstance(exc.value, VerificationError)
+
+
 def test_normal_form_examples():
     m1 = model_for(1)
     assert m1.normal_form(r_poly(1)) == [0, 0]

@@ -54,14 +54,12 @@ def test_rank_nullity_on_random(rand=None):
     assert rank(m) + kernel_basis(m).rows == 20
 
 
-def test_rref_transform_and_strategies():
+def test_rref_transform():
     rng = random.Random(11)
     m = Matrix([[F(rng.randint(-9, 9)) for _ in range(8)] for _ in range(6)])
-    r1, p1, t1 = rref(m, strategy="first")
-    r2, p2, t2 = rref(m, strategy="min_bits")
-    assert r1 == r2 and p1 == p2  # RREF is canonical, pivot strategy irrelevant
-    assert t1 * m == r1
-    assert rank(Matrix(t1.data)) == 6  # transform invertible
+    r, _pivots, t = rref(m)
+    assert t * m == r
+    assert rank(Matrix(t.data)) == 6  # transform invertible
 
 
 def test_generalized_eigenspace_jordan_block():
@@ -379,10 +377,10 @@ def test_row_rank_property_against_oracles(case):
 # -- the dense integer kernels against the Fraction bodies they replaced -------------
 
 
-def rref_fraction_oracle(M: Matrix, strategy: str = "min_bits"):
+def rref_fraction_oracle(M: Matrix):
     """Gauss-Jordan with the transform over Fraction (the rref body before the
-    integer rows); 'min_bits' picks the pivot of fewest numerator plus
-    denominator bits, ties to the earliest row."""
+    integer rows); the pivot is the entry of fewest numerator plus denominator
+    bits, ties to the earliest row."""
     a = [list(row) for row in M.data]
     t = [[F(int(i == j)) for j in range(M.rows)] for i in range(M.rows)]
     pivots: List[int] = []
@@ -391,11 +389,8 @@ def rref_fraction_oracle(M: Matrix, strategy: str = "min_bits"):
         cand = [i for i in range(r, M.rows) if a[i][c]]
         if not cand:
             continue
-        if strategy == "first":
-            p = cand[0]
-        else:
-            p = min(cand, key=lambda i: (a[i][c].numerator.bit_length()
-                                         + a[i][c].denominator.bit_length(), i))
+        p = min(cand, key=lambda i: (a[i][c].numerator.bit_length()
+                                     + a[i][c].denominator.bit_length(), i))
         a[r], a[p] = a[p], a[r]
         t[r], t[p] = t[p], t[r]
         inv = F(1) / a[r][c]
@@ -424,17 +419,16 @@ def matmul_oracle(A: Matrix, B: Matrix) -> Matrix:
 
 
 def assert_rref_matches_oracle(M: Matrix) -> int:
-    """Same R and pivots as the oracle under both strategies; T*M == R with T
-    invertible; the same T when M has full row rank.  Returns the rank."""
+    """Same R and pivots as the oracle; T*M == R with T invertible; the same T
+    when M has full row rank.  Returns the rank."""
     R0, p0, T0 = rref_fraction_oracle(M)
-    for strategy in ("min_bits", "first"):
-        R, pivots, T = rref(M, strategy=strategy)
-        assert (R, pivots) == (R0, p0)
-        assert (T.rows, T.cols) == (M.rows, M.rows)
-        assert T * M == R
-        assert rank(T) == M.rows
-        if len(pivots) == M.rows:
-            assert T == T0 == rref_fraction_oracle(M, strategy)[2]
+    R, pivots, T = rref(M)
+    assert (R, pivots) == (R0, p0)
+    assert (T.rows, T.cols) == (M.rows, M.rows)
+    assert T * M == R
+    assert rank(T) == M.rows
+    if len(pivots) == M.rows:
+        assert T == T0
     return len(p0)
 
 

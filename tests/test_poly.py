@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_poly
+from conftest import random_laurent_poly, random_poly
 from instanton.poly import (ALPHA, LAURENT_U, OMEGA, LaurentU, Poly, alpha,
                             beta, delta, epsilon, epsilon_hat, gamma,
                             monomials_of_degree, omega, ring)
@@ -197,3 +199,123 @@ def test_times_monomial_is_the_monomial_product(rand, rng):
         assert shifted == p * Poly.monomial(rng, mono)
         assert len(shifted.terms) == len(p.terms)
         assert zero.times_monomial(mono) == zero
+
+
+# -- arithmetic checked by evaluation, not by Poly's own arithmetic ---------------
+
+EVAL_RINGS = [ring(3), ring(3, coordinate=OMEGA), ring(3, coeff_kind=LAURENT_U),
+              ring(3, has_epsilon=True), ring(3, coeff_kind=LAURENT_U, has_epsilon=True)]
+EVAL_IDS = ["rational", "omega", "laurent", "epsilon", "laurent_epsilon"]
+
+
+def _poly(rng, rand, **kw):
+    if rng.coeff_kind == LAURENT_U:
+        return random_laurent_poly(rng, rand, **kw)
+    return random_poly(rng, rand, **kw)
+
+
+def _point(rng, rand):
+    """A random rational point of the ring (epsilon = +-1, so epsilon^2 = 1
+    holds there) and a random nonzero u."""
+    point = {name: F(rand.randint(-9, 9), rand.randint(1, 5)) for name in rng.var_names}
+    if rng.has_epsilon:
+        point["epsilon"] = rand.choice((1, -1))
+    return point, F(rand.choice((-1, 1)) * rand.randint(1, 7), rand.randint(1, 5))
+
+
+def _no_zero_stored(*polys):
+    for p in polys:
+        assert all(p.terms.values())
+        if p.ring.coeff_kind == LAURENT_U:
+            assert all(c.terms and all(c.terms.values()) for c in p.terms.values())
+
+
+@pytest.mark.parametrize("rng", EVAL_RINGS, ids=EVAL_IDS)
+def test_arithmetic_is_evaluation(rand, rng):
+    """Sums, differences, products and monomial shifts of random polynomials,
+    with many colliding exponents, against the values at random points."""
+    for _ in range(30):
+        f = _poly(rng, rand, terms=rand.randint(0, 7), max_exp=1)
+        g = _poly(rng, rand, terms=rand.randint(0, 7), max_exp=1)
+        point, u = _point(rng, rand)
+        fv, gv = f.evaluate(point, u_value=u), g.evaluate(point, u_value=u)
+        assert (f * g).evaluate(point, u_value=u) == fv * gv
+        assert (f + g).evaluate(point, u_value=u) == fv + gv
+        assert (f - g).evaluate(point, u_value=u) == fv - gv
+        assert (f * F(-3, 2)).evaluate(point, u_value=u) == fv * F(-3, 2)
+        mono = tuple(rand.randint(0, 2) for _ in range(rng.nvars))
+        mv = 1
+        for name, e in zip(rng.var_names, mono):
+            mv *= F(point[name]) ** e
+        assert f.times_monomial(mono).evaluate(point, u_value=u) == fv * mv
+        _no_zero_stored(f, g, f * g, f + g, f - g, f - f, f + (-f), f * g - g * f,
+                        f.times_monomial(mono))
+        assert (f - f).terms == {} and (f * g - g * f).terms == {}
+
+
+@pytest.mark.parametrize("rng", EVAL_RINGS, ids=EVAL_IDS)
+def test_structure_maps_are_evaluation(rand, rng):
+    """change_coordinates, flip, pi_reduce and substitute against their
+    definitions on points: omega = alpha + (sum delta)/2; tau_I fixes omega and
+    negates delta_i (i in I); pi sends the last two deltas to -delta_{n-2} and
+    delta_{n-2}."""
+    for _ in range(15):
+        f = _poly(rng, rand, terms=rand.randint(1, 7), max_exp=2)
+        point, u = _point(rng, rand)
+        a, b, c = point[rng.var_names[0]], point["beta"], point["gamma"]
+        ds = [point[f"delta{i}"] for i in (1, 2, 3)]
+        e = point.get("epsilon", 1)
+        if rng.coordinate == OMEGA:
+            a -= sum(ds) / 2  # the alpha value of this point
+        fv = f.evaluate_alpha_point(a, b, c, ds, e, u_value=u)
+        other = OMEGA if rng.coordinate == ALPHA else ALPHA
+        moved = f.change_coordinates(other)
+        assert moved.evaluate_alpha_point(a, b, c, ds, e, u_value=u) == fv
+        for I in ((1,), (1, 3), (1, 2, 3)):
+            flipped = [-d if i + 1 in I else d for i, d in enumerate(ds)]
+            a_flip = a + sum(ds[i - 1] for i in I)
+            assert f.flip(I).evaluate_alpha_point(a, b, c, ds, e, u_value=u) == \
+                f.evaluate_alpha_point(a_flip, b, c, flipped, e, u_value=u)
+        small_point = {k: v for k, v in point.items() if k not in ("delta2", "delta3")}
+        big_point = dict(small_point, delta2=-point["delta1"], delta3=point["delta1"])
+        assert f.pi_reduce().evaluate(small_point, u_value=u) == f.evaluate(big_point, u_value=u)
+        g = _poly(rng, rand, terms=3, max_exp=1)
+        subbed = f.substitute({"beta": g})
+        assert subbed.evaluate(point, u_value=u) == \
+            f.evaluate(dict(point, beta=g.evaluate(point, u_value=u)), u_value=u)
+        _no_zero_stored(moved, f.flip((1, 3)), f.pi_reduce(), subbed)
+
+
+_HYP_RINGS = [ring(3), ring(1, coeff_kind=LAURENT_U, coordinate=OMEGA), ring(1, has_epsilon=True)]
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _poly_pair_and_point(draw):
+    rng = draw(st.sampled_from(_HYP_RINGS))
+
+    def coeff():
+        if rng.coeff_kind == LAURENT_U:
+            return LaurentU(draw(st.dictionaries(st.integers(-2, 2), _small, max_size=3)))
+        return draw(_small)
+
+    def poly():
+        keys = draw(st.lists(st.tuples(*[st.integers(0, 2)] * rng.nvars), max_size=6))
+        return Poly(rng, {k: coeff() for k in keys})
+
+    point = {name: draw(_small) for name in rng.var_names}
+    if rng.has_epsilon:
+        point["epsilon"] = draw(st.sampled_from((1, -1)))
+    u = draw(_small.filter(bool))
+    return poly(), poly(), point, u
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_poly_pair_and_point())
+def test_arithmetic_is_evaluation_property(case):
+    f, g, point, u = case
+    fv, gv = f.evaluate(point, u_value=u), g.evaluate(point, u_value=u)
+    assert (f * g).evaluate(point, u_value=u) == fv * gv
+    assert (f + g).evaluate(point, u_value=u) == fv + gv
+    _no_zero_stored(f, g, f * g, f + g, f - g)
+    assert (f - f).is_zero() and (f * g - g * f).is_zero()

@@ -2,8 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_poly
-from instanton.poly import OMEGA, Poly, beta, delta, gamma, omega, ring
+from conftest import random_laurent_poly, random_poly
+from instanton.poly import (LAURENT_U, OMEGA, LaurentU, Poly, beta, delta,
+                            gamma, omega, ring)
 from instanton.quotient import (canonical_monomials, canonical_rep,
                                 iso_project, local_spec, mod_beta_spec,
                                 model_spec, pi_on_quotient, r1_spec, rbar_spec)
@@ -11,6 +12,7 @@ from oracles import dense_reduce_oracle, even_average
 
 W1 = ring(1, coordinate=OMEGA)
 W3 = ring(3, coordinate=OMEGA)
+WL3 = ring(3, coeff_kind=LAURENT_U, coordinate=OMEGA)
 
 
 def test_canonical_rep_examples():
@@ -45,6 +47,36 @@ def test_canonical_rep_matches_dense_oracle(rand):
         for _ in range(200):
             f = random_poly(W3, rand, terms=4, max_exp=3)
             assert canonical_rep(f, spec) == dense_reduce_oracle(f, spec)
+    for spec in (local_spec(), local_spec(2)):
+        for _ in range(100):
+            f = random_laurent_poly(WL3, rand, terms=4, max_exp=3)
+            assert canonical_rep(f, spec) == dense_reduce_oracle(f, spec)
+
+
+@pytest.mark.parametrize("rng,spec", [
+    (ring(3), rbar_spec()), (W3, model_spec(2)), (W3, r1_spec()), (W3, mod_beta_spec()),
+    (WL3, local_spec()), (ring(3, coeff_kind=LAURENT_U), local_spec(2)),
+    (ring(3, has_epsilon=True), model_spec(1)),
+], ids=["rbar_alpha", "model2", "r1", "mod_beta", "local", "local2_alpha", "model1_epsilon"])
+def test_canonical_rep_is_evaluation_on_the_relations(rand, rng, spec):
+    """canonical_rep(f) equals f at every point where the relations hold:
+    delta_i = +-d, beta = c - d^2, gamma = 0 (and d^2 = c when beta = 0)."""
+    for _ in range(40):
+        if rng.coeff_kind == LAURENT_U:
+            f = random_laurent_poly(rng, rand, terms=6, max_exp=3)
+        else:
+            f = random_poly(rng, rand, terms=6, max_exp=3)
+        u = F(rand.randint(1, 7), rand.randint(1, 5))
+        c = spec.delta_square
+        c = c.evaluate(u) if isinstance(c, LaurentU) else c
+        d = F(0) if spec.beta_zero else F(rand.randint(-9, 9), rand.randint(1, 5))
+        deltas = [d * rand.choice((1, -1)) for _ in range(rng.n)]
+        alpha = F(rand.randint(-9, 9), rand.randint(1, 5))
+        eps = rand.choice((1, -1))
+        rep = canonical_rep(f, spec)
+        assert all(rep.terms.values())
+        assert rep.evaluate_alpha_point(alpha, c - d * d, 0, deltas, eps, u_value=u) == \
+            f.evaluate_alpha_point(alpha, c - d * d, 0, deltas, eps, u_value=u)
 
 
 def test_iso_project_examples():
@@ -155,7 +187,6 @@ def test_canonical_monomials_counts():
 
 
 def test_local_spec_reduction():
-    from instanton.poly import LAURENT_U, LaurentU
     wl = ring(1, coeff_kind=LAURENT_U, coordinate=OMEGA)
     spec = local_spec()
     f = delta(wl, 1) ** 2
