@@ -2,8 +2,8 @@
 
 Every check is exact (rational arithmetic, zero tolerance) and returns
 ``CheckResult(criterion, passed, detail)``.  The rho convention (criterion A6)
-is determined empirically and persisted through the cache so later runs can
-assert the same branch.
+is determined empirically and persisted through the CLI cache so later runs
+can assert the same branch.
 
 Two checks assert sign/ambiguity-corrected statements:
   * A5: the functional identity between projection coefficients carries a
@@ -17,9 +17,7 @@ Two checks assert sign/ambiguity-corrected statements:
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
@@ -164,9 +162,12 @@ def check_a5(k_max: int = 6, n_values: Sequence[int] = (1, 3, 5, 7)) -> CheckRes
         "in the A6 branch")
 
 
-def check_a6(k_max: int = 6, cache_dir: Optional[str] = None,
-             no_cache: bool = False) -> CheckResult:
-    """Pin the series-vs-projection sign convention; persist and re-assert it."""
+def check_a6(k_max: int = 6, cache=None) -> CheckResult:
+    """Pin the series-vs-projection sign convention; persist and re-assert it.
+
+    ``cache`` (a ``cli.Cache`` or None) keeps the branch under key
+    ``rho_convention``; a missing or unusable record is written anew.
+    """
     votes = set()
     for r in (1, 3, 5):
         for k in range(k_max + 1):
@@ -185,23 +186,16 @@ def check_a6(k_max: int = 6, cache_dir: Optional[str] = None,
     if len(votes) != 1:
         return CheckResult("A6", False, f"mixed branch outcome: {sorted(votes)}")
     branch = votes.pop()
-    recorded = None
-    if cache_dir and not no_cache:
-        path = os.path.join(cache_dir, "rho_convention.json")
-        if os.path.exists(path):
-            with open(path) as fh:
-                recorded = json.load(fh).get("branch")
+    note = ""
+    if cache is not None:
+        recorded = (cache.get("rho_convention") or {}).get("branch")
         if recorded is None:
-            os.makedirs(cache_dir, exist_ok=True)
-            tmp = f"{path}.{os.getpid()}.tmp"
-            with open(tmp, "w") as fh:
-                json.dump({"branch": branch}, fh, sort_keys=True)
-            os.replace(tmp, path)
+            cache.put("rho_convention", {"branch": branch})
+            note = " (recorded)"
         elif recorded != branch:
             return CheckResult("A6", False,
                                f"branch {branch} contradicts recorded {recorded}")
-    return CheckResult("A6", True, f"rho convention branch: {branch}"
-                                   + (" (recorded)" if recorded is None and cache_dir else ""))
+    return CheckResult("A6", True, f"rho convention branch: {branch}{note}")
 
 
 def check_a7(g_max: int = 5) -> CheckResult:
@@ -387,8 +381,7 @@ _CHECKS: Dict[str, Callable[..., CheckResult]] = {
 
 
 def run_suite(suite: str = "all", g_max: Optional[int] = None,
-              n_max: Optional[int] = None, cache_dir: Optional[str] = None,
-              no_cache: bool = False,
+              n_max: Optional[int] = None, cache=None,
               emit: Callable[[str], None] = print) -> List[CheckResult]:
     if suite == "all":
         names = [f"A{i}" for i in range(1, 14)]
@@ -401,7 +394,7 @@ def run_suite(suite: str = "all", g_max: Optional[int] = None,
         kwargs = {}
         fn = _CHECKS[name]
         if name == "A6":
-            kwargs = {"cache_dir": cache_dir, "no_cache": no_cache}
+            kwargs = {"cache": cache}
         elif g_max is not None and name in ("A1", "A2", "A7", "A8", "A10"):
             kwargs = {"g_max": g_max}
         elif name in ("A3", "A4", "A11"):

@@ -194,8 +194,7 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    cache_dir = args.cache_dir or default_cache_dir()
-    cache = Cache(cache_dir, enabled=not args.no_cache)
+    cache = Cache(args.cache_dir or default_cache_dir(), enabled=not args.no_cache)
 
     def emit_cached(key: str, compute):
         """Print the payload cached under ``key``; only a miss calls ``compute``,
@@ -274,8 +273,7 @@ def run(argv) -> int:
         elif args.command == "verify":
             results = acceptance.run_suite(
                 args.suite, g_max=args.g_max, n_max=args.n_max,
-                cache_dir=cache_dir if not args.no_cache else None,
-                no_cache=args.no_cache)
+                cache=None if args.no_cache else cache)
             return 0 if all(r.passed for r in results) else 1
     except (AssertionError, VerificationError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

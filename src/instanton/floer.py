@@ -19,8 +19,8 @@ from .poly import (ALPHA, OMEGA, RATIONAL, Exponents, Poly,
                    monomials_of_degree, ring)
 from .quotient import (QuotientSpec, canonical_monomials, canonical_rep,
                        model_spec)
-from .relations import (GeneratorSet, flip_subsets, gamma_cofactors, igen,
-                        jgen_n1, kprime_gen, specialize_u, xi)
+from .relations import (GeneratorSet, flip_orbit, flip_subsets, gamma_cofactors,
+                        igen, jgen_n1, kprime_gen, specialize_u, xi)
 from .series import RationalFn, expand_rational_fn, poly_add, poly_mul, poly_pow, poly_scale, poly_shift
 
 
@@ -770,12 +770,11 @@ def eigen_verify(g: int, sign: str = "+", theta: Optional[Fraction] = None) -> E
     if not prod.is_zero():
         offender = next(i for i in range(v2_dim) if any(prod.col(i)))
         raise AssertionError(f"unexpected alpha spectrum; residue on subspace vector {offender}")
-    # top simultaneous generalized eigenspace for (alpha, beta) is 1-dimensional
-    top_lambda = lambdas[g - 1]
-    ga = linalg.generalized_eigenspace(a_op, top_lambda)
-    top = subspace_intersection(ga, v2)
-    if top.rows != 1:
-        raise AssertionError(f"top simultaneous eigenspace has dimension {top.rows}, wanted 1")
+    # top simultaneous generalized eigenspace for (alpha, beta) is 1-dimensional;
+    # V2 is alpha-invariant, so it is the top lambda's one on a_res
+    top = tuples[-1]["gen_mult"]
+    if top != 1:
+        raise AssertionError(f"top simultaneous eigenspace has dimension {top}, wanted 1")
     return EigenReport(v2_dim, D, tuples)
 
 
@@ -814,7 +813,7 @@ def _eigen_verify_local(g: int, sgn: int, theta: Fraction, model: QuotientModel)
 def solve_subleading(g: int, n: int = 3) -> GeneratorSet:
     """Solve for the minimal-degree relation at three points.
 
-    Ansatz: xi_{g+1,3} + (-1)^{g+1} tau_{123}(xi_{g,1}) + h with deg h <= 2(g-1),
+    Ansatz: xi_{g+1,3} + (-1)^{g+1} tau_123(xi_{g,1}) + h with deg h <= 2(g-1),
     h over canonical monomials.  Constraints: the point-reduction images of the
     even-flip orbit reduce to zero in the one-point model, and the candidate
     vanishes at the alternating odd evaluation points.  The system must have a
@@ -871,12 +870,8 @@ def solve_subleading(g: int, n: int = 3) -> GeneratorSet:
             raise VerificationError("sub-leading system is infeasible (convention drift)")
         h = Poly.zero(rng)
     f_hat = base + h
-    gens = []
-    for I in flip_subsets(3, even=True):
-        name = f"tau_{{{','.join(map(str, I))}}}(fhat_{{{g},3}})"
-        gens.append((name, f_hat.flip(I)))
     return GeneratorSet(
-        label=f"X_{{{g},3}}", ambient=rng, gens=gens,
+        label=f"X_{{{g},3}}", ambient=rng, gens=flip_orbit(f_hat, f"fhat_{{{g},3}}", 3),
         meta={"g": g, "n": 3, "sign": "+", "f_hat": f_hat},
     )
 
@@ -909,19 +904,13 @@ def _three_point_ideals(g: int):
     """(J, I, formula) of the three-point model built from solver output."""
     J = jgen_n3(g)
     I_full = igen(g, 3, "even")
-    keep = []
-    for name, p in I_full.gens:
-        if name.startswith("gamma^"):
-            continue
-        if f"xi_{{{g + 3},3}}" in name:
-            continue  # replaced by gamma * xi_{g} flips below
-        keep.append((name, p))
+    # gamma^{g+1} and the xi_{g+3} orbit give way to gamma times the xi_g orbit
+    keep = [(name, p) for name, p in I_full.gens
+            if not name.startswith("gamma^") and f"xi_{{{g + 3},3}}" not in name]
     rng3 = ring(3, coordinate=ALPHA)
     gamma_p = Poly.variable(rng3, "gamma")
-    base = xi(g, 3, target=rng3)
-    for I in flip_subsets(3, even=True):
-        keep.append((f"gamma*tau_{{{','.join(map(str, I))}}}(xi_{{{g},3}})",
-                     gamma_p * base.flip(I)))
+    keep += [(f"gamma*{name}", gamma_p * p)
+             for name, p in flip_orbit(xi(g, 3, target=rng3), f"xi_{{{g},3}}", 3)]
     I_set = GeneratorSet(I_full.label, I_full.ambient, keep, meta=I_full.meta)
     return J, I_set, ptgn_series(g, 3)
 

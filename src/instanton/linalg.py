@@ -284,31 +284,32 @@ def solve(M: Matrix, b: Sequence) -> Optional[Vector]:
     return x
 
 
-def generalized_eigenspace(M: Matrix, lam) -> Matrix:
-    """Rows span ker (M - lam)^dim(M): the canonical kernel basis of N^m, N = M - lam.
-
-    Stabilisation: m = 1, 2, 4, ... stops once ker N^m = ker N^(2m), after which
-    the kernel chain is constant, so the RREF and basis equal those of N^dim(M).
-    ker N^(2m) = ker N^m iff ker N^m meets im N^m only in 0, and im N^m is cut out
-    by the rows of T below the rank (T N^m = R), so N^(2m) is never formed.
-    """
+def _stable_power(M: Matrix, lam) -> Tuple[Matrix, int]:
+    """(N^m, rank N^m) for N = M - lam and the first m = 1, 2, 4, ... with
+    rank N^m == rank N^(2m).  Then ker N^m = ker N^(2m), after which the kernel
+    chain is constant, so ker N^m = ker N^dim(M)."""
     n = M.rows
     power = M - Matrix.identity(n).scale(lam)
+    r = rank(power)
     exponent = 1
-    while True:
-        R, pivots, T = rref(power)
-        kernel = _kernel_from_rref(R, pivots, n)
-        r = len(pivots)
-        if (r in (0, n) or exponent >= n
-                or rank(Matrix(T.data[r:]) * kernel.transpose()) == n - r):
-            return kernel
-        power = power * power
-        exponent *= 2
+    while 0 < r < n and exponent < n:
+        square = power * power
+        r2 = rank(square)
+        if r2 == r:
+            break
+        power, r, exponent = square, r2, exponent * 2
+    return power, r
+
+
+def generalized_eigenspace(M: Matrix, lam) -> Matrix:
+    """Rows span ker (M - lam)^dim(M): the canonical kernel basis of the first
+    stable power (see ``_stable_power``)."""
+    return kernel_basis(_stable_power(M, lam)[0])
 
 
 def generalized_eigenspace_dim(M: Matrix, lam) -> int:
-    """dim ker (M - lam)^dim(M), read off the first power whose kernel is stable."""
-    return generalized_eigenspace(M, lam).rows
+    """dim ker (M - lam)^dim(M), from the rank of the first stable power."""
+    return M.rows - _stable_power(M, lam)[1]
 
 
 def restrict(M: Matrix, basis: Matrix) -> Matrix:

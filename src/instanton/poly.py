@@ -465,45 +465,30 @@ class Poly:
         if self.ring.coordinate == target_coordinate:
             return self
         new_ring = self.ring.with_coordinate(target_coordinate)
-        half = Fraction(1, 2)
-        delta_sum = Poly.zero(new_ring)
-        for i in range(1, new_ring.n + 1):
-            delta_sum = delta_sum + Poly.variable(new_ring, f"delta{i}")
-        first = Poly.variable(new_ring, target_coordinate)
+        shift = Fraction(1, 2) if target_coordinate == ALPHA else Fraction(-1, 2)
         # alpha = omega - sum/2 ; omega = alpha + sum/2
-        image = first - delta_sum * half if target_coordinate == OMEGA else first + delta_sum * half
-        powers = [Poly.constant(new_ring, 1)]  # image^k
-
-        def pairs():
-            for exps, coeff in self.terms.items():
-                a = exps[0]
-                if not a:
-                    yield exps, coeff
-                    continue
-                while len(powers) <= a:
-                    powers.append(powers[-1] * image)
-                rest = (0,) + exps[1:]
-                for e, c in powers[a].terms.items():
-                    yield tuple(map(add, e, rest)), c * coeff
-
-        return Poly.from_terms(new_ring, pairs())
+        image = Poly.variable(new_ring, target_coordinate) \
+            + _delta_sum(new_ring, range(1, new_ring.n + 1)) * shift
+        return _first_substituted(new_ring, image, self.terms.items())
 
     def flip(self, indices: Iterable[int]) -> "Poly":
-        """Flip symmetry tau_I: fixes omega, beta, gamma and negates delta_i for i in I."""
+        """Flip symmetry tau_I: fixes omega, beta, gamma and negates delta_i for i in I.
+
+        As omega = alpha + S/2 (S the sum of the deltas) is fixed and tau_I sends
+        S to S - 2 S_I, in alpha-coordinates it also sends alpha to alpha + S_I.
+        """
         idx = set(indices)
         for i in idx:
             if not 1 <= i <= self.ring.n:
                 raise ValueError(f"flip index {i} outside 1..{self.ring.n}")
         if not idx:
             return self
-        if self.ring.coordinate == ALPHA:
-            return self.change_coordinates(OMEGA).flip(idx).change_coordinates(ALPHA)
         cols = [2 + i for i in idx]  # delta_i exponent position
-        out = {}
-        for exps, coeff in self.terms.items():
-            s = sum(exps[c] for c in cols)
-            out[exps] = -coeff if s % 2 else coeff
-        return Poly(self.ring, out, _normalized=True)
+        signed = ((e, -c if sum(e[j] for j in cols) % 2 else c) for e, c in self.terms.items())
+        if self.ring.coordinate == OMEGA:
+            return Poly.from_terms(self.ring, signed)
+        image = Poly.variable(self.ring, ALPHA) + _delta_sum(self.ring, idx)
+        return _first_substituted(self.ring, image, signed)
 
     def pi_reduce(self) -> "Poly":
         """Point-reduction homomorphism dropping the last two marked points.
@@ -630,6 +615,33 @@ class Poly:
 
 
 # -- helpers -------------------------------------------------------------------
+
+
+def _delta_sum(ring: RingDescriptor, indices: Iterable[int]) -> Poly:
+    """The sum of delta_i over i in ``indices``."""
+    return Poly(ring, {tuple(int(j == 2 + i) for j in range(ring.nvars)): 1 for i in indices})
+
+
+def _first_substituted(ring: RingDescriptor, image: Poly,
+                       pairs: Iterable[Tuple[Exponents, object]]) -> Poly:
+    """The sum over ``(exponents, coefficient)`` pairs of the term with its first
+    variable replaced by ``image``, an epsilon-free polynomial over ``ring``: the
+    cached powers of ``image`` shifted by the other exponents."""
+    powers = [Poly.constant(ring, 1)]  # image^k
+
+    def terms():
+        for exps, coeff in pairs:
+            a = exps[0]
+            if not a:
+                yield exps, coeff
+                continue
+            while len(powers) <= a:
+                powers.append(powers[-1] * image)
+            rest = (0,) + exps[1:]
+            for e, c in powers[a].terms.items():
+                yield tuple(map(add, e, rest)), c * coeff
+
+    return Poly.from_terms(ring, terms())
 
 
 def alpha(ring: RingDescriptor) -> Poly:

@@ -151,7 +151,7 @@ def rho_proj(k: int, n: int, s: int) -> Poly:
 # -- rho: series route (cross-check; sign pinned by the acceptance suite) --------
 
 
-def rho_series(k: int, r: int, order: Optional[int] = None) -> Poly:
+def rho_series(k: int, r: int) -> Poly:
     """rho_{k,r} as the t^k coefficient of the defining series.
 
     r is an odd integer (negative allowed).  The series is evaluated literally;
@@ -161,12 +161,11 @@ def rho_series(k: int, r: int, order: Optional[int] = None) -> Poly:
         raise ValueError("k must be >= 0")
     if r % 2 == 0:
         raise ValueError("r must be odd")
-    N = k if order is None else order
-    one = SeriesT.constant(N, 1)
+    one = SeriesT.constant(k, 1)
     beta = series_mod.beta_poly()
     omega = series_mod.omega_poly()
-    beta_t2 = SeriesT.term(N, 2, even=beta)        # beta t^2
-    ts = SeriesT.term(N, 1, odd=1)                 # t*s
+    beta_t2 = SeriesT.term(k, 2, even=beta)        # beta t^2
+    ts = SeriesT.term(k, 1, odd=1)                 # t*s
     f1 = pow_binomial(one + beta_t2, Fraction(-3, 4))
     # ((1 - ts)/(1 + ts))^(omega/(2s)) = exp(omega * log((1-ts)/(1+ts)) / (2s))
     log_ratio = series_mod.log_series(one - ts) - series_mod.log_series(one + ts)
@@ -257,7 +256,7 @@ def w0(g: int, n: int, eta: EtaChoice) -> Poly:
 
 
 def w1(g: int, n: int, eta: EtaChoice) -> Poly:
-    """Sub-leading relation tau_{eta'}(xi_{g+m-1,n-2}), in omega-coordinates."""
+    """Sub-leading relation tau_eta'(xi_{g+m-1,n-2}), in omega-coordinates."""
     m = (n - 1) // 2
     base = xi(g + m - 1, n - 2, target=ring(n, coordinate=ALPHA))
     return base.change_coordinates(OMEGA).flip(eta.complement)
@@ -284,6 +283,12 @@ def flip_subsets(n: int, even: bool) -> List[Tuple[int, ...]]:
     return out
 
 
+def flip_orbit(p: Poly, label: str, n: int, even: bool = True) -> List[Tuple[str, Poly]]:
+    """The named images tau_I(p), I over ``flip_subsets(n, even)``."""
+    return [(f"tau_{{{','.join(map(str, I))}}}({label})", p.flip(I))
+            for I in flip_subsets(n, even)]
+
+
 def igen(g: int, n: int, parity: str) -> GeneratorSet:
     """Generators of the graded ideal: delta_i^2 + beta, gamma^{g+1}, and the
     even (or odd, by parity) flip symmetries of xi_{g+m}, xi_{g+m+1}, xi_{g+m+2}.
@@ -305,11 +310,8 @@ def igen(g: int, n: int, parity: str) -> GeneratorSet:
         di = Poly.variable(rng, f"delta{i}")
         gens.append((f"delta{i}^2+beta", di * di + beta))
     gens.append((f"gamma^{g + 1}", Poly.variable(rng, "gamma") ** (g + 1)))
-    for j in range(3):
-        base = xi(g + m + j, n, target=rng)
-        for I in flip_subsets(n, even=use_even_flips):
-            name = f"tau_{{{','.join(map(str, I))}}}(xi_{{{g + m + j},{n}}})"
-            gens.append((name, base.flip(I)))
+    for k in range(g + m, g + m + 3):
+        gens += flip_orbit(xi(k, n, target=rng), f"xi_{{{k},{n}}}", n, use_even_flips)
     return GeneratorSet(
         label=f"I_{{{g},{n}}}^{parity}", ambient=rng, gens=gens,
         meta={"g": g, "n": n, "parity": parity},
@@ -323,12 +325,8 @@ def kprime_gen(g: int, n: int) -> GeneratorSet:
     m = (n - 1) // 2
     spec = rbar_spec()
     rng = ring(n, coordinate=OMEGA)
-    gens: List[Tuple[str, Poly]] = []
-    for j in range(2):
-        base = canonical_rep(xi(g + m + j, n), spec)
-        for I in flip_subsets(n, even=True):
-            name = f"tau_{{{','.join(map(str, I))}}}(xibar_{{{g + m + j},{n}}})"
-            gens.append((name, base.flip(I)))
+    gens = [gen for k in (g + m, g + m + 1)
+            for gen in flip_orbit(canonical_rep(xi(k, n), spec), f"xibar_{{{k},{n}}}", n)]
     return GeneratorSet(
         label=f"K'_{{{g},{n}}}", ambient=rng, gens=gens, quotient_context=spec,
         meta={"g": g, "n": n},

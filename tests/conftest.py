@@ -2,8 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from instanton.poly import LaurentU, Poly, RingDescriptor
+
+
+# every property test: no per-example deadline (exact arithmetic varies widely
+# in time) and no example database left behind
+settings.register_profile("instanton", deadline=None, database=None)
+settings.load_profile("instanton")
 
 
 def random_poly(rng: RingDescriptor, rand: random.Random, terms: int = 5,

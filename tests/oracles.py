@@ -40,6 +40,24 @@ def char_poly(M: Matrix) -> List[Fraction]:
     return coeffs
 
 
+def flip_round_trip(p: Poly, I: Iterable[int]) -> Poly:
+    """tau_I by way of omega-coordinates, where it only negates delta_i for i in
+    I: change to omega, negate, change back."""
+    cols = [2 + i for i in I]
+    w = p.change_coordinates(OMEGA)
+    flipped = Poly.from_terms(w.ring, ((e, -c if sum(e[j] for j in cols) % 2 else c)
+                                       for e, c in w.terms.items()))
+    return flipped.change_coordinates(p.ring.coordinate)
+
+
+def orbit_by_round_trip(p: Poly, label: str, n: int, even: bool = True
+                        ) -> List[Tuple[str, Poly]]:
+    """The named flip orbit of p, built by hand with :func:`flip_round_trip`."""
+    return [(f"tau_{{{','.join(map(str, I))}}}({label})", flip_round_trip(p, I))
+            for size in range(0 if even else 1, n + 1, 2)
+            for I in combinations(range(1, n + 1), size)]
+
+
 def even_average(f: Poly, I: Iterable[int], spec: QuotientSpec) -> Poly:
     """Character projector (1/2^{n-1}) sum_{|J| even} (-1)^{|I cap J|} tau_J.
 

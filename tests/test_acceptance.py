@@ -9,6 +9,7 @@ import json
 from fractions import Fraction as F
 
 from instanton import acceptance, linalg
+from instanton.cli import Cache
 
 
 def _run(check, *args, **kwargs):
@@ -47,21 +48,35 @@ def test_a5_rho_functional_identity():
 
 
 def test_a6_rho_convention_pinning(tmp_path):
-    first = _run(acceptance.check_a6, cache_dir=str(tmp_path))
+    first = _run(acceptance.check_a6, cache=Cache(str(tmp_path)))
     assert "negate_omega" in first.detail
     # the recorded branch is re-asserted on a second run
-    again = _run(acceptance.check_a6, cache_dir=str(tmp_path))
-    assert "negate_omega" in again.detail
+    again = _run(acceptance.check_a6, cache=Cache(str(tmp_path)))
+    assert again.detail == "rho convention branch: negate_omega"
+
+
+def test_a6_fails_on_a_contradicting_record(tmp_path):
+    cache = Cache(str(tmp_path))
+    cache.put("rho_convention", {"branch": "identity"})
+    result = acceptance.check_a6(cache=cache)
+    assert not result.passed
+    assert result.detail == "branch negate_omega contradicts recorded identity"
+
+
+def test_a6_without_a_cache_records_nothing(tmp_path):
+    result = _run(acceptance.check_a6)
+    assert result.detail == "rho convention branch: negate_omega"
 
 
 def test_a6_leaves_another_writers_temp_file_alone(tmp_path):
     stray = tmp_path / "rho_convention.json.tmp"
     stray.write_text("half-written by another process")
-    result = _run(acceptance.check_a6, cache_dir=str(tmp_path))
+    result = _run(acceptance.check_a6, cache=Cache(str(tmp_path)))
     assert result.detail == "rho convention branch: negate_omega (recorded)"
     assert stray.read_text() == "half-written by another process"
     recorded = json.loads((tmp_path / "rho_convention.json").read_text())
-    assert recorded == {"branch": "negate_omega"}
+    assert recorded["key"] == "rho_convention"
+    assert recorded["payload"] == {"branch": "negate_omega"}
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "rho_convention.json", "rho_convention.json.tmp"]
 
@@ -113,7 +128,7 @@ def test_a13_binomial_determinants():
 
 def test_suite_runner_collects_all(tmp_path):
     lines = []
-    results = acceptance.run_suite("all", cache_dir=str(tmp_path),
+    results = acceptance.run_suite("all", cache=Cache(str(tmp_path)),
                                    emit=lines.append)
     assert len(results) == 13
     assert all(r.passed for r in results)

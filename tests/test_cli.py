@@ -128,6 +128,33 @@ def test_verify_suite_exit_zero(capsys, tmp_path):
     assert "[A2] PASS" in out
 
 
+RHO_SUITE = ("verify", "--suite", "rho")
+A6_RECORDED = "[A6] PASS - rho convention branch: negate_omega (recorded)\n"
+
+
+@pytest.mark.parametrize("record", ['{"branch": "negate', '["negate_omega"]',
+                                    '{"branch": "negate_omega"}',
+                                    '{"key": "jgen_g1_plus_local0", "payload": {}}'],
+                         ids=["corrupt", "list", "unversioned", "foreign"])
+def test_unusable_rho_record_is_rewritten(capsys, tmp_path, record):
+    path = tmp_path / "rho_convention.json"
+    path.write_text(record)
+    code, out = run_cli(capsys, *RHO_SUITE, "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert A6_RECORDED in out
+    assert cli.Cache(str(tmp_path)).get("rho_convention") == {"branch": "negate_omega"}
+    code, out = run_cli(capsys, *RHO_SUITE, "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert "[A6] PASS - rho convention branch: negate_omega\n" in out
+
+
+def test_verify_no_cache_records_nothing(capsys, tmp_path):
+    code, out = run_cli(capsys, *RHO_SUITE, "--no-cache", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert "[A6] PASS - rho convention branch: negate_omega\n" in out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_env_cache_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("FLOER_CACHE_DIR", str(tmp_path / "envcache"))
     code, _out = run_cli(capsys, "jgen", "--g", "0", "--json")

@@ -326,6 +326,22 @@ def test_model_eigen_algebra_matches_direct_forms():
         assert linalg.is_nilpotent_on(op, v2) == (var in ("gamma", "delta1"))
 
 
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_gen_mults_match_full_space_eigenspaces(g, sign):
+    """eigen_verify reads each alpha-multiplicity, the top one included, on the
+    beta = 2 subspace V2; the oracle intersects the full-space generalized
+    alpha-eigenspace with V2."""
+    from instanton import linalg
+    model = model_for(g, sign)
+    v2 = linalg.generalized_eigenspace(model.operator("beta"), 2)
+    rep = eigen_verify(g, sign)
+    for t in rep.tuples:
+        ga = linalg.generalized_eigenspace(model.operator(ALPHA), t["alpha"])
+        assert linalg.subspace_intersection(ga, v2).rows == t["gen_mult"]
+    assert rep.tuples[-1]["gen_mult"] == 1
+
+
 # -- lazy lifts in the model tables against eager lift tracking ---------------------
 
 

@@ -358,7 +358,7 @@ def test_row_rank_reads_no_row_without_columns():
 _entries = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6)
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150)
 @given(st.integers(0, 7).flatmap(lambda cols: st.tuples(
     st.just(cols),
     st.lists(st.dictionaries(st.integers(0, max(cols - 1, 0)), _entries,
@@ -521,7 +521,7 @@ def test_rref_and_products_on_model_operators():
     assert_products_match_oracle(space, alpha.transpose())
 
 
-@settings(max_examples=120, deadline=None, database=None)
+@settings(max_examples=120)
 @given(st.integers(0, 6).flatmap(lambda cols: st.tuples(
     st.just(cols),
     st.lists(st.lists(_entries, min_size=cols, max_size=cols), max_size=6),

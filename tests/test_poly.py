@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_laurent_poly, random_poly
+from oracles import flip_round_trip
 from instanton.poly import (ALPHA, LAURENT_U, OMEGA, LaurentU, Poly, alpha,
                             beta, delta, epsilon, epsilon_hat, gamma,
                             monomials_of_degree, omega, ring)
@@ -310,7 +311,7 @@ def _poly_pair_and_point(draw):
     return poly(), poly(), point, u
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(_poly_pair_and_point())
 def test_arithmetic_is_evaluation_property(case):
     f, g, point, u = case
@@ -319,3 +320,39 @@ def test_arithmetic_is_evaluation_property(case):
     assert (f + g).evaluate(point, u_value=u) == fv + gv
     _no_zero_stored(f, g, f * g, f + g, f - g)
     assert (f - f).is_zero() and (f * g - g * f).is_zero()
+
+
+_FLIP_RINGS = [ring(3), ring(3, coordinate=OMEGA), ring(3, coeff_kind=LAURENT_U),
+               ring(3, coeff_kind=LAURENT_U, coordinate=OMEGA),
+               ring(3, has_epsilon=True), ring(3, coordinate=OMEGA, has_epsilon=True)]
+
+
+@st.composite
+def _flip_case(draw):
+    rng = draw(st.sampled_from(_FLIP_RINGS))
+
+    def coeff():
+        if rng.coeff_kind == LAURENT_U:
+            return LaurentU(draw(st.dictionaries(st.integers(-2, 2), _small, max_size=3)))
+        return draw(_small)
+
+    def poly():
+        keys = draw(st.lists(st.tuples(*[st.integers(0, 2)] * rng.nvars), max_size=5))
+        return Poly(rng, {k: coeff() for k in keys})
+
+    flips = st.sets(st.integers(1, rng.n))
+    return poly(), poly(), draw(flips), draw(flips)
+
+
+@settings(max_examples=100)
+@given(_flip_case())
+def test_flip_group_laws_property(case):
+    """tau_I tau_J = tau_{I xor J}, tau_I is multiplicative, commutes with the
+    change of coordinates and equals the round trip through omega-coordinates."""
+    f, g, I, J = case
+    assert f.flip(I).flip(J) == f.flip(I ^ J)
+    assert (f * g).flip(I) == f.flip(I) * g.flip(I)
+    other = OMEGA if f.ring.coordinate == ALPHA else ALPHA
+    assert f.change_coordinates(other).flip(I) == f.flip(I).change_coordinates(other)
+    assert f.flip(I) == flip_round_trip(f, I)
+    _no_zero_stored(f.flip(I))

@@ -1,16 +1,22 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
 
+from oracles import orbit_by_round_trip
+
+from instanton import acceptance
+from instanton.floer import _three_point_ideals, solve_subleading
 from instanton.linalg import Matrix, rank
 from instanton.poly import (OMEGA, LaurentU, Poly, alpha, beta, delta,
                             gamma, omega, ring)
-from instanton.quotient import QuotientSpec, canonical_rep
+from instanton.quotient import QuotientSpec, canonical_rep, rbar_spec
 from instanton.relations import (EtaChoice, GeneratorSet, delta_sym,
-                                 gamma_cofactors, igen, jgen_n1, kprime_gen,
-                                 phi_negate, r_poly, r_poly_local, rho_proj,
-                                 rho_series, specialize_u, w0, w1, w_skeleton,
-                                 xi)
+                                 flip_orbit, gamma_cofactors, igen, jgen_n1,
+                                 kprime_gen, phi_negate, r_poly, r_poly_local,
+                                 rho_proj, rho_series, specialize_u, w0, w1,
+                                 w_skeleton, xi)
 from instanton import series as series_mod
 
 R1 = ring(1)
@@ -316,3 +322,81 @@ def test_generator_set_json_round_trip(tmp_path):
     back = GeneratorSet.from_json(json.loads(text))
     assert back.names() == gs.names()
     assert back.polys() == gs.polys()
+
+
+# -- flip orbits against the round-trip oracle ---------------------------------------
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _xi_orbits(g, n, parity, ks):
+    """igen's named xi orbits for the given k, by the round-trip oracle."""
+    m = (n - 1) // 2
+    even = (int(parity == "odd") + m) % 2 == 1
+    return [gen for k in ks
+            for gen in orbit_by_round_trip(xi(k, n, target=ring(n)), f"xi_{{{k},{n}}}", n, even)]
+
+
+IGEN_PAIRS = sorted(set(acceptance._A3_PAIRS) | set(acceptance._A4_PAIRS) | {(2, 3), (1, 5)})
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("g,n", IGEN_PAIRS)
+def test_igen_matches_round_trip_flips(g, n, parity):
+    m = (n - 1) // 2
+    gens = igen(g, n, parity).gens
+    assert gens[n + 1:] == _xi_orbits(g, n, parity, range(g + m, g + m + 3))
+
+
+# JSON digests of igen(0, 7), recorded when every alpha-coordinate flip went
+# through omega-coordinates and back (the round-trip oracle takes 10 s here)
+IGEN_0_7 = {"even": "ce14998b03155df0", "odd": "2fb931c811f15920"}
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_igen_0_7_matches_round_trip_flips(parity):
+    gs = igen(0, 7, parity)
+    assert gs.gens[8:8 + 64] == _xi_orbits(0, 7, parity, [3])
+    assert _digest(gs.to_json()) == IGEN_0_7[parity]
+
+
+KPRIME = {(1, 1): "8f8cf6d276f17b5c", (2, 1): "b82d6ebd95108148", (0, 3): "aca7c541b1fbecc4",
+          (1, 3): "7729229804fce5e9", (0, 5): "435616a2a68058ea"}
+
+
+@pytest.mark.parametrize("g,n", sorted(KPRIME))
+def test_kprime_gen_names_and_polys_pinned(g, n):
+    m = (n - 1) // 2
+    gs = kprime_gen(g, n)
+    assert gs.gens == [gen for k in (g + m, g + m + 1) for gen in orbit_by_round_trip(
+        canonical_rep(xi(k, n), rbar_spec()), f"xibar_{{{k},{n}}}", n)]
+    assert _digest(gs.to_json()) == KPRIME[(g, n)]
+
+
+SOLVED = {0: "5aa1457c5f48f8ec", 1: "1b7170e599c79ea9", 2: "681908b6a460794e"}
+
+
+@pytest.mark.parametrize("g", sorted(SOLVED))
+def test_solve_subleading_names_and_polys_pinned(g):
+    gs = solve_subleading(g)
+    assert gs.gens == orbit_by_round_trip(gs.meta["f_hat"], f"fhat_{{{g},3}}", 3)
+    assert _digest(gs.to_json()) == SOLVED[g]
+
+
+def test_three_point_ideals_names_and_polys_pinned():
+    J, I, _ = _three_point_ideals(1)
+    gamma3 = gamma(ring(3))
+    assert I.gens[-4:] == [(f"gamma*{name}", gamma3 * p) for name, p in
+                           orbit_by_round_trip(xi(1, 3, target=ring(3)), "xi_{1,3}", 3)]
+    assert _digest(J.to_json()) == "a5c4592b9e07cf75"
+    assert _digest(I.to_json()) == "75565852405ed1cf"
+
+
+def test_flip_orbit_names_and_order():
+    p = delta(ring(3, coordinate=OMEGA), 1)
+    assert flip_orbit(p, "d", 3) == [("tau_{}(d)", p), ("tau_{1,2}(d)", -p),
+                                     ("tau_{1,3}(d)", -p), ("tau_{2,3}(d)", p)]
+    assert [name for name, _ in flip_orbit(p, "d", 3, even=False)] == [
+        "tau_{1}(d)", "tau_{2}(d)", "tau_{3}(d)", "tau_{1,2,3}(d)"]
