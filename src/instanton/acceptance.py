@@ -20,16 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import floer, linalg, series
+from . import floer, series
 from .floer import (decomposition_identity_check, eigen_verify,
-                    expand_rational_fn, hilbert_compare, model_for, model_n3,
-                    ptgn_series)
+                    expand_rational_fn, hilbert_compare, local_eigen_point,
+                    model_for, model_n3, ptgn_series)
 from .poly import ALPHA, OMEGA, Poly, ring
-from .quotient import (QuotientSpec, canonical_monomials, canonical_rep,
-                       mod_beta_spec)
-from .relations import (flip_subsets, jgen_n1, r_poly, r_poly_local,
+from .quotient import QuotientSpec, canonical_rep, mod_beta_spec
+from .relations import (GeneratorSet, flip_orbit, jgen_n1, r_poly, r_poly_local,
                         rho_proj, rho_series, specialize_u, xi)
 from .series import binom_sqrt_dets
 
@@ -90,39 +89,37 @@ def check_a2(g_max: int = 3) -> CheckResult:
                                    + " ".join(details))
 
 
+def _hilbert_check(criterion: str, pairs: Sequence[Tuple[int, int]], source: str,
+                   max_degree: Callable[[int, int], int], wording: str,
+                   g_max: int, n_max: int) -> CheckResult:
+    """``hilbert_compare(g, n, source, max_degree(g, n))`` must match for every
+    pair within (g_max, n_max); the detail is ``wording`` and the pairs done."""
+    done = []
+    for g, n in pairs:
+        if g > g_max or n > n_max:
+            continue
+        rep = hilbert_compare(g, n, source, max_degree(g, n))
+        if not rep.match:
+            bad = next(d for d, c, f in rep.degrees if c != f)
+            return CheckResult(criterion, False, f"(g,n)=({g},{n}) mismatch at degree {bad}")
+        done.append(f"({g},{n})")
+    return CheckResult(criterion, True, f"{wording} for " + ", ".join(done))
+
+
 _A3_PAIRS = [(0, 1), (1, 1), (2, 1), (0, 3), (1, 3), (0, 5)]
 
 
 def check_a3(g_max: int = 2, n_max: int = 5) -> CheckResult:
-    done = []
-    for g, n in _A3_PAIRS:
-        if g > g_max or n > n_max:
-            continue
-        rep = hilbert_compare(g, n, "ptgn", 6 * g + 8)
-        if not rep.match:
-            bad = next((d, c, f) for d, c, f in rep.degrees if c != f)
-            return CheckResult("A3", False, f"(g,n)=({g},{n}) mismatch at degree {bad[0]}")
-        done.append(f"({g},{n})")
-    return CheckResult("A3", True, "graded quotient dims match Poincare expansion for "
-                                   + ", ".join(done))
+    return _hilbert_check("A3", _A3_PAIRS, "ptgn", lambda g, n: 6 * g + 8,
+                          "graded quotient dims match Poincare expansion", g_max, n_max)
 
 
 _A4_PAIRS = [(1, 1), (2, 1), (0, 3), (1, 3), (0, 5)]
 
 
 def check_a4(g_max: int = 2, n_max: int = 5) -> CheckResult:
-    done = []
-    for g, n in _A4_PAIRS:
-        if g > g_max or n > n_max:
-            continue
-        m = (n - 1) // 2
-        rep = hilbert_compare(g, n, "k", 2 * (g + m + 4))
-        if not rep.match:
-            bad = next((d, c, f) for d, c, f in rep.degrees if c != f)
-            return CheckResult("A4", False, f"(g,n)=({g},{n}) mismatch at degree {bad[0]}")
-        done.append(f"({g},{n})")
-    return CheckResult("A4", True, "reduced-ideal graded dims match the K-series for "
-                                   + ", ".join(done))
+    return _hilbert_check("A4", _A4_PAIRS, "k", lambda g, n: 2 * (g + (n - 1) // 2 + 4),
+                          "reduced-ideal graded dims match the K-series", g_max, n_max)
 
 
 def check_a5(k_max: int = 6, n_values: Sequence[int] = (1, 3, 5, 7)) -> CheckResult:
@@ -233,7 +230,7 @@ def check_a7(g_max: int = 5) -> CheckResult:
 
 def check_a8(g_max: int = 4) -> CheckResult:
     done = []
-    for g in range(1, min(g_max, 4) + 1):
+    for g in range(1, g_max + 1):
         witness = floer.gamma_power_witness(g)  # raises if the identity fails
         model = model_for(g, "+")
         gpow = Poly.variable(model.ring, "gamma") ** g
@@ -269,17 +266,13 @@ def check_a9() -> CheckResult:
 
 
 def check_a10(g_max: int = 6) -> CheckResult:
-    for g in range(min(g_max, 6) + 1):
+    for g in range(g_max + 1):
         if specialize_u(r_poly_local(g), Fraction(1)) != r_poly(g):
             return CheckResult("A10", False, f"u=1 specialization fails at g={g}")
     theta_results = []
     for g in (1, 2):
         for theta in (Fraction(2), Fraction(3, 2)):
-            flip_sign = (-1) ** (g + 1)
-            w_val = flip_sign * (2 * g - 2 + (theta + 1 / theta) / 2)
-            d_val = flip_sign * (1 / theta - theta)
-            point = {"omega": w_val, "delta1": d_val, "beta": Fraction(2),
-                     "gamma": Fraction(0)}
+            point = local_eigen_point(g, "+", theta)
             gens = jgen_n1(g, "+", local=True)
             for name, p in gens.gens:
                 if p.evaluate(point, u_value=theta):
@@ -293,13 +286,13 @@ def check_a10(g_max: int = 6) -> CheckResult:
                 theta_results.append(f"g={g},theta={theta}:operator-check FAILED ({exc})")
                 return CheckResult("A10", False, "; ".join(theta_results))
     return CheckResult("A10", True,
-                       "u=1 specialization for g<=6; local eigen tuples verified by "
+                       f"u=1 specialization for g<={g_max}; local eigen tuples verified by "
                        "evaluation and operators: " + "; ".join(theta_results))
 
 
 def check_a11(g_max: int = 3, n_max: int = 5) -> CheckResult:
     done = []
-    for g in range(min(g_max, 3) + 1):
+    for g in range(g_max + 1):
         for n in (1, 3, 5):
             if n > n_max:
                 continue
@@ -310,42 +303,31 @@ def check_a11(g_max: int = 3, n_max: int = 5) -> CheckResult:
                        f"degree bookkeeping identity to degree 40 for {len(done)} pairs")
 
 
-def _a12_stacks(n: int, s: int):
-    """A12's two rank stacks at (n, s), each as (sparse rows, column count).
-
-    The first holds the flip images of alpha'^s over the degree-2s canonical
-    monomials modulo beta; the second, formed lazily, their products with the
-    degree-2 monomials over degree 2s+2.
-    """
-    spec = mod_beta_spec()
+def _a12_flips(n: int, s: int) -> GeneratorSet:
+    """The even flips of alpha'^s, alpha' = omega - (delta_1+...+delta_n)/2, built
+    in omega-coordinates, where a flip only changes signs."""
     rng = ring(n, coordinate=OMEGA)
     alpha_p = Poly.variable(rng, OMEGA) - sum(
         (Poly.variable(rng, f"delta{i}") for i in range(1, n + 1)),
         Poly.zero(rng)) * Fraction(1, 2)
-    flips = [canonical_rep((alpha_p ** s).flip(J), spec) for J in flip_subsets(n, even=True)]
-    basis = canonical_monomials(rng, spec, 2 * s)
-    index = {mono: i for i, mono in enumerate(basis)}
-    flip_rows = [{index[e]: c for e, c in f.terms.items()} for f in flips]
-    tgt = canonical_monomials(rng, spec, 2 * s + 2)
-    tindex = {mono: i for i, mono in enumerate(tgt)}
-    prod_rows = ({tindex[e]: c for e, c in
-                  canonical_rep(f * Poly.monomial(rng, mono), spec).terms.items()}
-                 for f in flips for mono in canonical_monomials(rng, spec, 2))
-    return (flip_rows, len(basis)), (prod_rows, len(tgt))
+    return GeneratorSet(f"alpha'^{s}", rng, flip_orbit(alpha_p ** s, f"alpha'^{s}", n))
 
 
 def check_a12(n_values: Sequence[int] = (3, 5)) -> CheckResult:
+    """Modulo beta, the flips of alpha'^s (``_a12_flips``) are independent and
+    their ideal is full in degree 2s+2, for s = m, m+1."""
     details = []
     for n in n_values:
         m = (n - 1) // 2
         for s in (m, m + 1):
-            (flip_rows, cols), (prod_rows, tcols) = _a12_stacks(n, s)
-            got = linalg.row_rank(flip_rows, cols)
+            ranks = floer._graded_ranks(_a12_flips(n, s), 2 * s + 2, mod_beta_spec())
+            got = ranks[2 * s][1]
             if got != 2 ** (n - 1):
                 return CheckResult("A12", False,
                                    f"independence rank {got} != {2 ** (n - 1)} at n={n}, s={s}")
             # degree-(2s+2) fullness of the ideal generated by the flips
-            if linalg.row_rank(prod_rows, tcols) != tcols:
+            size, rank = ranks[2 * s + 2]
+            if rank != size:
                 return CheckResult("A12", False,
                                    f"ideal not full in degree {2 * s + 2} at n={n}, s={s}")
             details.append(f"n={n},s={s}")

@@ -11,14 +11,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import linalg
-from .linalg import Matrix, kernel_basis, subspace_intersection
+from .linalg import Matrix, subspace_intersection
 from .poly import (ALPHA, OMEGA, RATIONAL, Exponents, Poly,
                    monomials_of_degree, ring)
 from .quotient import (QuotientSpec, canonical_monomials, canonical_rep,
-                       model_spec)
+                       model_spec, rbar_spec)
 from .relations import (GeneratorSet, flip_orbit, flip_subsets, gamma_cofactors,
                         igen, jgen_n1, kprime_gen, specialize_u, xi)
 from .series import RationalFn, expand_rational_fn, poly_add, poly_mul, poly_pow, poly_scale, poly_shift
@@ -68,7 +68,7 @@ def _ideal_pieces(gens: GeneratorSet, spec: Optional[QuotientSpec]):
     iterator of sparse rows ``{basis index: coefficient}`` spanning the ideal
     piece.  A row's product is formed only when the row is taken, and each
     generator is brought to canonical form inside ``spec`` once, when a row of
-    any degree first needs it."""
+    any degree first needs it; a generator that reduces to zero gives no rows."""
     if spec is None:
         rng = gens.ambient
 
@@ -111,7 +111,7 @@ def _graded_ranks(gens: GeneratorSet, max_degree: int,
                   spec: Optional[QuotientSpec]) -> List[Tuple[int, int]]:
     """(piece dimension, ideal rank) in each degree 0..max_degree; odd degrees
     give (0, 0)."""
-    piece = _ideal_pieces(gens, spec if spec is not None else gens.quotient_context)
+    piece = _ideal_pieces(gens, spec)
     out = []
     for d in range(max_degree + 1):
         if d % 2:
@@ -191,16 +191,13 @@ def hilbert_compare(g: int, n: int, source: str, max_degree: int) -> HilbertRepo
     source = source.lower()
     if source == "ptgn":
         formula = expand_rational_fn(ptgn_series(g, n), max_degree)
-        # quotient of the gamma/delta-reduced ring by the xi-flip generators
+        # delta_i^2 + beta and gamma^{g+1} reduce to zero in this ring
         gens = igen(g, n, "odd" if (1 + (n - 1) // 2) % 2 == 1 else "even")
-        reduced = GeneratorSet(gens.label, gens.ambient,
-                               [gv for gv in gens.gens if "xi" in gv[0]],
-                               meta=gens.meta)
         spec = QuotientSpec(gamma_truncation=g + 1, delta_square=0)
-        computed = graded_quotient_dims(reduced, max_degree, spec)
+        computed = graded_quotient_dims(gens, max_degree, spec)
     elif source == "k":
         formula = expand_rational_fn(k_series(g, n), max_degree)
-        computed = graded_ideal_dims(kprime_gen(g, n), max_degree)
+        computed = graded_ideal_dims(kprime_gen(g, n), max_degree, rbar_spec())
     elif source == "total":
         formula = expand_rational_fn(total_series(g, n), max_degree)
         computed = _exterior_sum(g, max_degree, lambda h: [
@@ -481,14 +478,15 @@ class QuotientModel:
             top = max((i for i, c in enumerate(n_coeffs) if c), default=-1)
             formula_coeffs = n_coeffs[: top + 1]
         # (1) basis degrees: iterate until formula exhausted and three consecutive zeros
+        piece = _ideal_pieces(GeneratorSet(self.I.label, self.ring, ipolys), None)
         pivots: Dict[int, Set[int]] = {}
         self.basis: List[Tuple[int, Exponents]] = []
         d = 0
         zeros = 0
         top_formula = len(formula_coeffs) - 1 if formula_coeffs is not None else None
         while True:
-            monos = monomials_of_degree(self.ring, d)
-            pivots[d] = self._leading_columns(pairs, monos, d)
+            monos, rows = piece(d)
+            pivots[d] = linalg.pivot_columns(rows, len(monos))
             basis_d = [m for j, m in enumerate(monos) if j not in pivots[d]]
             self.basis.extend((d, m) for m in basis_d)
             dim_d = len(basis_d)
@@ -505,15 +503,6 @@ class QuotientModel:
             d += 2
         self.basis_index = {bm: i for i, bm in enumerate(self.basis)}
         self._certified_operators(pairs, pivots, jpolys)
-
-    def _leading_columns(self, pairs: List[Tuple[Poly, Poly]], monos: List[Exponents],
-                         d: int) -> Set[int]:
-        """The pivot columns of the degree-d piece of I over the monomials ``monos``."""
-        index = {m: j for j, m in enumerate(monos)}
-        rows = ({index[e]: c for e, c in ip.times_monomial(mono).terms.items()}
-                for ip, _jp in pairs if ip.degree() <= d
-                for mono in monomials_of_degree(self.ring, d - ip.degree()))
-        return linalg.pivot_columns(rows, len(monos))
 
     @staticmethod
     def _scalar_ratio(a: Poly, b: Poly) -> Optional[Fraction]:
@@ -735,9 +724,9 @@ def eigen_verify(g: int, sign: str = "+", theta: Optional[Fraction] = None) -> E
         raise ValueError("g must be >= 1")
     model = model_for(g, sign, theta)
     D = model.dim
-    sgn = 1 if sign == "+" else -1
     if theta is not None:
-        return _eigen_verify_local(g, sgn, theta, model)
+        return _eigen_verify_local(g, sign, theta, model)
+    sgn = 1 if sign == "+" else -1
     a_op = model.operator(ALPHA)
     b_op = model.operator("beta")
     c_op = model.operator("gamma")
@@ -778,12 +767,20 @@ def eigen_verify(g: int, sign: str = "+", theta: Optional[Fraction] = None) -> E
     return EigenReport(v2_dim, D, tuples)
 
 
-def _eigen_verify_local(g: int, sgn: int, theta: Fraction, model: QuotientModel) -> EigenReport:
+def local_eigen_point(g: int, sign: str, theta: Fraction) -> Dict[str, Fraction]:
+    """The local eigen tuple {omega, delta1, beta, gamma} of the one-point model
+    at u = theta: omega = s*(2g - 2 + (theta + 1/theta)/2), delta1 = s*(1/theta -
+    theta), beta = 2, gamma = 0, with s = (-1)^(g+1) for sign '+' and its
+    negative for '-'."""
     theta = Fraction(theta)
-    flip_sign = sgn * (-1) ** (g + 1)
-    w_val = flip_sign * (2 * g - 2 + (theta + 1 / theta) / 2)
-    d_val = flip_sign * (1 / theta - theta)
-    tup = {"omega": w_val, "delta1": d_val, "beta": Fraction(2), "gamma": Fraction(0)}
+    s = (1 if sign == "+" else -1) * (-1) ** (g + 1)
+    return {"omega": s * (2 * g - 2 + (theta + 1 / theta) / 2), "delta1": s * (1 / theta - theta),
+            "beta": Fraction(2), "gamma": Fraction(0)}
+
+
+def _eigen_verify_local(g: int, sign: str, theta: Fraction, model: QuotientModel) -> EigenReport:
+    tup = local_eigen_point(g, sign, theta)
+    w_val, d_val = tup["omega"], tup["delta1"]
     # evaluation route: every generator vanishes at the tuple
     for name, p in model.J.gens:
         val = p.evaluate(tup)
@@ -834,42 +831,24 @@ def solve_subleading(g: int, n: int = 3) -> GeneratorSet:
     for d in range(0, max(-1, 2 * (g + m - 2)) + 1, 2):
         unknowns.extend(canonical_monomials(rng, spec, d))
     model = model_for(g, "+")
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-
-    def add_equations(vec_base: Sequence[Fraction], vec_unknowns: Sequence[Sequence[Fraction]]):
-        for i in range(len(vec_base)):
-            rows.append([vu[i] for vu in vec_unknowns])
-            rhs.append(-vec_base[i])
-
+    rows: List[List[Fraction]] = []  # the augmented system [A | rhs]
     for I in flip_subsets(3, even=True):
-        flipped_base = base.flip(I)
-        nf_base = model.normal_form(flipped_base.pi_reduce())
-        nf_unknowns = []
-        for mono in unknowns:
-            mp = Poly.monomial(rng, mono).flip(I)
-            nf_unknowns.append(model.normal_form(mp.pi_reduce()))
-        add_equations(nf_base, nf_unknowns)
+        nf_base = model.normal_form(base.flip(I).pi_reduce())
+        nf_unknowns = [model.normal_form(Poly.monomial(rng, mono).flip(I).pi_reduce())
+                       for mono in unknowns]
+        rows.extend([vu[i] for vu in nf_unknowns] + [-b] for i, b in enumerate(nf_base))
     # evaluation constraints at (lambda, 2, 0, 0, 0, 0)
     for lam in _lambda_seq(g + m):
-        b_val = base.evaluate_alpha_point(lam, 2, 0, [0, 0, 0])
-        u_vals = [Poly.monomial(rng, mono).evaluate_alpha_point(lam, 2, 0, [0, 0, 0])
-                  for mono in unknowns]
-        rows.append(u_vals)
-        rhs.append(-b_val)
-    if unknowns:
-        A = Matrix(rows)
-        sol = linalg.solve(A, rhs)
-        if sol is None:
-            raise VerificationError("sub-leading system is infeasible (convention drift)")
-        if kernel_basis(A).rows != 0:
-            raise VerificationError("sub-leading system is not unique (convention drift)")
-        h = Poly(rng, {mono: c for mono, c in zip(unknowns, sol)})
-    else:
-        if any(rhs):
-            raise VerificationError("sub-leading system is infeasible (convention drift)")
-        h = Poly.zero(rng)
-    f_hat = base + h
+        rows.append([Poly.monomial(rng, mono).evaluate_alpha_point(lam, 2, 0, [0, 0, 0])
+                     for mono in unknowns] + [-base.evaluate_alpha_point(lam, 2, 0, [0, 0, 0])])
+    # one RREF: the rhs column leads a row iff the system is infeasible
+    k = len(unknowns)
+    R, pivots, _T = linalg.rref(Matrix(rows, k + 1))
+    if k in pivots:
+        raise VerificationError("sub-leading system is infeasible (convention drift)")
+    if len(pivots) < k:
+        raise VerificationError("sub-leading system is not unique (convention drift)")
+    f_hat = base + Poly(rng, {mono: R[i, k] for i, mono in enumerate(unknowns)})
     return GeneratorSet(
         label=f"X_{{{g},3}}", ambient=rng, gens=flip_orbit(f_hat, f"fhat_{{{g},3}}", 3),
         meta={"g": g, "n": 3, "sign": "+", "f_hat": f_hat},

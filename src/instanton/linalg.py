@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 Vector = List[Fraction]
 
@@ -147,44 +147,6 @@ def _eliminate(vec: Dict[int, int], pivot: Dict[int, int], p: int) -> Dict[int, 
     return _primitive(vec) if vec else vec
 
 
-def rref(M: Matrix) -> Tuple[Matrix, List[int], Matrix]:
-    """Reduced row echelon form.
-
-    Returns (R, pivots, T) with R = T*M, T invertible, pivots strictly increasing.
-    Gauss-Jordan runs on the primitive integer rows of [M | I]; the first rank
-    rows are divided by their pivot entries at the end.  The pivot row is the
-    one whose pivot entry has the fewest bits, to limit growth.  R is the
-    canonical RREF, and so is T when M has full row rank; below the rank, the
-    rows of T are a basis of the left kernel.
-    """
-    n, cols = M.rows, M.cols
-    a = [_primitive_row({**dict(enumerate(row)), cols + i: Fraction(1)})
-         for i, row in enumerate(M.data)]
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        cand = [i for i in range(r, n) if c in a[i]]
-        if not cand:
-            continue
-        p = min(cand, key=lambda i: (a[i][c].bit_length(), i))
-        a[r], a[p] = a[p], a[r]
-        pivot = a[r]
-        for i in range(n):
-            if i != r and c in a[i]:
-                a[i] = _eliminate(a[i], pivot, c)
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    zero = Fraction(0)
-    R, T = [], []
-    for i, row in enumerate(a):
-        d = row[pivots[i]] if i < r else 1
-        R.append([Fraction(row[j], d) if j in row else zero for j in range(cols)])
-        T.append([Fraction(row[j], d) if j in row else zero for j in range(cols, cols + n)])
-    return Matrix(R, cols), pivots, Matrix(T, n)
-
-
 def _echelon(rows: Iterable[Mapping[int, Fraction]], cols: int) -> Dict[int, Dict[int, int]]:
     """Primitive integer pivot rows of the span of sparse rational rows
     ``{column: value}``, keyed by their smallest column.
@@ -210,6 +172,35 @@ def _echelon(rows: Iterable[Mapping[int, Fraction]], cols: int) -> Dict[int, Dic
                 break
             vec = _eliminate(vec, pivot, p)
     return pivots
+
+
+def rref(M: Matrix) -> Tuple[Matrix, List[int], Matrix]:
+    """Reduced row echelon form.
+
+    Returns (R, pivots, T) with R = T*M, T invertible, pivots strictly increasing.
+    ``_echelon`` reduces the rows of [M | I]; its pivot rows that lead inside M
+    are then cleared on the later pivot columns and divided by their pivot
+    entries.  R is the canonical RREF, and so is T when M has full row rank;
+    below the rank, the rows of T are a basis of the left kernel.
+    """
+    n, cols = M.rows, M.cols
+    echelon = _echelon(({**dict(enumerate(row)), cols + i: Fraction(1)}
+                        for i, row in enumerate(M.data)), cols + n)
+    pivots = sorted(p for p in echelon if p < cols)
+    for k in reversed(range(len(pivots))):
+        row = echelon[pivots[k]]
+        for q in pivots[k + 1:]:
+            if q in row:
+                row = _eliminate(row, echelon[q], q)
+        echelon[pivots[k]] = row
+    zero = Fraction(0)
+    R, T = [], []
+    for p in sorted(echelon):
+        row = echelon[p]
+        d = row[p] if p < cols else 1
+        R.append([Fraction(row[j], d) if j in row else zero for j in range(cols)])
+        T.append([Fraction(row[j], d) if j in row else zero for j in range(cols, cols + n)])
+    return Matrix(R, cols), pivots, Matrix(T, n)
 
 
 def row_rank(rows: Iterable[Mapping[int, Fraction]], cols: int) -> int:
@@ -270,18 +261,6 @@ def _kernel_from_rref(R: Matrix, pivots: List[int], cols: int) -> Matrix:
             v[p] = -R.data[i][f]
         rows.append(v)
     return Matrix(rows) if rows else Matrix.zeros(0, cols)
-
-
-def solve(M: Matrix, b: Sequence) -> Optional[Vector]:
-    """One solution of M x = b, or None if inconsistent."""
-    aug = Matrix([list(row) + [_fr(bi)] for row, bi in zip(M.data, b)])
-    R, pivots, _ = rref(aug)
-    if M.cols in pivots:
-        return None
-    x = [Fraction(0)] * M.cols
-    for i, p in enumerate(pivots):
-        x[p] = R.data[i][M.cols]
-    return x
 
 
 def _stable_power(M: Matrix, lam) -> Tuple[Matrix, int]:

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from . import series as series_mod
 from .poly import (ALPHA, LAURENT_U, OMEGA, RATIONAL, LaurentU, Poly,
                    RingDescriptor, _summed, ring)
-from .quotient import QuotientSpec, canonical_rep, delta_support, rbar_spec
+from .quotient import canonical_rep, delta_support, rbar_spec
 from .series import SeriesT, exp_series, pow_binomial
 
 # xi lives in alpha, beta, gamma only; we store raw exponent dicts keyed (a, b, c)
@@ -191,7 +191,6 @@ class GeneratorSet:
     label: str
     ambient: RingDescriptor
     gens: List[Tuple[str, Poly]]
-    quotient_context: Optional[QuotientSpec] = None
     meta: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -319,16 +318,16 @@ def igen(g: int, n: int, parity: str) -> GeneratorSet:
 
 
 def kprime_gen(g: int, n: int) -> GeneratorSet:
-    """Reduced generators of K'_{g,n}: even flips of xi-bar_{g+m} and xi-bar_{g+m+1}."""
+    """Reduced generators of K'_{g,n}: even flips of xi-bar_{g+m} and xi-bar_{g+m+1},
+    canonical in R-bar_n (``rbar_spec()``), the ring their ideal lives in."""
     if g < 0:
         raise ValueError("g must be >= 0")
     m = (n - 1) // 2
-    spec = rbar_spec()
     rng = ring(n, coordinate=OMEGA)
     gens = [gen for k in (g + m, g + m + 1)
-            for gen in flip_orbit(canonical_rep(xi(k, n), spec), f"xibar_{{{k},{n}}}", n)]
+            for gen in flip_orbit(canonical_rep(xi(k, n), rbar_spec()), f"xibar_{{{k},{n}}}", n)]
     return GeneratorSet(
-        label=f"K'_{{{g},{n}}}", ambient=rng, gens=gens, quotient_context=spec,
+        label=f"K'_{{{g},{n}}}", ambient=rng, gens=gens,
         meta={"g": g, "n": n},
     )
 

@@ -6,11 +6,11 @@ by a plainer method.
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from instanton import floer
 from instanton.floer import VerificationError
-from instanton.linalg import Matrix
+from instanton.linalg import Matrix, rref
 from instanton.poly import (ALPHA, LAURENT_U, OMEGA, Exponents, LaurentU, Poly,
                             monomials_of_degree)
 from instanton.quotient import QuotientSpec, canonical_rep
@@ -38,6 +38,17 @@ def char_poly(M: Matrix) -> List[Fraction]:
         for i in range(n):
             Mk.data[i][i] += c
     return coeffs
+
+
+def solve(M: Matrix, b: Sequence) -> Optional[List[Fraction]]:
+    """One solution of M x = b, or None if inconsistent."""
+    R, pivots, _ = rref(Matrix([list(row) + [bi] for row, bi in zip(M.data, b)], M.cols + 1))
+    if M.cols in pivots:
+        return None
+    x = [Fraction(0)] * M.cols
+    for i, p in enumerate(pivots):
+        x[p] = R.data[i][M.cols]
+    return x
 
 
 def flip_round_trip(p: Poly, I: Iterable[int]) -> Poly:

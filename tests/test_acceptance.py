@@ -8,8 +8,12 @@ there are no tolerances to tune.
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from instanton import acceptance, linalg
 from instanton.cli import Cache
+from instanton.floer import _ideal_pieces
+from instanton.quotient import mod_beta_spec
 
 
 def _run(check, *args, **kwargs):
@@ -109,8 +113,10 @@ def test_a12_n3_stacks_pinned():
     """A12's n = 3 stacks: shapes, ranks, and the integer kernel against RREF."""
     shapes = {}
     for s in (1, 2):
-        (flip_rows, cols), (prod_rows, tcols) = acceptance._a12_stacks(3, s)
-        prod_rows = list(prod_rows)
+        piece = _ideal_pieces(acceptance._a12_flips(3, s), mod_beta_spec())
+        (basis, flip_rows), (tbasis, prod_rows) = piece(2 * s), piece(2 * s + 2)
+        flip_rows, prod_rows = list(flip_rows), list(prod_rows)
+        cols, tcols = len(basis), len(tbasis)
         for rows, c in ((flip_rows, cols), (prod_rows, tcols)):
             dense = linalg.Matrix([[row.get(j, F(0)) for j in range(c)] for row in rows], c)
             assert linalg.row_rank(rows, c) == len(linalg.rref(dense)[1])
@@ -118,8 +124,17 @@ def test_a12_n3_stacks_pinned():
                      len(prod_rows), tcols, linalg.row_rank(prod_rows, tcols))
     assert shapes == {1: (4, 4, 4, 16, 7, 7), 2: (4, 7, 4, 16, 8, 8)}
     # alpha' = omega - (delta1 + delta2 + delta3)/2, unflipped
-    (flip_rows, _), _ = acceptance._a12_stacks(3, 1)
-    assert flip_rows[0] == {0: F(1), 1: F(-1, 2), 2: F(-1, 2), 3: F(-1, 2)}
+    _basis, flip_rows = _ideal_pieces(acceptance._a12_flips(3, 1), mod_beta_spec())(2)
+    assert next(flip_rows) == {0: F(1), 1: F(-1, 2), 2: F(-1, 2), 3: F(-1, 2)}
+
+
+@pytest.mark.parametrize("check, g_max, expected", [
+    ("check_a8", 5, "; g=4:3 cofactors; g=5:3 cofactors"),
+    ("check_a10", 7, "u=1 specialization for g<=7; "),
+    ("check_a11", 4, " to degree 40 for 15 pairs"),
+])
+def test_a8_a10_a11_run_the_genus_asked_for(check, g_max, expected):
+    assert expected in _run(getattr(acceptance, check), g_max).detail
 
 
 def test_a13_binomial_determinants():

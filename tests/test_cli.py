@@ -128,6 +128,13 @@ def test_verify_suite_exit_zero(capsys, tmp_path):
     assert "[A2] PASS" in out
 
 
+def test_verify_runs_the_genus_asked_for(capsys, tmp_path):
+    code, out = run_cli(capsys, "verify", "--suite", "membership", "--g-max", "5",
+                        "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out.startswith("[A8] PASS - ") and out.endswith("; g=5:3 cofactors\n")
+
+
 RHO_SUITE = ("verify", "--suite", "rho")
 A6_RECORDED = "[A6] PASS - rho convention branch: negate_omega (recorded)\n"
 

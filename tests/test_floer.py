@@ -6,6 +6,7 @@ from conftest import random_poly
 from oracles import lift_table_model, lift_table_model_n3
 
 from instanton import floer
+from instanton.acceptance import _A3_PAIRS
 from instanton.floer import (QuotientModel, VerificationError,
                              decomposition_identity_check, eigen_verify,
                              expand_rational_fn, gamma_power_witness,
@@ -13,7 +14,7 @@ from instanton.floer import (QuotientModel, VerificationError,
                              model_n3, ptgn_series, solve_subleading)
 from instanton.linalg import Matrix
 from instanton.poly import ALPHA, OMEGA, Poly, gamma, omega, ring
-from instanton.quotient import QuotientSpec
+from instanton.quotient import QuotientSpec, rbar_spec
 from instanton.relations import (GeneratorSet, igen, jgen_n1, kprime_gen,
                                  r_poly, xi)
 
@@ -44,6 +45,18 @@ def test_full_ring_and_reduced_paths_agree():
     assert full == reduced
 
 
+@pytest.mark.parametrize("g, n", _A3_PAIRS + [(2, 3), (3, 1)])
+def test_ptgn_dims_of_the_whole_igen_are_those_of_its_xi_generators(g, n):
+    """delta_i^2 + beta and gamma^{g+1} reduce to zero in the ring of the ptgn
+    source, so passing the whole igen changes no dimension."""
+    from instanton.floer import graded_quotient_dims
+    gens = igen(g, n, "odd" if (1 + (n - 1) // 2) % 2 == 1 else "even")
+    xi_only = GeneratorSet(gens.label, gens.ambient, [gv for gv in gens.gens if "xi" in gv[0]])
+    spec = QuotientSpec(gamma_truncation=g + 1, delta_square=0)
+    rep = hilbert_compare(g, n, "ptgn", 6 * g + 8)
+    assert [c for _d, c, _f in rep.degrees] == graded_quotient_dims(xi_only, 6 * g + 8, spec)
+
+
 def test_hilbert_total_and_k_sources():
     assert hilbert_compare(0, 3, "total", 8).match
     rep = hilbert_compare(0, 3, "k", 8)
@@ -52,7 +65,7 @@ def test_hilbert_total_and_k_sources():
 
 
 def test_kprime_dims_reproduce_lemma_value():
-    dims = graded_ideal_dims(kprime_gen(0, 3), 10)
+    dims = graded_ideal_dims(kprime_gen(0, 3), 10, rbar_spec())
     for i in range(4):
         assert dims[2 * (1 + i)] == 4 * (i + 1)
 
@@ -212,6 +225,24 @@ def test_solver_genus_one_value_and_membership():
         assert m1.membership(p.pi_reduce())
 
 
+@pytest.mark.parametrize("g", [0, 1])
+def test_solver_reports_an_infeasible_system(monkeypatch, g):
+    """One more evaluation point, where the solution does not vanish, makes the
+    system infeasible, with unknowns (g = 1) and without (g = 0)."""
+    lambdas = floer._lambda_seq
+    monkeypatch.setattr(floer, "_lambda_seq", lambda h: lambdas(h) + [7])
+    with pytest.raises(VerificationError, match=r"^sub-leading system is infeasible"):
+        solve_subleading(g)
+
+
+def test_solver_reports_a_system_that_is_not_unique(monkeypatch):
+    """Every unknown listed twice: the system stays solvable, but not uniquely."""
+    monomials = floer.canonical_monomials
+    monkeypatch.setattr(floer, "canonical_monomials", lambda *args: monomials(*args) * 2)
+    with pytest.raises(VerificationError, match=r"^sub-leading system is not unique"):
+        solve_subleading(1)
+
+
 def test_three_point_model_dimension():
     m13 = model_n3(1)
     assert m13.dim == sum(expand_rational_fn(ptgn_series(1, 3), 40)) == 10
@@ -302,7 +333,8 @@ def test_model_eigen_algebra_matches_direct_forms():
     """On the g=3 operators, the stable-power eigenspaces, the factor-once
     restriction and the early-exit nilpotency test agree with the direct forms."""
     from instanton import linalg
-    from instanton.linalg import Matrix, kernel_basis, rank, solve
+    from instanton.linalg import Matrix, kernel_basis, rank
+    from oracles import solve
     model = model_for(3, "+")
     D = model.dim
     ops = {var: model.operator(var) for var in (ALPHA, "beta", "gamma", "delta1")}

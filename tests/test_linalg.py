@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from instanton.linalg import (Matrix, generalized_eigenspace,
                               generalized_eigenspace_dim, is_nilpotent_on,
                               kernel_basis, rank, restrict, row_rank, rref,
-                              solve, subspace_intersection)
-from oracles import char_poly
+                              subspace_intersection)
+from oracles import char_poly, solve
 
 
 def test_identity_rank_and_kernel():
