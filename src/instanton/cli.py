@@ -11,6 +11,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -273,7 +274,10 @@ def run(argv) -> int:
         elif args.command == "verify":
             results = acceptance.run_suite(
                 args.suite, g_max=args.g_max, n_max=args.n_max,
-                cache=None if args.no_cache else cache)
+                cache=None if args.no_cache else cache,
+                emit=(lambda _line: None) if args.json else print)
+            if args.json:
+                print(dump_json([asdict(r) for r in results]))
             return 0 if all(r.passed for r in results) else 1
     except (AssertionError, VerificationError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

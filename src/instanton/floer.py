@@ -66,7 +66,9 @@ def k_series(g: int, n: int) -> RationalFn:
 def _ideal_pieces(gens: GeneratorSet, spec: Optional[QuotientSpec]):
     """A function taking a degree d to the degree-d monomial basis and a lazy
     iterator of sparse rows ``{basis index: coefficient}`` spanning the ideal
-    piece.  A row's product is formed only when the row is taken, and each
+    piece, one per (generator index, cofactor monomial) in that order.  Given a
+    list ``cofactors``, the function appends each row's pair to it as the row
+    is taken.  A row's product is formed only when the row is taken, and each
     generator is brought to canonical form inside ``spec`` once, when a row of
     any degree first needs it; a generator that reduces to zero gives no rows."""
     if spec is None:
@@ -92,15 +94,17 @@ def _ideal_pieces(gens: GeneratorSet, spec: Optional[QuotientSpec]):
             if k == len(reduced):
                 reduced.append(reduce(gp))
             if not reduced[k].is_zero():
-                yield reduced[k]
+                yield k, reduced[k]
 
-    def piece(degree: int):
+    def piece(degree: int, cofactors: Optional[List[Tuple[int, Exponents]]] = None):
         basis = monomials(degree)
         index = {m: i for i, m in enumerate(basis)}
 
         def rows():
-            for gp in generators():
+            for k, gp in generators():
                 for mono in monomials(degree - gp.degree()):
+                    if cofactors is not None:
+                        cofactors.append((k, mono))
                     prod = reduce(gp.times_monomial(mono))
                     yield {index[e]: c for e, c in prod.terms.items() if e in index}
         return basis, rows()
@@ -234,9 +238,13 @@ def _exterior_sum(g: int, max_degree: int, piece: Callable[[int], List[int]]) ->
 # prime is combined with the earlier ones by Chinese remaindering.
 _PRIMES = (2 ** 61 - 1, 2 ** 62 - 57, 2 ** 63 - 25, 2 ** 64 - 59)
 
+# Per degree, the (leading monomial, I-generator index, cofactor monomial) of
+# each ideal row that creates a pivot over Q, in the order the rows create them.
+_PivotOrigins = Dict[int, List[Tuple[Exponents, int, Exponents]]]
+
 
 class _UnluckyPrime(Exception):
-    """The ideal rows mod p lead on other columns than over Q."""
+    """A row that creates a pivot over Q leads on another column mod p."""
 
 
 def _rational(a: int, m: int) -> Optional[Fraction]:
@@ -256,17 +264,17 @@ def _mod_terms(terms: Dict[Exponents, Fraction], p: int) -> Dict[Exponents, int]
     return {e: c.numerator * pow(c.denominator, -1, p) % p for e, c in terms.items()}
 
 
-def _reduce_mod(row: Dict[int, int], pivots: Dict[int, Dict[int, int]], p: int):
-    """Reduce a sparse row mod p against unit-led pivot rows, each stored without
-    its leading 1 and with columns above its pivot only.
+def _reduce_mod(row: Dict[int, int], pivots: Dict[int, Dict[int, int]], p: int,
+                stop: float = math.inf) -> Dict[int, int]:
+    """Reduce a sparse row mod p on its columns below ``stop`` against unit-led
+    pivot rows, each stored without its leading 1 and with columns above its
+    pivot only.
 
-    Consumes ``row``.  Returns (residual, multipliers) with row == residual +
-    sum f * (e_q + pivots[q]) over the (q, f) multipliers; the residual has no
-    pivot column.
+    Consumes ``row``.  Returns the residual: row minus a combination of pivot
+    rows, with no pivot column below ``stop``.
     """
     residual: Dict[int, int] = {}
-    multipliers: List[Tuple[int, int]] = []
-    heap = list(row)
+    heap = [j for j in row if j < stop]
     heapq.heapify(heap)
     while heap:
         q = heapq.heappop(heap)
@@ -277,14 +285,15 @@ def _reduce_mod(row: Dict[int, int], pivots: Dict[int, Dict[int, int]], p: int):
         if prow is None:
             residual[q] = f
             continue
-        multipliers.append((q, f))
         for j, c in prow.items():
             s = row.get(j)
             if s is None:
-                heapq.heappush(heap, j)
+                if j < stop:
+                    heapq.heappush(heap, j)
                 s = 0
             row[j] = (s - f * c) % p
-    return residual, multipliers
+    residual.update((j, c) for j, c in row.items() if c)
+    return residual
 
 
 def _apply(columns: List[Dict[int, int]], vec: Dict[int, int]) -> Dict[int, int]:
@@ -299,104 +308,53 @@ def _apply(columns: List[Dict[int, int]], vec: Dict[int, int]) -> Dict[int, int]
 class _ModularTables:
     """The model's elimination over Z/p, for normal forms mod p.
 
-    Per even degree d: unit-led pivot rows of the degree-d piece of I (columns
-    index the monomials of degree d), and per pivot the lower-degree part of a
-    lift in J mod p whose degree-d part is that row.  Inside the basis window a
-    degree must lead on the exact pivot columns, past it on every column;
-    otherwise the prime is unlucky.
+    Columns number the monomials of degree top, top - 2, ..., 0 in that order,
+    and within a degree in the order of the exact step, so a row's smallest
+    column leads it.  Per even degree d, the rows that created the exact
+    pivots (step (1)) are formed again, in their order, from the paired
+    J-generators mod p, reduced on their degree-d columns, and stored whole
+    and unit-led: each lies in J mod p, so its columns past degree d are the
+    lower part of a lift of its degree-d part.  A row that does not lead on
+    its exact pivot column makes the prime unlucky.
     """
 
     def __init__(self, model: "QuotientModel", pairs: List[Tuple[Poly, Poly]],
-                 pivots: Dict[int, Set[int]], p: int):
+                 pivots: _PivotOrigins, p: int):
         self.ring = model.ring
         self.p = p
-        self.exact_pivots = pivots
-        self.basis_index = model.basis_index
-        self.index: Dict[int, Dict[Exponents, int]] = {}
-        self.basis_at: Dict[int, Dict[int, int]] = {}  # degree -> column -> basis position
-        self.rows: Dict[int, Dict[int, Dict[int, int]]] = {}
-        self.lower: Dict[int, Dict[int, Dict[int, Dict[int, int]]]] = {}
-        self.pairs = []  # (I-row terms, lower degree pieces of the J-generator, degree)
-        for ip, jp in pairs:
-            gdeg = ip.degree()
-            pieces = {dd: _mod_terms(part.terms, p)
-                      for dd, part in jp.homogeneous_components().items() if dd < gdeg}
-            self.pairs.append((_mod_terms(ip.terms, p), pieces, gdeg))
+        self.pivots = pivots
+        self.column: Dict[Exponents, int] = {}
+        self.stop: Dict[int, int] = {}  # degree -> first column past that degree
+        for d in sorted(pivots, reverse=True):
+            for m in monomials_of_degree(self.ring, d):
+                self.column[m] = len(self.column)
+            self.stop[d] = len(self.column)
+        self.basis_at = {self.column[m]: i for i, (_d, m) in enumerate(model.basis)}
+        self.jterms = [_mod_terms(jp.terms, p) for _ip, jp in pairs]
+        self.rows: Dict[int, Dict[int, int]] = {}
+        self.built = -2  # every degree up to this one is replayed
         self._memo: Dict[Exponents, List[int]] = {}
 
-    def _build(self, d: int) -> None:
-        for dd in range(0, d + 1, 2):
-            if dd not in self.rows:
-                self._build_degree(dd)
-
-    def _build_degree(self, d: int) -> None:
-        p = self.p
-        monos = monomials_of_degree(self.ring, d)
-        index = self.index[d] = {m: j for j, m in enumerate(monos)}
-        self.basis_at[d] = {j: self.basis_index[(d, m)] for j, m in enumerate(monos)
-                            if (d, m) in self.basis_index}
-        target = self.exact_pivots.get(d)
-        need = len(monos) if target is None else len(target)
-        rows: Dict[int, Dict[int, int]] = {}
-        lower: Dict[int, Dict[int, Dict[int, int]]] = {}
-        for iterms, jpieces, gdeg in self.pairs:
-            if gdeg > d or len(rows) == need:
-                continue
-            shift_deg = d - gdeg
-            for mono in monomials_of_degree(self.ring, shift_deg):
-                if len(rows) == need:
-                    break  # the rank mod p never exceeds the rank over Q
-                residual, multipliers = _reduce_mod(
-                    {index[tuple(map(add, e, mono))]: c for e, c in iterms.items()}, rows, p)
-                if not residual:
-                    continue
-                q = min(residual)
-                if target is not None and q not in target:
+    def _build(self, top: int) -> None:
+        p, column, rows = self.p, self.column, self.rows
+        while self.built < top:
+            d = self.built = self.built + 2
+            for lead, k, mono in self.pivots[d]:
+                row = {column[tuple(map(add, e, mono))]: c for e, c in self.jterms[k].items()}
+                residual = _reduce_mod(row, rows, p, self.stop[d])
+                q = column[lead]
+                if min(residual, default=None) != q:
                     raise _UnluckyPrime
                 inv = pow(residual.pop(q), -1, p)
                 rows[q] = {j: c * inv % p for j, c in residual.items()}
-                # the lift's lower part: that of J-generator * mono minus the
-                # used lifts' lower parts
-                low: Dict[int, Dict[int, int]] = {}
-                for dd, terms in jpieces.items():
-                    idx = self.index[dd + shift_deg]
-                    low[dd + shift_deg] = {idx[tuple(map(add, e, mono))]: c
-                                           for e, c in terms.items()}
-                for q2, f in multipliers:
-                    for dd, piece in lower[q2].items():
-                        tgt = low.setdefault(dd, {})
-                        for j, c in piece.items():
-                            tgt[j] = (tgt.get(j, 0) - f * c) % p
-                lower[q] = {dd: {j: c * inv % p for j, c in piece.items() if c}
-                            for dd, piece in low.items()}
-        if len(rows) != need:
-            raise _UnluckyPrime
-        self.rows[d] = rows
-        self.lower[d] = lower
 
     def normal_form(self, terms: Dict[Exponents, int]) -> List[int]:
         """Coordinates mod p over the basis of {exponents: coefficient mod p}."""
-        p = self.p
-        pieces: Dict[int, Dict[int, int]] = {}
-        for e, c in terms.items():
-            d = self.ring.monomial_degree(e)
-            self._build(d)
-            pieces.setdefault(d, {})[self.index[d][e]] = c
-        coords = [0] * len(self.basis_index)
-        for d in range(max(pieces, default=-1), -1, -2):
-            piece = pieces.pop(d, None)
-            if not piece:
-                continue
-            residual, multipliers = _reduce_mod(piece, self.rows[d], p)
-            basis_at = self.basis_at[d]
-            for j, c in residual.items():
-                coords[basis_at[j]] = c
-            lower = self.lower[d]
-            for q, f in multipliers:
-                for dd, lp in lower[q].items():
-                    tgt = pieces.setdefault(dd, {})
-                    for j, c in lp.items():
-                        tgt[j] = (tgt.get(j, 0) - f * c) % p
+        self._build(max(map(self.ring.monomial_degree, terms)))
+        coords = [0] * len(self.basis_at)
+        row = {self.column[e]: c for e, c in terms.items()}
+        for j, c in _reduce_mod(row, self.rows, self.p).items():
+            coords[self.basis_at[j]] = c
         return coords
 
     def columns(self, k: int, basis: List[Tuple[int, Exponents]]) -> List[List[int]]:
@@ -416,9 +374,10 @@ class QuotientModel:
     ideal J whose leading forms generate a known graded ideal I.
 
     The build has four steps.  (1) The basis, exactly over Q: per even degree,
-    the monomials that lead no vector of the degree piece of I.  (2) Over Z/p,
-    lifts in J of the pivot rows of I, normal forms, and the operator of every
-    ring variable.  (3) Rational reconstruction of every operator entry.  (4) An
+    the monomials that lead no vector of the degree piece of I, and the rows of
+    that piece that create its pivots.  (2) Over Z/p, those rows formed again
+    from the paired J-generators, normal forms, and the operator of every ring
+    variable.  (3) Rational reconstruction of every operator entry.  (4) An
     exact certificate: (a) the operators commute, (b) b(M) e_1 = e_b for every
     basis monomial b, (c) r(M) e_1 = 0 for every J-generator r.  By (a) and (c),
     f -> f(M) e_1 factors through R/J, and by (b) it is onto, so dim R/J >=
@@ -428,12 +387,12 @@ class QuotientModel:
     ``normal_form(f)`` is f(M) e_1.  When reconstruction or the certificate
     fails, the residues of further primes are combined by Chinese remaindering.
 
-    A prime is skipped if it divides a denominator of the generators or if some
-    degree leads on other columns mod p than over Q.  For any other prime, B is
-    a basis of R/J exactly when it is one mod p (the Z_(p)-span of the ideal
-    rows has unit-led vectors on every pivot column, so B generates the
-    quotient over Z_(p)).  So a J-generator with a nonzero normal form mod
-    such a prime proves that J does not deform I.
+    A prime is skipped if it divides a denominator of the generators or if a
+    row that creates a pivot over Q leads on another column mod p.  For any
+    other prime, B is a basis of R/J exactly when it is one mod p (the
+    Z_(p)-span of the ideal rows has unit-led vectors on every pivot column, so
+    B generates the quotient over Z_(p)).  So a J-generator with a nonzero
+    normal form mod such a prime proves that J does not deform I.
     """
 
     def __init__(self, J: GeneratorSet, I: GeneratorSet, formula: Optional[RationalFn] = None):
@@ -477,17 +436,21 @@ class QuotientModel:
             n_coeffs = expand_rational_fn(formula, 4 * len(formula.numerator) + 64)
             top = max((i for i, c in enumerate(n_coeffs) if c), default=-1)
             formula_coeffs = n_coeffs[: top + 1]
-        # (1) basis degrees: iterate until formula exhausted and three consecutive zeros
+        # (1) basis degrees: iterate until formula exhausted and three consecutive
+        # zeros, and on through the top degree of J (full degrees, no basis)
         piece = _ideal_pieces(GeneratorSet(self.I.label, self.ring, ipolys), None)
-        pivots: Dict[int, Set[int]] = {}
+        pivots: _PivotOrigins = {}
+        top_j = max((jp.degree() for _name, jp in jpolys), default=0)
         self.basis: List[Tuple[int, Exponents]] = []
         d = 0
         zeros = 0
         top_formula = len(formula_coeffs) - 1 if formula_coeffs is not None else None
         while True:
-            monos, rows = piece(d)
-            pivots[d] = linalg.pivot_columns(rows, len(monos))
-            basis_d = [m for j, m in enumerate(monos) if j not in pivots[d]]
+            cofactors: List[Tuple[int, Exponents]] = []
+            monos, rows = piece(d, cofactors)
+            first = linalg.pivot_columns(rows, len(monos))
+            pivots[d] = [(monos[q], *cofactors[i]) for q, i in first.items()]
+            basis_d = [m for j, m in enumerate(monos) if j not in first]
             self.basis.extend((d, m) for m in basis_d)
             dim_d = len(basis_d)
             if formula_coeffs is not None:
@@ -498,7 +461,7 @@ class QuotientModel:
                         f"computed {dim_d}, formula {want}")
             zeros = zeros + 1 if dim_d == 0 else 0
             past_formula = top_formula is None or d > top_formula
-            if past_formula and zeros >= 3 and d >= 2:
+            if past_formula and zeros >= 3 and d >= top_j:
                 break
             d += 2
         self.basis_index = {bm: i for i, bm in enumerate(self.basis)}
@@ -520,7 +483,7 @@ class QuotientModel:
                 return None
         return Fraction(1) / ratio
 
-    def _certified_operators(self, pairs: List[Tuple[Poly, Poly]], pivots: Dict[int, Set[int]],
+    def _certified_operators(self, pairs: List[Tuple[Poly, Poly]], pivots: _PivotOrigins,
                              jpolys: List[Tuple[str, Poly]]) -> None:
         """Steps (2)-(4): operators mod p, reconstruction, the exact certificate."""
         names = self.ring.var_names

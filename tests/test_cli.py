@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from instanton import cli
+from instanton import acceptance, cli
+from instanton.acceptance import CheckResult
 from instanton.cli import run
 from instanton.floer import VerificationError
 
@@ -133,6 +134,20 @@ def test_verify_runs_the_genus_asked_for(capsys, tmp_path):
                         "--cache-dir", str(tmp_path))
     assert code == 0
     assert out.startswith("[A8] PASS - ") and out.endswith("; g=5:3 cofactors\n")
+
+
+def test_verify_json_prints_one_document_of_records(capsys, monkeypatch):
+    """Text lines or one JSON list of records in run order; the exit code is 1
+    on a failed criterion either way."""
+    monkeypatch.setitem(acceptance.SUITES, "rho", ["A13", "A5"])
+    monkeypatch.setitem(acceptance._CHECKS, "A13", lambda: CheckResult("A13", True, "first"))
+    monkeypatch.setitem(acceptance._CHECKS, "A5", lambda: CheckResult("A5", False, "second"))
+    code, out = run_cli(capsys, "verify", "--suite", "rho", "--no-cache")
+    assert (code, out) == (1, "[A13] PASS - first\n[A5] FAIL - second\n")
+    code, out = run_cli(capsys, "verify", "--suite", "rho", "--json", "--no-cache")
+    records = [{"criterion": "A13", "passed": True, "detail": "first"},
+               {"criterion": "A5", "passed": False, "detail": "second"}]
+    assert (code, out) == (1, cli.dump_json(records) + "\n")
 
 
 RHO_SUITE = ("verify", "--suite", "rho")

@@ -586,6 +586,20 @@ def test_model_rejects_a_generator_that_does_not_deform(monkeypatch):
     assert built == [floer._PRIMES[0]]
 
 
+def test_a_generator_past_the_degree_window_leaves_the_model_unchanged():
+    """r_1*omega^12 lies in J and has degree 26, far past the basis window of
+    the (1,+) model: the exact step runs through its degree, those degrees are
+    full, and basis and operators are those of the model without it."""
+    J, I, formula = floer._one_point_ideals(1, "+")
+    r1 = dict(J.gens)["r_1"]
+    J = GeneratorSet(J.label, J.ambient, J.gens + [("r_1*omega^12", r1 * omega(J.ambient) ** 12)],
+                     meta=J.meta)
+    model, plain = QuotientModel(J, I, formula), model_for(1, "+")
+    assert model.dim == 2 and model.basis == plain.basis
+    for var in model.ring.var_names:
+        assert model.operator(var) == plain.operator(var), var
+
+
 def test_model_rejects_a_ring_with_epsilon():
     """epsilon^2 = 1 is a relation, not a free variable, so the certificate's
     polynomial ring does not apply."""

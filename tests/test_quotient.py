@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_laurent_poly, random_poly
 from instanton.poly import (LAURENT_U, OMEGA, LaurentU, Poly, beta, delta,
@@ -51,6 +53,38 @@ def test_canonical_rep_matches_dense_oracle(rand):
         for _ in range(100):
             f = random_laurent_poly(WL3, rand, terms=4, max_exp=3)
             assert canonical_rep(f, spec) == dense_reduce_oracle(f, spec)
+
+
+_REDUCTION_SPECS = [rbar_spec(), model_spec(0), model_spec(1), model_spec(3), r1_spec(),
+                    mod_beta_spec(), local_spec(), local_spec(2)]
+_REDUCTION_RINGS = [ring(3), W3, ring(3, coeff_kind=LAURENT_U), WL3]
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _reduction_case(draw):
+    spec = draw(st.sampled_from(_REDUCTION_SPECS))
+    # u^2 + u^-2 has no rational value: the local specs need Laurent coefficients
+    local = isinstance(spec.delta_square, LaurentU)
+    rng = draw(st.sampled_from([r for r in _REDUCTION_RINGS
+                                if r.coeff_kind == LAURENT_U or not local]))
+
+    def coeff():
+        if rng.coeff_kind == LAURENT_U:
+            return LaurentU(draw(st.dictionaries(st.integers(-2, 2), _small, max_size=3)))
+        return draw(_small)
+
+    keys = draw(st.lists(st.tuples(*[st.integers(0, 3)] * rng.nvars), max_size=5))
+    return Poly(rng, {k: coeff() for k in keys}), spec
+
+
+@settings(max_examples=100)
+@given(_reduction_case())
+def test_canonical_rep_matches_dense_oracle_property(case):
+    """canonical_rep equals the one-rewrite-at-a-time oracle in either
+    coordinate, with rational and Laurent coefficients, for every spec in use."""
+    f, spec = case
+    assert canonical_rep(f, spec) == dense_reduce_oracle(f, spec)
 
 
 @pytest.mark.parametrize("rng,spec", [
