@@ -130,19 +130,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "models of one-manifold-times-surface instanton homology rings.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON documents")
-    common.add_argument("--alpha-coords", action="store_true",
-                        help="print polynomials in alpha-coordinates (default omega)")
     common.add_argument("--cache-dir", default=None,
                         help="cache directory (default $FLOER_CACHE_DIR or ~/.cache/floer)")
     common.add_argument("--no-cache", action="store_true", help="disable the disk cache")
-    common.add_argument("--timestamps", action="store_true",
-                        help="include a timestamp field in JSON output")
+    # each flag below is offered only to the subcommands that read it
+    alpha_coords = argparse.ArgumentParser(add_help=False)
+    alpha_coords.add_argument("--alpha-coords", action="store_true",
+                              help="print polynomials in alpha-coordinates (default omega)")
+    timestamps = argparse.ArgumentParser(add_help=False)
+    timestamps.add_argument("--timestamps", action="store_true",
+                            help="include a timestamp field in JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, *flags, **kw):
+        return sub.add_parser(name, parents=[common, *flags], **kw)
 
-    p = add_parser("xi", help="Mumford relation xi_{k,n}")
+    p = add_parser("xi", alpha_coords, help="Mumford relation xi_{k,n}")
     p.add_argument("--k", type=_nonneg, required=True)
     p.add_argument("--n", type=_odd_int, required=True)
 
@@ -151,29 +154,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_odd_int, required=True)
     p.add_argument("--method", choices=["projection", "series"], default="projection")
 
-    p = add_parser("igen", help="graded ideal generator set")
+    p = add_parser("igen", alpha_coords, timestamps, help="graded ideal generator set")
     p.add_argument("--g", type=_nonneg, required=True)
     p.add_argument("--n", type=_odd_positive, required=True)
     p.add_argument("--parity", choices=["even", "odd"], required=True)
 
-    p = add_parser("jgen", help="one-point ideal generator set")
+    p = add_parser("jgen", alpha_coords, timestamps, help="one-point ideal generator set")
     p.add_argument("--g", type=_nonneg, required=True)
     p.add_argument("--sign", choices=["plus", "minus"], default="plus")
     p.add_argument("--local", action="store_true")
 
-    p = add_parser("hilbert", help="graded dimensions against a closed formula")
+    p = add_parser("hilbert", timestamps, help="graded dimensions against a closed formula")
     p.add_argument("--g", type=_nonneg, required=True)
     p.add_argument("--n", type=_odd_positive, required=True)
     p.add_argument("--source", choices=["ptgn", "total", "k"], required=True)
     p.add_argument("--max-degree", type=_nonneg, required=True)
 
-    p = add_parser("eigen", help="spectral verification of a one-point model")
+    p = add_parser("eigen", timestamps, help="spectral verification of a one-point model")
     p.add_argument("--g", type=_nonneg, required=True)
     p.add_argument("--sign", choices=["plus", "minus"], default="plus")
     p.add_argument("--theta", type=_parse_fraction, default=None,
                    help="rational local-coefficient specialization u = theta")
 
-    p = add_parser("solve", help="sub-leading solver at three points")
+    p = add_parser("solve", alpha_coords, timestamps, help="sub-leading solver at three points")
     p.add_argument("--g", type=_nonneg, required=True)
     p.add_argument("--n", type=_odd_positive, default=3)
 

@@ -6,9 +6,9 @@ A :class:`QuotientSpec` packages the relations
     delta_i^2 = c - beta   (one constant c for every i),
     beta = 0               (optional, on top of the above),
 
-covering all the quotient rings used here: the gamma-killed ring (G=1, c=0),
-the graded model rings (G=g+1, c=2), the one-point ring (no truncation, c=2),
-the local-coefficient variant (c = u^2 + u^{-2}) and the mod-beta rings.
+covering the gamma-killed ring (G=1, c=0), the graded model rings (G=g+1,
+c=2) and the mod-beta rings used here, as well as the one-point ring (no
+truncation, c=2) and the local-coefficient variant (c = u^2 + u^{-2}).
 
 Canonical form: omega-coordinates, every delta exponent in {0, 1}, gamma
 exponent below G, and no beta when beta_zero.  Reduction is a linear
@@ -21,10 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from operator import add
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
-from .poly import (LAURENT_U, OMEGA, Exponents, LaurentU, Poly, RingDescriptor)
+from .poly import (ALPHA, LAURENT_U, OMEGA, Exponents, LaurentU, Poly, RingDescriptor,
+                   _summed)
 
 
 @dataclass(frozen=True)
@@ -57,55 +59,87 @@ def model_spec(g: int) -> QuotientSpec:
     return QuotientSpec(gamma_truncation=g + 1, delta_square=2)
 
 
-def r1_spec() -> QuotientSpec:
-    """R_1: delta^2 = 2 - beta, no gamma truncation."""
-    return QuotientSpec(gamma_truncation=None, delta_square=2)
-
-
-def local_spec(g: Optional[int] = None) -> QuotientSpec:
-    """Local-coefficient variant: delta_i^2 = u^2 + u^{-2} - beta."""
-    c = LaurentU({2: 1, -2: 1})
-    return QuotientSpec(gamma_truncation=None if g is None else g + 1, delta_square=c)
-
-
 def mod_beta_spec() -> QuotientSpec:
     """R-bar_n/(beta): gamma = 0, delta_i^2 = 0, beta = 0."""
     return QuotientSpec(gamma_truncation=1, delta_square=0, beta_zero=True)
 
 
 def canonical_rep(f: Poly, spec: QuotientSpec) -> Poly:
-    """The canonical representative of f in the quotient, in omega-coordinates."""
-    f = f.change_coordinates(OMEGA)
-    ring = f.ring
+    """The canonical representative of f in the quotient, in omega-coordinates.
+
+    One pass substitutes and reduces.  A term x^a * rest, x the first variable,
+    is replaced by the image of x^a shifted by rest and then folded.  From
+    omega-coordinates the image is omega^a.  From alpha-coordinates it is
+    (omega - S/2)^a = sum_j C(a, j) (-1/2)^j omega^(a-j) S^j, S the sum of the
+    deltas; omega never meets the fold, so only the powers of S are brought to
+    canonical form, each as it is built from the one before.  The unreduced
+    expansion of (omega - S/2)^a is never formed.
+    """
+    ring = f.ring.with_coordinate(OMEGA)
     G = spec.gamma_truncation
+    beta_zero = spec.beta_zero
+    one = LaurentU.coerce(1) if ring.coeff_kind == LAURENT_U else Fraction(1)
     c = spec.delta_square
     if ring.coeff_kind == LAURENT_U:
         c = LaurentU.coerce(c)
     elif isinstance(c, LaurentU):
         c = c.constant_value()
-    cb = Poly.constant(ring, c) - Poly.variable(ring, "beta")
-    cb_powers: Dict[int, Poly] = {}  # (c - beta)^k, a polynomial in beta
-    ds = ring.delta_slice()
+    lo, hi = ring.delta_slice().start, ring.delta_slice().stop
+    c_powers = [one]  # c^k by repeated products: LaurentU has no **
+    binomials = [[(0, one)]]  # (c - beta)^k as (beta exponent, coefficient) pairs
 
-    def pairs():
+    def c_minus_beta_power(k: int) -> List[Tuple[int, object]]:
+        """The nonzero terms C(k, j) c^(k-j) (-1)^j beta^j of (c - beta)^k."""
+        while len(binomials) <= k:
+            k2 = len(binomials)
+            c_powers.append(c_powers[-1] * c)
+            binomials.append([(j, c_powers[k2 - j] * (comb(k2, j) * (-1) ** j))
+                              for j in range(k2 + 1) if c_powers[k2 - j]])
+        return binomials[k]
+
+    def fold(pairs):
+        """The pairs with every delta_i^2 replaced by c - beta (and beta
+        dropped when beta = 0); gamma is not touched."""
+        for exps, coeff in pairs:
+            deltas = exps[lo:hi]
+            if max(deltas) < 2:
+                if not (beta_zero and exps[1]):
+                    yield exps, coeff
+                continue
+            head, b = exps[0], exps[1]
+            parities = tuple(d & 1 for d in deltas)
+            tail = exps[2:lo] + parities + exps[hi:]
+            for j, cj in c_minus_beta_power((sum(deltas) - sum(parities)) >> 1):
+                if not (beta_zero and b + j):
+                    yield (head, b + j) + tail, cj * coeff
+
+    # S^j carries exponents relative to omega^j, so adding a term's own
+    # exponents x^a * rest places it at omega^(a-j) * rest.  ``zero`` and
+    # ``one`` are shared: an exponent tuple or coefficient that is one of them
+    # is not added or multiplied, so omega-coordinate input (S^0 only) reaches
+    # the fold untouched.
+    zero = ring.zero_exponents()
+    s_powers = [[(zero, one)]]  # canonical S^j as (exponents, coefficient) pairs
+    if f.ring.coordinate == ALPHA:
+        s_terms = [tuple(int(j == i) - int(j == 0) for j in range(ring.nvars))
+                   for i in range(lo, hi)]
+        for _ in range(max((e[0] for e in f.terms), default=0)):
+            s_powers.append(list(_summed(fold(
+                (tuple(map(add, e, s)), sc) for e, sc in s_powers[-1] for s in s_terms)).items()))
+    half = Fraction(-1, 2)
+
+    def shifted():
         for exps, coeff in f.terms.items():
             if G is not None and exps[2] >= G:
                 continue
-            deltas = exps[ds]
-            k = sum(d // 2 for d in deltas)
-            if not k:
-                yield exps, coeff
-                continue
-            if k not in cb_powers:
-                cb_powers[k] = cb ** k
-            reduced = exps[:3] + tuple(d % 2 for d in deltas) + exps[ds.stop:]
-            for e, c2 in cb_powers[k].terms.items():
-                yield tuple(map(add, e, reduced)), c2 * coeff
+            a = exps[0]
+            for j, s_j in enumerate(s_powers[:a + 1]):
+                w = coeff * (comb(a, j) * half ** j) if j else coeff
+                for e, sc in s_j:
+                    yield (exps if e is zero else tuple(map(add, e, exps)),
+                           w if sc is one else sc * w)
 
-    terms = pairs()
-    if spec.beta_zero:
-        terms = ((e, c2) for e, c2 in terms if not e[1])
-    return Poly.from_terms(ring, terms)
+    return Poly.from_terms(ring, fold(shifted()))
 
 
 def delta_support(ring: RingDescriptor, exps: Exponents) -> FrozenSet[int]:
@@ -122,15 +156,6 @@ def iso_project(f: Poly, I: Iterable[int], spec: QuotientSpec) -> Poly:
     Ic = frozenset(range(1, ring.n + 1)) - I
     return Poly.from_terms(ring, ((e, c) for e, c in g.terms.items()
                                   if delta_support(ring, e) in (I, Ic)))
-
-
-def pi_on_quotient(f: Poly, spec_from: QuotientSpec, spec_to: QuotientSpec) -> Poly:
-    """Reduce then apply the point-reduction map; specs must agree."""
-    if (spec_from.gamma_truncation != spec_to.gamma_truncation
-            or spec_from.delta_square != spec_to.delta_square
-            or spec_from.beta_zero != spec_to.beta_zero):
-        raise ValueError("incompatible quotient specs")
-    return canonical_rep(canonical_rep(f, spec_from).pi_reduce(), spec_to)
 
 
 def canonical_monomials(ring: RingDescriptor, spec: QuotientSpec, degree: int) -> List[Exponents]:

@@ -6,6 +6,7 @@ by a plainer method.
 
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from instanton import floer
@@ -88,6 +89,46 @@ def even_average(f: Poly, I: Iterable[int], spec: QuotientSpec) -> Poly:
             sign = (-1) ** len(I & set(J))
             total = total + g.flip(J) * sign
     return total * Fraction(1, 2 ** (n - 1))
+
+
+def canonical_rep_two_step(f: Poly, spec: QuotientSpec) -> Poly:
+    """The canonical representative by two passes: the full change to
+    omega-coordinates, then one fold of delta_i^2 -> (c - beta) per term.
+
+    Slow-path oracle for :func:`instanton.quotient.canonical_rep`, which never
+    forms the unreduced omega-coordinate expansion; the two agree term for term.
+    """
+    f = f.change_coordinates(OMEGA)
+    ring = f.ring
+    G = spec.gamma_truncation
+    c = spec.delta_square
+    if ring.coeff_kind == LAURENT_U:
+        c = LaurentU.coerce(c)
+    elif isinstance(c, LaurentU):
+        c = c.constant_value()
+    cb = Poly.constant(ring, c) - Poly.variable(ring, "beta")
+    cb_powers: Dict[int, Poly] = {}  # (c - beta)^k, a polynomial in beta
+    ds = ring.delta_slice()
+
+    def pairs():
+        for exps, coeff in f.terms.items():
+            if G is not None and exps[2] >= G:
+                continue
+            deltas = exps[ds]
+            k = sum(d // 2 for d in deltas)
+            if not k:
+                yield exps, coeff
+                continue
+            if k not in cb_powers:
+                cb_powers[k] = cb ** k
+            reduced = exps[:3] + tuple(d % 2 for d in deltas) + exps[ds.stop:]
+            for e, c2 in cb_powers[k].terms.items():
+                yield tuple(map(add, e, reduced)), c2 * coeff
+
+    terms = pairs()
+    if spec.beta_zero:
+        terms = ((e, c2) for e, c2 in terms if not e[1])
+    return Poly.from_terms(ring, terms)
 
 
 def dense_reduce_oracle(f: Poly, spec: QuotientSpec) -> Poly:

@@ -253,3 +253,54 @@ def test_verification_failure_exits_one(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert "verification failure" in capsys.readouterr().err
     assert list(tmp_path.glob("*.json")) == []
+
+
+# one minimal valid argument list per subcommand
+_COMMAND_ARGS = {
+    "xi": ("xi", "--k", "2", "--n", "1"),
+    "rho": ("rho", "--k", "2", "--r", "1"),
+    "igen": ("igen", "--g", "0", "--n", "1", "--parity", "even"),
+    "jgen": ("jgen", "--g", "1"),
+    "hilbert": ("hilbert", "--g", "0", "--n", "1", "--source", "ptgn", "--max-degree", "4"),
+    "eigen": ("eigen", "--g", "1"),
+    "solve": ("solve", "--g", "0"),
+    "verify": ("verify", "--suite", "rho"),
+}
+_FLAG_READERS = {"--alpha-coords": {"xi", "igen", "jgen", "solve"},
+                 "--timestamps": {"igen", "jgen", "hilbert", "eigen", "solve"}}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for flag, readers in _FLAG_READERS.items()
+    for command in _COMMAND_ARGS if command not in readers])
+def test_flag_a_subcommand_does_not_read_exits_two(capsys, command, flag):
+    """A flag is offered only to the subcommands that read it; anywhere else
+    it is a usage error, caught before anything is computed."""
+    code = run([*_COMMAND_ARGS[command], flag, "--no-cache"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"unrecognized arguments: {flag}" in captured.err
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for flag, readers in _FLAG_READERS.items() for command in sorted(readers)])
+def test_flag_is_offered_to_the_subcommands_that_read_it(command, flag):
+    args = cli.build_parser().parse_args([*_COMMAND_ARGS[command], flag])
+    assert args.command == command
+    assert getattr(args, flag[2:].replace("-", "_")) is True
+
+
+def test_benchmark_cli_commands_still_parse(tmp_path):
+    """Every command of the benchmark's cli workload, for every theta it draws."""
+    import importlib.util
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    parser = cli.build_parser()
+    for theta in bench.THETAS:
+        commands = bench.cli_commands(theta)
+        assert len(commands) == 10
+        for _cid, args in commands:
+            parsed = parser.parse_args([*args, "--cache-dir", str(tmp_path)])
+            assert parsed.command == args[0]

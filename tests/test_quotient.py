@@ -7,14 +7,33 @@ from hypothesis import strategies as st
 from conftest import random_laurent_poly, random_poly
 from instanton.poly import (LAURENT_U, OMEGA, LaurentU, Poly, beta, delta,
                             gamma, omega, ring)
-from instanton.quotient import (canonical_monomials, canonical_rep,
-                                iso_project, local_spec, mod_beta_spec,
-                                model_spec, pi_on_quotient, r1_spec, rbar_spec)
-from oracles import dense_reduce_oracle, even_average
+from instanton.quotient import (QuotientSpec, canonical_monomials, canonical_rep,
+                                iso_project, mod_beta_spec, model_spec, rbar_spec)
+from oracles import canonical_rep_two_step, dense_reduce_oracle, even_average
 
 W1 = ring(1, coordinate=OMEGA)
 W3 = ring(3, coordinate=OMEGA)
 WL3 = ring(3, coeff_kind=LAURENT_U, coordinate=OMEGA)
+
+
+def r1_spec() -> QuotientSpec:
+    """R_1: delta^2 = 2 - beta, no gamma truncation."""
+    return QuotientSpec(gamma_truncation=None, delta_square=2)
+
+
+def local_spec(g=None) -> QuotientSpec:
+    """Local-coefficient variant: delta_i^2 = u^2 + u^{-2} - beta."""
+    c = LaurentU({2: 1, -2: 1})
+    return QuotientSpec(gamma_truncation=None if g is None else g + 1, delta_square=c)
+
+
+def pi_on_quotient(f: Poly, spec_from: QuotientSpec, spec_to: QuotientSpec) -> Poly:
+    """Reduce then apply the point-reduction map; specs must agree."""
+    if (spec_from.gamma_truncation != spec_to.gamma_truncation
+            or spec_from.delta_square != spec_to.delta_square
+            or spec_from.beta_zero != spec_to.beta_zero):
+        raise ValueError("incompatible quotient specs")
+    return canonical_rep(canonical_rep(f, spec_from).pi_reduce(), spec_to)
 
 
 def test_canonical_rep_examples():
@@ -85,6 +104,80 @@ def test_canonical_rep_matches_dense_oracle_property(case):
     coordinate, with rational and Laurent coefficients, for every spec in use."""
     f, spec = case
     assert canonical_rep(f, spec) == dense_reduce_oracle(f, spec)
+
+
+_ORACLE_SPECS = [rbar_spec(), model_spec(0), model_spec(1), model_spec(3), r1_spec(),
+                 mod_beta_spec(), local_spec(), local_spec(2)]
+_ALPHA_RINGS = [ring(1), ring(3), ring(5), ring(3, coeff_kind=LAURENT_U),
+                ring(3, has_epsilon=True), ring(3, coeff_kind=LAURENT_U, has_epsilon=True)]
+
+
+@st.composite
+def _alpha_case(draw):
+    spec = draw(st.sampled_from(_ORACLE_SPECS))
+    local = isinstance(spec.delta_square, LaurentU)
+    rng = draw(st.sampled_from([r for r in _ALPHA_RINGS
+                                if r.coeff_kind == LAURENT_U or not local]))
+
+    def coeff():
+        if rng.coeff_kind == LAURENT_U:
+            return LaurentU(draw(st.dictionaries(st.integers(-2, 2), _small, max_size=3)))
+        return draw(_small)
+
+    # alpha up to 7, so many canonical powers of S are built and combined
+    exps = st.tuples(st.integers(0, 7), *[st.integers(0, 3)] * (rng.nvars - 1))
+    return Poly(rng, {k: coeff() for k in draw(st.lists(exps, max_size=5))}), spec
+
+
+@settings(max_examples=150)
+@given(_alpha_case())
+def test_canonical_rep_matches_two_step_oracle_on_alpha_input(case):
+    """Substituting and folding in one pass equals the full change to
+    omega-coordinates followed by the fold, term for term."""
+    f, spec = case
+    rep, slow = canonical_rep(f, spec), canonical_rep_two_step(f, spec)
+    assert rep.ring == slow.ring
+    assert rep.terms == slow.terms
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_canonical_rep_of_xi_matches_two_step_oracle(n):
+    """A5's inputs: xi_{k,n} in R-bar_n for k <= 8."""
+    from instanton.relations import xi
+    for k in range(9):
+        f = xi(k, n)
+        assert canonical_rep(f, rbar_spec()).terms == canonical_rep_two_step(f, rbar_spec()).terms
+
+
+@pytest.mark.parametrize("g,n", [(0, 1), (1, 1), (2, 1), (0, 3), (1, 3), (0, 5)])
+def test_canonical_rep_of_igen_orbits_matches_two_step_oracle(g, n):
+    """A3's generators, both parities, in the ring A3 ranks them in."""
+    from instanton.relations import igen
+    spec = QuotientSpec(gamma_truncation=g + 1, delta_square=0)
+    for parity in ("even", "odd"):
+        for _name, f in igen(g, n, parity).gens:
+            assert canonical_rep(f, spec).terms == canonical_rep_two_step(f, spec).terms
+
+
+def test_canonical_rep_never_changes_coordinates(monkeypatch):
+    """The one-pass reduction must not fall back on the full expansion: with
+    change_coordinates disabled, xi-bar_{8,7} and rho_{8,7,0} still come out
+    equal to the two-step oracle's."""
+    from instanton import relations
+    from instanton.relations import rho_proj, xi
+    f = xi(8, 7)
+    want_xbar = canonical_rep_two_step(f, rbar_spec())
+    monkeypatch.setattr(relations, "_rho_proj_cache", {})
+    monkeypatch.setattr(relations, "canonical_rep", canonical_rep_two_step)
+    want_rho = rho_proj(8, 7, 0)
+    monkeypatch.setattr(relations, "_rho_proj_cache", {})
+    monkeypatch.setattr(relations, "canonical_rep", canonical_rep)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("change_coordinates called")
+    monkeypatch.setattr(Poly, "change_coordinates", refuse)
+    assert canonical_rep(f, rbar_spec()).terms == want_xbar.terms
+    assert rho_proj(8, 7, 0) == want_rho
 
 
 @pytest.mark.parametrize("rng,spec", [
