@@ -66,11 +66,10 @@ def k_series(g: int, n: int) -> RationalFn:
 def _ideal_pieces(gens: GeneratorSet, spec: Optional[QuotientSpec]):
     """A function taking a degree d to the degree-d monomial basis and a lazy
     iterator of sparse rows ``{basis index: coefficient}`` spanning the ideal
-    piece, one per (generator index, cofactor monomial) in that order.  Given a
-    list ``cofactors``, the function appends each row's pair to it as the row
-    is taken.  A row's product is formed only when the row is taken, and each
-    generator is brought to canonical form inside ``spec`` once, when a row of
-    any degree first needs it; a generator that reduces to zero gives no rows."""
+    piece, one per (generator index, cofactor monomial) in that order.  A row's
+    product is formed only when the row is taken, and each generator is brought
+    to canonical form inside ``spec`` once, when a row of any degree first
+    needs it; a generator that reduces to zero gives no rows."""
     if spec is None:
         rng = gens.ambient
 
@@ -94,17 +93,15 @@ def _ideal_pieces(gens: GeneratorSet, spec: Optional[QuotientSpec]):
             if k == len(reduced):
                 reduced.append(reduce(gp))
             if not reduced[k].is_zero():
-                yield k, reduced[k]
+                yield reduced[k]
 
-    def piece(degree: int, cofactors: Optional[List[Tuple[int, Exponents]]] = None):
+    def piece(degree: int):
         basis = monomials(degree)
         index = {m: i for i, m in enumerate(basis)}
 
         def rows():
-            for k, gp in generators():
+            for gp in generators():
                 for mono in monomials(degree - gp.degree()):
-                    if cofactors is not None:
-                        cofactors.append((k, mono))
                     prod = reduce(gp.times_monomial(mono))
                     yield {index[e]: c for e, c in prod.terms.items() if e in index}
         return basis, rows()
@@ -238,13 +235,9 @@ def _exterior_sum(g: int, max_degree: int, piece: Callable[[int], List[int]]) ->
 # prime is combined with the earlier ones by Chinese remaindering.
 _PRIMES = (2 ** 61 - 1, 2 ** 62 - 57, 2 ** 63 - 25, 2 ** 64 - 59)
 
-# Per degree, the (leading monomial, I-generator index, cofactor monomial) of
-# each ideal row that creates a pivot over Q, in the order the rows create them.
-_PivotOrigins = Dict[int, List[Tuple[Exponents, int, Exponents]]]
-
-
 class _UnluckyPrime(Exception):
-    """A row that creates a pivot over Q leads on another column mod p."""
+    """A degree of I has more quotient monomials mod p than the formula allows:
+    p lost rank there.  The message is the mismatch it would be over Q."""
 
 
 def _rational(a: int, m: int) -> Optional[Fraction]:
@@ -306,51 +299,60 @@ def _apply(columns: List[Dict[int, int]], vec: Dict[int, int]) -> Dict[int, int]
 
 
 class _ModularTables:
-    """The model's elimination over Z/p, for normal forms mod p.
+    """The model's elimination over Z/p: the basis decision and normal forms.
 
-    Columns number the monomials of degree top, top - 2, ..., 0 in that order,
-    and within a degree in the order of the exact step, so a row's smallest
-    column leads it.  Per even degree d, the rows that created the exact
-    pivots (step (1)) are formed again, in their order, from the paired
-    J-generators mod p, reduced on their degree-d columns, and stored whole
-    and unit-led: each lies in J mod p, so its columns past degree d are the
-    lower part of a lift of its degree-d part.  A row that does not lead on
-    its exact pivot column makes the prime unlucky.
+    Columns number the monomials of the degrees of ``want`` from the top down,
+    within a degree in ``monomials_of_degree`` order, so a row's smallest
+    column leads it.  Per degree d, in increasing order, the rows of the degree
+    piece of I are taken mod p in ``_ideal_pieces`` order (I-generator index,
+    then cofactor) and reduced against the degree-d parts of the stored rows.
+    Only a row that adds a pivot is formed again from the paired J-generator,
+    reduced on its degree-d columns, and stored whole and unit-led: it lies in
+    J mod p, so its columns past degree d are the lower part of a lift of its
+    degree-d part.  The basis is the monomials that lead no stored row.  A
+    degree with fewer of them than ``want[d]`` is a mismatch, since rank_p <=
+    rank_Q; one with more makes the prime unlucky.
     """
 
-    def __init__(self, model: "QuotientModel", pairs: List[Tuple[Poly, Poly]],
-                 pivots: _PivotOrigins, p: int):
-        self.ring = model.ring
+    def __init__(self, ring, pairs: List[Tuple[Poly, Poly]], want: Dict[int, int], p: int):
         self.p = p
-        self.pivots = pivots
-        self.column: Dict[Exponents, int] = {}
-        self.stop: Dict[int, int] = {}  # degree -> first column past that degree
-        for d in sorted(pivots, reverse=True):
-            for m in monomials_of_degree(self.ring, d):
-                self.column[m] = len(self.column)
-            self.stop[d] = len(self.column)
-        self.basis_at = {self.column[m]: i for i, (_d, m) in enumerate(model.basis)}
-        self.jterms = [_mod_terms(jp.terms, p) for _ip, jp in pairs]
-        self.rows: Dict[int, Dict[int, int]] = {}
-        self.built = -2  # every degree up to this one is replayed
-        self._memo: Dict[Exponents, List[int]] = {}
+        column = self.column = {}
+        stop: Dict[int, int] = {}  # degree -> first column past that degree
+        for d in sorted(want, reverse=True):
+            for m in monomials_of_degree(ring, d):
+                column[m] = len(column)
+            stop[d] = len(column)
 
-    def _build(self, top: int) -> None:
-        p, column, rows = self.p, self.column, self.rows
-        while self.built < top:
-            d = self.built = self.built + 2
-            for lead, k, mono in self.pivots[d]:
-                row = {column[tuple(map(add, e, mono))]: c for e, c in self.jterms[k].items()}
-                residual = _reduce_mod(row, rows, p, self.stop[d])
-                q = column[lead]
-                if min(residual, default=None) != q:
-                    raise _UnluckyPrime
-                inv = pow(residual.pop(q), -1, p)
-                rows[q] = {j: c * inv % p for j, c in residual.items()}
+        def row(terms: Dict[Exponents, int], mono: Exponents) -> Dict[int, int]:
+            return {column[tuple(map(add, e, mono))]: c for e, c in terms.items()}
+
+        mod_pairs = [(ip.degree(), _mod_terms(ip.terms, p), _mod_terms(jp.terms, p))
+                     for ip, jp in pairs]
+        rows = self.rows = {}
+        self.basis: List[Tuple[int, Exponents]] = []
+        for d in sorted(want):
+            monos = monomials_of_degree(ring, d)
+            heads: Dict[int, Dict[int, int]] = {}  # the degree-d parts of the rows stored at d
+            for gdeg, iterms, jterms in mod_pairs:
+                for mono in monomials_of_degree(ring, d - gdeg):
+                    if len(heads) == len(monos) or not _reduce_mod(row(iterms, mono), heads, p):
+                        continue
+                    residual = _reduce_mod(row(jterms, mono), rows, p, stop[d])
+                    q = min(residual)
+                    inv = pow(residual.pop(q), -1, p)
+                    rows[q] = {j: c * inv % p for j, c in residual.items()}
+                    heads[q] = {j: c for j, c in rows[q].items() if j < stop[d]}
+            basis_d = [(d, m) for m in monos if column[m] not in rows]
+            if len(basis_d) != want[d]:
+                message = (f"graded quotient dimension mismatch at degree {d}: "
+                           f"computed {len(basis_d)}, formula {want[d]}")
+                raise (VerificationError if len(basis_d) < want[d] else _UnluckyPrime)(message)
+            self.basis.extend(basis_d)
+        self.basis_at = {column[m]: i for i, (_d, m) in enumerate(self.basis)}
+        self._memo: Dict[Exponents, List[int]] = {}
 
     def normal_form(self, terms: Dict[Exponents, int]) -> List[int]:
         """Coordinates mod p over the basis of {exponents: coefficient mod p}."""
-        self._build(max(map(self.ring.monomial_degree, terms)))
         coords = [0] * len(self.basis_at)
         row = {self.column[e]: c for e, c in terms.items()}
         for j, c in _reduce_mod(row, self.rows, self.p).items():
@@ -371,31 +373,47 @@ class _ModularTables:
 
 class QuotientModel:
     """Monomial basis and multiplication operators of R/J for an inhomogeneous
-    ideal J whose leading forms generate a known graded ideal I.
+    ideal J whose leading forms generate a known graded ideal I with Poincare
+    series ``formula``.
 
-    The build has four steps.  (1) The basis, exactly over Q: per even degree,
-    the monomials that lead no vector of the degree piece of I, and the rows of
-    that piece that create its pivots.  (2) Over Z/p, those rows formed again
-    from the paired J-generators, normal forms, and the operator of every ring
-    variable.  (3) Rational reconstruction of every operator entry.  (4) An
-    exact certificate: (a) the operators commute, (b) b(M) e_1 = e_b for every
-    basis monomial b, (c) r(M) e_1 = 0 for every J-generator r.  By (a) and (c),
-    f -> f(M) e_1 factors through R/J, and by (b) it is onto, so dim R/J >=
-    |basis|; and dim R/J <= dim R/I = |basis|, because every I-generator is the
-    leading form of a J-generator and R/I vanishes past the degree window of
-    step (1).  So M is multiplication on R/J in that basis, and
-    ``normal_form(f)`` is f(M) e_1.  When reconstruction or the certificate
-    fails, the residues of further primes are combined by Chinese remaindering.
+    The build has four steps, run prime by prime until one passes.  (1) The
+    basis, decided mod p by ``_ModularTables`` in the even degrees 0..max(T +
+    6, top degree of J), T the formula's top degree: the monomials that lead no
+    vector of the degree piece of I mod p, as many per degree as the formula
+    says.  (2) Normal forms mod p and the operator of every ring variable.  (3)
+    Rational reconstruction of every operator entry; the residues of further
+    primes that decide the same basis are combined by Chinese remaindering.
+    (4) An exact certificate over Q: (a) the operators commute, (b) b(M) e_1 =
+    e_b for every basis monomial b, (c) r(M) e_1 = 0 for every J-generator r,
+    (d) for every basis monomial b and variable x with x*b outside the basis,
+    the entries of M_x e_b on basis monomials of the degree of x*b all lie
+    after x*b in the column order.
 
-    A prime is skipped if it divides a denominator of the generators or if a
-    row that creates a pivot over Q leads on another column mod p.  For any
-    other prime, B is a basis of R/J exactly when it is one mod p (the
-    Z_(p)-span of the ideal rows has unit-led vectors on every pivot column, so
-    B generates the quotient over Z_(p)).  So a J-generator with a nonzero
-    normal form mod such a prime proves that J does not deform I.
+    Why the result is exact, with B the basis:
+    1. The stored rows have a unit minor mod p, so a nonzero minor over Q.  So
+       B spans each (R/I)_d, and R/I vanishes past the window.  Every
+       I-generator leads a J-generator, so dim R/J <= dim R/I <= |B|.
+    2. By (a) and (c), f -> f(M) e_1 factors through R/J, and by (b) it is
+       onto, so dim R/J >= |B|.  So B is a basis of R/J and of R/I, M is
+       multiplication on R/J in B, and ``normal_form(f)`` is f(M) e_1.
+    3. x*b - M_x e_b lies in J, and as B is a basis of R/I its leading form is
+       its degree-(deg x*b) part, which lies in I and by (d) leads on x*b.
+       These x*b include the minimal generators of the monomial ideal of
+       non-basis monomials (an ideal: the leading monomials of I mod p in a
+       multiplicative order).  So that ideal is the leading-monomial ideal of
+       I over Q, and B is the same standard basis for every prime.
+    4. A J-generator with a nonzero normal form mod a prime that passed (1)
+       still proves that J does not deform I: only a prime that lost rank
+       could blame J where the formula is at fault.
+
+    A prime is skipped if it divides a denominator of the generators, if a
+    degree has more basis monomials mod p than the formula says (p lost rank;
+    when every usable prime stops at the same degree and count, the formula is
+    wrong), or if its operators fail the certificate.  A degree with fewer
+    basis monomials than the formula says is a mismatch at once.
     """
 
-    def __init__(self, J: GeneratorSet, I: GeneratorSet, formula: Optional[RationalFn] = None):
+    def __init__(self, J: GeneratorSet, I: GeneratorSet, formula: RationalFn):
         self.J = J
         self.I = I
         self.ring = J.ambient.with_coordinate(OMEGA)
@@ -407,7 +425,7 @@ class QuotientModel:
 
     # construction ---------------------------------------------------------------
 
-    def _build(self, formula: Optional[RationalFn]):
+    def _build(self, formula: RationalFn):
         jpolys = [(name, p.change_coordinates(OMEGA)) for name, p in self.J.gens]
         ipolys = [(name, p.change_coordinates(OMEGA)) for name, p in self.I.gens]
         for name, ip in ipolys:
@@ -431,41 +449,11 @@ class QuotientModel:
             idx, scale = match
             used.add(idx)
             pairs.append((ip, jpolys[idx][1] * scale))
-        formula_coeffs = None
-        if formula is not None:
-            n_coeffs = expand_rational_fn(formula, 4 * len(formula.numerator) + 64)
-            top = max((i for i, c in enumerate(n_coeffs) if c), default=-1)
-            formula_coeffs = n_coeffs[: top + 1]
-        # (1) basis degrees: iterate until formula exhausted and three consecutive
-        # zeros, and on through the top degree of J (full degrees, no basis)
-        piece = _ideal_pieces(GeneratorSet(self.I.label, self.ring, ipolys), None)
-        pivots: _PivotOrigins = {}
+        coeffs = expand_rational_fn(formula, 4 * len(formula.numerator) + 64)
+        top = max((i for i, c in enumerate(coeffs) if c), default=-2)
         top_j = max((jp.degree() for _name, jp in jpolys), default=0)
-        self.basis: List[Tuple[int, Exponents]] = []
-        d = 0
-        zeros = 0
-        top_formula = len(formula_coeffs) - 1 if formula_coeffs is not None else None
-        while True:
-            cofactors: List[Tuple[int, Exponents]] = []
-            monos, rows = piece(d, cofactors)
-            first = linalg.pivot_columns(rows, len(monos))
-            pivots[d] = [(monos[q], *cofactors[i]) for q, i in first.items()]
-            basis_d = [m for j, m in enumerate(monos) if j not in first]
-            self.basis.extend((d, m) for m in basis_d)
-            dim_d = len(basis_d)
-            if formula_coeffs is not None:
-                want = formula_coeffs[d] if d < len(formula_coeffs) else 0
-                if dim_d != want:
-                    raise VerificationError(
-                        f"graded quotient dimension mismatch at degree {d}: "
-                        f"computed {dim_d}, formula {want}")
-            zeros = zeros + 1 if dim_d == 0 else 0
-            past_formula = top_formula is None or d > top_formula
-            if past_formula and zeros >= 3 and d >= top_j:
-                break
-            d += 2
-        self.basis_index = {bm: i for i, bm in enumerate(self.basis)}
-        self._certified_operators(pairs, pivots, jpolys)
+        want = {d: coeffs[d] if d <= top else 0 for d in range(0, max(top + 6, top_j) + 1, 2)}
+        self._certified_operators(pairs, want, jpolys)
 
     @staticmethod
     def _scalar_ratio(a: Poly, b: Poly) -> Optional[Fraction]:
@@ -483,29 +471,37 @@ class QuotientModel:
                 return None
         return Fraction(1) / ratio
 
-    def _certified_operators(self, pairs: List[Tuple[Poly, Poly]], pivots: _PivotOrigins,
+    def _certified_operators(self, pairs: List[Tuple[Poly, Poly]], want: Dict[int, int],
                              jpolys: List[Tuple[str, Poly]]) -> None:
-        """Steps (2)-(4): operators mod p, reconstruction, the exact certificate."""
+        """Steps (1)-(4), prime by prime."""
         names = self.ring.var_names
-        if not self.basis:
-            self._install({x: Matrix.zeros(0, 0) for x in names})
-            return
         inputs = [jp for _name, jp in jpolys] + [q for pair in pairs for q in pair]
         dens = {c.denominator for poly in inputs for c in poly.terms.values()}
+        stops: List[Optional[str]] = []  # per usable prime, why it was unlucky, or None
+        self.basis: List[Tuple[int, Exponents]] = []
+        self.basis_index: Dict[Tuple[int, Exponents], int] = {}
         residues: List[List[int]] = []
         modulus = 1
         for p in _PRIMES:
             if any(den % p == 0 for den in dens):
                 continue
             try:
-                tables = _ModularTables(self, pairs, pivots, p)
-                for name, jp in jpolys:
-                    if any(tables.normal_form(_mod_terms(jp.terms, p))):
-                        raise VerificationError(f"J-generator {name} has nonzero normal form; "
-                                                "J does not deform I")
-                cols = [col for k in range(len(names)) for col in tables.columns(k, self.basis)]
-            except _UnluckyPrime:
+                tables = _ModularTables(self.ring, pairs, want, p)
+            except _UnluckyPrime as exc:
+                stops.append(str(exc))
                 continue
+            stops.append(None)
+            if tables.basis != self.basis:
+                self.basis, residues, modulus = tables.basis, [], 1
+                self.basis_index = {bm: i for i, bm in enumerate(self.basis)}
+            if not self.basis:
+                self._install({x: Matrix.zeros(0, 0) for x in names})
+                return
+            for name, jp in jpolys:
+                if any(tables.normal_form(_mod_terms(jp.terms, p))):
+                    raise VerificationError(f"J-generator {name} has nonzero normal form; "
+                                            "J does not deform I")
+            cols = [col for k in range(len(names)) for col in tables.columns(k, self.basis)]
             del tables  # free the mod-p tables before the exact certificate
             if residues:
                 inv = pow(modulus, -1, p)
@@ -515,6 +511,8 @@ class QuotientModel:
             ops = self._reconstruct(residues, modulus)
             if ops is not None and self._certify(ops):
                 return
+        if stops and None not in stops and len(set(stops)) == 1:
+            raise VerificationError(stops[0])
         raise VerificationError("no prime of the modular build gave operators that pass "
                                 "the certificate")
 
@@ -545,14 +543,14 @@ class QuotientModel:
             {self.ring.zero_exponents(): ({0: 1}, 1)} if D else {})
 
     def _certify(self, ops: Dict[str, Matrix]) -> bool:
-        """Install ``ops`` and check the exact certificate (a), (b), (c)."""
+        """Install ``ops`` and check the exact certificate (a)-(d)."""
         self._install(ops)
         if not self._commute():
             return False
         for i, (_d, mono) in enumerate(self.basis):
             if self._vector(mono) != ({i: 1}, 1):
                 return False
-        return not any(any(self.normal_form(jp)) for _name, jp in self.J.gens)
+        return not any(any(self.normal_form(jp)) for _name, jp in self.J.gens) and self._leads()
 
     def _commute(self) -> bool:
         cols = [c for c, _den in self._columns]
@@ -560,6 +558,20 @@ class QuotientModel:
             for b in range(a + 1, len(cols)):
                 ca, cb = cols[a], cols[b]
                 if any(_apply(ca, cb[j]) != _apply(cb, ca[j]) for j in range(len(self.basis))):
+                    return False
+        return True
+
+    def _leads(self) -> bool:
+        """(d): each x*b outside the basis leads the degree-(deg x*b) part of
+        x*b - M_x e_b, in the descending ``sort_key`` order of the columns."""
+        key, mdeg = self.ring.sort_key, self.ring.monomial_degree
+        for k, (columns, _den) in enumerate(self._columns):
+            for (_d, mono), column in zip(self.basis, columns):
+                e = mono[:k] + (mono[k] + 1,) + mono[k + 1:]
+                top = mdeg(e)
+                if (top, e) in self.basis_index:
+                    continue
+                if any(self.basis[i][0] == top and key(self.basis[i][1]) > key(e) for i in column):
                     return False
         return True
 
@@ -617,9 +629,6 @@ class QuotientModel:
                 m = m - self._ops[f"delta{i}"].scale(Fraction(1, 2))
             self._ops[var] = m
         return self._ops[var]
-
-    def operators_commute(self) -> bool:
-        return self._commute()
 
 
 # -- standard models ---------------------------------------------------------------

@@ -42,9 +42,6 @@ class Matrix:
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls([[Fraction(0)] * cols for _ in range(rows)], cols)
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.data, self.cols)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.cols == other.cols
                 and self.data == other.data)
@@ -147,11 +144,9 @@ def _eliminate(vec: Dict[int, int], pivot: Dict[int, int], p: int) -> Dict[int, 
     return _primitive(vec) if vec else vec
 
 
-def _echelon(rows: Iterable[Mapping[int, Fraction]],
-             cols: int) -> Tuple[Dict[int, Dict[int, int]], Dict[int, int]]:
+def _echelon(rows: Iterable[Mapping[int, Fraction]], cols: int) -> Dict[int, Dict[int, int]]:
     """Primitive integer pivot rows of the span of sparse rational rows
-    ``{column: value}``, keyed by their smallest column, and per pivot column
-    the position in ``rows`` of the row that created it.
+    ``{column: value}``, keyed by their smallest column.
 
     Each row is scaled to a primitive integer row and reduced fraction-free
     against the stored pivot rows (see ``_eliminate``).  Primitive integer rows
@@ -160,22 +155,20 @@ def _echelon(rows: Iterable[Mapping[int, Fraction]],
     is a pivot, taking no further row from ``rows``.
     """
     pivots: Dict[int, Dict[int, int]] = {}
-    first: Dict[int, int] = {}
     if cols <= 0:
-        return pivots, first
-    for i, row in enumerate(rows):
+        return pivots
+    for row in rows:
         vec = _primitive_row(row)
         while vec:
             p = min(vec)
             pivot = pivots.get(p)
             if pivot is None:
                 pivots[p] = vec
-                first[p] = i
                 if len(pivots) == cols:
-                    return pivots, first
+                    return pivots
                 break
             vec = _eliminate(vec, pivot, p)
-    return pivots, first
+    return pivots
 
 
 def rref(M: Matrix) -> Tuple[Matrix, List[int], Matrix]:
@@ -189,7 +182,7 @@ def rref(M: Matrix) -> Tuple[Matrix, List[int], Matrix]:
     """
     n, cols = M.rows, M.cols
     echelon = _echelon(({**dict(enumerate(row)), cols + i: Fraction(1)}
-                        for i, row in enumerate(M.data)), cols + n)[0]
+                        for i, row in enumerate(M.data)), cols + n)
     pivots = sorted(p for p in echelon if p < cols)
     for k in reversed(range(len(pivots))):
         row = echelon[pivots[k]]
@@ -209,16 +202,7 @@ def rref(M: Matrix) -> Tuple[Matrix, List[int], Matrix]:
 
 def row_rank(rows: Iterable[Mapping[int, Fraction]], cols: int) -> int:
     """Exact rank of sparse rational rows ``{column: value}`` with ``cols`` columns."""
-    return len(_echelon(rows, cols)[0])
-
-
-def pivot_columns(rows: Iterable[Mapping[int, Fraction]], cols: int) -> Dict[int, int]:
-    """The leading (smallest) columns of the vectors in the span of the rows (the
-    pivot columns of its reduced row echelon form), each mapped to the position
-    of the row that adds it: q maps to i when q is the one pivot column of
-    ``rows[:i + 1]`` that ``rows[:i]`` lacks.  Keys come in the order the rows
-    add them."""
-    return _echelon(rows, cols)[1]
+    return len(_echelon(rows, cols))
 
 
 def det(M: Matrix) -> Fraction:

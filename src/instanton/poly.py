@@ -309,13 +309,6 @@ class Poly:
         return Poly(self.ring, {e: c for e, c in self.terms.items() if mdeg(e) == d},
                     _normalized=True)
 
-    def homogeneous_components(self) -> Dict[int, "Poly"]:
-        out: Dict[int, Dict[Exponents, object]] = {}
-        mdeg = self.ring.monomial_degree
-        for e, c in self.terms.items():
-            out.setdefault(mdeg(e), {})[e] = c
-        return {d: Poly(self.ring, t, _normalized=True) for d, t in sorted(out.items())}
-
     def leading_order(self) -> "Poly":
         """Top-degree homogeneous component; errors on zero input."""
         if not self.terms:
@@ -402,40 +395,6 @@ class Poly:
         return hash((self.ring, frozenset(self.terms)))
 
     # -- structure maps -----------------------------------------------------
-
-    def substitute(self, images: Mapping[str, "Poly"]) -> "Poly":
-        """Ring homomorphism sending each named variable to the given polynomial."""
-        target = next(iter(images.values())).ring if images else self.ring
-        idx_image = {self.ring.var_index(name): img for name, img in images.items()}
-        pow_cache: Dict[Tuple[int, int], Poly] = {}
-        one = Poly.constant(target, 1)
-
-        def power(idx: int, k: int) -> Poly:
-            key = (idx, k)
-            if key not in pow_cache:
-                pow_cache[key] = idx_image[idx] ** k
-            return pow_cache[key]
-
-        def pairs():
-            for exps, coeff in self.terms.items():
-                fixed = [0] * target.nvars
-                term = one
-                for i, e in enumerate(exps):
-                    if not e:
-                        continue
-                    if i in idx_image:
-                        term = term * power(i, e)
-                        continue
-                    try:
-                        fixed[target.var_index(self.ring.var_names[i])] = e
-                    except KeyError:
-                        raise ValueError("substitution target ring lacks a needed "
-                                         "variable") from None
-                coeff = one._coerce_scalar(coeff)
-                for e, c in term.times_monomial(tuple(fixed)).terms.items():
-                    yield e, c * coeff
-
-        return Poly.from_terms(target, pairs())
 
     def cast(self, target: RingDescriptor) -> "Poly":
         """Reinterpret in a larger ring; variables absent from the target must be unused."""
@@ -666,11 +625,6 @@ def delta(ring: RingDescriptor, i: int) -> Poly:
 
 def epsilon(ring: RingDescriptor) -> Poly:
     return Poly.variable(ring, "epsilon")
-
-
-def epsilon_hat(ring: RingDescriptor) -> Poly:
-    """The sign-normalized epsilon: (-1)^((n-1)/2) * epsilon."""
-    return epsilon(ring) * ((-1) ** ring.m)
 
 
 def monomials_of_degree(ring: RingDescriptor, d: int) -> List[Exponents]:

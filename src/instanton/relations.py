@@ -430,15 +430,6 @@ def jgen_n1(g: int, sign: str = "+", local: bool = False) -> GeneratorSet:
     )
 
 
-def ideal_component(g: int, n: int, k: int, sign: str = "+", local: bool = False) -> GeneratorSet:
-    """The k-th exterior-factor component: identical to the (g-k) ideal."""
-    if n != 1:
-        raise ValueError("only n = 1 components are modeled")
-    if not 0 <= k <= g:
-        raise ValueError("need 0 <= k <= g")
-    return jgen_n1(g - k, sign=sign, local=local)
-
-
 def gamma_cofactors(g: int, sign: str = "+", local: bool = False) -> Dict[int, Poly]:
     """Explicit cofactors {i: a_i} with gamma^g = sum_i a_i * r_{g+i}, i in {0,1,2}.
 

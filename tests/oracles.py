@@ -11,7 +11,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from instanton import floer
 from instanton.floer import VerificationError
-from instanton.linalg import Matrix, rref
+from instanton.linalg import Matrix, _echelon, rref
 from instanton.poly import (ALPHA, LAURENT_U, OMEGA, Exponents, LaurentU, Poly,
                             monomials_of_degree)
 from instanton.quotient import QuotientSpec, canonical_rep
@@ -436,6 +436,28 @@ class LiftTableModel:
                 if ops[i] * ops[j] != ops[j] * ops[i]:
                     return False
         return True
+
+
+def exact_basis(J: GeneratorSet, I: GeneratorSet, formula: RationalFn) -> List[Tuple[int, Exponents]]:
+    """The standard monomial basis of R/I over Q, as ``floer.QuotientModel``
+    took it before it decided its pivots mod p: in each even degree of the
+    window 0..max(T + 6, top degree of J), T the formula's top degree, the
+    monomials that lead no vector of the degree piece of I in omega
+    coordinates.  The leading columns are the keys of ``linalg._echelon``, the
+    pivots ``rref`` would give without its transform, which on the thousands of
+    rows of ``model_n3(2)`` costs minutes."""
+    rng = J.ambient.with_coordinate(OMEGA)
+    piece = floer._ideal_pieces(GeneratorSet(I.label, rng, [
+        (name, p.change_coordinates(OMEGA)) for name, p in I.gens]), None)
+    coeffs = expand_rational_fn(formula, 4 * len(formula.numerator) + 64)
+    top = max((i for i, c in enumerate(coeffs) if c), default=-2)
+    top_j = max(p.change_coordinates(OMEGA).degree() for _name, p in J.gens)
+    basis = []
+    for d in range(0, max(top + 6, top_j) + 1, 2):
+        monos, rows = piece(d)
+        pivots = _echelon(rows, len(monos))
+        basis.extend((d, m) for j, m in enumerate(monos) if j not in pivots)
+    return basis
 
 
 _lift_table_models: Dict[tuple, LiftTableModel] = {}

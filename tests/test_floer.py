@@ -3,9 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_poly
-from oracles import lift_table_model, lift_table_model_n3
+from oracles import exact_basis, lift_table_model, lift_table_model_n3
 
-from instanton import floer
+from instanton import floer, linalg
 from instanton.acceptance import _A3_PAIRS
 from instanton.floer import (QuotientModel, VerificationError,
                              decomposition_identity_check, eigen_verify,
@@ -17,6 +17,7 @@ from instanton.poly import ALPHA, OMEGA, Poly, gamma, omega, ring
 from instanton.quotient import QuotientSpec, rbar_spec
 from instanton.relations import (GeneratorSet, igen, jgen_n1, kprime_gen,
                                  r_poly, xi)
+from instanton.series import RationalFn
 
 R1 = ring(1)
 
@@ -92,7 +93,7 @@ def test_model_rejects_non_deforming_pair():
     J = jgen_n1(1)
     bad_I = GeneratorSet("bad", R1, [("one", Poly.constant(R1, 1))])
     with pytest.raises(ValueError):
-        QuotientModel(J, bad_I)
+        QuotientModel(J, bad_I, RationalFn([1]))
 
 
 def test_model_rejects_laurent_coefficients_as_bad_input():
@@ -146,7 +147,7 @@ def test_gamma_power_witness_membership():
 
 def test_operators_commute_and_leading_containment():
     m2 = model_for(2)
-    assert m2.operators_commute()
+    assert m2._commute()
     # leading order of r_g sits in the degree-2g piece of the graded ideal
     for g in (1, 2, 3, 4):
         gs = igen(g, 1, "even")
@@ -587,9 +588,9 @@ def test_model_rejects_a_generator_that_does_not_deform(monkeypatch):
 
 
 def test_a_generator_past_the_degree_window_leaves_the_model_unchanged():
-    """r_1*omega^12 lies in J and has degree 26, far past the basis window of
-    the (1,+) model: the exact step runs through its degree, those degrees are
-    full, and basis and operators are those of the model without it."""
+    """r_1*omega^12 lies in J and has degree 26, far past the top basis degree
+    of the (1,+) model: the window runs on through its degree, those degrees
+    are full, and basis and operators are those of the model without it."""
     J, I, formula = floer._one_point_ideals(1, "+")
     r1 = dict(J.gens)["r_1"]
     J = GeneratorSet(J.label, J.ambient, J.gens + [("r_1*omega^12", r1 * omega(J.ambient) ** 12)],
@@ -606,14 +607,14 @@ def test_model_rejects_a_ring_with_epsilon():
     rng = ring(1, coordinate=OMEGA, has_epsilon=True)
     gens = GeneratorSet("E", rng, [("epsilon-1", Poly.variable(rng, "epsilon") - 1)])
     with pytest.raises(ValueError, match="epsilon"):
-        QuotientModel(gens, gens)
+        QuotientModel(gens, gens, RationalFn([1]))
 
 
 def test_cached_model_keeps_no_build_tables():
     model = model_for(3, "+")
     assert set(vars(model)) == {"J", "I", "ring", "basis", "basis_index",
                                 "_ops", "_columns", "_memo"}
-    assert model.operators_commute()
+    assert model._commute()
 
 
 def _degree_four_model_ideals():
@@ -640,10 +641,15 @@ def _degree_two_model_ideals():
             [(w, [F(8, 7)]), (d, [F(-1, 7)]), (w * w + d, [F(64, 49) - F(1, 7)])])
 
 
-@pytest.mark.parametrize("ideals", [_degree_two_model_ideals, _degree_four_model_ideals],
+@pytest.mark.parametrize("ideals,formula,primes",
+                         [(_degree_two_model_ideals, [1], [10007]),
+                          (_degree_four_model_ideals, [1, 0, 2, 0, 1], [7, 10007])],
                          ids=["rank_drops", "pivot_moves"])
-def test_a_prime_that_moves_a_pivot_is_skipped(monkeypatch, ideals):
-    """7 changes the leading columns of I, so the build skips it and uses 10007."""
+def test_a_prime_that_moves_a_pivot_is_skipped(monkeypatch, ideals, formula, primes):
+    """7 changes the leading columns of I.  Where it loses rank, a degree has
+    more basis monomials than the formula, so 7 is skipped before its
+    operators are built; where a pivot only moves, its operators fail the
+    certificate.  10007 gives the model."""
     J, I, values = ideals()
     monkeypatch.setattr(floer, "_PRIMES", (7, 10007))
     reached = []
@@ -654,7 +660,75 @@ def test_a_prime_that_moves_a_pivot_is_skipped(monkeypatch, ideals):
             return super().columns(k, basis)
 
     monkeypatch.setattr(floer, "_ModularTables", Recording)
-    model = QuotientModel(J, I)
-    assert set(reached) == {10007}
+    model = QuotientModel(J, I, RationalFn(formula))
+    assert list(dict.fromkeys(reached)) == primes
     for f, coords in values:
         assert model.normal_form(f) == coords, f
+
+
+def test_a_prime_that_moves_a_pivot_gives_no_model_alone(monkeypatch):
+    """Mod 7 the basis takes delta^2 in degree 4 where the standard basis over
+    Q takes beta; with 7 as the only prime the build raises instead of
+    returning a model in that basis."""
+    J, I, _values = _degree_four_model_ideals()
+    monkeypatch.setattr(floer, "_PRIMES", (7,))
+    with pytest.raises(VerificationError):
+        QuotientModel(J, I, RationalFn([1, 0, 2, 0, 1]))
+
+
+def test_certificate_needs_the_leading_condition():
+    """1, omega, delta, delta^2 is a basis of R/J too, but not the standard
+    one: 7 delta^2 + beta lies in I and leads on delta^2.  The true operators
+    in that basis meet (a)-(c) and fail (d)."""
+    J, I, _values = _degree_four_model_ideals()
+    model = QuotientModel(J, I, RationalFn([1, 0, 2, 0, 1]))
+    assert model.basis[3] == (4, (0, 1, 0, 0))  # beta
+    to_standard = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, F(-1, 7)]])
+    from_standard = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -7]])
+    ops = {var: from_standard * model.operator(var) * to_standard for var in model.ring.var_names}
+    model.basis = model.basis[:3] + [(4, (0, 0, 0, 2))]
+    model.basis_index = {bm: i for i, bm in enumerate(model.basis)}
+    assert not model._certify(ops)
+    assert model._commute()
+    assert all(model._vector(mono) == ({i: 1}, 1) for i, (_d, mono) in enumerate(model.basis))
+    assert not any(any(model.normal_form(jp)) for _name, jp in J.gens)
+    assert not model._leads()
+
+
+def test_the_model_build_runs_no_exact_elimination(monkeypatch):
+    def boom(*_args):
+        raise AssertionError("exact elimination in the model build")
+
+    monkeypatch.setattr(linalg, "_echelon", boom)
+    assert QuotientModel(*floer._one_point_ideals(3, "+")).dim == 20
+
+
+EXACT_BASIS_CASES = [(4, "+", None), (4, "-", None), (5, "+", None), (3, "+", F(2)),
+                     (2, "-", F(3, 2)), "n3_g1", "n3_g2"]
+
+
+@pytest.mark.parametrize("case", EXACT_BASIS_CASES,
+                         ids=lambda c: c if isinstance(c, str) else f"g{c[0]}{c[1]}_theta{c[2] or 1}")
+def test_model_basis_is_the_exact_standard_basis(case):
+    """The basis decided mod p is the one the exact elimination over Q takes."""
+    if isinstance(case, str):
+        g = int(case[-1])
+        model, ideals = model_n3(g), floer._three_point_ideals(g)
+    else:
+        model, ideals = model_for(*case), floer._one_point_ideals(*case)
+    assert model.basis == exact_basis(*ideals)
+
+
+@pytest.mark.parametrize("degree,change,message", [
+    (4, -1, "computed 2, formula 1"), (4, 1, "computed 2, formula 3"),
+    (8, 1, "computed 1, formula 2")], ids=["4_minus_1", "4_plus_1", "8_plus_1"])
+def test_model_rejects_a_wrong_formula(degree, change, message):
+    """One coefficient of the (2,+) series changed: fewer basis monomials than
+    the formula fails at once, more fails once every prime agrees."""
+    J, I, formula = floer._one_point_ideals(2, "+")
+    coeffs = expand_rational_fn(formula, 40)
+    assert coeffs[degree] and not any(coeffs[9:])  # the series stops at degree 8
+    coeffs[degree] += change
+    with pytest.raises(VerificationError,
+                       match=f"graded quotient dimension mismatch at degree {degree}: {message}$"):
+        QuotientModel(J, I, RationalFn(coeffs))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from instanton.linalg import (Matrix, generalized_eigenspace,
                               generalized_eigenspace_dim, is_nilpotent_on,
-                              kernel_basis, pivot_columns, rank, restrict,
+                              kernel_basis, rank, restrict,
                               row_rank, rref, subspace_intersection)
 from oracles import char_poly, solve
 
@@ -23,7 +23,7 @@ def test_identity_rank_and_kernel():
 def test_empty_matrix_keeps_column_count():
     z = Matrix.zeros(0, 5)
     assert (z.rows, z.cols) == (0, 5)
-    assert (z.copy().cols, z.scale(2).cols) == (5, 5)
+    assert z.scale(2).cols == 5
     zt = z.transpose()
     assert (zt.rows, zt.cols) == (5, 0)
     assert (zt.transpose().rows, zt.transpose().cols) == (0, 5)
@@ -346,32 +346,6 @@ def test_row_rank_stops_at_full_column_rank():
     # the row that completed the rank was the last one read
     assert taken == list(range(full))
     assert next(it) is rows[full]
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_pivot_columns_names_the_row_that_adds_each_pivot(seed):
-    """The keys are the RREF pivots of all the rows, in the order the rows add
-    them, and q maps to i exactly when q is the one pivot of rows[:i + 1] that
-    rows[:i] lacks; duplicate, dependent and zero rows add none."""
-    rng = random.Random(seed)
-    cols = rng.randint(1, 10)
-    rows = _random_rows(rng, rng.randint(1, cols + 2), cols)
-    for _ in range(rng.randint(1, cols)):
-        a, b = rng.choice(rows), rng.choice(rows)
-        f = F(rng.randint(-3, 3), rng.randint(1, 4))
-        rows.append(rng.choice([dict(a), {}, {j: a.get(j, F(0)) + f * b.get(j, F(0))
-                                              for j in set(a) | set(b)}]))
-    rng.shuffle(rows)
-    first = pivot_columns(iter(rows), cols)
-    assert list(first.values()) == sorted(first.values())
-    assert set(first) == set(rref_fraction_oracle(Matrix(_dense(rows, cols), cols))[1])
-    before: List[int] = []
-    for i in range(len(rows)):
-        after = rref_fraction_oracle(Matrix(_dense(rows[:i + 1], cols), cols))[1]
-        new = set(after) - set(before)
-        assert len(new) <= 1
-        assert {q for q, k in first.items() if k == i} == new, i
-        before = after
 
 
 def test_row_rank_reads_no_row_without_columns():

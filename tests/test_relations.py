@@ -143,9 +143,8 @@ def test_w_family_one_point():
 def test_w_skeleton_is_r1():
     eta = EtaChoice({1}, 1)
     w = w_skeleton(1, 1, eta)
-    # substitute epsilon-hat = +1 (here epsilon = 1) and drop the epsilon slot
-    subbed = w.substitute({"epsilon": Poly.constant(w.ring, 1)})
-    collapsed = Poly(W1, {(e[0], e[1], e[2], e[3]): c for e, c in subbed.terms.items()})
+    # set epsilon-hat = +1 (here epsilon = 1): drop the epsilon slot and sum
+    collapsed = Poly.from_terms(W1, ((e[:4], c) for e, c in w.terms.items()))
     assert collapsed == r_poly(1)
 
 
@@ -291,15 +290,6 @@ def test_eigenvalue_annihilation():
             lam = (-1) ** (i - 1) * (2 * i - 1)
             for name, p in gens.gens:
                 assert p.evaluate_alpha_point(lam, 2, 0, [0]) == 0, (g, i, name)
-
-
-def test_ideal_component_index_shift():
-    from instanton.relations import ideal_component
-    assert ideal_component(2, 1, 1).names() == jgen_n1(1).names()
-    assert ideal_component(2, 1, 0).polys()[0] == r_poly(2)
-    assert ideal_component(3, 1, 3).polys()[0] == Poly.constant(W1, 1)
-    with pytest.raises(ValueError):
-        ideal_component(1, 1, 2)
 
 
 def test_gamma_cofactor_identity_all_variants():
