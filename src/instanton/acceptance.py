@@ -310,7 +310,8 @@ def _a12_flips(n: int, s: int) -> GeneratorSet:
     alpha_p = Poly.variable(rng, OMEGA) - sum(
         (Poly.variable(rng, f"delta{i}") for i in range(1, n + 1)),
         Poly.zero(rng)) * Fraction(1, 2)
-    return GeneratorSet(f"alpha'^{s}", rng, flip_orbit(alpha_p ** s, f"alpha'^{s}", n))
+    return GeneratorSet.of_orbits(f"alpha'^{s}", rng, [flip_orbit(alpha_p ** s, f"alpha'^{s}", n)],
+                                  {})
 
 
 def check_a12(n_values: Sequence[int] = (3, 5)) -> CheckResult:

@@ -18,7 +18,7 @@ from .linalg import Matrix, subspace_intersection
 from .poly import (ALPHA, OMEGA, RATIONAL, Exponents, Poly,
                    monomials_of_degree, ring)
 from .quotient import (QuotientSpec, canonical_monomials, canonical_rep,
-                       model_spec, rbar_spec)
+                       delta_support, model_spec, rbar_spec)
 from .relations import (GeneratorSet, flip_orbit, flip_subsets, gamma_cofactors,
                         igen, jgen_n1, kprime_gen, specialize_u, xi)
 from .series import RationalFn, expand_rational_fn, poly_add, poly_mul, poly_pow, poly_scale, poly_shift
@@ -68,8 +68,9 @@ def _ideal_pieces(gens: GeneratorSet, spec: Optional[QuotientSpec]):
     iterator of sparse rows ``{basis index: coefficient}`` spanning the ideal
     piece, one per (generator index, cofactor monomial) in that order.  A row's
     product is formed only when the row is taken, and each generator is brought
-    to canonical form inside ``spec`` once, when a row of any degree first
-    needs it; a generator that reduces to zero gives no rows."""
+    to canonical form inside ``spec`` once, when it is first needed; a generator
+    that reduces to zero gives no rows.  The function's ``form(k)`` is generator
+    k in that canonical form, the one its rows are formed from."""
     if spec is None:
         rng = gens.ambient
 
@@ -88,39 +89,90 @@ def _ideal_pieces(gens: GeneratorSet, spec: Optional[QuotientSpec]):
             return canonical_rep(p, spec)
     reduced: List[Poly] = []  # the generators' reduced forms, in order, as far as used
 
-    def generators():
-        for k, (_name, gp) in enumerate(gens.gens):
-            if k == len(reduced):
-                reduced.append(reduce(gp))
-            if not reduced[k].is_zero():
-                yield reduced[k]
+    def form(k: int) -> Poly:
+        while len(reduced) <= k:
+            reduced.append(reduce(gens.gens[len(reduced)][1]))
+        return reduced[k]
 
     def piece(degree: int):
         basis = monomials(degree)
         index = {m: i for i, m in enumerate(basis)}
 
         def rows():
-            for gp in generators():
+            for k in range(len(gens)):
+                gp = form(k)
+                if gp.is_zero():
+                    continue
                 for mono in monomials(degree - gp.degree()):
                     prod = reduce(gp.times_monomial(mono))
                     yield {index[e]: c for e, c in prod.terms.items() if e in index}
         return basis, rows()
+    piece.form = form
     return piece
 
 
 def _graded_ranks(gens: GeneratorSet, max_degree: int,
                   spec: Optional[QuotientSpec]) -> List[Tuple[int, int]]:
     """(piece dimension, ideal rank) in each degree 0..max_degree; odd degrees
-    give (0, 0)."""
-    piece = _ideal_pieces(gens, spec)
+    give (0, 0).  Raises ValueError for a generator that is not homogeneous in
+    canonical form.
+
+    The rank is taken by blocks of the even-flip group.  In omega coordinates
+    tau_I negates delta_i for i in I, so a monomial is an eigenvector whose
+    block is its delta-parity vector up to complement ({S, S^c} of
+    ``delta_support``).  A piece of a flip-closed ideal is the direct sum of its
+    block projections, and canonical_rep(tau_I(b) m) = +-tau_I(canonical_rep(b m))
+    for a cofactor monomial m, so the block projections of the rows of the
+    orbit representatives (``GeneratorSet.flip_reps``) span every block.  The
+    columns are numbered block by block and each row is split into its
+    projections; those of different blocks share no column, so one
+    ``linalg.row_rank`` sums the block ranks.  An unmarked set, or rows in
+    alpha coordinates (no spec), take the trivial group: every generator, one
+    block.
+    """
+    rng = gens.ambient if spec is None else gens.ambient.with_coordinate(OMEGA)
+    flip_closed = gens.flip_reps is not None and rng.coordinate == OMEGA
+    reps = gens.representatives() if flip_closed else gens
+    piece = _ideal_pieces(reps, spec)
+    # flips preserve degree, so the representatives' forms stand for every generator
+    for k, name in enumerate(reps.names()):
+        form = piece.form(k)
+        if not form.is_zero() and not form.is_homogeneous():
+            raise ValueError(f"inhomogeneous generator {name} in graded mode")
+    everything = frozenset(range(1, rng.n + 1))
+
+    def block(mono: Exponents):
+        if not flip_closed:
+            return None
+        support = delta_support(rng, mono)
+        return frozenset((support, everything - support))
+
     out = []
     for d in range(max_degree + 1):
         if d % 2:
             out.append((0, 0))
             continue
         basis, rows = piece(d)
-        out.append((len(basis), linalg.row_rank(rows, len(basis))))
+        blocks: Dict[object, List[int]] = {}
+        for i, mono in enumerate(basis):
+            blocks.setdefault(block(mono), []).append(i)
+        column = {}  # basis index -> (block number, column in block-major order)
+        for b, members in enumerate(blocks.values()):
+            for i in members:
+                column[i] = (b, len(column))
+        out.append((len(basis), linalg.row_rank(_block_projections(rows, column), len(basis))))
     return out
+
+
+def _block_projections(rows, column: Dict[int, Tuple[int, int]]):
+    """Each sparse row split into its block projections, with the columns and
+    blocks of ``column`` (basis index -> (block number, column))."""
+    for row in rows:
+        parts: Dict[int, Dict[int, Fraction]] = {}
+        for i, c in row.items():
+            b, j = column[i]
+            parts.setdefault(b, {})[j] = c
+        yield from parts.values()
 
 
 def graded_ideal_dims(gens: GeneratorSet, max_degree: int,
@@ -130,10 +182,6 @@ def graded_ideal_dims(gens: GeneratorSet, max_degree: int,
     With ``spec`` the computation runs inside that quotient ring (the ideal is
     the image ideal there).  Generators must be homogeneous.
     """
-    for name, gp in gens.gens:
-        probe = canonical_rep(gp, spec) if spec is not None else gp
-        if not probe.is_zero() and not probe.is_homogeneous():
-            raise ValueError(f"inhomogeneous generator {name} in graded mode")
     return [rank for _size, rank in _graded_ranks(gens, max_degree, spec)]
 
 

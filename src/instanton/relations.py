@@ -186,12 +186,20 @@ def rho_series(k: int, r: int) -> Poly:
 
 @dataclass
 class GeneratorSet:
-    """A labeled ideal presentation: named generators over an ambient ring."""
+    """A labeled ideal presentation: named generators over an ambient ring.
+
+    ``flip_reps`` marks a set closed under the even flips tau_I: the indices in
+    ``gens`` of one generator per orbit, so that every generator is +- an even
+    flip of a representative and every such flip is +- a generator.  It is set
+    only by ``of_orbits``; ``None`` means no closure is known.  It is not
+    serialized, and a set built from another set's generators starts unmarked.
+    """
 
     label: str
     ambient: RingDescriptor
     gens: List[Tuple[str, Poly]]
     meta: Dict[str, object] = field(default_factory=dict)
+    flip_reps: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         names = [name for name, _ in self.gens]
@@ -200,6 +208,28 @@ class GeneratorSet:
         for name, p in self.gens:
             if p.is_zero():
                 raise ValueError(f"generator {name} is zero")
+
+    @classmethod
+    def of_orbits(cls, label: str, ambient: RingDescriptor,
+                  orbits: List[List[Tuple[str, Poly]]], meta: Dict[str, object]) -> "GeneratorSet":
+        """The generators of ``orbits`` in order, marked with each orbit's first
+        member as its representative.  Each orbit must be a whole even-flip
+        orbit up to sign: an even orbit from ``flip_orbit``, an odd one (the
+        even flips act transitively on it), or one flip-invariant generator."""
+        gens: List[Tuple[str, Poly]] = []
+        reps = []
+        for orbit in orbits:
+            reps.append(len(gens))
+            gens.extend(orbit)
+        return cls(label, ambient, gens, meta, tuple(reps))
+
+    def representatives(self) -> "GeneratorSet":
+        """The orbit representatives of a marked set, as an unmarked set; an
+        unmarked set is its own."""
+        if self.flip_reps is None:
+            return self
+        return GeneratorSet(self.label, self.ambient, [self.gens[k] for k in self.flip_reps],
+                            self.meta)
 
     def polys(self) -> List[Poly]:
         return [p for _, p in self.gens]
@@ -303,18 +333,17 @@ def igen(g: int, n: int, parity: str) -> GeneratorSet:
     d_odd = parity == "odd"
     use_even_flips = (int(d_odd) + m) % 2 == 1
     rng = ring(n, coordinate=ALPHA)
-    gens: List[Tuple[str, Poly]] = []
     beta = Poly.variable(rng, "beta")
+    # delta_i^2 + beta and gamma^{g+1} are flip-invariant: each is its own orbit
+    orbits = []
     for i in range(1, n + 1):
         di = Poly.variable(rng, f"delta{i}")
-        gens.append((f"delta{i}^2+beta", di * di + beta))
-    gens.append((f"gamma^{g + 1}", Poly.variable(rng, "gamma") ** (g + 1)))
-    for k in range(g + m, g + m + 3):
-        gens += flip_orbit(xi(k, n, target=rng), f"xi_{{{k},{n}}}", n, use_even_flips)
-    return GeneratorSet(
-        label=f"I_{{{g},{n}}}^{parity}", ambient=rng, gens=gens,
-        meta={"g": g, "n": n, "parity": parity},
-    )
+        orbits.append([(f"delta{i}^2+beta", di * di + beta)])
+    orbits.append([(f"gamma^{g + 1}", Poly.variable(rng, "gamma") ** (g + 1))])
+    orbits += [flip_orbit(xi(k, n, target=rng), f"xi_{{{k},{n}}}", n, use_even_flips)
+               for k in range(g + m, g + m + 3)]
+    return GeneratorSet.of_orbits(f"I_{{{g},{n}}}^{parity}", rng, orbits,
+                                  {"g": g, "n": n, "parity": parity})
 
 
 def kprime_gen(g: int, n: int) -> GeneratorSet:
@@ -323,13 +352,10 @@ def kprime_gen(g: int, n: int) -> GeneratorSet:
     if g < 0:
         raise ValueError("g must be >= 0")
     m = (n - 1) // 2
-    rng = ring(n, coordinate=OMEGA)
-    gens = [gen for k in (g + m, g + m + 1)
-            for gen in flip_orbit(canonical_rep(xi(k, n), rbar_spec()), f"xibar_{{{k},{n}}}", n)]
-    return GeneratorSet(
-        label=f"K'_{{{g},{n}}}", ambient=rng, gens=gens,
-        meta={"g": g, "n": n},
-    )
+    orbits = [flip_orbit(canonical_rep(xi(k, n), rbar_spec()), f"xibar_{{{k},{n}}}", n)
+              for k in (g + m, g + m + 1)]
+    return GeneratorSet.of_orbits(f"K'_{{{g},{n}}}", ring(n, coordinate=OMEGA), orbits,
+                                  {"g": g, "n": n})
 
 
 # -- the one-point recursion -------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -85,6 +86,20 @@ def test_hilbert_json_schema_and_exit(capsys, tmp_path):
                         "--max-degree", "8", "--json", "--cache-dir", str(tmp_path))
     assert code == 0
     validator_for("hilbert_report.schema.json").validate(json.loads(out))
+
+
+# sha256 of `floer igen --json` output, recorded before generator sets carried
+# the flip-orbit marker, which is not part of the payload
+IGEN_JSON = {("1", "3", "even"): "7c91f04b75bded17ea4f93de38a5539acfd9451251a18eeb2723f73330982e4f",
+             ("0", "5", "odd"): "aee9aa9ffdee3a1b89f9cd5d504ee187e9604b743050dc01b170dc686c37dc97"}
+
+
+@pytest.mark.parametrize("g, n, parity", sorted(IGEN_JSON))
+def test_igen_json_bytes_are_pinned(capsys, g, n, parity):
+    code, out = run_cli(capsys, "igen", "--g", g, "--n", n, "--parity", parity,
+                        "--json", "--no-cache")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == IGEN_JSON[(g, n, parity)]
 
 
 def test_eigen_json_schema(capsys, tmp_path):

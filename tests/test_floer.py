@@ -6,7 +6,7 @@ from conftest import random_poly
 from oracles import exact_basis, lift_table_model, lift_table_model_n3
 
 from instanton import floer, linalg
-from instanton.acceptance import _A3_PAIRS
+from instanton.acceptance import _A3_PAIRS, _A4_PAIRS, _a12_flips
 from instanton.floer import (QuotientModel, VerificationError,
                              decomposition_identity_check, eigen_verify,
                              expand_rational_fn, gamma_power_witness,
@@ -14,7 +14,8 @@ from instanton.floer import (QuotientModel, VerificationError,
                              model_n3, ptgn_series, solve_subleading)
 from instanton.linalg import Matrix
 from instanton.poly import ALPHA, OMEGA, Poly, gamma, omega, ring
-from instanton.quotient import QuotientSpec, rbar_spec
+from instanton.quotient import (QuotientSpec, canonical_monomials, mod_beta_spec,
+                                rbar_spec)
 from instanton.relations import (GeneratorSet, igen, jgen_n1, kprime_gen,
                                  r_poly, xi)
 from instanton.series import RationalFn
@@ -69,6 +70,71 @@ def test_kprime_dims_reproduce_lemma_value():
     dims = graded_ideal_dims(kprime_gen(0, 3), 10, rbar_spec())
     for i in range(4):
         assert dims[2 * (1 + i)] == 4 * (i + 1)
+
+
+def _unmarked(gens):
+    """The same generators with no flip marker: the trivial group, one block."""
+    return GeneratorSet(gens.label, gens.ambient, gens.gens, gens.meta)
+
+
+def _graded_case(source, g, n):
+    """(generator set, spec, max degree) of ``hilbert_compare`` at A3's and A4's degrees."""
+    if source == "ptgn":
+        parity = "odd" if (1 + (n - 1) // 2) % 2 == 1 else "even"
+        return igen(g, n, parity), QuotientSpec(gamma_truncation=g + 1, delta_square=0), 6 * g + 8
+    return kprime_gen(g, n), rbar_spec(), 2 * (g + (n - 1) // 2 + 4)
+
+
+@pytest.mark.parametrize("source, g, n", [("ptgn", g, n) for g, n in _A3_PAIRS]
+                         + [("k", g, n) for g, n in _A4_PAIRS + [(2, 3), (3, 1), (1, 5)]])
+def test_blocked_ranks_match_the_unmarked_copy(source, g, n):
+    gens, spec, top = _graded_case(source, g, n)
+    assert gens.flip_reps is not None
+    assert floer._graded_ranks(gens, top, spec) == floer._graded_ranks(_unmarked(gens), top, spec)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_blocked_a12_ranks_match_the_unmarked_copy(n):
+    m = (n - 1) // 2
+    for s in (m, m + 1):
+        gens = _a12_flips(n, s)
+        assert gens.flip_reps is not None
+        assert (floer._graded_ranks(gens, 2 * s + 2, mod_beta_spec())
+                == floer._graded_ranks(_unmarked(gens), 2 * s + 2, mod_beta_spec()))
+
+
+@pytest.mark.parametrize("source, max_degree", [("k", 14), ("ptgn", 8)])
+def test_blocked_ranks_at_seven_points_match_the_formulas(source, max_degree):
+    """The unblocked route takes 48 s on (0, 7, "k", 14), so the formulas are the oracle."""
+    assert hilbert_compare(0, 7, source, max_degree).match
+
+
+def test_blocked_ranks_form_one_product_per_representative_and_cofactor(monkeypatch):
+    """The marked set forms at most one canonical product per (orbit
+    representative, cofactor monomial); the unmarked route forms one per
+    generator, 16 times as many at n = 5."""
+    gens, spec, top = _graded_case("k", 0, 5)
+    orbit_heads = gens.polys()[::16]  # kprime_gen(0, 5) is two whole orbits of 16 flips
+    bound = sum(len(canonical_monomials(gens.ambient, spec, d - p.degree()))
+                for p in orbit_heads for d in range(0, top + 1, 2))
+    products = []
+    times_monomial = Poly.times_monomial
+
+    def counted(self, exps):
+        products.append(exps)
+        return times_monomial(self, exps)
+    monkeypatch.setattr(Poly, "times_monomial", counted)
+    assert hilbert_compare(0, 5, "k", top).match
+    assert 0 < len(products) <= bound
+
+
+def test_graded_ranks_reject_an_inhomogeneous_generator():
+    rng = ring(3, coordinate=OMEGA)
+    gens = GeneratorSet.of_orbits("bad", rng, [[("omega+1", omega(rng) + 1)]], {})
+    with pytest.raises(ValueError, match="inhomogeneous generator omega\\+1 in graded mode"):
+        graded_ideal_dims(gens, 4, rbar_spec())
+    with pytest.raises(ValueError, match="inhomogeneous generator omega\\+1 in graded mode"):
+        graded_ideal_dims(_unmarked(gens), 4, None)
 
 
 def test_decomposition_identity():

@@ -7,13 +7,13 @@ import pytest
 from oracles import orbit_by_round_trip
 
 from instanton import acceptance
-from instanton.floer import _three_point_ideals, solve_subleading
+from instanton.floer import _one_point_ideals, _three_point_ideals, solve_subleading
 from instanton.linalg import Matrix, rank
 from instanton.poly import (OMEGA, LaurentU, Poly, alpha, beta, delta,
                             gamma, omega, ring)
 from instanton.quotient import QuotientSpec, canonical_rep, rbar_spec
 from instanton.relations import (EtaChoice, GeneratorSet, delta_sym,
-                                 flip_orbit, gamma_cofactors, igen, jgen_n1,
+                                 flip_orbit, flip_subsets, gamma_cofactors, igen, jgen_n1,
                                  kprime_gen, phi_negate, r_poly, r_poly_local,
                                  rho_proj, rho_series, specialize_u, w0, w1,
                                  w_skeleton, xi)
@@ -382,6 +382,33 @@ def test_three_point_ideals_names_and_polys_pinned():
                            orbit_by_round_trip(xi(1, 3, target=ring(3)), "xi_{1,3}", 3)]
     assert _digest(J.to_json()) == "a5c4592b9e07cf75"
     assert _digest(I.to_json()) == "75565852405ed1cf"
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_flip_marker_names_whole_orbits(n):
+    """Every even flip of a representative is +- a generator, and every
+    generator is +- an even flip of a representative."""
+    m = (n - 1) // 2
+    for gs in (igen(1, n, "even"), igen(1, n, "odd"), kprime_gen(1, n),
+               acceptance._a12_flips(n, m), acceptance._a12_flips(n, m + 1)):
+        gens = set(gs.polys())
+        orbits = set()
+        for rep in gs.representatives().polys():
+            for I in flip_subsets(n, even=True):
+                image = rep.flip(I)
+                assert image in gens or -image in gens, (gs.label, I)
+                orbits |= {image, -image}
+        assert gens <= orbits, gs.label
+
+
+def test_sets_built_from_a_marked_set_are_unmarked():
+    gs = igen(1, 3, "even")
+    assert gs.flip_reps is not None
+    assert _one_point_ideals(1)[1].flip_reps is None
+    assert _three_point_ideals(1)[1].flip_reps is None
+    back = GeneratorSet.from_json(gs.to_json())
+    assert back.flip_reps is None and back.gens == gs.gens
+    assert GeneratorSet(gs.label, gs.ambient, gs.gens, gs.meta).to_json() == gs.to_json()
 
 
 def test_flip_orbit_names_and_order():
