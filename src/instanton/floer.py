@@ -288,9 +288,9 @@ class _UnluckyPrime(Exception):
     p lost rank there.  The message is the mismatch it would be over Q."""
 
 
-def _rational(a: int, m: int) -> Optional[Fraction]:
-    """The fraction n/d congruent to a mod m with |n|, d <= sqrt(m/2), or None
-    (Wang 1981).  There is at most one such fraction."""
+def _rational(a: int, m: int) -> Optional[Tuple[int, int]]:
+    """(n, d) in lowest terms with n/d congruent to a mod m and |n|, d <= sqrt(m/2),
+    d > 0, or None (Wang 1981).  There is at most one such fraction."""
     bound = math.isqrt(m // 2)
     r0, r1, t0, t1 = m, a, 0, 1
     while r1 > bound:
@@ -298,7 +298,7 @@ def _rational(a: int, m: int) -> Optional[Fraction]:
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
     if not 0 < abs(t1) <= bound or math.gcd(r1, t1) != 1:
         return None
-    return Fraction(r1, t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _mod_terms(terms: Dict[Exponents, Fraction], p: int) -> Dict[Exponents, int]:
@@ -573,20 +573,22 @@ class QuotientModel:
             entries = [[_rational(col[i], modulus) for col in cols] for i in range(D)]
             if any(x is None for row in entries for x in row):
                 return None
-            ops[name] = Matrix(entries)
+            den = math.lcm(*(d for row in entries for _n, d in row))
+            ops[name] = Matrix.from_integers([[n * (den // d) for n, d in row] for row in entries],
+                                             den, D)
         return ops
 
     def _install(self, ops: Dict[str, Matrix]) -> None:
         """Take ``ops`` as the operators of the ring variables: keep them, their
-        columns cleared to integers, and a fresh monomial-vector memo."""
+        sparse integer columns over their denominators, and a fresh
+        monomial-vector memo."""
         D = len(self.basis)
         self._ops = dict(ops)
         self._columns: List[Tuple[List[Dict[int, int]], int]] = []
         for name in self.ring.var_names:
-            data = ops[name].data
-            den = math.lcm(*(x.denominator for row in data for x in row))
-            self._columns.append(([{i: data[i][j].numerator * (den // data[i][j].denominator)
-                                    for i in range(D) if data[i][j]} for j in range(D)], den))
+            op = ops[name]
+            self._columns.append(([{i: x for i, x in enumerate(col) if x}
+                                   for col in zip(*op.nums)], op.den))
         self._memo: Dict[Exponents, Tuple[Dict[int, int], int]] = (
             {self.ring.zero_exponents(): ({0: 1}, 1)} if D else {})
 
@@ -863,7 +865,7 @@ def solve_subleading(g: int, n: int = 3) -> GeneratorSet:
                      for mono in unknowns] + [-base.evaluate_alpha_point(lam, 2, 0, [0, 0, 0])])
     # one RREF: the rhs column leads a row iff the system is infeasible
     k = len(unknowns)
-    R, pivots, _T = linalg.rref(Matrix(rows, k + 1))
+    R, pivots = linalg.row_reduce(Matrix(rows, k + 1))
     if k in pivots:
         raise VerificationError("sub-leading system is infeasible (convention drift)")
     if len(pivots) < k:

@@ -1,11 +1,13 @@
 """Exact linear algebra: rank, RREF with transform, products, kernels and eigen
 helpers.
 
-Matrices are lists of row lists holding Fractions.  They are treated as
-immutable after construction; every routine works on copies.  Fractions are
-only the boundary: every elimination and every dot product runs on integer rows
-cleared over their common denominator, and eliminations keep those rows
-primitive (fraction-free, Bareiss 1968, *Math. Comp.* 22).
+A ``Matrix`` is integer rows ``nums`` over one positive denominator ``den``,
+kept in lowest terms (gcd(den, every entry) = 1, and den = 1 for the zero
+matrix), and it is immutable.  Fractions are only the boundary: a matrix is
+built from rational rows, and its entries are read back as Fractions; every
+product is a set of integer dot products over one denominator, and every
+elimination runs on the integer rows, kept primitive (fraction-free, Bareiss
+1968, *Math. Comp.* 22).
 """
 
 from __future__ import annotations
@@ -23,107 +25,149 @@ def _fr(x) -> Fraction:
 
 
 class Matrix:
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "nums", "den")
 
     def __init__(self, data: Sequence[Sequence], cols: int = 0):
         """``cols`` is the column count of a matrix with no rows; otherwise the
         first row gives it."""
-        self.data = [[_fr(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else cols
-        if any(len(r) != self.cols for r in self.data):
+        data = [[_fr(x) for x in row] for row in data]
+        cols = len(data[0]) if data else cols
+        if any(len(r) != cols for r in data):
             raise ValueError("ragged matrix")
+        # the lcm of reduced denominators leaves no common factor with the entries
+        den = lcm(*(x.denominator for row in data for x in row))
+        self.nums = [[x.numerator * (den // x.denominator) for x in row] for row in data]
+        self.den, self.rows, self.cols = den, len(data), cols
+
+    @classmethod
+    def from_integers(cls, nums: List[List[int]], den: int, cols: int) -> "Matrix":
+        """The matrix nums / den (den > 0, ``cols`` columns), brought to lowest
+        terms.  The matrix may keep ``nums`` itself: the caller hands it over."""
+        g = den
+        for row in nums:
+            if g == 1:
+                break
+            g = gcd(g, *row)
+        if g > 1:
+            nums = [[x // g for x in row] for row in nums]
+            den //= g
+        m = cls.__new__(cls)
+        m.nums, m.den, m.rows, m.cols = nums, den, len(nums), cols
+        return m
+
+    @classmethod
+    def _over_rows(cls, rows: Iterable[Tuple[List[int], int]], cols: int) -> "Matrix":
+        """The matrix whose rows are nums_i / d_i for the pairs (nums_i, d_i), d_i != 0."""
+        rows = list(rows)
+        den = lcm(*(d for _nums, d in rows))
+        return cls.from_integers([[x * (den // d) for x in nums] for nums, d in rows],
+                                 den, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls.from_integers([[int(i == j) for j in range(n)] for i in range(n)], 1, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)], cols)
+        return cls.from_integers([[0] * cols for _ in range(rows)], 1, cols)
+
+    @property
+    def data(self) -> List[Vector]:
+        """The entries as fresh Fraction rows."""
+        den = self.den
+        return [[Fraction(x, den) for x in row] for row in self.nums]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.cols == other.cols
-                and self.data == other.data)
+                and self.den == other.den and self.nums == other.nums)
 
     def __getitem__(self, ij: Tuple[int, int]) -> Fraction:
-        return self.data[ij[0]][ij[1]]
+        return Fraction(self.nums[ij[0]][ij[1]], self.den)
 
     def row(self, i: int) -> Vector:
-        return list(self.data[i])
+        return [Fraction(x, self.den) for x in self.nums[i]]
 
     def col(self, j: int) -> Vector:
-        return [r[j] for r in self.data]
+        return [Fraction(r[j], self.den) for r in self.nums]
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-                      self.rows)
+        nums = [list(c) for c in zip(*self.nums)] if self.rows else [[] for _ in range(self.cols)]
+        return Matrix.from_integers(nums, self.den, self.rows)
+
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign*other over the lcm of the two denominators."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return Matrix.from_integers([[a * x + b * y for x, y in zip(r1, r2)]
+                                     for r1, r2 in zip(self.nums, other.nums)], den, self.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-                      self.cols)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-                      self.cols)
+        return self._combine(other, -1)
 
     def scale(self, c) -> "Matrix":
         c = _fr(c)
-        return Matrix([[c * x for x in row] for row in self.data], self.cols)
+        if not c:
+            return Matrix.zeros(self.rows, self.cols)
+        a = c.numerator
+        return Matrix.from_integers([[a * x for x in row] for row in self.nums],
+                                    self.den * c.denominator, self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        """Each left row and each right column is cleared to integers once, so an
-        entry is one integer dot product over the two common denominators."""
+        """Integer dot products of the left rows and the right columns over the
+        product of the two denominators."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        left = [_cleared(row) for row in self.data]
-        right = [_cleared([row[j] for row in other.data]) for j in range(other.cols)]
-        return Matrix([[Fraction(sum(map(mul, rn, cn)), rd * cd) for cn, cd in right]
-                       for rn, rd in left], other.cols)
+        right = list(zip(*other.nums)) if other.rows else [()] * other.cols
+        return Matrix.from_integers([[sum(map(mul, r, c)) for c in right] for r in self.nums],
+                                    self.den * other.den, other.cols)
 
     def apply(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        return [row[0] for row in (self * Matrix([[x] for x in v], 1)).data]
+        return (self * Matrix([[x] for x in v], 1)).col(0)
 
     def power(self, k: int) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("power needs a square matrix")
-        result = Matrix.identity(self.rows)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return Matrix.identity(self.rows) if result is None else result
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(map(any, self.nums))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _cleared(values: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """(nums, den) with values == nums / den, den the least common denominator."""
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
+def _integer_row(row: Mapping[int, Fraction]) -> Dict[int, int]:
+    """The nonzero entries of a sparse rational row ``{column: value}``, cleared
+    over their common denominator."""
+    entries = {j: c for j, c in row.items() if c}
+    den = lcm(*(c.denominator for c in entries.values()))
+    return {j: c.numerator * (den // c.denominator) for j, c in entries.items()}
+
+
+def _sparse(nums: Sequence[int]) -> Dict[int, int]:
+    """The nonzero entries of a dense integer row, by column."""
+    return {j: x for j, x in enumerate(nums) if x}
 
 
 def _primitive(row: Dict[int, int]) -> Dict[int, int]:
     """``row`` divided by the gcd of its entries."""
     g = gcd(*row.values())
     return row if g <= 1 else {j: c // g for j, c in row.items()}
-
-
-def _primitive_row(row: Mapping[int, Fraction]) -> Dict[int, int]:
-    """The nonzero entries of a sparse rational row ``{column: value}``, cleared
-    over their common denominator and divided by their content."""
-    entries = {j: c for j, c in row.items() if c}
-    nums, _den = _cleared(list(entries.values()))
-    return _primitive(dict(zip(entries, nums)))
 
 
 def _eliminate(vec: Dict[int, int], pivot: Dict[int, int], p: int) -> Dict[int, int]:
@@ -144,21 +188,22 @@ def _eliminate(vec: Dict[int, int], pivot: Dict[int, int], p: int) -> Dict[int, 
     return _primitive(vec) if vec else vec
 
 
-def _echelon(rows: Iterable[Mapping[int, Fraction]], cols: int) -> Dict[int, Dict[int, int]]:
-    """Primitive integer pivot rows of the span of sparse rational rows
-    ``{column: value}``, keyed by their smallest column.
+def _echelon(rows: Iterable[Dict[int, int]], cols: int) -> Dict[int, Dict[int, int]]:
+    """Primitive integer pivot rows of the span of sparse integer rows
+    ``{column: value}`` with no zero value, keyed by their smallest column.
 
-    Each row is scaled to a primitive integer row and reduced fraction-free
-    against the stored pivot rows (see ``_eliminate``).  Primitive integer rows
-    are independent over Z iff they are over Q, so the result is exact, and its
-    keys are the leading columns of the span.  Returns as soon as every column
-    is a pivot, taking no further row from ``rows``.
+    Each row is divided by its content and reduced fraction-free against the
+    stored pivot rows (see ``_eliminate``); the rows are consumed, and may be
+    changed in place.  Primitive integer rows are independent over Z iff they
+    are over Q, so the result is exact, and its keys are the leading columns of
+    the span.  Returns as soon as every column is a pivot, taking no further row
+    from ``rows``.
     """
     pivots: Dict[int, Dict[int, int]] = {}
     if cols <= 0:
         return pivots
     for row in rows:
-        vec = _primitive_row(row)
+        vec = _primitive(row)
         while vec:
             p = min(vec)
             pivot = pivots.get(p)
@@ -171,18 +216,13 @@ def _echelon(rows: Iterable[Mapping[int, Fraction]], cols: int) -> Dict[int, Dic
     return pivots
 
 
-def rref(M: Matrix) -> Tuple[Matrix, List[int], Matrix]:
-    """Reduced row echelon form.
-
-    Returns (R, pivots, T) with R = T*M, T invertible, pivots strictly increasing.
-    ``_echelon`` reduces the rows of [M | I]; its pivot rows that lead inside M
-    are then cleared on the later pivot columns and divided by their pivot
-    entries.  R is the canonical RREF, and so is T when M has full row rank;
-    below the rank, the rows of T are a basis of the left kernel.
-    """
-    n, cols = M.rows, M.cols
-    echelon = _echelon(({**dict(enumerate(row)), cols + i: Fraction(1)}
-                        for i, row in enumerate(M.data)), cols + n)
+def _reduced(rows: Iterable[Dict[int, int]], width: int,
+             cols: int) -> Tuple[List[int], Dict[int, Dict[int, int]]]:
+    """(pivots, echelon): the ``_echelon`` rows of integer rows with ``width``
+    columns, and its sorted pivots below ``cols``, whose rows are cleared on the
+    later such pivots (back-substitution).  Row k of the RREF of the first
+    ``cols`` columns is echelon[pivots[k]] over its entry in column pivots[k]."""
+    echelon = _echelon(rows, width)
     pivots = sorted(p for p in echelon if p < cols)
     for k in reversed(range(len(pivots))):
         row = echelon[pivots[k]]
@@ -190,31 +230,56 @@ def rref(M: Matrix) -> Tuple[Matrix, List[int], Matrix]:
             if q in row:
                 row = _eliminate(row, echelon[q], q)
         echelon[pivots[k]] = row
-    zero = Fraction(0)
-    R, T = [], []
-    for p in sorted(echelon):
-        row = echelon[p]
-        d = row[p] if p < cols else 1
-        R.append([Fraction(row[j], d) if j in row else zero for j in range(cols)])
-        T.append([Fraction(row[j], d) if j in row else zero for j in range(cols, cols + n)])
-    return Matrix(R, cols), pivots, Matrix(T, n)
+    return pivots, echelon
+
+
+def _dense(row: Mapping[int, int], start: int, stop: int, scale: int = 1) -> List[int]:
+    return [row.get(j, 0) * scale for j in range(start, stop)]
+
+
+def _pivot_rows(pivots: List[int], echelon: Dict[int, Dict[int, int]],
+                cols: int) -> List[Tuple[List[int], int]]:
+    """The nonzero rows of the RREF from ``_reduced``, as (nums, den) pairs."""
+    return [(_dense(echelon[p], 0, cols), echelon[p][p]) for p in pivots]
+
+
+def row_reduce(M: Matrix) -> Tuple[Matrix, List[int]]:
+    """(R, pivots) of ``rref`` without the transform: the same step, run on the
+    rows of M alone."""
+    pivots, echelon = _reduced(map(_sparse, M.nums), M.cols, M.cols)
+    rows = _pivot_rows(pivots, echelon, M.cols) + [([0] * M.cols, 1)] * (M.rows - len(pivots))
+    return Matrix._over_rows(rows, M.cols), pivots
+
+
+def rref(M: Matrix) -> Tuple[Matrix, List[int], Matrix]:
+    """Reduced row echelon form.
+
+    Returns (R, pivots, T) with R = T*M, T invertible, pivots strictly increasing.
+    The step of ``row_reduce`` runs on the integer rows of [den*M | I] and is
+    split into R and T; T carries den, since R = T * (nums / den).  R is the
+    canonical RREF, and so is T when M has full row rank; below the rank, the
+    rows of T are a basis of the left kernel.
+    """
+    n, cols = M.rows, M.cols
+    pivots, echelon = _reduced(({**_sparse(row), cols + i: 1} for i, row in enumerate(M.nums)),
+                               cols + n, cols)
+    rows = [(echelon[p], echelon[p][p] if p < cols else 1) for p in sorted(echelon)]
+    R = Matrix._over_rows(((_dense(row, 0, cols), d) for row, d in rows), cols)
+    T = Matrix._over_rows(((_dense(row, cols, cols + n, M.den), d) for row, d in rows), n)
+    return R, pivots, T
 
 
 def row_rank(rows: Iterable[Mapping[int, Fraction]], cols: int) -> int:
     """Exact rank of sparse rational rows ``{column: value}`` with ``cols`` columns."""
-    return len(_echelon(rows, cols))
+    return len(_echelon(map(_integer_row, rows), cols))
 
 
 def det(M: Matrix) -> Fraction:
-    """Determinant of a square matrix by Bareiss elimination on its rows cleared
-    to integers: each step divides exactly by the previous pivot."""
+    """Determinant of a square matrix by Bareiss elimination on its integer
+    rows: each step divides exactly by the previous pivot."""
     if M.rows != M.cols:
         raise ValueError("square matrix required")
-    a, den = [], 1
-    for row in M.data:
-        nums, d = _cleared(row)
-        a.append(nums)
-        den *= d
+    a = list(M.nums)
     n, sign, prev = M.rows, 1, 1
     for k in range(n):
         p = next((i for i in range(k, n) if a[i][k]), None)
@@ -229,29 +294,37 @@ def det(M: Matrix) -> Fraction:
             aik = a[i][k]
             a[i] = [(x * akk - aik * y) // prev for x, y in zip(a[i], top)]
         prev = akk
-    return Fraction(sign * prev, den)
+    return Fraction(sign * prev, M.den ** n)
 
 
 def rank(M: Matrix) -> int:
-    return row_rank((dict(enumerate(row)) for row in M.data), M.cols)
+    return len(_echelon(map(_sparse, M.nums), M.cols))
+
+
+def _kernel(rows: Iterable[Sequence[int]], cols: int) -> Tuple[List[List[int]], int]:
+    """(K, L): integer rows K and a denominator L > 0 such that K / L is the
+    canonical basis of the right kernel of the integer rows, one vector per
+    free column f, with 1 at f and 0 at the other free columns."""
+    pivots, echelon = _reduced(map(_sparse, rows), cols, cols)
+    L = lcm(*(echelon[p][p] for p in pivots))
+    heads = [(p, echelon[p], L // echelon[p][p]) for p in pivots]
+    kernel = []
+    for f in range(cols):
+        if f in echelon:
+            continue
+        v = [0] * cols
+        v[f] = L
+        for p, row, s in heads:
+            if f in row:
+                v[p] = -row[f] * s
+        kernel.append(v)
+    return kernel, L
 
 
 def kernel_basis(M: Matrix) -> Matrix:
     """Rows span the right kernel {x : M x = 0}. Empty kernel gives a 0 x cols matrix."""
-    R, pivots, _ = rref(M)
-    return _kernel_from_rref(R, pivots, M.cols)
-
-
-def _kernel_from_rref(R: Matrix, pivots: List[int], cols: int) -> Matrix:
-    free = [j for j in range(cols) if j not in pivots]
-    rows = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -R.data[i][f]
-        rows.append(v)
-    return Matrix(rows) if rows else Matrix.zeros(0, cols)
+    kernel, L = _kernel(M.nums, M.cols)
+    return Matrix.from_integers(kernel, L, M.cols)
 
 
 def _stable_power(M: Matrix, lam) -> Tuple[Matrix, int]:
@@ -292,7 +365,8 @@ def restrict(M: Matrix, basis: Matrix) -> Matrix:
     if len(pivots) != basis.rows:
         raise ValueError("basis rows are linearly dependent")
     images = basis * M.transpose()
-    heads = Matrix([[v[p] for p in pivots] for v in images.data])
+    heads = Matrix.from_integers([[v[p] for p in pivots] for v in images.nums],
+                                 images.den, len(pivots))
     if heads * R != images:
         raise ValueError("subspace is not invariant under the operator")
     return (heads * T).transpose()
@@ -323,12 +397,12 @@ def subspace_intersection(A: Matrix, B: Matrix) -> Matrix:
     """
     if A.rows == 0 or B.rows == 0:
         return Matrix.zeros(0, A.cols)
-    # x = A^T u = B^T v  <=>  [A^T | -B^T] (u,v) = 0
-    stacked = Matrix([A.col(j) + [-x for x in B.col(j)] for j in range(A.cols)])
-    ker = kernel_basis(stacked)
-    coeffs = Matrix([row[:A.rows] for row in ker.data], A.rows)
-    rows = [vec for vec in (coeffs * A).data if any(vec)]
-    if not rows:
-        return Matrix.zeros(0, A.cols)
-    R, pivots, _ = rref(Matrix(rows))
-    return Matrix([R.row(i) for i in range(len(pivots))])
+    # x = A^T u = B^T v  <=>  [A^T | -B^T] (u,v) = 0; over the integer rows of A
+    # and B this only rescales u and v, and so x
+    columns = list(zip(*A.nums))
+    stacked = [list(a) + [-y for y in b] for a, b in zip(columns, zip(*B.nums))]
+    kernel, _L = _kernel(stacked, A.rows + B.rows)
+    # each x = u * A.nums; map(mul, v, c) stops at the end of the column, so it reads u
+    rows = [x for x in ([sum(map(mul, v, c)) for c in columns] for v in kernel) if any(x)]
+    pivots, echelon = _reduced(map(_sparse, rows), A.cols, A.cols)
+    return Matrix._over_rows(_pivot_rows(pivots, echelon, A.cols), A.cols)

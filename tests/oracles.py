@@ -11,7 +11,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from instanton import floer
 from instanton.floer import VerificationError
-from instanton.linalg import Matrix, _echelon, rref
+from instanton.linalg import Matrix, _echelon, _integer_row, rref
 from instanton.poly import (ALPHA, LAURENT_U, OMEGA, Exponents, LaurentU, Poly,
                             monomials_of_degree)
 from instanton.quotient import QuotientSpec, canonical_rep
@@ -34,11 +34,31 @@ def char_poly(M: Matrix) -> List[Fraction]:
     Mk = Matrix.identity(n)
     for k in range(1, n + 1):
         Mk = M * Mk
-        c = -Fraction(sum(Mk.data[i][i] for i in range(n)), k)
+        c = -sum(Mk[i, i] for i in range(n)) / k
         coeffs[n - k] = c
-        for i in range(n):
-            Mk.data[i][i] += c
+        Mk = Mk + Matrix.identity(n).scale(c)
     return coeffs
+
+
+def det_fraction_oracle(M: Matrix) -> Fraction:
+    """Gauss elimination over Fraction (the determinant body before Bareiss)."""
+    a = [list(r) for r in M.data]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        inv = 1 / a[c][c]
+        for i in range(c + 1, n):
+            if a[i][c]:
+                f = a[i][c] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
 
 
 def solve(M: Matrix, b: Sequence) -> Optional[List[Fraction]]:
@@ -48,7 +68,7 @@ def solve(M: Matrix, b: Sequence) -> Optional[List[Fraction]]:
         return None
     x = [Fraction(0)] * M.cols
     for i, p in enumerate(pivots):
-        x[p] = R.data[i][M.cols]
+        x[p] = R[i, M.cols]
     return x
 
 
@@ -455,7 +475,7 @@ def exact_basis(J: GeneratorSet, I: GeneratorSet, formula: RationalFn) -> List[T
     basis = []
     for d in range(0, max(top + 6, top_j) + 1, 2):
         monos, rows = piece(d)
-        pivots = _echelon(rows, len(monos))
+        pivots = _echelon(map(_integer_row, rows), len(monos))
         basis.extend((d, m) for j, m in enumerate(monos) if j not in pivots)
     return basis
 

@@ -373,8 +373,9 @@ def test_kprime_beta_fine_structure():
                         assert rank(stacked) == ideal_rows.rows, (n, g, i, I, j)
 
 
-# Reports of the seed's eigen_verify, kept byte for byte: the dimensions and
-# eigenvalues must not depend on how the eigen algebra is factored.
+# Reports of eigen_verify, kept byte for byte: the seed's, and for (4, +-),
+# (5, +) and (2, -, 3/2) those of the Fraction-entry dense matrices.  The
+# dimensions and eigenvalues must not depend on how the eigen algebra is factored.
 SEED_EIGEN_REPORTS = {
     (3, "+", None): {"subspace_dim": 10, "total_dim": 20, "tuples": [
         {"alpha": "1", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 6},
@@ -386,6 +387,24 @@ SEED_EIGEN_REPORTS = {
         {"alpha": "-5", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 1}]},
     (3, "+", F(2)): {"subspace_dim": 1, "total_dim": 20, "tuples": [
         {"alpha": "6", "beta": "2", "delta": ["-3/2"], "gamma": "0", "gen_mult": 1}]},
+    (4, "+", None): {"subspace_dim": 20, "total_dim": 40, "tuples": [
+        {"alpha": "1", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 10},
+        {"alpha": "-3", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 6},
+        {"alpha": "5", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 3},
+        {"alpha": "-7", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 1}]},
+    (4, "-", None): {"subspace_dim": 20, "total_dim": 40, "tuples": [
+        {"alpha": "-1", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 10},
+        {"alpha": "3", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 6},
+        {"alpha": "-5", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 3},
+        {"alpha": "7", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 1}]},
+    (5, "+", None): {"subspace_dim": 35, "total_dim": 70, "tuples": [
+        {"alpha": "1", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 15},
+        {"alpha": "-3", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 10},
+        {"alpha": "5", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 6},
+        {"alpha": "-7", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 3},
+        {"alpha": "9", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 1}]},
+    (2, "-", F(3, 2)): {"subspace_dim": 1, "total_dim": 8, "tuples": [
+        {"alpha": "7/2", "beta": "2", "delta": ["-5/6"], "gamma": "0", "gen_mult": 1}]},
 }
 
 

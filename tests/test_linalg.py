@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 from typing import Dict, List
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instanton.linalg import (Matrix, generalized_eigenspace,
+from instanton import linalg
+from instanton.linalg import (Matrix, det, generalized_eigenspace,
                               generalized_eigenspace_dim, is_nilpotent_on,
-                              kernel_basis, rank, restrict,
+                              kernel_basis, rank, restrict, row_reduce,
                               row_rank, rref, subspace_intersection)
-from oracles import char_poly, solve
+from oracles import char_poly, det_fraction_oracle, solve
 
 
 def test_identity_rank_and_kernel():
@@ -521,17 +523,103 @@ def test_rref_and_products_on_model_operators():
     assert_products_match_oracle(space, alpha.transpose())
 
 
+def assert_canonical(M: Matrix) -> None:
+    """nums / den in lowest terms with den > 0 (so den = 1 for the zero matrix)."""
+    assert M.den > 0 and len(M.nums) == M.rows
+    assert all(len(row) == M.cols for row in M.nums)
+    assert gcd(M.den, *(x for row in M.nums for x in row)) == 1
+
+
+def assert_entrywise_match_oracle(A: Matrix, B: Matrix, c: F) -> None:
+    """transpose, +, -, scale and det against Fraction bodies, entry by entry."""
+    a, b = A.data, B.data
+    results = [
+        (A.transpose(), [[a[i][j] for i in range(A.rows)] for j in range(A.cols)]),
+        (A + B, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+        (A - B, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+        (A.scale(c), [[c * x for x in r] for r in a]),
+    ]
+    for got, want in results:
+        assert_canonical(got)
+        assert got.data == want
+    k = min(A.rows, A.cols)
+    square = Matrix([r[:k] for r in a[:k]], k)
+    assert det(square) == det_fraction_oracle(square)
+
+
 @settings(max_examples=120)
 @given(st.integers(0, 6).flatmap(lambda cols: st.tuples(
     st.just(cols),
     st.lists(st.lists(_entries, min_size=cols, max_size=cols), max_size=6),
-    st.lists(_entries, min_size=cols, max_size=cols))))
+    st.lists(_entries, min_size=cols, max_size=cols),
+    _entries)))
 def test_rref_and_products_property_against_oracles(case):
-    cols, rows, extra = case
+    cols, rows, extra, c = case
     # a sum of two rows keeps some stacks rank-deficient
     if len(rows) > 1:
         rows.append([x + y for x, y in zip(rows[0], rows[1])])
     M = Matrix(rows, cols)
+    assert_canonical(M)
     assert assert_rref_matches_oracle(M) <= min(cols, M.rows)
     assert_products_match_oracle(M, M.transpose())
     assert_products_match_oracle(Matrix(rows + [extra], cols), M.transpose())
+    assert_entrywise_match_oracle(M, Matrix(rows[::-1], cols), c)
+    assert_entrywise_match_oracle(M.transpose(), M.transpose().scale(extra[0] if cols else 1), -c)
+
+
+def test_canonical_form():
+    assert Matrix([[F(2, 4)]]) == Matrix([[F(1, 2)]])
+    assert (Matrix([[F(2, 4)]]).nums, Matrix([[F(2, 4)]]).den) == ([[1]], 2)
+    A = Matrix([[F(1, 6), F(-2, 9)], [F(3, 4), 0]])
+    assert (A.nums, A.den) == ([[6, -8], [27, 0]], 36)
+    zero = A - A
+    assert (zero.nums, zero.den) == ([[0, 0], [0, 0]], 1)
+    assert zero == Matrix.zeros(2, 2)
+    for c in (0, F(-3, 7), -2, F(36, 5)):
+        scaled = A.scale(c)
+        assert_canonical(scaled)
+        assert scaled.data == [[c * x for x in row] for row in A.data]
+    assert (A.scale(F(36, 5)).nums, A.scale(F(36, 5)).den) == ([[6, -8], [27, 0]], 5)
+    assert A.scale(0) == Matrix.zeros(2, 2)
+    # a product and a sum whose denominators cancel come back over 1
+    assert A * Matrix.identity(2).scale(36) == Matrix(A.nums)
+    assert (A + A.scale(35)).den == 1
+
+
+def test_kernel_and_row_reduce_match_rref_on_tall_rank_deficient_matrices():
+    """kernel_basis and row_reduce read only M's rows; they give the kernel and
+    the (R, pivots) that rref's run on [M | I] gives."""
+    rng = random.Random(23)
+    cases = [_rank_deficient(rng, rows, cols, r) for rows, cols, r in
+             ((9, 4, 2), (12, 6, 3), (8, 5, 1), (10, 7, 4))] + [Matrix.zeros(5, 3)]
+    for M in cases:
+        R, pivots, _T = rref(M)
+        assert row_reduce(M) == (R, pivots)
+        vectors = []
+        for f in (j for j in range(M.cols) if j not in pivots):
+            v = [F(int(j == f)) for j in range(M.cols)]
+            for i, p in enumerate(pivots):
+                v[p] = -R[i, f]
+            vectors.append(v)
+        ker = kernel_basis(M)
+        assert ker == (Matrix(vectors) if vectors else Matrix.zeros(0, M.cols))
+        assert ker.rows == M.cols - len(pivots) > 0
+        assert (M * ker.transpose()).is_zero()
+
+
+def test_products_differences_and_powers_build_no_fraction(monkeypatch):
+    """Fractions are only the boundary: the dense hot path stays in integers."""
+    rng = random.Random(41)
+    A, B = _random_matrix(rng, 6, 6, density=0.9), _random_matrix(rng, 6, 6, density=0.9)
+    built = []
+
+    class Counted(F):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "Fraction", Counted)
+    product, _difference, _power = A * B, A - B, A.power(5)
+    assert built == []
+    # the counter sees the boundary
+    assert product[0, 0] == matmul_oracle(A, B)[0, 0] and built

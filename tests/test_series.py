@@ -11,7 +11,7 @@ from instanton.series import (COEFF_RING, RationalFn, SeriesT, a_table,
                               expand_rational_fn, log_series, omega_poly,
                               pow_binomial)
 from instanton.poly import Poly
-from oracles import expand_by_long_division
+from oracles import det_fraction_oracle, expand_by_long_division
 
 
 def c(x):
@@ -112,27 +112,6 @@ def test_binom_sqrt_determinants():
     assert dets[0] == 1
     assert dets[1] == F(1, 2)
     assert all(d != 0 for d in dets)
-
-
-def det_fraction_oracle(M: Matrix) -> F:
-    """Gauss elimination over Fraction (the determinant body before Bareiss)."""
-    a = [list(r) for r in M.data]
-    n = len(a)
-    det = F(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c]), None)
-        if p is None:
-            return F(0)
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
 
 
 def test_bareiss_det_matches_oracle_on_a_table_minors():
