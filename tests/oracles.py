@@ -11,7 +11,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from instanton import floer
 from instanton.floer import VerificationError
-from instanton.linalg import Matrix, _echelon, _integer_row, rref
+from instanton.linalg import Matrix, _echelon, _integer_row, _stable_power, restrict, rref
 from instanton.poly import (ALPHA, LAURENT_U, OMEGA, Exponents, LaurentU, Poly,
                             monomials_of_degree)
 from instanton.quotient import QuotientSpec, canonical_rep
@@ -38,6 +38,31 @@ def char_poly(M: Matrix) -> List[Fraction]:
         coeffs[n - k] = c
         Mk = Mk + Matrix.identity(n).scale(c)
     return coeffs
+
+
+def generalized_eigenspace_dim(M: Matrix, lam) -> int:
+    """dim ker (M - lam)^dim(M), from the rank of the first stable power: one
+    exact elimination chain per eigenvalue, where ``linalg.eigen_multiplicities``
+    reads all of them from traces."""
+    return M.rows - _stable_power(M, lam)[1]
+
+
+def is_nilpotent_on(M: Matrix, basis: Matrix) -> bool:
+    """Whether R = M restricted to the span of ``basis`` has R^k = 0, k = basis.rows.
+
+    R^m is squared until it is zero; a nonzero R^m with m >= k means R^k != 0.
+    """
+    k = basis.rows
+    if k == 0:
+        return True
+    power = restrict([M], basis)[0]
+    exponent = 1
+    while not power.is_zero():
+        if exponent >= k:
+            return False
+        power = power * power
+        exponent *= 2
+    return True
 
 
 def det_fraction_oracle(M: Matrix) -> Fraction:

@@ -373,10 +373,21 @@ def test_kprime_beta_fine_structure():
                         assert rank(stacked) == ideal_rows.rows, (n, g, i, I, j)
 
 
-# Reports of eigen_verify, kept byte for byte: the seed's, and for (4, +-),
-# (5, +) and (2, -, 3/2) those of the Fraction-entry dense matrices.  The
+# Reports of eigen_verify, kept byte for byte: the seed's, for (4, +-),
+# (5, +) and (2, -, 3/2) those of the Fraction-entry dense matrices, and for
+# (1, +-) and (2, +-) those of the per-eigenvalue stable-power ranks.  The
 # dimensions and eigenvalues must not depend on how the eigen algebra is factored.
 SEED_EIGEN_REPORTS = {
+    (1, "+", None): {"subspace_dim": 1, "total_dim": 2, "tuples": [
+        {"alpha": "1", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 1}]},
+    (1, "-", None): {"subspace_dim": 1, "total_dim": 2, "tuples": [
+        {"alpha": "-1", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 1}]},
+    (2, "+", None): {"subspace_dim": 4, "total_dim": 8, "tuples": [
+        {"alpha": "1", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 3},
+        {"alpha": "-3", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 1}]},
+    (2, "-", None): {"subspace_dim": 4, "total_dim": 8, "tuples": [
+        {"alpha": "-1", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 3},
+        {"alpha": "3", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 1}]},
     (3, "+", None): {"subspace_dim": 10, "total_dim": 20, "tuples": [
         {"alpha": "1", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 6},
         {"alpha": "-3", "beta": "2", "delta": ["0"], "gamma": "0", "gen_mult": 3},
@@ -417,10 +428,11 @@ def test_eigen_reports_match_seed(case):
 
 def test_model_eigen_algebra_matches_direct_forms():
     """On the g=3 operators, the stable-power eigenspaces, the factor-once
-    restriction and the early-exit nilpotency test agree with the direct forms."""
+    restriction, the early-exit nilpotency test and the trace-certified
+    multiplicities agree with the direct forms."""
     from instanton import linalg
     from instanton.linalg import Matrix, kernel_basis, rank
-    from oracles import solve
+    from oracles import generalized_eigenspace_dim, is_nilpotent_on, solve
     model = model_for(3, "+")
     D = model.dim
     ops = {var: model.operator(var) for var in (ALPHA, "beta", "gamma", "delta1")}
@@ -430,18 +442,54 @@ def test_model_eigen_algebra_matches_direct_forms():
         direct = (ops[var] - Matrix.identity(D).scale(lam)).power(D)
         space = linalg.generalized_eigenspace(ops[var], lam)
         assert space == kernel_basis(direct), (var, lam)
-        assert linalg.generalized_eigenspace_dim(ops[var], lam) == D - rank(direct)
+        assert generalized_eigenspace_dim(ops[var], lam) == D - rank(direct)
         if (var, lam) == ("beta", 2):
             v2 = space
     assert v2.rows == 10
     bt = v2.transpose()
+    restricted = dict(zip(ops, linalg.restrict(list(ops.values()), v2)))
     for var, op in ops.items():
         cols = [solve(bt, op.apply(b)) for b in v2.data]
         oracle = Matrix([[cols[j][i] for j in range(v2.rows)] for i in range(v2.rows)])
-        restricted = linalg.restrict(op, v2)
-        assert restricted == oracle, var
-        assert linalg.is_nilpotent_on(op, v2) == restricted.power(v2.rows).is_zero()
-        assert linalg.is_nilpotent_on(op, v2) == (var in ("gamma", "delta1"))
+        assert restricted[var] == oracle, var
+        assert is_nilpotent_on(op, v2) == restricted[var].power(v2.rows).is_zero()
+        assert is_nilpotent_on(op, v2) == (var in ("gamma", "delta1"))
+        nilpotent = linalg.eigen_multiplicities(restricted[var], [0]) == [v2.rows]
+        assert nilpotent == (var in ("gamma", "delta1")), var
+    lambdas = [1, -3, 5]
+    assert linalg.eigen_multiplicities(restricted[ALPHA], lambdas) == \
+        [generalized_eigenspace_dim(restricted[ALPHA], lam) for lam in lambdas] == [6, 3, 1]
+
+
+def test_eigen_verify_factors_v2_once(monkeypatch):
+    """The gamma, delta and alpha restrictions to V2 share one rref of V2."""
+    model_for(3, "+")
+    calls = []
+    real = linalg.rref
+
+    def counting(M):
+        calls.append(M.rows)
+        return real(M)
+    monkeypatch.setattr(linalg, "rref", counting)
+    eigen_verify(3, "+")
+    assert calls == [10]
+
+
+def test_eigen_verify_refuses_a_shifted_spectrum(monkeypatch):
+    # at g = 2 the true spectrum is {1, -3}; read as {3, -1} the traces give the
+    # integers (1, 3), and only the annihilation product refuses them
+    seq = floer._lambda_seq
+    monkeypatch.setattr(floer, "_lambda_seq", lambda g: [lam + 2 for lam in seq(g)])
+    with pytest.raises(AssertionError, match="unexpected alpha spectrum"):
+        eigen_verify(2, "+")
+
+
+def test_eigen_verify_names_a_missing_eigenvalue(monkeypatch):
+    # {1, -3, 5} contains the g = 2 spectrum; 5 is proven to have multiplicity 0
+    seq = floer._lambda_seq
+    monkeypatch.setattr(floer, "_lambda_seq", lambda g: seq(g + 1))
+    with pytest.raises(AssertionError, match="missing alpha eigenvalue 5 on"):
+        eigen_verify(2, "+")
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])

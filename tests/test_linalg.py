@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instanton import linalg
-from instanton.linalg import (Matrix, det, generalized_eigenspace,
-                              generalized_eigenspace_dim, is_nilpotent_on,
-                              kernel_basis, rank, restrict, row_reduce,
-                              row_rank, rref, subspace_intersection)
-from oracles import char_poly, det_fraction_oracle, solve
+from instanton.linalg import (Matrix, det, eigen_multiplicities,
+                              generalized_eigenspace, kernel_basis, rank,
+                              restrict, row_reduce, row_rank, rref,
+                              subspace_intersection)
+from oracles import (char_poly, det_fraction_oracle, generalized_eigenspace_dim,
+                     is_nilpotent_on, solve)
 
 
 def test_identity_rank_and_kernel():
@@ -87,10 +88,12 @@ def test_diagonal_eigen_dims():
 def test_restrict_and_invariance_error():
     m = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
     inv = Matrix([[1, 0, 0], [0, 1, 0]])
-    r = restrict(m, inv)
-    assert r == Matrix([[1, 1], [0, 1]])
+    assert restrict([m], inv) == [Matrix([[1, 1], [0, 1]])]
     with pytest.raises(ValueError):
-        restrict(Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), Matrix([[1, 0, 0]]))
+        restrict([Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])], Matrix([[1, 0, 0]]))
+    # every operator is checked, not only the first
+    with pytest.raises(ValueError):
+        restrict([m, Matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])], inv)
 
 
 def test_solve_and_inconsistency():
@@ -208,11 +211,12 @@ def test_restrict_and_nilpotency_match_per_vector_solve(blocks, conjugate):
         if basis.rows == 0:
             assert is_nilpotent_on(M, basis)
             continue
-        assert restrict(M, basis) == _restrict_oracle(M, basis)
         shifted = M - Matrix.identity(M.rows).scale(lam)
-        for op in (M, shifted):
-            assert is_nilpotent_on(op, basis) == \
-                restrict(op, basis).power(basis.rows).is_zero()
+        # one factorisation of the basis serves both operators
+        restricted = restrict([M, shifted], basis)
+        assert restricted == [_restrict_oracle(M, basis), _restrict_oracle(shifted, basis)]
+        for op, res in zip((M, shifted), restricted):
+            assert is_nilpotent_on(op, basis) == res.power(basis.rows).is_zero()
         assert is_nilpotent_on(shifted, basis)
         assert is_nilpotent_on(M, basis) == (lam == 0)
 
@@ -230,9 +234,58 @@ def test_nilpotency_needs_full_index():
 def test_restrict_rejects_dependent_basis_rows():
     m = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
     with pytest.raises(ValueError, match="dependent"):
-        restrict(m, Matrix([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+        restrict([m], Matrix([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
     with pytest.raises(ValueError, match="dependent"):
-        restrict(m, Matrix([[1, 0, 0], [2, 0, 0]]))
+        restrict([m], Matrix([[1, 0, 0], [2, 0, 0]]))
+
+
+# -- multiplicities from traces and one annihilation product -------------------------
+
+
+@pytest.mark.parametrize("blocks", JORDAN_CASES)
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_eigen_multiplicities_match_stable_power_oracle(blocks, conjugate):
+    M = _conjugated(blocks, seed=len(blocks)) if conjugate else _jordan(blocks)
+    spectrum = sorted({lam for lam, _size in blocks})
+    oracle = [generalized_eigenspace_dim(M, lam) for lam in spectrum]
+    assert eigen_multiplicities(M, spectrum) == oracle
+    assert eigen_multiplicities(M, spectrum[::-1]) == oracle[::-1]
+    # a value of Lambda outside the spectrum gets multiplicity 0, wherever it stands
+    for extra in (lam for lam in LAMBDAS if lam not in spectrum):
+        assert eigen_multiplicities(M, spectrum + [extra]) == oracle + [0]
+        assert eigen_multiplicities(M, [extra] + spectrum) == [0] + oracle
+    # an eigenvalue outside Lambda is refused: 7/3 stands in for each one in turn
+    for i in range(len(spectrum)):
+        assert eigen_multiplicities(M, spectrum[:i] + [F(7, 3)] + spectrum[i + 1:]) is None
+
+
+def test_eigen_multiplicities_refuse_by_product_and_by_integrality():
+    # a single 5-block at 2 read as {7/3}: m = tr(I) = 5 is an integer, the product is not 0
+    assert eigen_multiplicities(_jordan([(2, 5)]), [F(7, 3)]) is None
+    # spectrum {2, 2, -1, -1} read as {2, 7/3}: m_2 + m = 4, 2 m_2 + 7/3 m = 2 gives m = -18
+    assert eigen_multiplicities(_jordan([(2, 2), (-1, 2)]), [2, F(7, 3)]) is None
+    # read as {-1, 7/3}: 10/3 m = 6 gives m = 9/5
+    assert eigen_multiplicities(_jordan([(2, 2), (-1, 2)]), [-1, F(7, 3)]) is None
+
+
+def test_eigen_multiplicities_when_the_index_is_below_the_multiplicity():
+    # at 2: blocks of size 3 and 1, so multiplicity 4 and nilpotency index 3
+    M = _conjugated([(2, 3), (2, 1), (0, 2)], seed=5)
+    shifted = M - Matrix.identity(6).scale(2)
+    assert (shifted.power(3) * M.power(2)).is_zero()
+    assert not (shifted.power(2) * M.power(2)).is_zero()
+    assert eigen_multiplicities(M, [2, 0]) == [4, 2]
+    # a scalar matrix: index 1, multiplicity 3
+    assert eigen_multiplicities(Matrix.identity(3).scale(F(-5, 2)), [F(-5, 2)]) == [3]
+
+
+def test_eigen_multiplicities_edges():
+    assert eigen_multiplicities(Matrix.zeros(0, 0), []) == []
+    assert eigen_multiplicities(Matrix.zeros(0, 0), [1, 2]) == [0, 0]
+    assert eigen_multiplicities(Matrix.identity(2), []) is None
+    assert eigen_multiplicities(Matrix([[3]]), [3]) == [1]
+    with pytest.raises(ValueError, match="distinct"):
+        eigen_multiplicities(Matrix.identity(2), [1, F(2, 2)])
 
 
 # -- the integer rank kernel against Fraction oracles --------------------------------
@@ -504,7 +557,7 @@ def test_rref_and_products_with_large_coprime_denominators():
 
 def test_restrict_to_the_zero_subspace():
     m = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
-    r = restrict(m, Matrix.zeros(0, 3))
+    r, = restrict([m], Matrix.zeros(0, 3))
     assert (r.rows, r.cols) == (0, 0)
 
 
