@@ -305,21 +305,20 @@ def _mod_terms(terms: Dict[Exponents, Fraction], p: int) -> Dict[Exponents, int]
     return {e: c.numerator * pow(c.denominator, -1, p) % p for e, c in terms.items()}
 
 
-def _reduce_mod(row: Dict[int, int], pivots: Dict[int, Dict[int, int]], p: int,
-                stop: float = math.inf) -> Dict[int, int]:
-    """Reduce a sparse row mod p on its columns below ``stop`` against unit-led
-    pivot rows, each stored without its leading 1 and with columns above its
-    pivot only.
+def _reduce_mod(row: Dict[int, int], pivots: Dict[int, Dict[int, int]], p: int) -> Dict[int, int]:
+    """Reduce a sparse row mod p against unit-led pivot rows, each stored
+    without its leading 1 and with columns above its pivot only.
 
-    Consumes ``row``.  Returns the residual: row minus a combination of pivot
-    rows, with no pivot column below ``stop``.
+    Consumes ``row``.  An entry is taken mod p only where it is read.  Returns
+    the residual mod p: row minus a combination of pivot rows, with no pivot
+    column.
     """
     residual: Dict[int, int] = {}
-    heap = [j for j in row if j < stop]
+    heap = list(row)
     heapq.heapify(heap)
     while heap:
         q = heapq.heappop(heap)
-        f = row.pop(q)
+        f = row.pop(q) % p
         if not f:
             continue
         prow = pivots.get(q)
@@ -329,11 +328,9 @@ def _reduce_mod(row: Dict[int, int], pivots: Dict[int, Dict[int, int]], p: int,
         for j, c in prow.items():
             s = row.get(j)
             if s is None:
-                if j < stop:
-                    heapq.heappush(heap, j)
+                heapq.heappush(heap, j)
                 s = 0
-            row[j] = (s - f * c) % p
-    residual.update((j, c) for j, c in row.items() if c)
+            row[j] = s - f * c
     return residual
 
 
@@ -353,44 +350,68 @@ class _ModularTables:
     within a degree in ``monomials_of_degree`` order, so a row's smallest
     column leads it.  Per degree d, in increasing order, the rows of the degree
     piece of I are taken mod p in ``_ideal_pieces`` order (I-generator index,
-    then cofactor) and reduced against the degree-d parts of the stored rows.
-    Only a row that adds a pivot is formed again from the paired J-generator,
-    reduced on its degree-d columns, and stored whole and unit-led: it lies in
-    J mod p, so its columns past degree d are the lower part of a lift of its
-    degree-d part.  The basis is the monomials that lead no stored row.  A
-    degree with fewer of them than ``want[d]`` is a mismatch, since rank_p <=
-    rank_Q; one with more makes the prime unlucky.
+    then cofactor), each dense on d's block of columns, and reduced once, left
+    to right, against the heads (degree-d parts) of the rows stored at d; an
+    entry is taken mod p only where it is read.  A row that adds a pivot is
+    stored whole and unit-led.  Its tail past degree d, the cofactor times the
+    paired J-generator's lower part minus the multipliers times the stored
+    tails, makes it the paired J-row (which leads with the I-row) reduced on
+    degree d: it lies in J mod p, so its tail is the lower part of a lift of
+    its head.  The basis is the monomials that lead no stored row.  A degree
+    with fewer of them than ``want[d]`` is a mismatch, since rank_p <= rank_Q;
+    one with more makes the prime unlucky.
     """
 
     def __init__(self, ring, pairs: List[Tuple[Poly, Poly]], want: Dict[int, int], p: int):
         self.p = p
         column = self.column = {}
-        stop: Dict[int, int] = {}  # degree -> first column past that degree
+        monos: Dict[int, List[Exponents]] = {}
+        start: Dict[int, int] = {}  # degree -> its first column
         for d in sorted(want, reverse=True):
-            for m in monomials_of_degree(ring, d):
+            monos[d], start[d] = monomials_of_degree(ring, d), len(column)
+            for m in monos[d]:
                 column[m] = len(column)
-            stop[d] = len(column)
-
-        def row(terms: Dict[Exponents, int], mono: Exponents) -> Dict[int, int]:
-            return {column[tuple(map(add, e, mono))]: c for e, c in terms.items()}
-
-        mod_pairs = [(ip.degree(), _mod_terms(ip.terms, p), _mod_terms(jp.terms, p))
+        # (degree, I-generator, lower part of its J-generator) mod p
+        mod_pairs = [(ip.degree(), _mod_terms(ip.terms, p),
+                      _mod_terms({e: c for e, c in jp.terms.items() if e not in ip.terms}, p))
                      for ip, jp in pairs]
         rows = self.rows = {}
         self.basis: List[Tuple[int, Exponents]] = []
         for d in sorted(want):
-            monos = monomials_of_degree(ring, d)
-            heads: Dict[int, Dict[int, int]] = {}  # the degree-d parts of the rows stored at d
-            for gdeg, iterms, jterms in mod_pairs:
-                for mono in monomials_of_degree(ring, d - gdeg):
-                    if len(heads) == len(monos) or not _reduce_mod(row(iterms, mono), heads, p):
+            lo, width = start[d], len(monos[d])
+            heads: List[Optional[List[Tuple[int, int]]]] = [None] * width  # by column - lo
+            tails: Dict[int, List[Tuple[int, int]]] = {}
+            free = width
+            for gdeg, iterms, jlower in mod_pairs:
+                for mono in monos.get(d - gdeg, ()):
+                    if not free:
+                        break
+                    dense = [0] * width
+                    for e, c in iterms.items():
+                        dense[column[tuple(map(add, e, mono))] - lo] = c
+                    used, residual = [], []
+                    for i, x in enumerate(dense):  # sees the updates past i
+                        x %= p
+                        if x:
+                            head = heads[i]
+                            if head is None:
+                                residual.append((i, x))
+                            else:
+                                used.append((i, x))
+                                for j, c in head:
+                                    dense[j] -= x * c
+                    if not residual:
                         continue
-                    residual = _reduce_mod(row(jterms, mono), rows, p, stop[d])
-                    q = min(residual)
-                    inv = pow(residual.pop(q), -1, p)
-                    rows[q] = {j: c * inv % p for j, c in residual.items()}
-                    heads[q] = {j: c for j, c in rows[q].items() if j < stop[d]}
-            basis_d = [(d, m) for m in monos if column[m] not in rows]
+                    q, inv = residual[0][0], pow(residual[0][1], -1, p)
+                    lower = {column[tuple(map(add, e, mono))]: c for e, c in jlower.items()}
+                    for i, x in used:
+                        for j, c in tails[i]:
+                            lower[j] = lower.get(j, 0) - x * c
+                    heads[q] = [(j, c * inv % p) for j, c in residual[1:]]
+                    tails[q] = [(j, c * inv % p) for j, c in lower.items() if c % p]
+                    rows[lo + q] = dict([(lo + j, c) for j, c in heads[q]] + tails[q])
+                    free -= 1
+            basis_d = [(d, m) for m in monos[d] if column[m] not in rows]
             if len(basis_d) != want[d]:
                 message = (f"graded quotient dimension mismatch at degree {d}: "
                            f"computed {len(basis_d)}, formula {want[d]}")

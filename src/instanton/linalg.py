@@ -127,14 +127,11 @@ class Matrix:
         return Matrix.from_integers([[sum(map(mul, r, c)) for c in right] for r in self.nums],
                                     self.den * other.den, other.cols)
 
-    def apply(self, v: Sequence) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return (self * Matrix([[x] for x in v], 1)).col(0)
-
     def power(self, k: int) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("power needs a square matrix")
+        if k < 0:
+            raise ValueError("power needs a non-negative exponent")
         result = None
         base = self
         while k:

@@ -231,9 +231,6 @@ class GeneratorSet:
         return GeneratorSet(self.label, self.ambient, [self.gens[k] for k in self.flip_reps],
                             self.meta)
 
-    def polys(self) -> List[Poly]:
-        return [p for _, p in self.gens]
-
     def names(self) -> List[str]:
         return [name for name, _ in self.gens]
 

@@ -4,6 +4,8 @@ Nothing in the package calls these; each one re-derives a result of a fast path
 by a plainer method.
 """
 
+import heapq
+import math
 from fractions import Fraction
 from itertools import combinations
 from operator import add
@@ -84,6 +86,13 @@ def det_fraction_oracle(M: Matrix) -> Fraction:
                 f = a[i][c] * inv
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return det
+
+
+def apply(M: Matrix, v: Sequence) -> List[Fraction]:
+    """M v for a vector v, as the column of M times the one-column matrix of v."""
+    if len(v) != M.cols:
+        raise ValueError("shape mismatch")
+    return (M * Matrix([[x] for x in v], 1)).col(0)
 
 
 def solve(M: Matrix, b: Sequence) -> Optional[List[Fraction]]:
@@ -503,6 +512,115 @@ def exact_basis(J: GeneratorSet, I: GeneratorSet, formula: RationalFn) -> List[T
         pivots = _echelon(map(_integer_row, rows), len(monos))
         basis.extend((d, m) for j, m in enumerate(monos) if j not in pivots)
     return basis
+
+
+def heap_reduce_mod(row: Dict[int, int], pivots: Dict[int, Dict[int, int]], p: int,
+                    stop: float = math.inf) -> Dict[int, int]:
+    """Reduce a sparse row mod p on its columns below ``stop`` against unit-led
+    pivot rows, each stored without its leading 1 and with columns above its
+    pivot only.
+
+    Consumes ``row``.  Returns the residual: row minus a combination of pivot
+    rows, with no pivot column below ``stop``.
+    """
+    residual: Dict[int, int] = {}
+    heap = [j for j in row if j < stop]
+    heapq.heapify(heap)
+    while heap:
+        q = heapq.heappop(heap)
+        f = row.pop(q)
+        if not f:
+            continue
+        prow = pivots.get(q)
+        if prow is None:
+            residual[q] = f
+            continue
+        for j, c in prow.items():
+            s = row.get(j)
+            if s is None:
+                if j < stop:
+                    heapq.heappush(heap, j)
+                s = 0
+            row[j] = (s - f * c) % p
+    residual.update((j, c) for j, c in row.items() if c)
+    return residual
+
+
+class HeapModularTables:
+    """``floer._ModularTables`` as it was before it decided the basis with one
+    dense elimination per I-row: every row through the heap of
+    ``heap_reduce_mod``, with a ``% p`` on every update.
+
+    The model's elimination over Z/p: the basis decision and normal forms.
+
+    Columns number the monomials of the degrees of ``want`` from the top down,
+    within a degree in ``monomials_of_degree`` order, so a row's smallest
+    column leads it.  Per degree d, in increasing order, the rows of the degree
+    piece of I are taken mod p in ``_ideal_pieces`` order (I-generator index,
+    then cofactor) and reduced against the degree-d parts of the stored rows.
+    Only a row that adds a pivot is formed again from the paired J-generator,
+    reduced on its degree-d columns, and stored whole and unit-led: it lies in
+    J mod p, so its columns past degree d are the lower part of a lift of its
+    degree-d part.  The basis is the monomials that lead no stored row.  A
+    degree with fewer of them than ``want[d]`` is a mismatch, since rank_p <=
+    rank_Q; one with more makes the prime unlucky.
+    """
+
+    def __init__(self, ring, pairs: List[Tuple[Poly, Poly]], want: Dict[int, int], p: int):
+        self.p = p
+        column = self.column = {}
+        stop: Dict[int, int] = {}  # degree -> first column past that degree
+        for d in sorted(want, reverse=True):
+            for m in monomials_of_degree(ring, d):
+                column[m] = len(column)
+            stop[d] = len(column)
+
+        def row(terms: Dict[Exponents, int], mono: Exponents) -> Dict[int, int]:
+            return {column[tuple(map(add, e, mono))]: c for e, c in terms.items()}
+
+        mod_pairs = [(ip.degree(), floer._mod_terms(ip.terms, p), floer._mod_terms(jp.terms, p))
+                     for ip, jp in pairs]
+        rows = self.rows = {}
+        self.basis: List[Tuple[int, Exponents]] = []
+        for d in sorted(want):
+            monos = monomials_of_degree(ring, d)
+            heads: Dict[int, Dict[int, int]] = {}  # the degree-d parts of the rows stored at d
+            for gdeg, iterms, jterms in mod_pairs:
+                for mono in monomials_of_degree(ring, d - gdeg):
+                    if len(heads) == len(monos) or not heap_reduce_mod(row(iterms, mono), heads, p):
+                        continue
+                    residual = heap_reduce_mod(row(jterms, mono), rows, p, stop[d])
+                    q = min(residual)
+                    inv = pow(residual.pop(q), -1, p)
+                    rows[q] = {j: c * inv % p for j, c in residual.items()}
+                    heads[q] = {j: c for j, c in rows[q].items() if j < stop[d]}
+            basis_d = [(d, m) for m in monos if column[m] not in rows]
+            if len(basis_d) != want[d]:
+                message = (f"graded quotient dimension mismatch at degree {d}: "
+                           f"computed {len(basis_d)}, formula {want[d]}")
+                raise (VerificationError if len(basis_d) < want[d] else floer._UnluckyPrime)(message)
+            self.basis.extend(basis_d)
+        self.basis_at = {column[m]: i for i, (_d, m) in enumerate(self.basis)}
+        self._memo: Dict[Exponents, List[int]] = {}
+
+    def normal_form(self, terms: Dict[Exponents, int]) -> List[int]:
+        """Coordinates mod p over the basis of {exponents: coefficient mod p}."""
+        coords = [0] * len(self.basis_at)
+        row = {self.column[e]: c for e, c in terms.items()}
+        for j, c in heap_reduce_mod(row, self.rows, self.p).items():
+            coords[self.basis_at[j]] = c
+        return coords
+
+    def columns(self, k: int, basis: List[Tuple[int, Exponents]]) -> List[List[int]]:
+        """Normal forms mod p of x_k * b for the basis monomials b."""
+        out = []
+        for _d, mono in basis:
+            e = mono[:k] + (mono[k] + 1,) + mono[k + 1:]
+            col = self._memo.get(e)
+            if col is None:
+                col = self._memo[e] = self.normal_form({e: 1})
+            out.append(col)
+        return out
 
 
 _lift_table_models: Dict[tuple, LiftTableModel] = {}

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_poly
-from oracles import exact_basis, lift_table_model, lift_table_model_n3
+from oracles import HeapModularTables, exact_basis, lift_table_model, lift_table_model_n3
 
 from instanton import floer, linalg
 from instanton.acceptance import _A3_PAIRS, _A4_PAIRS, _a12_flips
@@ -114,7 +114,7 @@ def test_blocked_ranks_form_one_product_per_representative_and_cofactor(monkeypa
     representative, cofactor monomial); the unmarked route forms one per
     generator, 16 times as many at n = 5."""
     gens, spec, top = _graded_case("k", 0, 5)
-    orbit_heads = gens.polys()[::16]  # kprime_gen(0, 5) is two whole orbits of 16 flips
+    orbit_heads = [p for _, p in gens.gens[::16]]  # kprime_gen(0, 5) is two whole orbits of 16 flips
     bound = sum(len(canonical_monomials(gens.ambient, spec, d - p.degree()))
                 for p in orbit_heads for d in range(0, top + 1, 2))
     products = []
@@ -432,7 +432,7 @@ def test_model_eigen_algebra_matches_direct_forms():
     multiplicities agree with the direct forms."""
     from instanton import linalg
     from instanton.linalg import Matrix, kernel_basis, rank
-    from oracles import generalized_eigenspace_dim, is_nilpotent_on, solve
+    from oracles import apply, generalized_eigenspace_dim, is_nilpotent_on, solve
     model = model_for(3, "+")
     D = model.dim
     ops = {var: model.operator(var) for var in (ALPHA, "beta", "gamma", "delta1")}
@@ -449,7 +449,7 @@ def test_model_eigen_algebra_matches_direct_forms():
     bt = v2.transpose()
     restricted = dict(zip(ops, linalg.restrict(list(ops.values()), v2)))
     for var, op in ops.items():
-        cols = [solve(bt, op.apply(b)) for b in v2.data]
+        cols = [solve(bt, apply(op, b)) for b in v2.data]
         oracle = Matrix([[cols[j][i] for j in range(v2.rows)] for i in range(v2.rows)])
         assert restricted[var] == oracle, var
         assert is_nilpotent_on(op, v2) == restricted[var].power(v2.rows).is_zero()
@@ -852,16 +852,82 @@ def test_model_basis_is_the_exact_standard_basis(case):
     assert model.basis == exact_basis(*ideals)
 
 
+def _check_tables_against_heap_oracle(monkeypatch):
+    """Make every ``_ModularTables`` build check itself against the heap
+    oracle: the same exception type and message, or the same basis, rows and
+    operator columns.  Returns the outcome of each build: None or the type of
+    the exception it raised."""
+    outcomes = []
+
+    class Checked(floer._ModularTables):
+        def __init__(self, ring, pairs, want, p):
+            errors = (VerificationError, floer._UnluckyPrime)
+            try:
+                self.oracle, expected = HeapModularTables(ring, pairs, want, p), None
+            except errors as exc:
+                expected = exc
+            try:
+                super().__init__(ring, pairs, want, p)
+                got = None
+            except errors as exc:
+                got = exc
+            assert (type(got), str(got)) == (type(expected), str(expected))
+            outcomes.append(type(got) if got else None)
+            if got:
+                raise got
+            assert self.basis == self.oracle.basis
+            assert self.rows == self.oracle.rows
+
+        def columns(self, k, basis):
+            out = super().columns(k, basis)
+            assert out == self.oracle.columns(k, basis)
+            return out
+
+    monkeypatch.setattr(floer, "_ModularTables", Checked)
+    return outcomes
+
+
+HEAP_ORACLE_CASES = [c for c in EXACT_BASIS_CASES if not isinstance(c, str)] + [
+    "n3_g1", "n3_g2", "rank_drops", "pivot_moves"]
+
+
+@pytest.mark.parametrize("case", HEAP_ORACLE_CASES,
+                         ids=lambda c: c if isinstance(c, str) else f"g{c[0]}{c[1]}_theta{c[2] or 1}")
+def test_modular_tables_match_the_heap_oracle(monkeypatch, case):
+    """The dense decision stores the rows, and so decides the basis and the
+    operator columns, that reducing every row through the heap did, J-row
+    after I-row; the custom ideals run under the primes 7 and 10007."""
+    if case in ("rank_drops", "pivot_moves"):
+        J, I, _values = {"rank_drops": _degree_two_model_ideals,
+                         "pivot_moves": _degree_four_model_ideals}[case]()
+        formula = RationalFn([1] if case == "rank_drops" else [1, 0, 2, 0, 1])
+        monkeypatch.setattr(floer, "_PRIMES", (7, 10007))
+        ideals = (J, I, formula)
+    elif isinstance(case, str):
+        ideals = floer._three_point_ideals(int(case[-1]))
+    else:
+        ideals = floer._one_point_ideals(*case)
+    outcomes = _check_tables_against_heap_oracle(monkeypatch)
+    assert QuotientModel(*ideals).dim
+    assert outcomes[-1] is None
+    if case == "rank_drops":
+        assert outcomes[0] is floer._UnluckyPrime
+
+
 @pytest.mark.parametrize("degree,change,message", [
     (4, -1, "computed 2, formula 1"), (4, 1, "computed 2, formula 3"),
     (8, 1, "computed 1, formula 2")], ids=["4_minus_1", "4_plus_1", "8_plus_1"])
-def test_model_rejects_a_wrong_formula(degree, change, message):
+def test_model_rejects_a_wrong_formula(monkeypatch, degree, change, message):
     """One coefficient of the (2,+) series changed: fewer basis monomials than
-    the formula fails at once, more fails once every prime agrees."""
+    the formula fails at once, more fails once every prime agrees.  The heap
+    oracle raises the same exception with the same message at every prime."""
     J, I, formula = floer._one_point_ideals(2, "+")
     coeffs = expand_rational_fn(formula, 40)
     assert coeffs[degree] and not any(coeffs[9:])  # the series stops at degree 8
     coeffs[degree] += change
+    outcomes = _check_tables_against_heap_oracle(monkeypatch)
     with pytest.raises(VerificationError,
                        match=f"graded quotient dimension mismatch at degree {degree}: {message}$"):
         QuotientModel(J, I, RationalFn(coeffs))
+    expected = [VerificationError] if change > 0 else [floer._UnluckyPrime] * len(floer._PRIMES)
+    assert outcomes == expected

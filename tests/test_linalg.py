@@ -12,7 +12,7 @@ from instanton.linalg import (Matrix, det, eigen_multiplicities,
                               generalized_eigenspace, kernel_basis, rank,
                               restrict, row_reduce, row_rank, rref,
                               subspace_intersection)
-from oracles import (char_poly, det_fraction_oracle, generalized_eigenspace_dim,
+from oracles import (apply, char_poly, det_fraction_oracle, generalized_eigenspace_dim,
                      is_nilpotent_on, solve)
 
 
@@ -47,7 +47,7 @@ def test_rank_one_kernel():
     v = ker.row(0)
     # spanned by (-2, 1)
     assert v[0] * 1 == -2 * v[1]
-    assert m.apply(v) == [0, 0]
+    assert apply(m, v) == [0, 0]
 
 
 def test_rank_nullity_on_random(rand=None):
@@ -99,7 +99,7 @@ def test_restrict_and_invariance_error():
 def test_solve_and_inconsistency():
     m = Matrix([[1, 2], [3, 4]])
     x = solve(m, [5, 11])
-    assert m.apply(x) == [5, 11]
+    assert apply(m, x) == [5, 11]
     assert solve(Matrix([[1, 1], [1, 1]]), [0, 1]) is None
 
 
@@ -149,7 +149,7 @@ def _restrict_oracle(M, basis):
     bt = basis.transpose()
     cols = []
     for b in basis.data:
-        c = solve(bt, M.apply(b))
+        c = solve(bt, apply(M, b))
         if c is None:
             raise ValueError("subspace is not invariant under the operator")
         cols.append(c)
@@ -490,7 +490,7 @@ def assert_rref_matches_oracle(M: Matrix) -> int:
 def assert_products_match_oracle(A: Matrix, B: Matrix) -> None:
     assert A * B == matmul_oracle(A, B)
     for v in B.transpose().data:
-        assert A.apply(v) == [row[0] for row in matmul_oracle(A, Matrix([[x] for x in v], 1)).data]
+        assert apply(A, v) == [row[0] for row in matmul_oracle(A, Matrix([[x] for x in v], 1)).data]
 
 
 def _random_matrix(rng, rows, cols, density=0.6, num=9, den=5) -> Matrix:
@@ -538,7 +538,7 @@ def test_rref_and_products_on_empty_and_zero_shapes():
         prod = A * B
         assert prod == matmul_oracle(A, B)
         assert (prod.rows, prod.cols) == (A.rows, B.cols)
-    assert Matrix([[], []]).apply([]) == [0, 0]
+    assert apply(Matrix([[], []]), []) == [0, 0]
     with pytest.raises(ValueError):
         Matrix.zeros(2, 3) * Matrix.zeros(2, 3)
 
@@ -676,3 +676,13 @@ def test_products_differences_and_powers_build_no_fraction(monkeypatch):
     assert built == []
     # the counter sees the boundary
     assert product[0, 0] == matmul_oracle(A, B)[0, 0] and built
+
+
+def test_power_of_zero_is_the_identity_and_a_negative_exponent_is_refused():
+    M = Matrix([[2, 1], [0, F(1, 3)]])
+    for A in (M, Matrix.zeros(2, 2), Matrix.zeros(0, 0)):
+        assert A.power(0) == Matrix.identity(A.rows)
+    assert M.power(3) == M * M * M
+    for k in (-1, -2):
+        with pytest.raises(ValueError, match="non-negative"):
+            M.power(k)

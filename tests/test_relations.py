@@ -167,12 +167,12 @@ def test_igen_unit_at_genus_zero():
     gs = igen(0, 1, "odd")
     names = gs.names()
     assert "delta1^2+beta" in names and "gamma^1" in names
-    assert any(p == Poly.constant(R1, 1) for p in gs.polys())  # unit ideal
+    assert any(p == Poly.constant(R1, 1) for _, p in gs.gens)  # unit ideal
 
 
 def test_igen_g1_list():
     gs = igen(1, 1, "odd")
-    polys = gs.polys()
+    polys = [p for _, p in gs.gens]
     assert delta(R1, 1) ** 2 + beta(R1) in polys
     assert gamma(R1) ** 2 in polys
     for k in (1, 2, 3):
@@ -183,8 +183,8 @@ def test_igen_g1_list():
 def test_igen_even_parity_is_odd_flip_of_odd():
     g_odd = igen(1, 1, "odd")
     g_even = igen(1, 1, "even")
-    flipped = {str(p.change_coordinates(OMEGA).flip([1])) for p in g_odd.polys()}
-    assert {str(p.change_coordinates(OMEGA)) for p in g_even.polys()} == flipped
+    flipped = {str(p.change_coordinates(OMEGA).flip([1])) for _, p in g_odd.gens}
+    assert {str(p.change_coordinates(OMEGA)) for _, p in g_even.gens} == flipped
 
 
 def test_igen_gamma_power_redundant():
@@ -203,8 +203,8 @@ def test_igen_gamma_power_redundant():
 def test_kprime_gen_examples():
     gs = kprime_gen(0, 1)
     assert len(gs) == 2
-    assert gs.polys()[0] == Poly.constant(W1, 1)
-    assert gs.polys()[1] == omega(W1) - delta(W1, 1) * F(1, 2)
+    assert gs.gens[0][1] == Poly.constant(W1, 1)
+    assert gs.gens[1][1] == omega(W1) - delta(W1, 1) * F(1, 2)
     gs3 = kprime_gen(0, 3)
     assert len(gs3) == 8  # 4 even flips per xi-bar, two xi-bars
 
@@ -258,10 +258,10 @@ def test_subleading_structure_of_r():
 
 def test_jgen_examples():
     gs0 = jgen_n1(0)
-    assert gs0.polys()[0] == Poly.constant(W1, 1)  # r_0 = 1: unit ideal
+    assert gs0.gens[0][1] == Poly.constant(W1, 1)  # r_0 = 1: unit ideal
     gs1 = jgen_n1(1)
     assert gs1.names() == ["r_1", "r_2", "r_3", "delta^2+beta-2"]
-    assert gs1.polys()[0] == r_poly(1)
+    assert gs1.gens[0][1] == r_poly(1)
     minus = jgen_n1(1, sign="-")
     for (name_p, p), (_name_m, pm) in zip(gs1.gens, minus.gens):
         assert pm == phi_negate(p)
@@ -269,7 +269,7 @@ def test_jgen_examples():
 
 def test_jgen_local_relation():
     gs = jgen_n1(1, local=True)
-    rel = gs.polys()[-1]
+    rel = gs.gens[-1][1]
     wl = rel.ring
     expected = delta(wl, 1) ** 2 + beta(wl) - Poly.constant(wl, LaurentU({2: 1, -2: 1}))
     assert rel == expected
@@ -299,7 +299,7 @@ def test_gamma_cofactor_identity_all_variants():
             gens = jgen_n1(g, sign=sign)
             total = Poly.zero(gens.ambient)
             for i, a in cof.items():
-                total = total + a * gens.polys()[i]
+                total = total + a * gens.gens[i][1]
             target = gamma(gens.ambient.with_coordinate(OMEGA)) ** g
             assert total == target
 
@@ -311,7 +311,7 @@ def test_generator_set_json_round_trip(tmp_path):
     text = json.dumps(doc, sort_keys=True)
     back = GeneratorSet.from_json(json.loads(text))
     assert back.names() == gs.names()
-    assert back.polys() == gs.polys()
+    assert back.gens == gs.gens
 
 
 # -- flip orbits against the round-trip oracle ---------------------------------------
@@ -391,9 +391,9 @@ def test_flip_marker_names_whole_orbits(n):
     m = (n - 1) // 2
     for gs in (igen(1, n, "even"), igen(1, n, "odd"), kprime_gen(1, n),
                acceptance._a12_flips(n, m), acceptance._a12_flips(n, m + 1)):
-        gens = set(gs.polys())
+        gens = {p for _, p in gs.gens}
         orbits = set()
-        for rep in gs.representatives().polys():
+        for _, rep in gs.representatives().gens:
             for I in flip_subsets(n, even=True):
                 image = rep.flip(I)
                 assert image in gens or -image in gens, (gs.label, I)
