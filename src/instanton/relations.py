@@ -4,7 +4,8 @@ r_g (plain and Laurent), and the labeled generator sets for the ideals.
 xi is computed only through its three-term recursion; the generating-series
 route is deliberately avoided for xi itself because of the radical-sign
 ambiguity (see rho_series, which carries that series and whose sign convention
-is pinned empirically against rho_proj).
+is pinned empirically against rho_proj).  rho_proj runs the same recursion on
+the delta-symmetric coordinates of xi-bar in R-bar_n, so it never reduces xi.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import series as series_mod
 from .poly import (ALPHA, LAURENT_U, OMEGA, RATIONAL, LaurentU, Poly,
                    RingDescriptor, _summed, ring)
-from .quotient import canonical_rep, delta_support, rbar_spec
+from .quotient import canonical_rep, rbar_spec
 from .series import SeriesT, exp_series, pow_binomial
 
 # xi lives in alpha, beta, gamma only; we store raw exponent dicts keyed (a, b, c)
@@ -83,64 +85,63 @@ def delta_sym(n: int, s: int, target: Optional[RingDescriptor] = None) -> Poly:
     return Poly(target, terms)
 
 
-# -- rho: projection route (ground truth) ---------------------------------------
+# -- rho: projection route (ground truth: the xi recursion in R-bar_n) -----------
 
 _rho_proj_cache: Dict[Tuple[int, int], Dict[int, Poly]] = {}
 
 
 def _rho_proj_all(k: int, n: int) -> Dict[int, Poly]:
-    """All rho_{k,n,s} at once, from the decomposition of xi-bar_{k,n} in R-bar_n."""
+    """All rho_{k,n,s} at once, from the decomposition of xi-bar_{k,n} in R-bar_n.
+
+    xi_{k,n} involves the deltas only through alpha = omega - e_1/2 (e_s the
+    elementary symmetric polynomials in delta_1..delta_n), so its image xi-bar
+    in R-bar_n (gamma = 0, delta_i^2 = -beta) is delta-symmetric:
+    xi-bar = sum_s a_s(omega, beta) e_s, and rho_{k,n,s} = 2^{m+1} a_s.  The
+    three-term recursion of xi runs directly on (a_0, ..., a_n): gamma dies, and
+    alpha acts through e_1 e_s = (s+1) e_{s+1} - (n-s+1) beta e_{s-1} (a delta_i
+    outside a support extends it, (s+1) ways; one inside squares to -beta and
+    leaves a support of size s-1, reached from n-s+1 places), so 2 alpha sends a
+    to 2 omega a_s - s a_{s-1} + (n-s) beta a_{s+1}.
+    """
     key = (k, n)
     if key in _rho_proj_cache:
         return _rho_proj_cache[key]
     if n < 1:
         raise ValueError("projection route needs n >= 1")
+    if k < 0:
+        raise ValueError("xi needs k >= 0")
+    if n % 2 == 0:
+        raise ValueError("n must be odd")
     m = (n - 1) // 2
-    xbar = canonical_rep(xi(k, n), rbar_spec())
-    rng = xbar.ring
-    coeff_ring = series_mod.COEFF_RING
-    scale = Fraction(2 ** (m + 1))
-    by_size: Dict[int, Dict[frozenset, list]] = {}
-    for exps, coeff in xbar.terms.items():
-        sup = delta_support(rng, exps)
-        # omega, beta in the small ring
-        by_size.setdefault(len(sup), {}).setdefault(sup, []).append(
-            ((exps[0], exps[1], 0, 0), coeff * scale))
-    out: Dict[int, Poly] = {}
-    for s in range(n + 1):
-        groups = by_size.get(s, {})
-        expected = {frozenset(c) for c in combinations(range(1, n + 1), s)}
-        if groups:
-            if set(groups) != expected:
-                raise AssertionError("decomposition residual nonzero: missing supports")
-            vals = [Poly.from_terms(coeff_ring, pairs) for pairs in groups.values()]
-            if any(v != vals[0] for v in vals[1:]):
-                raise AssertionError("decomposition residual nonzero: symmetry violated")
-            out[s] = vals[0]
-        else:
-            out[s] = Poly.zero(coeff_ring)
-    if _reassemble(out, rng, m) != xbar:
-        raise AssertionError("decomposition residual nonzero")
+    # X_j = 2^j j! xi_j has integer coordinates: X_{j+1} = 2 alpha X_j + 4j(m-j) beta X_{j-1}
+    prev: List[dict] = [{}] * (n + 1)
+    cur: List[dict] = [{(0, 0, 0, 0): 1}] + [{}] * n
+    for j in range(k):
+        nxt = []
+        for s in range(n + 1):
+            pairs = [((a + 1, b, 0, 0), 2 * co) for (a, b, _, _), co in cur[s].items()]
+            pairs += [((a, b + 1, 0, 0), 4 * j * (m - j) * co)
+                      for (a, b, _, _), co in prev[s].items()]
+            if s:
+                pairs += [(e, -s * co) for e, co in cur[s - 1].items()]
+            if s < n:
+                pairs += [((a, b + 1, 0, 0), (n - s) * co)
+                          for (a, b, _, _), co in cur[s + 1].items()]
+            nxt.append(_summed(pairs))
+        prev, cur = cur, nxt
+    scale = Fraction(2 ** (m + 1), 2 ** k * factorial(k))
+    out = {s: Poly.from_terms(series_mod.COEFF_RING, ((e, co * scale) for e, co in a_s.items()))
+           for s, a_s in enumerate(cur)}
     _rho_proj_cache[key] = out
     return out
 
 
-def _reassemble(rhos: Dict[int, Poly], rng: RingDescriptor, m: int) -> Poly:
-    total = Poly.zero(rng)
-    inv = Fraction(1, 2 ** (m + 1))
-    for s, rho_s in rhos.items():
-        if rho_s.is_zero():
-            continue
-        lift_terms = {}
-        for exps4, co in rho_s.terms.items():
-            lift_terms[(exps4[0], exps4[1], 0) + (0,) * rng.n] = co
-        lifted = Poly(rng, lift_terms)
-        total = total + lifted * delta_sym(rng.n, s, rng) * inv
-    return total
-
-
 def rho_proj(k: int, n: int, s: int) -> Poly:
-    """rho_{k,n,s} from the projection of xi-bar_{k,n}; a polynomial in omega, beta."""
+    """rho_{k,n,s} from the projection of xi-bar_{k,n}; a polynomial in omega, beta.
+
+    It is 2^{m+1} times the coefficient a_s of e_s in xi-bar = sum_s a_s e_s,
+    from the xi recursion on those coordinates (see ``_rho_proj_all``); zero
+    for s > k, since xi-bar has degree 2k."""
     if s < 0 or s > n:
         raise ValueError(f"s must be in 0..{n}")
     if s > k:

@@ -139,50 +139,57 @@ class SeriesT:
         return SeriesT(self.order, [(o, _zero()) for _, o in self.coeffs])
 
 
+def _recurrence(b: SeriesT, h0: Poly, weight, shift: bool = False) -> SeriesT:
+    """The series h with h_0 = ``h0`` and, for 1 <= n <= N,
+    h_n = (b_n if ``shift``) + sum_{j=1..n} weight(n, j) b_j h_{n-j}:
+    O(N^2) coefficient products, where summing N powers of a series takes
+    O(N^3).  A product reduces s^2 -> -beta as ``SeriesT.__mul__`` does, and
+    each part of h_n is summed once."""
+    minus_beta = -beta_poly()
+    nonzero = [(j, e, o) for j, (e, o) in enumerate(b.coeffs)
+               if j and not (e.is_zero() and o.is_zero())]
+    h = [(h0, _zero())]
+    for n in range(1, b.order + 1):
+        ev, od = ([b.coeffs[n][0]], [b.coeffs[n][1]]) if shift else ([], [])
+        for j, e1, o1 in nonzero:
+            w = weight(n, j) if j <= n else 0
+            if w:
+                e1, o1, (e2, o2) = e1 * w, o1 * w, h[n - j]
+                ev += [e1 * e2, minus_beta * (o1 * o2)]
+                od += [e1 * o2, o1 * e2]
+        h.append(tuple(Poly.from_terms(COEFF_RING, (t for p in part for t in p.terms.items()))
+                       for part in (ev, od)))
+    return SeriesT(b.order, h)
+
+
 def pow_binomial(base: SeriesT, exponent: Fraction) -> SeriesT:
-    """(base)^exponent via the binomial series; base must have constant term 1."""
+    """(base)^exponent for a base with constant term 1, by J. C. P. Miller's
+    recurrence n h_n = sum_{j=1..n} ((a+1) j - n) b_j h_{n-j} (Knuth, TAOCP
+    Vol. 2, 4.7), read off h' b = a b' h."""
     e0, o0 = base.constant_term()
     if not (e0 == Poly.constant(COEFF_RING, 1) and o0.is_zero()):
         raise ValueError("binomial power needs constant term 1")
-    exponent = Fraction(exponent)
-    g = base - SeriesT.constant(base.order, 1)
-    result = SeriesT.constant(base.order, 1)
-    power = SeriesT.constant(base.order, 1)
-    for i in range(1, base.order + 1):
-        power = power * g
-        c = binomial_coeff(exponent, i)
-        if c:
-            result = result + power.scale(c)
-    return result
+    a1 = Fraction(exponent) + 1
+    return _recurrence(base, e0, lambda n, j: (a1 * j - n) / n)
 
 
 def exp_series(f: SeriesT) -> SeriesT:
-    """exp(f) for a series with zero constant term."""
+    """exp(f) for a series with zero constant term, by the recurrence
+    n h_n = sum_{j=1..n} j f_j h_{n-j}, read off h' = f' h."""
     e0, o0 = f.constant_term()
     if not (e0.is_zero() and o0.is_zero()):
         raise ValueError("exp needs zero constant term")
-    result = SeriesT.constant(f.order, 1)
-    power = SeriesT.constant(f.order, 1)
-    fact = Fraction(1)
-    for i in range(1, f.order + 1):
-        power = power * f
-        fact /= i
-        result = result + power.scale(fact)
-    return result
+    return _recurrence(f, Poly.constant(COEFF_RING, 1), lambda n, j: Fraction(j, n))
 
 
 def log_series(f: SeriesT) -> SeriesT:
-    """log(f) for a series with constant term 1."""
+    """log(f) for a series with constant term 1, by the recurrence
+    h_n = f_n - (1/n) sum_{j=1..n-1} j h_j f_{n-j}, read off f h' = f'; that is
+    h_n = f_n + sum_{j=1..n} ((j - n)/n) f_j h_{n-j}."""
     e0, o0 = f.constant_term()
     if not (e0 == Poly.constant(COEFF_RING, 1) and o0.is_zero()):
         raise ValueError("log needs constant term 1")
-    g = f - SeriesT.constant(f.order, 1)
-    result = SeriesT(f.order)
-    power = SeriesT.constant(f.order, 1)
-    for i in range(1, f.order + 1):
-        power = power * g
-        result = result + power.scale(Fraction((-1) ** (i + 1), i))
-    return result
+    return _recurrence(f, _zero(), lambda n, j: Fraction(j - n, n), shift=True)
 
 
 # -- integer rational functions -------------------------------------------------

@@ -16,9 +16,10 @@ from instanton.floer import VerificationError
 from instanton.linalg import Matrix, _echelon, _integer_row, _stable_power, restrict, rref
 from instanton.poly import (ALPHA, LAURENT_U, OMEGA, Exponents, LaurentU, Poly,
                             monomials_of_degree)
-from instanton.quotient import QuotientSpec, canonical_rep
-from instanton.relations import GeneratorSet
-from instanton.series import RationalFn, expand_rational_fn, poly_mul
+from instanton.quotient import QuotientSpec, canonical_rep, delta_support, rbar_spec
+from instanton.relations import GeneratorSet, delta_sym, xi
+from instanton.series import (COEFF_RING, RationalFn, SeriesT, binomial_coeff,
+                              expand_rational_fn, poly_mul)
 
 
 def char_poly(M: Matrix) -> List[Fraction]:
@@ -640,3 +641,106 @@ def lift_table_model_n3(g: int) -> LiftTableModel:
     if key not in _lift_table_models:
         _lift_table_models[key] = LiftTableModel(*floer._three_point_ideals(g))
     return _lift_table_models[key]
+
+
+# -- rho: the projection by reduction, and series kernels by summed powers -------
+
+
+def rho_proj_all_by_reduction(k: int, n: int, reduce=canonical_rep) -> Dict[int, Poly]:
+    """All rho_{k,n,s} from xi-bar_{k,n} = ``reduce``(xi_{k,n}) in R-bar_n, read off
+    its 2^n delta-supports, each checked to carry one polynomial per support
+    size, and reassembled against xi-bar.
+
+    Slow-path oracle for ``relations._rho_proj_all``, which runs the xi
+    recursion on the e_s-coordinates of xi-bar instead; unmemoized.
+    """
+    if n < 1:
+        raise ValueError("projection route needs n >= 1")
+    m = (n - 1) // 2
+    xbar = reduce(xi(k, n), rbar_spec())
+    rng = xbar.ring
+    coeff_ring = COEFF_RING
+    scale = Fraction(2 ** (m + 1))
+    by_size: Dict[int, Dict[frozenset, list]] = {}
+    for exps, coeff in xbar.terms.items():
+        sup = delta_support(rng, exps)
+        # omega, beta in the small ring
+        by_size.setdefault(len(sup), {}).setdefault(sup, []).append(
+            ((exps[0], exps[1], 0, 0), coeff * scale))
+    out: Dict[int, Poly] = {}
+    for s in range(n + 1):
+        groups = by_size.get(s, {})
+        expected = {frozenset(c) for c in combinations(range(1, n + 1), s)}
+        if groups:
+            if set(groups) != expected:
+                raise AssertionError("decomposition residual nonzero: missing supports")
+            vals = [Poly.from_terms(coeff_ring, pairs) for pairs in groups.values()]
+            if any(v != vals[0] for v in vals[1:]):
+                raise AssertionError("decomposition residual nonzero: symmetry violated")
+            out[s] = vals[0]
+        else:
+            out[s] = Poly.zero(coeff_ring)
+    if _reassemble(out, rng, m) != xbar:
+        raise AssertionError("decomposition residual nonzero")
+    return out
+
+
+def _reassemble(rhos: Dict[int, Poly], rng, m: int) -> Poly:
+    total = Poly.zero(rng)
+    inv = Fraction(1, 2 ** (m + 1))
+    for s, rho_s in rhos.items():
+        if rho_s.is_zero():
+            continue
+        lift_terms = {}
+        for exps4, co in rho_s.terms.items():
+            lift_terms[(exps4[0], exps4[1], 0) + (0,) * rng.n] = co
+        lifted = Poly(rng, lift_terms)
+        total = total + lifted * delta_sym(rng.n, s, rng) * inv
+    return total
+
+
+def pow_binomial_by_powers(base: SeriesT, exponent: Fraction) -> SeriesT:
+    """(base)^exponent as sum_i C(exponent, i) (base - 1)^i, every power formed:
+    O(N^3) coefficient products.  Oracle for ``series.pow_binomial``."""
+    e0, o0 = base.constant_term()
+    if not (e0 == Poly.constant(COEFF_RING, 1) and o0.is_zero()):
+        raise ValueError("binomial power needs constant term 1")
+    exponent = Fraction(exponent)
+    g = base - SeriesT.constant(base.order, 1)
+    result = SeriesT.constant(base.order, 1)
+    power = SeriesT.constant(base.order, 1)
+    for i in range(1, base.order + 1):
+        power = power * g
+        c = binomial_coeff(exponent, i)
+        if c:
+            result = result + power.scale(c)
+    return result
+
+
+def exp_series_by_powers(f: SeriesT) -> SeriesT:
+    """exp(f) as sum_i f^i / i!.  Oracle for ``series.exp_series``."""
+    e0, o0 = f.constant_term()
+    if not (e0.is_zero() and o0.is_zero()):
+        raise ValueError("exp needs zero constant term")
+    result = SeriesT.constant(f.order, 1)
+    power = SeriesT.constant(f.order, 1)
+    fact = Fraction(1)
+    for i in range(1, f.order + 1):
+        power = power * f
+        fact /= i
+        result = result + power.scale(fact)
+    return result
+
+
+def log_series_by_powers(f: SeriesT) -> SeriesT:
+    """log(f) as sum_i (-1)^(i+1) (f - 1)^i / i.  Oracle for ``series.log_series``."""
+    e0, o0 = f.constant_term()
+    if not (e0 == Poly.constant(COEFF_RING, 1) and o0.is_zero()):
+        raise ValueError("log needs constant term 1")
+    g = f - SeriesT.constant(f.order, 1)
+    result = SeriesT(f.order)
+    power = SeriesT.constant(f.order, 1)
+    for i in range(1, f.order + 1):
+        power = power * g
+        result = result + power.scale(Fraction((-1) ** (i + 1), i))
+    return result

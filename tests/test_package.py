@@ -1,8 +1,11 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "instanton"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "instanton"
 
 
 def test_package_imports_only_the_standard_library():
@@ -22,3 +25,27 @@ def test_package_imports_only_the_standard_library():
             outside += [f"{path.name}: {m}" for m in modules
                         if m.split(".")[0] not in sys.stdlib_module_names]
     assert not outside
+
+
+_TRACE_EVERY_BOUNDARY = """
+import sys
+sys.path.insert(0, "perfbench")
+import instanton
+import layertrace
+tracer = layertrace.Tracer("")
+layertrace.install(tracer)
+layertrace.memo_entries(tracer)
+print(len(tracer.stats), tracer.extra["relations.memo.entries"])
+"""
+
+
+def test_the_benchmark_tracer_installs_over_every_boundary():
+    """What every benchmark child does after importing the package, traced or
+    not: wrap every layer boundary (each must exist and every alias of it be
+    rebound) and read the memo tables.  A renamed function or a deleted memo
+    dict would make every benchmark run exit 1."""
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", _TRACE_EVERY_BOUNDARY], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[1] == "0.0"

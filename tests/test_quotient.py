@@ -9,7 +9,8 @@ from instanton.poly import (LAURENT_U, OMEGA, LaurentU, Poly, beta, delta,
                             gamma, omega, ring)
 from instanton.quotient import (QuotientSpec, canonical_monomials, canonical_rep,
                                 iso_project, mod_beta_spec, model_spec, rbar_spec)
-from oracles import canonical_rep_two_step, dense_reduce_oracle, even_average
+from oracles import (canonical_rep_two_step, dense_reduce_oracle, even_average,
+                     rho_proj_all_by_reduction)
 
 W1 = ring(1, coordinate=OMEGA)
 W3 = ring(3, coordinate=OMEGA)
@@ -161,23 +162,18 @@ def test_canonical_rep_of_igen_orbits_matches_two_step_oracle(g, n):
 
 def test_canonical_rep_never_changes_coordinates(monkeypatch):
     """The one-pass reduction must not fall back on the full expansion: with
-    change_coordinates disabled, xi-bar_{8,7} and rho_{8,7,0} still come out
-    equal to the two-step oracle's."""
-    from instanton import relations
-    from instanton.relations import rho_proj, xi
+    change_coordinates disabled, xi-bar_{8,7} and the rho_{8,7,s} read off it
+    by the reduction oracle still come out equal to the two-step oracle's."""
+    from instanton.relations import xi
     f = xi(8, 7)
     want_xbar = canonical_rep_two_step(f, rbar_spec())
-    monkeypatch.setattr(relations, "_rho_proj_cache", {})
-    monkeypatch.setattr(relations, "canonical_rep", canonical_rep_two_step)
-    want_rho = rho_proj(8, 7, 0)
-    monkeypatch.setattr(relations, "_rho_proj_cache", {})
-    monkeypatch.setattr(relations, "canonical_rep", canonical_rep)
+    want_rho = rho_proj_all_by_reduction(8, 7, canonical_rep_two_step)
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("change_coordinates called")
     monkeypatch.setattr(Poly, "change_coordinates", refuse)
     assert canonical_rep(f, rbar_spec()).terms == want_xbar.terms
-    assert rho_proj(8, 7, 0) == want_rho
+    assert rho_proj_all_by_reduction(8, 7, canonical_rep) == want_rho
 
 
 @pytest.mark.parametrize("rng,spec", [

@@ -4,9 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import orbit_by_round_trip
+from oracles import (exp_series_by_powers, log_series_by_powers, orbit_by_round_trip,
+                     pow_binomial_by_powers, rho_proj_all_by_reduction)
 
-from instanton import acceptance
+from instanton import acceptance, relations
 from instanton.floer import _one_point_ideals, _three_point_ideals, solve_subleading
 from instanton.linalg import Matrix, rank
 from instanton.poly import (OMEGA, LaurentU, Poly, alpha, beta, delta,
@@ -107,6 +108,53 @@ def test_rho_functional_identity_signed():
         assert lhs == (rhs if s % 2 == 0 else -rhs)
         if s % 2 == 1:
             assert lhs != rhs
+
+
+@pytest.mark.parametrize("n,k_max", [(1, 8), (3, 8), (5, 8), (7, 8), (9, 6), (11, 4)])
+def test_rho_proj_matches_the_reduction_oracle(n, k_max):
+    """The e_s-coordinate recursion gives every rho_{k,n,s} that reducing
+    xi_{k,n} in R-bar_n and reading its delta-supports gives."""
+    for k in range(k_max + 1):
+        want = rho_proj_all_by_reduction(k, n)
+        assert [rho_proj(k, n, s) for s in range(n + 1)] == [want[s] for s in range(n + 1)]
+
+
+@pytest.mark.parametrize("args,message", [
+    ((2, 4, 1), "n must be odd"),
+    ((2, 0, 0), "projection route needs n >= 1"),
+    ((2, -1, 0), "s must be in 0..-1"),
+    ((2, 3, 4), "s must be in 0..3"),
+    ((2, 3, -1), "s must be in 0..3"),
+])
+def test_rho_proj_errors(args, message):
+    with pytest.raises(ValueError) as err:
+        rho_proj(*args)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("args,message", [
+    ((-1, 3), "xi needs k >= 0"),
+    ((-1, 4), "xi needs k >= 0"),
+    ((2, 4), "n must be odd"),
+    ((2, 0), "projection route needs n >= 1"),
+    ((-1, -1), "projection route needs n >= 1"),
+])
+def test_rho_proj_all_errors(args, message):
+    """The messages and their precedence are those of the route through xi."""
+    with pytest.raises(ValueError) as err:
+        relations._rho_proj_all(*args)
+    assert str(err.value) == message
+
+
+def test_rho_series_matches_the_summed_powers_kernels(monkeypatch):
+    """rho_series through the O(N^2) recurrences equals rho_series through
+    powers, exp and log formed by summing powers of a series."""
+    cases = [(k, r) for k in range(9) for r in (-3, -1, 1, 3, 5, 7)]
+    got = [rho_series(k, r) for k, r in cases]
+    monkeypatch.setattr(relations, "pow_binomial", pow_binomial_by_powers)
+    monkeypatch.setattr(relations, "exp_series", exp_series_by_powers)
+    monkeypatch.setattr(series_mod, "log_series", log_series_by_powers)
+    assert got == [rho_series(k, r) for k, r in cases]
 
 
 def test_rho_linear_independence():

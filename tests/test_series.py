@@ -11,7 +11,8 @@ from instanton.series import (COEFF_RING, RationalFn, SeriesT, a_table,
                               expand_rational_fn, log_series, omega_poly,
                               pow_binomial)
 from instanton.poly import Poly
-from oracles import det_fraction_oracle, expand_by_long_division
+from oracles import (det_fraction_oracle, exp_series_by_powers, expand_by_long_division,
+                     log_series_by_powers, pow_binomial_by_powers)
 
 
 def c(x):
@@ -85,6 +86,44 @@ def test_log_ratio_divided_by_s():
     assert half.coeffs[1][0] == c(-2)
     assert half.coeffs[3][0] == beta_poly() * F(2, 3)
     assert half.coeffs[2][0].is_zero()
+
+
+def _random_series(rand, order, constant):
+    """A series with the given constant pair and random (even, odd) pairs after
+    it, every one of them with a nonzero odd part."""
+    def part():
+        return Poly.from_terms(COEFF_RING, [
+            ((rand.randint(0, 2), rand.randint(0, 2), 0, 0),
+             F(rand.randint(-5, 5) or 1, rand.randint(1, 4))) for _ in range(rand.randint(1, 3))])
+    return SeriesT(order, [constant] + [(part(), part()) for _ in range(order)])
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_kernels_match_the_summed_powers_oracle(order):
+    rand = random.Random(1800 + order)
+    one, zero = (c(1), c(0)), (c(0), c(0))
+    for _ in range(2):
+        base = _random_series(rand, order, one)
+        for a in (F(0), F(-1), F(-3), F(1), F(4), F(1, 2), F(-3, 4), F(7, 3)):
+            assert pow_binomial(base, a) == pow_binomial_by_powers(base, a)
+        assert log_series(base) == log_series_by_powers(base)
+        f = _random_series(rand, order, zero)
+        assert exp_series(f) == exp_series_by_powers(f)
+
+
+@pytest.mark.parametrize("kernel,constant,message", [
+    (lambda f: pow_binomial(f, F(1, 2)), (2, 0), "binomial power needs constant term 1"),
+    (lambda f: pow_binomial(f, F(1, 2)), (1, 1), "binomial power needs constant term 1"),
+    (log_series, (2, 0), "log needs constant term 1"),
+    (log_series, (1, 1), "log needs constant term 1"),
+    (exp_series, (1, 0), "exp needs zero constant term"),
+    (exp_series, (0, 1), "exp needs zero constant term"),
+], ids=["pow_even", "pow_odd", "log_even", "log_odd", "exp_even", "exp_odd"])
+def test_kernels_keep_their_preconditions(kernel, constant, message):
+    f = SeriesT(2, [(c(constant[0]), c(constant[1]))] + [(c(1), c(1))] * 2)
+    with pytest.raises(ValueError) as err:
+        kernel(f)
+    assert str(err.value) == message
 
 
 def test_series_mul_ring_laws():
