@@ -6,7 +6,6 @@ three marked points.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -305,33 +304,34 @@ def _mod_terms(terms: Dict[Exponents, Fraction], p: int) -> Dict[Exponents, int]
     return {e: c.numerator * pow(c.denominator, -1, p) % p for e, c in terms.items()}
 
 
-def _reduce_mod(row: Dict[int, int], pivots: Dict[int, Dict[int, int]], p: int) -> Dict[int, int]:
-    """Reduce a sparse row mod p against unit-led pivot rows, each stored
-    without its leading 1 and with columns above its pivot only.
+_Entries = List[Tuple[int, int]]  # (position or column, coefficient)
 
-    Consumes ``row``.  An entry is taken mod p only where it is read.  Returns
-    the residual mod p: row minus a combination of pivot rows, with no pivot
-    column.
-    """
-    residual: Dict[int, int] = {}
-    heap = list(row)
-    heapq.heapify(heap)
-    while heap:
-        q = heapq.heappop(heap)
-        f = row.pop(q) % p
-        if not f:
-            continue
-        prow = pivots.get(q)
-        if prow is None:
-            residual[q] = f
-            continue
-        for j, c in prow.items():
-            s = row.get(j)
-            if s is None:
-                heapq.heappush(heap, j)
-                s = 0
-            row[j] = s - f * c
-    return residual
+
+def _reduce_block(dense: List[int], heads: List[Optional[_Entries]],
+                  p: int) -> Tuple[_Entries, _Entries]:
+    """Reduce a dense row mod p, left to right, against the unit-led heads by
+    position (None where none leads; each without its 1, later positions only).
+    Consumes ``dense``; an entry is taken mod p only where it is read.  Returns
+    the multipliers (position, f) used and the residual entries."""
+    used, residual = [], []
+    for i, x in enumerate(dense):  # sees the updates past i
+        x %= p
+        if x:
+            head = heads[i]
+            if head is None:
+                residual.append((i, x))
+            else:
+                used.append((i, x))
+                for j, c in head:
+                    dense[j] -= x * c
+    return used, residual
+
+
+def _replay(lower: Dict[int, int], used: _Entries, tails: Dict[int, _Entries]) -> None:
+    """Subtract f * tails[i] from ``lower`` for every multiplier (i, f) used."""
+    for i, x in used:
+        for j, c in tails[i]:
+            lower[j] = lower.get(j, 0) - x * c
 
 
 def _apply(columns: List[Dict[int, int]], vec: Dict[int, int]) -> Dict[int, int]:
@@ -350,14 +350,13 @@ class _ModularTables:
     within a degree in ``monomials_of_degree`` order, so a row's smallest
     column leads it.  Per degree d, in increasing order, the rows of the degree
     piece of I are taken mod p in ``_ideal_pieces`` order (I-generator index,
-    then cofactor), each dense on d's block of columns, and reduced once, left
-    to right, against the heads (degree-d parts) of the rows stored at d; an
-    entry is taken mod p only where it is read.  A row that adds a pivot is
-    stored whole and unit-led.  Its tail past degree d, the cofactor times the
-    paired J-generator's lower part minus the multipliers times the stored
-    tails, makes it the paired J-row (which leads with the I-row) reduced on
-    degree d: it lies in J mod p, so its tail is the lower part of a lift of
-    its head.  The basis is the monomials that lead no stored row.  A degree
+    then cofactor), each dense on d's block of columns, and reduced by
+    ``_reduce_block`` against the heads (degree-d parts) of the rows stored at
+    d.  A row that adds a pivot is stored unit-led, as its head and a tail: the
+    cofactor times the paired J-generator's lower part, with the used heads'
+    tails replayed.  That makes it the paired J-row (which leads with the I-row)
+    reduced on degree d: it lies in J mod p, so its tail is the lower part of a
+    lift of its head.  The basis is the monomials that lead no head.  A degree
     with fewer of them than ``want[d]`` is a mismatch, since rank_p <= rank_Q;
     one with more makes the prime unlucky.
     """
@@ -375,12 +374,13 @@ class _ModularTables:
         mod_pairs = [(ip.degree(), _mod_terms(ip.terms, p),
                       _mod_terms({e: c for e, c in jp.terms.items() if e not in ip.terms}, p))
                      for ip, jp in pairs]
-        rows = self.rows = {}
+        # per degree, from the top down: (first column, heads, tails by head position)
+        self.blocks: List[Tuple[int, List[Optional[_Entries]], Dict[int, _Entries]]] = []
         self.basis: List[Tuple[int, Exponents]] = []
         for d in sorted(want):
             lo, width = start[d], len(monos[d])
-            heads: List[Optional[List[Tuple[int, int]]]] = [None] * width  # by column - lo
-            tails: Dict[int, List[Tuple[int, int]]] = {}
+            heads: List[Optional[_Entries]] = [None] * width  # by column - lo
+            tails: Dict[int, _Entries] = {}
             free = width
             for gdeg, iterms, jlower in mod_pairs:
                 for mono in monos.get(d - gdeg, ()):
@@ -389,43 +389,39 @@ class _ModularTables:
                     dense = [0] * width
                     for e, c in iterms.items():
                         dense[column[tuple(map(add, e, mono))] - lo] = c
-                    used, residual = [], []
-                    for i, x in enumerate(dense):  # sees the updates past i
-                        x %= p
-                        if x:
-                            head = heads[i]
-                            if head is None:
-                                residual.append((i, x))
-                            else:
-                                used.append((i, x))
-                                for j, c in head:
-                                    dense[j] -= x * c
+                    used, residual = _reduce_block(dense, heads, p)
                     if not residual:
                         continue
                     q, inv = residual[0][0], pow(residual[0][1], -1, p)
                     lower = {column[tuple(map(add, e, mono))]: c for e, c in jlower.items()}
-                    for i, x in used:
-                        for j, c in tails[i]:
-                            lower[j] = lower.get(j, 0) - x * c
+                    _replay(lower, used, tails)
                     heads[q] = [(j, c * inv % p) for j, c in residual[1:]]
                     tails[q] = [(j, c * inv % p) for j, c in lower.items() if c % p]
-                    rows[lo + q] = dict([(lo + j, c) for j, c in heads[q]] + tails[q])
                     free -= 1
-            basis_d = [(d, m) for m in monos[d] if column[m] not in rows]
+            basis_d = [(d, m) for m, head in zip(monos[d], heads) if head is None]
             if len(basis_d) != want[d]:
                 message = (f"graded quotient dimension mismatch at degree {d}: "
                            f"computed {len(basis_d)}, formula {want[d]}")
                 raise (VerificationError if len(basis_d) < want[d] else _UnluckyPrime)(message)
             self.basis.extend(basis_d)
+            self.blocks.insert(0, (lo, heads, tails))
         self.basis_at = {column[m]: i for i, (_d, m) in enumerate(self.basis)}
         self._memo: Dict[Exponents, List[int]] = {}
 
     def normal_form(self, terms: Dict[Exponents, int]) -> List[int]:
-        """Coordinates mod p over the basis of {exponents: coefficient mod p}."""
+        """Coordinates mod p over the basis of {exponents: coefficient mod p}:
+        the blocks in column order, as a replayed tail only reaches later ones."""
         coords = [0] * len(self.basis_at)
         row = {self.column[e]: c for e, c in terms.items()}
-        for j, c in _reduce_mod(row, self.rows, self.p).items():
-            coords[self.basis_at[j]] = c
+        for lo, heads, tails in self.blocks:
+            hi = lo + len(heads)
+            if min(row, default=hi) >= hi:  # no entry in this block
+                continue
+            dense = [row.pop(j, 0) for j in range(lo, hi)]
+            used, residual = _reduce_block(dense, heads, self.p)
+            for i, x in residual:
+                coords[self.basis_at[lo + i]] = x
+            _replay(row, used, tails)
         return coords
 
     def columns(self, k: int, basis: List[Tuple[int, Exponents]]) -> List[List[int]]:
@@ -912,8 +908,11 @@ def _three_point_ideals(g: int):
             if not name.startswith("gamma^") and f"xi_{{{g + 3},3}}" not in name]
     rng3 = ring(3, coordinate=ALPHA)
     gamma_p = Poly.variable(rng3, "gamma")
-    keep += [(f"gamma*{name}", gamma_p * p)
-             for name, p in flip_orbit(xi(g, 3, target=rng3), f"xi_{{{g},3}}", 3)]
+    # one generator per distinct image: at g = 0 the orbit of xi_{0,3} = 1 is four 1s
+    images: Dict[Poly, Tuple[str, Poly]] = {}
+    for name, p in flip_orbit(xi(g, 3, target=rng3), f"xi_{{{g},3}}", 3):
+        images.setdefault(p, (f"gamma*{name}", gamma_p * p))
+    keep += images.values()
     I_set = GeneratorSet(I_full.label, I_full.ambient, keep, meta=I_full.meta)
     return J, I_set, ptgn_series(g, 3)
 

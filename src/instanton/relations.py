@@ -140,12 +140,10 @@ def rho_proj(k: int, n: int, s: int) -> Poly:
     """rho_{k,n,s} from the projection of xi-bar_{k,n}; a polynomial in omega, beta.
 
     It is 2^{m+1} times the coefficient a_s of e_s in xi-bar = sum_s a_s e_s,
-    from the xi recursion on those coordinates (see ``_rho_proj_all``); zero
-    for s > k, since xi-bar has degree 2k."""
+    from the xi recursion on those coordinates (see ``_rho_proj_all``), which
+    checks k and n for every s; zero for s > k, since xi-bar has degree 2k."""
     if s < 0 or s > n:
         raise ValueError(f"s must be in 0..{n}")
-    if s > k:
-        return Poly.zero(series_mod.COEFF_RING)
     return _rho_proj_all(k, n)[s]
 
 

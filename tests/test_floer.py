@@ -313,6 +313,8 @@ def test_solver_reports_a_system_that_is_not_unique(monkeypatch):
 def test_three_point_model_dimension():
     m13 = model_n3(1)
     assert m13.dim == sum(expand_rational_fn(ptgn_series(1, 3), 40)) == 10
+    # xi_{0,3} = 1, so gamma times its flip orbit is the one generator gamma
+    assert model_n3(0).dim == sum(expand_rational_fn(ptgn_series(0, 3), 40)) == 1
 
 
 def test_hilbert_report_json_shape():
@@ -837,7 +839,7 @@ def test_the_model_build_runs_no_exact_elimination(monkeypatch):
 
 
 EXACT_BASIS_CASES = [(4, "+", None), (4, "-", None), (5, "+", None), (3, "+", F(2)),
-                     (2, "-", F(3, 2)), "n3_g1", "n3_g2"]
+                     (2, "-", F(3, 2)), "n3_g0", "n3_g1", "n3_g2"]
 
 
 @pytest.mark.parametrize("case", EXACT_BASIS_CASES,
@@ -876,7 +878,10 @@ def _check_tables_against_heap_oracle(monkeypatch):
             if got:
                 raise got
             assert self.basis == self.oracle.basis
-            assert self.rows == self.oracle.rows
+            rows = {lo + q: dict([(lo + j, c) for j, c in head] + tails[q])
+                    for lo, heads, tails in self.blocks
+                    for q, head in enumerate(heads) if head is not None}
+            assert rows == self.oracle.rows
 
         def columns(self, k, basis):
             out = super().columns(k, basis)
@@ -888,7 +893,7 @@ def _check_tables_against_heap_oracle(monkeypatch):
 
 
 HEAP_ORACLE_CASES = [c for c in EXACT_BASIS_CASES if not isinstance(c, str)] + [
-    "n3_g1", "n3_g2", "rank_drops", "pivot_moves"]
+    "n3_g0", "n3_g1", "n3_g2", "rank_drops", "pivot_moves"]
 
 
 @pytest.mark.parametrize("case", HEAP_ORACLE_CASES,

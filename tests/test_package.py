@@ -49,3 +49,33 @@ def test_the_benchmark_tracer_installs_over_every_boundary():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[1] == "0.0"
+
+
+_TRACE_THE_MODEL_WORKLOAD = """
+import sys
+from fractions import Fraction
+sys.path.insert(0, "perfbench")
+import instanton
+import layertrace
+import run
+from instanton import floer
+tracer = layertrace.Tracer("")
+layertrace.install(tracer)
+for g, sign, theta in run.MODEL_CASES:
+    theta = None if theta == "-" else Fraction(theta)
+    floer.model_for(int(g), sign, theta)
+    floer.eigen_verify(int(g), sign, theta)
+print(*[m for m in run._NUMERIC if not tracer.stats[m].calls])
+"""
+
+
+def test_the_traced_model_workload_calls_every_numeric_boundary():
+    """What the traced sample of the benchmark's ``model`` workload runs, in one
+    interpreter: wrap every layer boundary, then build and check each model
+    case.  Each numeric boundary must record a call, or the benchmark run
+    exits 1 (a call that bypasses a wrapper reads as a silent zero)."""
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", _TRACE_THE_MODEL_WORKLOAD], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

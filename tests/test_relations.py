@@ -117,6 +117,7 @@ def test_rho_proj_matches_the_reduction_oracle(n, k_max):
     for k in range(k_max + 1):
         want = rho_proj_all_by_reduction(k, n)
         assert [rho_proj(k, n, s) for s in range(n + 1)] == [want[s] for s in range(n + 1)]
+        assert all(rho_proj(k, n, s).is_zero() for s in range(k + 1, n + 1))
 
 
 @pytest.mark.parametrize("args,message", [
@@ -125,6 +126,8 @@ def test_rho_proj_matches_the_reduction_oracle(n, k_max):
     ((2, -1, 0), "s must be in 0..-1"),
     ((2, 3, 4), "s must be in 0..3"),
     ((2, 3, -1), "s must be in 0..3"),
+    ((-1, 3, 0), "xi needs k >= 0"),
+    ((0, 4, 1), "n must be odd"),
 ])
 def test_rho_proj_errors(args, message):
     with pytest.raises(ValueError) as err:
