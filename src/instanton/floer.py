@@ -706,6 +706,8 @@ _model_cache: Dict[Tuple[int, str, Optional[Fraction]], QuotientModel] = {}
 def _one_point_ideals(g: int, sign: str = "+", theta: Optional[Fraction] = None):
     """(J, I, formula) of the one-point model (optionally u = theta)."""
     local = theta is not None
+    if local and not theta:
+        raise ValueError("theta must be a nonzero rational")
     J = jgen_n1(g, sign=sign, local=local)
     if local:
         gens = [(name, specialize_u(p, theta)) for name, p in J.gens]
@@ -795,6 +797,8 @@ def local_eigen_point(g: int, sign: str, theta: Fraction) -> Dict[str, Fraction]
     theta), beta = 2, gamma = 0, with s = (-1)^(g+1) for sign '+' and its
     negative for '-'."""
     theta = Fraction(theta)
+    if not theta:
+        raise ValueError("theta must be a nonzero rational")
     s = (1 if sign == "+" else -1) * (-1) ** (g + 1)
     return {"omega": s * (2 * g - 2 + (theta + 1 / theta) / 2), "delta1": s * (1 / theta - theta),
             "beta": Fraction(2), "gamma": Fraction(0)}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -325,6 +326,10 @@ class Poly:
             return self + Poly.constant(self.ring, other)
         if self.ring != other.ring:
             raise ValueError("ring mismatch")
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         return Poly(self.ring, _summed(other.terms.items(), dict(self.terms)), _normalized=True)
 
     __radd__ = __add__
@@ -349,11 +354,16 @@ class Poly:
                         _normalized=True)
         if self.ring != other.ring:
             raise ValueError("ring mismatch")
-        pairs = ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in self.terms.items()
-                 for e2, c2 in other.terms.items())
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
+        den1, left = _numerators(self.ring, self.terms)
+        den2, right = _numerators(self.ring, other.terms)
+        pairs = ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in left for e2, c2 in right)
         if self.ring.has_epsilon:
             pairs = ((e[:-1] + (e[-1] % 2,), c) for e, c in pairs)
-        return Poly.from_terms(self.ring, pairs)
+        return Poly(self.ring, _over(den1 and den1 * den2, _summed(pairs)), _normalized=True)
 
     __rmul__ = __mul__
 
@@ -428,7 +438,7 @@ class Poly:
         # alpha = omega - sum/2 ; omega = alpha + sum/2
         image = Poly.variable(new_ring, target_coordinate) \
             + _delta_sum(new_ring, range(1, new_ring.n + 1)) * shift
-        return _first_substituted(new_ring, image, self.terms.items())
+        return _first_substituted(new_ring, image, self.terms)
 
     def flip(self, indices: Iterable[int]) -> "Poly":
         """Flip symmetry tau_I: fixes omega, beta, gamma and negates delta_i for i in I.
@@ -443,9 +453,9 @@ class Poly:
         if not idx:
             return self
         cols = [2 + i for i in idx]  # delta_i exponent position
-        signed = ((e, -c if sum(e[j] for j in cols) % 2 else c) for e, c in self.terms.items())
+        signed = {e: -c if sum(e[j] for j in cols) % 2 else c for e, c in self.terms.items()}
         if self.ring.coordinate == OMEGA:
-            return Poly.from_terms(self.ring, signed)
+            return Poly(self.ring, signed, _normalized=True)
         image = Poly.variable(self.ring, ALPHA) + _delta_sum(self.ring, idx)
         return _first_substituted(self.ring, image, signed)
 
@@ -581,26 +591,55 @@ def _delta_sum(ring: RingDescriptor, indices: Iterable[int]) -> Poly:
     return Poly(ring, {tuple(int(j == 2 + i) for j in range(ring.nvars)): 1 for i in indices})
 
 
-def _first_substituted(ring: RingDescriptor, image: Poly,
-                       pairs: Iterable[Tuple[Exponents, object]]) -> Poly:
-    """The sum over ``(exponents, coefficient)`` pairs of the term with its first
-    variable replaced by ``image``, an epsilon-free polynomial over ``ring``: the
-    cached powers of ``image`` shifted by the other exponents."""
-    powers = [Poly.constant(ring, 1)]  # image^k
+def _numerators(ring: RingDescriptor, terms: Mapping[Exponents, object],
+                den: Optional[int] = None):
+    """``(den, pairs)``: over a rational ring, the terms as a list of pairs whose
+    coefficients are integer numerators over ``den`` (by default the least
+    common denominator), so that products and sums of them run on ints (Knuth,
+    TAOCP Vol. 2, 4.5.1); over a Laurent ring, the terms as they are and
+    ``den`` None."""
+    if ring.coeff_kind == LAURENT_U:
+        return None, terms.items()
+    if den is None:
+        den = lcm(*[c.denominator for c in terms.values()])
+    if den == 1:
+        return 1, [(e, c.numerator) for e, c in terms.items()]
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
 
-    def terms():
+
+def _over(den: Optional[int], numerators: dict) -> dict:
+    """Terms with integer numerators over ``den`` as Fractions, one division per
+    term (the terms as they are when ``den`` is None)."""
+    if den is None:
+        return numerators
+    if den == 1:
+        return {e: Fraction(n) for e, n in numerators.items()}
+    return {e: Fraction(n, den) for e, n in numerators.items()}
+
+
+def _first_substituted(ring: RingDescriptor, image: Poly,
+                       terms: Mapping[Exponents, object]) -> Poly:
+    """The sum of the terms with their first variable replaced by ``image``, an
+    epsilon-free polynomial over ``ring``: the powers of ``image`` shifted by
+    the other exponents, all on numerators over one denominator."""
+    den, pairs = _numerators(ring, terms)
+    powers = [Poly.constant(ring, 1)]  # image^k
+    for _ in range(max((e[0] for e in terms), default=0)):
+        powers.append(powers[-1] * image)
+    top = 1 if den is None else lcm(*[c.denominator for p in powers for c in p.terms.values()])
+    cleared = [_numerators(ring, p.terms, top)[1] for p in powers]
+
+    def shifted():
         for exps, coeff in pairs:
             a = exps[0]
             if not a:
-                yield exps, coeff
+                yield exps, coeff if top == 1 else coeff * top
                 continue
-            while len(powers) <= a:
-                powers.append(powers[-1] * image)
             rest = (0,) + exps[1:]
-            for e, c in powers[a].terms.items():
+            for e, c in cleared[a]:
                 yield tuple(map(add, e, rest)), c * coeff
 
-    return Poly.from_terms(ring, terms())
+    return Poly(ring, _over(den and den * top, _summed(shifted())), _normalized=True)
 
 
 def alpha(ring: RingDescriptor) -> Poly:

@@ -150,6 +150,12 @@ def rho_proj(k: int, n: int, s: int) -> Poly:
 # -- rho: series route (cross-check; sign pinned by the acceptance suite) --------
 
 
+def _conjugate(f: SeriesT) -> SeriesT:
+    """The image of f under s -> -s, which negates the odd parts; a ring
+    automorphism, as (-s)^2 = -beta."""
+    return SeriesT(f.order, [(e, -o) for e, o in f.coeffs])
+
+
 def rho_series(k: int, r: int) -> Poly:
     """rho_{k,r} as the t^k coefficient of the defining series.
 
@@ -166,11 +172,14 @@ def rho_series(k: int, r: int) -> Poly:
     beta_t2 = SeriesT.term(k, 2, even=beta)        # beta t^2
     ts = SeriesT.term(k, 1, odd=1)                 # t*s
     f1 = pow_binomial(one + beta_t2, Fraction(-3, 4))
-    # ((1 - ts)/(1 + ts))^(omega/(2s)) = exp(omega * log((1-ts)/(1+ts)) / (2s))
-    log_ratio = series_mod.log_series(one - ts) - series_mod.log_series(one + ts)
+    # ((1 - ts)/(1 + ts))^(omega/(2s)) = exp(omega * log((1-ts)/(1+ts)) / (2s)); the
+    # factors at 1 + ts are the conjugates (s -> -s) of those at 1 - ts
+    log_minus = series_mod.log_series(one - ts)
+    log_ratio = log_minus - _conjugate(log_minus)
     exponent = log_ratio.divide_by_s().scale(Fraction(1, 2)).scale(omega)
     f2 = exp_series(exponent)
-    f3 = pow_binomial(one - ts, Fraction(1, 2)) + pow_binomial(one + ts, Fraction(1, 2))
+    root_minus = pow_binomial(one - ts, Fraction(1, 2))
+    f3 = root_minus + _conjugate(root_minus)
     q = pow_binomial(one + beta_t2, Fraction(1, 2))
     half_base = (one + q).scale(Fraction(1, 2))    # (1 + sqrt(1+beta t^2)) / 2
     f4 = pow_binomial(half_base, Fraction(r - 1, 2)).scale(Fraction(2) ** ((r - 1) // 2))
@@ -250,6 +259,8 @@ class GeneratorSet:
     @classmethod
     def from_json(cls, doc: dict) -> "GeneratorSet":
         gens = [(g["name"], Poly.from_json(g["poly"])) for g in doc["gens"]]
+        if not gens:
+            raise ValueError(f"generator set {doc['label']!r} has no generators")
         ambient = gens[0][1].ring
         meta = {"g": doc.get("g"), "sign": doc.get("sign"), "local": doc.get("local")}
         return cls(doc["label"], ambient, gens, meta=meta)

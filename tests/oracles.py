@@ -107,6 +107,52 @@ def solve(M: Matrix, b: Sequence) -> Optional[List[Fraction]]:
     return x
 
 
+def _summed_one_by_one(pairs) -> dict:
+    """The term format without ``poly._summed``: pairs added one at a time, a
+    key removed as soon as its sum is zero."""
+    out = {}
+    for k, c in pairs:
+        s = out[k] + c if k in out else c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+def poly_mul_by_fractions(p: Poly, q: Poly) -> Poly:
+    """p * q with one coefficient product and one coefficient sum per pair of
+    terms (epsilon folded mod 2): the product before it ran on integer
+    numerators."""
+    pairs = ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in p.terms.items()
+             for e2, c2 in q.terms.items())
+    if p.ring.has_epsilon:
+        pairs = ((e[:-1] + (e[-1] % 2,), c) for e, c in pairs)
+    return Poly(p.ring, _summed_one_by_one(pairs), _normalized=True)
+
+
+def first_substituted_by_fractions(ring, image: Poly,
+                                   pairs: Iterable[Tuple[Exponents, object]]) -> Poly:
+    """``poly._first_substituted`` on the coefficients as they are: each term
+    with its first variable replaced by the power of ``image``, the powers
+    built by :func:`poly_mul_by_fractions`."""
+    powers = [Poly.constant(ring, 1)]
+
+    def terms():
+        for exps, coeff in pairs:
+            a = exps[0]
+            if not a:
+                yield exps, coeff
+                continue
+            while len(powers) <= a:
+                powers.append(poly_mul_by_fractions(powers[-1], image))
+            rest = (0,) + exps[1:]
+            for e, c in powers[a].terms.items():
+                yield tuple(map(add, e, rest)), c * coeff
+
+    return Poly(ring, _summed_one_by_one(terms()), _normalized=True)
+
+
 def flip_round_trip(p: Poly, I: Iterable[int]) -> Poly:
     """tau_I by way of omega-coordinates, where it only negates delta_i for i in
     I: change to omega, negate, change back."""

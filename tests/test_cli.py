@@ -10,6 +10,7 @@ from instanton.cli import run
 from instanton.floer import VerificationError
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden_cli"
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +54,37 @@ def test_xi_json_output(capsys, tmp_path):
     coeffs = {tuple(t["exps"]): t["coeff"] for t in doc["terms"]}
     assert coeffs == {(2, 0, 0, 0): "1/2", (0, 1, 0, 0): "-1/2"}
     validator_for("poly.schema.json").validate(doc)
+
+
+def _readme_examples():
+    """The `floer` command lines of the README's "Command line" section, each
+    without and with --json."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    for line in block.strip().splitlines():
+        argv = [a for a in line.split()[1:] if a != "--json"]
+        yield argv
+        yield argv + ["--json"]
+
+
+def _slug(argv):
+    return "_".join(a.lstrip("-").replace("/", "-") for a in argv)
+
+
+@pytest.mark.parametrize("argv", list(_readme_examples()), ids=_slug)
+def test_readme_examples_print_the_golden_bytes(capsys, tmp_path, argv):
+    """Every README example, on a fresh cache dir, prints byte for byte the
+    output stored in tests/golden_cli/ (recorded before the Poly products ran
+    on integer numerators)."""
+    code, out = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"{_slug(argv)}.out").read_text()
+
+
+def test_every_golden_output_has_its_readme_example():
+    names = {f"{_slug(argv)}.out" for argv in _readme_examples()}
+    assert len(names) == 22
+    assert names == {p.name for p in GOLDEN_DIR.iterdir()}
 
 
 def test_jgen_text_contains_r1(capsys, tmp_path):
@@ -135,6 +167,13 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2  # projection needs positive r
     code, _ = run_cli(capsys, "eigen", "--g", "0", "--no-cache")
     assert code == 2
+
+
+def test_eigen_theta_zero_exits_two(capsys, tmp_path):
+    code = run(["eigen", "--g", "1", "--theta", "0", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: theta must be a nonzero rational\n"
 
 
 def test_verify_suite_exit_zero(capsys, tmp_path):

@@ -270,6 +270,16 @@ def test_eigen_local_theta():
     assert rep.tuples[0]["alpha"] == F(2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: floer.local_eigen_point(1, "+", F(0)),
+    lambda: model_for(1, "+", F(0)),
+    lambda: eigen_verify(2, "-", F(0)),
+], ids=["local_eigen_point", "model_for", "eigen_verify"])
+def test_theta_zero_is_refused_up_front(call):
+    with pytest.raises(ValueError, match="^theta must be a nonzero rational$"):
+        call()
+
+
 def test_solver_genus_zero_exact():
     gs = solve_subleading(0)
     f_hat = gs.meta["f_hat"].change_coordinates(ALPHA)

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_laurent_poly, random_poly
-from oracles import flip_round_trip
-from instanton.poly import (ALPHA, LAURENT_U, OMEGA, LaurentU, Poly, alpha,
+from oracles import first_substituted_by_fractions, flip_round_trip, poly_mul_by_fractions
+from instanton.poly import (ALPHA, LAURENT_U, OMEGA, LaurentU, Poly, _delta_sum, alpha,
                             beta, delta, epsilon, gamma,
                             monomials_of_degree, omega, ring)
 
@@ -346,3 +346,66 @@ def test_flip_group_laws_property(case):
     assert f.change_coordinates(other).flip(I) == f.flip(I).change_coordinates(other)
     assert f.flip(I) == flip_round_trip(f, I)
     _no_zero_stored(f.flip(I))
+
+
+# -- the integer-numerator kernels against their Fraction oracles ------------------
+
+_KERNEL_RINGS = [ring(n, coordinate=c, has_epsilon=e)
+                 for n in (1, 3, 5) for c in (ALPHA, OMEGA) for e in (False, True)] \
+    + [ring(1, coeff_kind=LAURENT_U), ring(3, coeff_kind=LAURENT_U, coordinate=OMEGA),
+       ring(3, coeff_kind=LAURENT_U, has_epsilon=True)]
+_mixed = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+def _same_terms(got, want):
+    """Equal terms in the same dict order, with coefficients of the same type."""
+    assert got.ring == want.ring
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+
+
+@st.composite
+def _kernel_case(draw):
+    rng = draw(st.sampled_from(_KERNEL_RINGS))
+
+    def coeff():
+        if rng.coeff_kind == LAURENT_U:
+            return LaurentU(draw(st.dictionaries(st.integers(-2, 2), _mixed, max_size=3)))
+        return draw(_mixed)
+
+    def poly():
+        exps = st.tuples(st.integers(0, 3), *[st.integers(0, 1)] * (rng.nvars - 1))
+        return Poly(rng, {k: coeff() for k in draw(st.lists(exps, max_size=6))})
+
+    return poly(), poly(), draw(st.sets(st.integers(1, rng.n)))
+
+
+@settings(max_examples=200)
+@given(_kernel_case())
+def test_kernels_match_fraction_oracles_property(case):
+    """Products, changes of coordinates and flips against the Fraction bodies
+    in tests/oracles.py: the same terms, coefficient types and dict order, with
+    mixed denominators, zero operands and (with epsilon) products that cancel
+    to zero."""
+    f, g, I = case
+    rng = f.ring
+    zero = Poly.zero(rng)
+    pairs = [(f, g), (g, f), (f, f), (f, zero), (zero, g)]
+    if rng.has_epsilon:
+        eps = epsilon(rng)
+        pairs.append((f * (1 + eps), g * (1 - eps)))  # (1 + eps)(1 - eps) = 0
+        assert (pairs[-1][0] * pairs[-1][1]).is_zero()
+    for left, right in pairs:
+        _same_terms(left * right, poly_mul_by_fractions(left, right))
+    _same_terms(f + zero, f)
+    _same_terms(zero + g, g)
+    other = OMEGA if rng.coordinate == ALPHA else ALPHA
+    moved = rng.with_coordinate(other)
+    shift = F(1, 2) if other == ALPHA else F(-1, 2)
+    image = Poly.variable(moved, other) + _delta_sum(moved, range(1, rng.n + 1)) * shift
+    _same_terms(f.change_coordinates(other),
+                first_substituted_by_fractions(moved, image, f.terms.items()))
+    if rng.coordinate == ALPHA:
+        signed = [(e, -c if sum(e[2 + i] for i in I) % 2 else c) for e, c in f.terms.items()]
+        _same_terms(f.flip(I),
+                    first_substituted_by_fractions(rng, alpha(rng) + _delta_sum(rng, I), signed))

@@ -160,6 +160,26 @@ def test_rho_series_matches_the_summed_powers_kernels(monkeypatch):
     assert got == [rho_series(k, r) for k, r in cases]
 
 
+def test_rho_series_forms_the_factors_at_one_plus_ts_by_conjugation(monkeypatch):
+    """The factors of rho_series at 1 + ts are the conjugates (s -> -s) of
+    those at 1 - ts, so one call runs four pow_binomial, one log_series and
+    one exp_series."""
+    for k in range(9):
+        one, ts = series_mod.SeriesT.constant(k, 1), series_mod.SeriesT.term(k, 1, odd=1)
+        assert relations._conjugate(series_mod.pow_binomial(one - ts, F(1, 2))) == \
+            series_mod.pow_binomial(one + ts, F(1, 2))
+        assert relations._conjugate(series_mod.log_series(one - ts)) == \
+            series_mod.log_series(one + ts)
+    calls = []
+    for module, name in ((relations, "pow_binomial"), (relations, "exp_series"),
+                         (series_mod, "log_series")):
+        kernel = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a))
+    rho_series(5, 3)
+    assert sorted(calls) == ["exp_series", "log_series"] + ["pow_binomial"] * 4
+
+
 def test_rho_linear_independence():
     """The family rho_{k, r+2j}, j <= floor(k/2), is linearly independent."""
     for r in (1, 3):
@@ -363,6 +383,13 @@ def test_generator_set_json_round_trip(tmp_path):
     back = GeneratorSet.from_json(json.loads(text))
     assert back.names() == gs.names()
     assert back.gens == gs.gens
+
+
+def test_generator_set_from_json_without_generators_is_refused():
+    doc = jgen_n1(1).to_json()
+    doc["gens"] = []
+    with pytest.raises(ValueError, match="has no generators"):
+        GeneratorSet.from_json(doc)
 
 
 # -- flip orbits against the round-trip oracle ---------------------------------------
