@@ -306,12 +306,9 @@ def check_a11(g_max: int = 3, n_max: int = 5) -> CheckResult:
 def _a12_flips(n: int, s: int) -> GeneratorSet:
     """The even flips of alpha'^s, alpha' = omega - (delta_1+...+delta_n)/2, built
     in omega-coordinates, where a flip only changes signs."""
-    rng = ring(n, coordinate=OMEGA)
-    alpha_p = Poly.variable(rng, OMEGA) - sum(
-        (Poly.variable(rng, f"delta{i}") for i in range(1, n + 1)),
-        Poly.zero(rng)) * Fraction(1, 2)
-    return GeneratorSet.of_orbits(f"alpha'^{s}", rng, [flip_orbit(alpha_p ** s, f"alpha'^{s}", n)],
-                                  {})
+    alpha_p = Poly.variable(ring(n), ALPHA).change_coordinates(OMEGA)
+    return GeneratorSet.of_orbits(f"alpha'^{s}", alpha_p.ring,
+                                  [flip_orbit(alpha_p ** s, f"alpha'^{s}", n)], {})
 
 
 def check_a12(n_values: Sequence[int] = (3, 5)) -> CheckResult:

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import linalg
 from .linalg import Matrix, subspace_intersection
@@ -496,45 +496,29 @@ class QuotientModel:
         for name, ip in ipolys:
             if not ip.is_homogeneous():
                 raise ValueError(f"I-generator {name} is not homogeneous")
-        # pair each I-generator with a J-generator sharing its leading term
+        # pair each I-generator with the first free J-generator whose leading form
+        # is a scalar multiple of it, both looked up scaled to coefficient 1 at
+        # their top sort_key term, and rescale that J-generator to lead with it
+        def monic(p: Poly) -> Tuple[Poly, Fraction]:
+            c = p.terms[max(p.terms, key=self.ring.sort_key)]
+            return p / c, c
+
+        free: Dict[Poly, List[Tuple[Fraction, Poly]]] = {}
+        for _name, jp in jpolys:
+            key, c = monic(jp.leading_order())
+            free.setdefault(key, []).append((c, jp))
         pairs: List[Tuple[Poly, Poly]] = []  # (I-generator, J-generator rescaled to lead with it)
-        used: Set[int] = set()
         for iname, ip in ipolys:
-            match = None
-            for idx, (jname, jp) in enumerate(jpolys):
-                if idx in used:
-                    continue
-                lead = jp.leading_order()
-                scaled = self._scalar_ratio(lead, ip)
-                if scaled is not None:
-                    match = (idx, scaled)
-                    break
-            if match is None:
+            key, c = monic(ip)
+            if not free.get(key):
                 raise VerificationError(f"no J-generator deforms I-generator {iname}")
-            idx, scale = match
-            used.add(idx)
-            pairs.append((ip, jpolys[idx][1] * scale))
+            cj, jp = free[key].pop(0)
+            pairs.append((ip, jp * (c / cj)))
         coeffs = expand_rational_fn(formula, 4 * len(formula.numerator) + 64)
         top = max((i for i, c in enumerate(coeffs) if c), default=-2)
         top_j = max((jp.degree() for _name, jp in jpolys), default=0)
         want = {d: coeffs[d] if d <= top else 0 for d in range(0, max(top + 6, top_j) + 1, 2)}
         self._certified_operators(pairs, want, jpolys)
-
-    @staticmethod
-    def _scalar_ratio(a: Poly, b: Poly) -> Optional[Fraction]:
-        """If a == c*b for a scalar c, return 1/c (to rescale); else None."""
-        if a.is_zero() or b.is_zero() or len(a.terms) != len(b.terms):
-            return None
-        items = iter(a.terms.items())
-        e0, c0 = next(items)
-        cb = b.terms.get(e0)
-        if cb is None:
-            return None
-        ratio = c0 / cb
-        for e, c in a.terms.items():
-            if b.terms.get(e) is None or b.terms[e] * ratio != c:
-                return None
-        return Fraction(1) / ratio
 
     def _certified_operators(self, pairs: List[Tuple[Poly, Poly]], want: Dict[int, int],
                              jpolys: List[Tuple[str, Poly]]) -> None:

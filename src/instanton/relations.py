@@ -378,8 +378,22 @@ def _u_inv(rng: RingDescriptor, power: int = 1):
     return LaurentU.u_power(-power) if rng.coeff_kind == LAURENT_U else Fraction(1)
 
 
+def _r_step(rng: RingDescriptor, h: int) -> Tuple[Poly, Poly]:
+    """The multipliers (lin, mid) of the recursion step
+    h r_h = lin r_{h-1} + mid r_{h-2} - (gamma/2) r_{h-3}."""
+    sign = (-1) ** h
+    u1 = _u_inv(rng, 1)
+    d = Poly.variable(rng, "delta1")
+    lin = Poly.variable(rng, "omega") + d * Fraction(1, 2) \
+        + Poly.constant(rng, u1 * (sign * (2 * h - 1)))
+    mid = (Poly.variable(rng, "beta") + d * (u1 * (2 * sign))
+           - Poly.constant(rng, _u_inv(rng, 2) * 2)) * (1 - h)
+    return lin, mid
+
+
 def r_poly(g: int, local: bool = False) -> Poly:
-    """The recursion family r_g in omega, beta, gamma, delta (one point).
+    """The recursion family r_g in omega, beta, gamma, delta (one point):
+    r_0 = 1, r_h = 0 for h < 0, and the step of ``_r_step``.
 
     With ``local`` the coefficients live in Laurent polynomials in u and the
     bases carry u^{-1} factors; at u = 1 the plain family is recovered.
@@ -390,29 +404,16 @@ def r_poly(g: int, local: bool = False) -> Poly:
     if key in _r_cache:
         return _r_cache[key]
     rng = _n1_ring(local)
-    w = Poly.variable(rng, "omega")
-    b = Poly.variable(rng, "beta")
-    c = Poly.variable(rng, "gamma")
-    d = Poly.variable(rng, "delta1")
-    half = Fraction(1, 2)
-    wd = w + d * half  # omega + delta/2
-    u1 = _u_inv(rng, 1)
-    u2 = _u_inv(rng, 2)
-    table: List[Poly] = [
-        Poly.constant(rng, 1),
-        wd - Poly.constant(rng, u1),
-        (wd * wd - b) * half + (w - d * half) * u1 - Poly.constant(rng, u2) * half,
-    ]
-    for j in range(3, g + 1):
-        sign = (-1) ** j
-        lin = wd + Poly.constant(rng, u1 * (sign * (2 * j - 1)))
-        mid = b + d * (u1 * (2 * sign)) - Poly.constant(rng, u2 * 2)
-        nxt = (lin * table[j - 1] + mid * table[j - 2] * (1 - j)
-               - c * table[j - 3] * half) * Fraction(1, j)
-        table.append(nxt)
-    for i, p in enumerate(table[: g + 1]):
-        _r_cache.setdefault((i, local), p)
-    return table[g]
+    half_c = Poly.variable(rng, "gamma") * Fraction(1, 2)
+    # r_{-2}, r_{-1}, r_0; the step runs only past the memoized r_h
+    table = [Poly.zero(rng), Poly.zero(rng), _r_cache.setdefault((0, local), Poly.constant(rng, 1))]
+    for h in range(1, g + 1):
+        if (h, local) not in _r_cache:
+            lin, mid = _r_step(rng, h)
+            _r_cache[h, local] = (lin * table[-1] + mid * table[-2] - half_c * table[-3]) \
+                * Fraction(1, h)
+        table.append(_r_cache[h, local])
+    return table[-1]
 
 
 def r_poly_local(g: int) -> Poly:
@@ -472,29 +473,15 @@ def gamma_cofactors(g: int, sign: str = "+", local: bool = False) -> Dict[int, P
     if g < 1:
         raise ValueError("g must be >= 1")
     rng = _n1_ring(local)
-    w = Poly.variable(rng, "omega")
-    b = Poly.variable(rng, "beta")
-    d = Poly.variable(rng, "delta1")
-    half = Fraction(1, 2)
-    u1 = _u_inv(rng, 1)
-    u2 = _u_inv(rng, 2)
-
-    def lin(h: int) -> Poly:  # multiplier of r_{h-1} in the step h recursion
-        sign_h = (-1) ** h
-        return w + d * half + Poly.constant(rng, u1 * (sign_h * (2 * h - 1)))
-
-    def mid(h: int) -> Poly:  # multiplier of r_{h-2}
-        sign_h = (-1) ** h
-        return (b + d * (u1 * (2 * sign_h)) - Poly.constant(rng, u2 * 2)) * (1 - h)
-
     gamma_var = Poly.variable(rng, "gamma")
 
     # gamma * r_{h-3} = 2*(lin(h) r_{h-1} + mid(h) r_{h-2} - h r_h)
     def gamma_times_r(k_idx: int) -> Dict[int, Poly]:
         h = k_idx + 3
+        lin, mid = _r_step(rng, h)
         return {
-            k_idx + 2: lin(h) * 2,
-            k_idx + 1: mid(h) * 2,
+            k_idx + 2: lin * 2,
+            k_idx + 1: mid * 2,
             k_idx + 3: Poly.constant(rng, -2 * h),
         }
 

@@ -14,7 +14,7 @@ the determinant family det(a_{k,s}) from the expansion of (1+sqrt(1+x))^s.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import Matrix, det
 from .poly import OMEGA, Poly, ring
@@ -105,30 +105,17 @@ class SeriesT:
         return self + (-other)
 
     def scale(self, c) -> "SeriesT":
-        cp = c if isinstance(c, Poly) else Poly.constant(COEFF_RING, c)
-        return SeriesT(self.order, [(e * cp, o * cp) for e, o in self.coeffs])
+        cp = (c if isinstance(c, Poly) else Poly.constant(COEFF_RING, c), _zero())
+        return SeriesT(self.order, [_s_products([(a, cp)]) for a in self.coeffs])
 
     def __mul__(self, other) -> "SeriesT":
         if not isinstance(other, SeriesT):
             return self.scale(other)
         if self.order != other.order:
             raise ValueError("order mismatch")
-        N = self.order
-        minus_beta = -beta_poly()
-        out = [(_zero(), _zero()) for _ in range(N + 1)]
-        for i, (e1, o1) in enumerate(self.coeffs):
-            if e1.is_zero() and o1.is_zero():
-                continue
-            for j in range(N - i + 1):
-                e2, o2 = other.coeffs[j]
-                if e2.is_zero() and o2.is_zero():
-                    continue
-                ev, od = out[i + j]
-                # (e1 + s o1)(e2 + s o2) = e1 e2 - beta o1 o2 + s (e1 o2 + o1 e2)
-                ev = ev + e1 * e2 + minus_beta * (o1 * o2)
-                od = od + e1 * o2 + o1 * e2
-                out[i + j] = (ev, od)
-        return SeriesT(N, out)
+        return SeriesT(self.order, [
+            _s_products((a, other.coeffs[n - i]) for i, a in enumerate(self.coeffs[:n + 1]))
+            for n in range(self.order + 1)])
 
     __rmul__ = __mul__
 
@@ -139,26 +126,44 @@ class SeriesT:
         return SeriesT(self.order, [(o, _zero()) for _, o in self.coeffs])
 
 
+_MINUS_BETA = -beta_poly()
+
+
+def _s_products(pairs: Iterable[Tuple[Tuple[Poly, Poly], Tuple[Poly, Poly]]]
+                ) -> Tuple[Poly, Poly]:
+    """The sum over ``pairs`` of (e1 + s*o1)(e2 + s*o2) with s^2 = -beta, as its
+    (even, odd) parts e1 e2 - beta o1 o2 and e1 o2 + o1 e2.  Only products of
+    nonzero parts are formed, and each part is summed once."""
+    ev: List[Poly] = []
+    od: List[Poly] = []
+    for (e1, o1), (e2, o2) in pairs:
+        if e1.terms:
+            if e2.terms:
+                ev.append(e1 * e2)
+            if o2.terms:
+                od.append(e1 * o2)
+        if o1.terms:
+            if o2.terms:
+                ev.append(_MINUS_BETA * (o1 * o2))
+            if e2.terms:
+                od.append(o1 * e2)
+    return tuple(Poly.from_terms(COEFF_RING, (t for p in part for t in p.terms.items()))
+                 for part in (ev, od))
+
+
 def _recurrence(b: SeriesT, h0: Poly, weight, shift: bool = False) -> SeriesT:
     """The series h with h_0 = ``h0`` and, for 1 <= n <= N,
     h_n = (b_n if ``shift``) + sum_{j=1..n} weight(n, j) b_j h_{n-j}:
     O(N^2) coefficient products, where summing N powers of a series takes
-    O(N^3).  A product reduces s^2 -> -beta as ``SeriesT.__mul__`` does, and
-    each part of h_n is summed once."""
-    minus_beta = -beta_poly()
-    nonzero = [(j, e, o) for j, (e, o) in enumerate(b.coeffs)
-               if j and not (e.is_zero() and o.is_zero())]
+    O(N^3)."""
+    nonzero = [(j, e, o) for j, (e, o) in enumerate(b.coeffs) if j and (e.terms or o.terms)]
     h = [(h0, _zero())]
     for n in range(1, b.order + 1):
-        ev, od = ([b.coeffs[n][0]], [b.coeffs[n][1]]) if shift else ([], [])
-        for j, e1, o1 in nonzero:
-            w = weight(n, j) if j <= n else 0
-            if w:
-                e1, o1, (e2, o2) = e1 * w, o1 * w, h[n - j]
-                ev += [e1 * e2, minus_beta * (o1 * o2)]
-                od += [e1 * o2, o1 * e2]
-        h.append(tuple(Poly.from_terms(COEFF_RING, (t for p in part for t in p.terms.items()))
-                       for part in (ev, od)))
+        ev, od = _s_products(((e * w, o * w), h[n - j]) for j, e, o in nonzero
+                             if j <= n for w in (weight(n, j),) if w)
+        if shift:
+            ev, od = ev + b.coeffs[n][0], od + b.coeffs[n][1]
+        h.append((ev, od))
     return SeriesT(b.order, h)
 
 
@@ -264,17 +269,8 @@ def a_table(N: int) -> List[List[Fraction]]:
     base = sqrt_one_plus_x(N)
     base = [base[0] + 1] + base[1:]  # 1 + sqrt(1+x)
     cols: List[List[Fraction]] = [[Fraction(1)] + [Fraction(0)] * N]
-    cur = cols[0]
     for _ in range(N):
-        nxt = [Fraction(0)] * (N + 1)
-        for i, x in enumerate(cur):
-            if not x:
-                continue
-            for j, y in enumerate(base):
-                if i + j <= N and y:
-                    nxt[i + j] += x * y
-        cols.append(nxt)
-        cur = nxt
+        cols.append(poly_mul(cols[-1], base)[:N + 1])
     return [[cols[s][k] for s in range(N + 1)] for k in range(N + 1)]
 
 

@@ -14,8 +14,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from instanton import floer
 from instanton.floer import VerificationError
 from instanton.linalg import Matrix, _echelon, _integer_row, _stable_power, restrict, rref
-from instanton.poly import (ALPHA, LAURENT_U, OMEGA, Exponents, LaurentU, Poly,
-                            monomials_of_degree)
+from instanton.poly import (ALPHA, LAURENT_U, OMEGA, RATIONAL, Exponents, LaurentU, Poly,
+                            monomials_of_degree, ring)
 from instanton.quotient import QuotientSpec, canonical_rep, delta_support, rbar_spec
 from instanton.relations import GeneratorSet, delta_sym, xi
 from instanton.series import (COEFF_RING, RationalFn, SeriesT, binomial_coeff,
@@ -340,6 +340,50 @@ class _DegreeTable:
         return residual, multipliers
 
 
+def _scalar_ratio(a: Poly, b: Poly) -> Optional[Fraction]:
+    """If a == c*b for a scalar c, return 1/c (to rescale); else None."""
+    if a.is_zero() or b.is_zero() or len(a.terms) != len(b.terms):
+        return None
+    items = iter(a.terms.items())
+    e0, c0 = next(items)
+    cb = b.terms.get(e0)
+    if cb is None:
+        return None
+    ratio = c0 / cb if not isinstance(c0, LaurentU) else None
+    if ratio is None:
+        return None
+    for e, c in a.terms.items():
+        if b.terms.get(e) is None or b.terms[e] * ratio != c:
+            return None
+    return Fraction(1) / ratio
+
+
+def deforming_pairs_by_scan(ipolys: List[Tuple[str, Poly]], jpolys: List[Tuple[str, Poly]]
+                            ) -> List[Tuple[Poly, Poly]]:
+    """(I-generator, J-generator rescaled to lead with it) pairs: for each
+    I-generator, the first unused J-generator whose leading form is a scalar
+    multiple of it, found by scanning every J-generator.  Oracle for the
+    leading-form lookup of ``floer.QuotientModel._build``."""
+    pairs = []
+    used: Set[int] = set()
+    for iname, ip in ipolys:
+        match = None
+        for idx, (jname, jp) in enumerate(jpolys):
+            if idx in used:
+                continue
+            lead = jp.leading_order()
+            scaled = _scalar_ratio(lead, ip)
+            if scaled is not None:
+                match = (idx, scaled)
+                break
+        if match is None:
+            raise VerificationError(f"no J-generator deforms I-generator {iname}")
+        idx, scale = match
+        used.add(idx)
+        pairs.append((ip, jpolys[idx][1] * scale))
+    return pairs
+
+
 class LiftTableModel:
     """Monomial basis, lift table and multiplication operators for a quotient by
     an inhomogeneous ideal whose leading terms generate a known graded ideal.
@@ -353,7 +397,6 @@ class LiftTableModel:
         self.I = I
         self.ring = J.ambient.with_coordinate(OMEGA)
         self._tables: Dict[int, _DegreeTable] = {}
-        self._pairs: List[Tuple[Poly, Poly]] = []  # (I-gen canonical leading, J-gen)
         self._op_cache: Dict[str, Matrix] = {}
         self._build(formula)
 
@@ -365,23 +408,7 @@ class LiftTableModel:
         for name, ip in ipolys:
             if not ip.is_homogeneous():
                 raise ValueError(f"I-generator {name} is not homogeneous")
-        # pair each I-generator with a J-generator sharing its leading term
-        used: Set[int] = set()
-        for iname, ip in ipolys:
-            match = None
-            for idx, (jname, jp) in enumerate(jpolys):
-                if idx in used:
-                    continue
-                lead = jp.leading_order()
-                scaled = self._scalar_ratio(lead, ip)
-                if scaled is not None:
-                    match = (idx, scaled)
-                    break
-            if match is None:
-                raise VerificationError(f"no J-generator deforms I-generator {iname}")
-            idx, scale = match
-            used.add(idx)
-            self._pairs.append((ip, jpolys[idx][1] * scale))
+        self._pairs = deforming_pairs_by_scan(ipolys, jpolys)
         formula_coeffs = None
         if formula is not None:
             n_coeffs = expand_rational_fn(formula, 4 * len(formula.numerator) + 64)
@@ -416,24 +443,6 @@ class LiftTableModel:
             if any(coords):
                 raise VerificationError(f"J-generator {name} has nonzero normal form; "
                                         "J does not deform I")
-
-    @staticmethod
-    def _scalar_ratio(a: Poly, b: Poly) -> Optional[Fraction]:
-        """If a == c*b for a scalar c, return 1/c (to rescale); else None."""
-        if a.is_zero() or b.is_zero() or len(a.terms) != len(b.terms):
-            return None
-        items = iter(a.terms.items())
-        e0, c0 = next(items)
-        cb = b.terms.get(e0)
-        if cb is None:
-            return None
-        ratio = c0 / cb if not isinstance(c0, LaurentU) else None
-        if ratio is None:
-            return None
-        for e, c in a.terms.items():
-            if b.terms.get(e) is None or b.terms[e] * ratio != c:
-                return None
-        return Fraction(1) / ratio
 
     def _ensure_degree(self, d: int) -> _DegreeTable:
         if d in self._tables:
@@ -745,6 +754,31 @@ def _reassemble(rhos: Dict[int, Poly], rng, m: int) -> Poly:
     return total
 
 
+def series_mul_by_parts(a: SeriesT, b: SeriesT) -> SeriesT:
+    """a * b, each coefficient pair of a times each of b by the four part
+    products, s^2 -> -beta.  Oracle for ``SeriesT.__mul__``."""
+    N = a.order
+    minus_beta = -Poly.variable(COEFF_RING, "beta")
+    out = [(Poly.zero(COEFF_RING), Poly.zero(COEFF_RING)) for _ in range(N + 1)]
+    for i, (e1, o1) in enumerate(a.coeffs):
+        if e1.is_zero() and o1.is_zero():
+            continue
+        for j in range(N - i + 1):
+            e2, o2 = b.coeffs[j]
+            if e2.is_zero() and o2.is_zero():
+                continue
+            ev, od = out[i + j]
+            # (e1 + s o1)(e2 + s o2) = e1 e2 - beta o1 o2 + s (e1 o2 + o1 e2)
+            ev = ev + e1 * e2 + minus_beta * (o1 * o2)
+            od = od + e1 * o2 + o1 * e2
+            out[i + j] = (ev, od)
+    return SeriesT(N, out)
+
+
+def _scaled(f: SeriesT, c: Fraction) -> SeriesT:
+    return SeriesT(f.order, [(e * c, o * c) for e, o in f.coeffs])
+
+
 def pow_binomial_by_powers(base: SeriesT, exponent: Fraction) -> SeriesT:
     """(base)^exponent as sum_i C(exponent, i) (base - 1)^i, every power formed:
     O(N^3) coefficient products.  Oracle for ``series.pow_binomial``."""
@@ -756,10 +790,10 @@ def pow_binomial_by_powers(base: SeriesT, exponent: Fraction) -> SeriesT:
     result = SeriesT.constant(base.order, 1)
     power = SeriesT.constant(base.order, 1)
     for i in range(1, base.order + 1):
-        power = power * g
+        power = series_mul_by_parts(power, g)
         c = binomial_coeff(exponent, i)
         if c:
-            result = result + power.scale(c)
+            result = result + _scaled(power, c)
     return result
 
 
@@ -772,9 +806,9 @@ def exp_series_by_powers(f: SeriesT) -> SeriesT:
     power = SeriesT.constant(f.order, 1)
     fact = Fraction(1)
     for i in range(1, f.order + 1):
-        power = power * f
+        power = series_mul_by_parts(power, f)
         fact /= i
-        result = result + power.scale(fact)
+        result = result + _scaled(power, fact)
     return result
 
 
@@ -787,6 +821,28 @@ def log_series_by_powers(f: SeriesT) -> SeriesT:
     result = SeriesT(f.order)
     power = SeriesT.constant(f.order, 1)
     for i in range(1, f.order + 1):
-        power = power * g
-        result = result + power.scale(Fraction((-1) ** (i + 1), i))
+        power = series_mul_by_parts(power, g)
+        result = result + _scaled(power, Fraction((-1) ** (i + 1), i))
     return result
+
+
+def r_poly_from_written_bases(g: int, local: bool = False) -> Poly:
+    """r_g from r_0, r_1 and r_2 written out by hand and the recursion step
+    written out for h >= 3, with no memo.  Oracle for ``relations.r_poly``."""
+    rng = ring(1, coeff_kind=LAURENT_U if local else RATIONAL, coordinate=OMEGA)
+    w, b, c, d = (Poly.variable(rng, name) for name in ("omega", "beta", "gamma", "delta1"))
+    half = Fraction(1, 2)
+    wd = w + d * half  # omega + delta/2
+    u1, u2 = (LaurentU.u_power(-k) if local else Fraction(1) for k in (1, 2))
+    table: List[Poly] = [
+        Poly.constant(rng, 1),
+        wd - Poly.constant(rng, u1),
+        (wd * wd - b) * half + (w - d * half) * u1 - Poly.constant(rng, u2) * half,
+    ]
+    for j in range(3, g + 1):
+        sign = (-1) ** j
+        lin = wd + Poly.constant(rng, u1 * (sign * (2 * j - 1)))
+        mid = b + d * (u1 * (2 * sign)) - Poly.constant(rng, u2 * 2)
+        table.append((lin * table[j - 1] + mid * table[j - 2] * (1 - j)
+                      - c * table[j - 3] * half) * Fraction(1, j))
+    return table[g]

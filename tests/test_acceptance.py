@@ -13,6 +13,7 @@ import pytest
 from instanton import acceptance, linalg
 from instanton.cli import Cache
 from instanton.floer import _ideal_pieces
+from instanton.poly import OMEGA, Poly, ring
 from instanton.quotient import mod_beta_spec
 
 
@@ -97,6 +98,21 @@ def test_a6_without_a_cache_records_nothing(tmp_path):
     assert result.detail == "rho convention branch: negate_omega"
 
 
+def test_a6_forms_no_product_with_a_zero_operand(monkeypatch):
+    """The series products of A6 skip zero parts instead of multiplying them."""
+    mul = Poly.__mul__
+    products = []
+
+    def counted(p, q):
+        if isinstance(q, Poly):
+            products.append(not (p.terms and q.terms))
+        return mul(p, q)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    assert acceptance.check_a6().passed
+    assert products and not any(products)
+
+
 def test_a6_leaves_another_writers_temp_file_alone(tmp_path):
     stray = tmp_path / "rho_convention.json.tmp"
     stray.write_text("half-written by another process")
@@ -132,6 +148,14 @@ def test_a11_decomposition_identity():
 
 def test_a12_mod_beta_lemmas():
     _run(acceptance.check_a12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_a12_alpha_prime_is_omega_minus_half_the_delta_sum(n):
+    rng = ring(n, coordinate=OMEGA)
+    half_sum = sum((Poly.variable(rng, f"delta{i}") for i in range(1, n + 1)),
+                   Poly.zero(rng)) * F(1, 2)
+    assert acceptance._a12_flips(n, 1).gens[0][1] == Poly.variable(rng, OMEGA) - half_sum
 
 
 def test_a12_n3_stacks_pinned():

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_poly
-from oracles import HeapModularTables, exact_basis, lift_table_model, lift_table_model_n3
+from oracles import (HeapModularTables, deforming_pairs_by_scan, exact_basis, lift_table_model,
+                     lift_table_model_n3)
 
 from instanton import floer, linalg
 from instanton.acceptance import _A3_PAIRS, _A4_PAIRS, _a12_flips
@@ -158,8 +159,43 @@ def test_model_rejects_non_deforming_pair():
     # the unit graded ideal is not deformed by a proper inhomogeneous ideal
     J = jgen_n1(1)
     bad_I = GeneratorSet("bad", R1, [("one", Poly.constant(R1, 1))])
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError, match="no J-generator deforms I-generator one"):
         QuotientModel(J, bad_I, RationalFn([1]))
+
+
+PAIRING_CASES = [(g, sign, None) for g in range(6) for sign in "+-"] + [
+    (2, "+", F(2)), (2, "+", F(3, 2)), (2, "+", F(5, 3)), "n3_g0", "n3_g1", "n3_g2",
+    "rescaled_copies"]
+
+
+def _rescaled_copies_ideals():
+    """The (2, +) one-point ideals with every I-generator scaled by -2/3, and
+    before each J-generator a copy of it scaled by 5 plus 7, which has the
+    same leading form up to that scalar."""
+    J, I, formula = floer._one_point_ideals(2, "+")
+    J = GeneratorSet(J.label, J.ambient, [(name + "'", p * 5 + 7) for name, p in J.gens] + J.gens)
+    I = GeneratorSet(I.label, I.ambient, [(name, p * F(-2, 3)) for name, p in I.gens])
+    return J, I, formula
+
+
+@pytest.mark.parametrize("case", PAIRING_CASES,
+                         ids=lambda c: c if isinstance(c, str) else f"g{c[0]}{c[1]}_theta{c[2] or 1}")
+def test_leading_form_lookup_pairs_as_the_scan_did(monkeypatch, case):
+    """The build pairs each I-generator with the rescaled J-generator that a
+    scan of every J-generator's leading form chose."""
+    if case == "rescaled_copies":
+        ideals = _rescaled_copies_ideals()
+    elif isinstance(case, str):
+        ideals = floer._three_point_ideals(int(case[-1]))
+    else:
+        ideals = floer._one_point_ideals(*case)
+    seen = []
+    monkeypatch.setattr(QuotientModel, "_certified_operators",
+                        lambda self, pairs, want, jpolys: seen.append(pairs))
+    QuotientModel(*ideals)
+    jpolys, ipolys = ([(name, p.change_coordinates(OMEGA)) for name, p in gens.gens]
+                      for gens in ideals[:2])
+    assert seen == [deforming_pairs_by_scan(ipolys, jpolys)]
 
 
 def test_model_rejects_laurent_coefficients_as_bad_input():

@@ -5,10 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import (exp_series_by_powers, log_series_by_powers, orbit_by_round_trip,
-                     pow_binomial_by_powers, rho_proj_all_by_reduction)
+                     pow_binomial_by_powers, r_poly_from_written_bases,
+                     rho_proj_all_by_reduction)
 
 from instanton import acceptance, relations
-from instanton.floer import _one_point_ideals, _three_point_ideals, solve_subleading
+from instanton.floer import (_one_point_ideals, _three_point_ideals, gamma_power_witness,
+                             solve_subleading)
 from instanton.linalg import Matrix, rank
 from instanton.poly import (OMEGA, LaurentU, Poly, alpha, beta, delta,
                             gamma, omega, ring)
@@ -299,10 +301,29 @@ def test_r_poly_recursion_step():
 def test_r_poly_local_base_and_specialization():
     wl = ring(1, coeff_kind="laurent_u", coordinate=OMEGA)
     w, d = omega(wl), delta(wl, 1)
-    expected = w + d * F(1, 2) - Poly.constant(wl, LaurentU.u_power(-1))
-    assert r_poly_local(1) == expected
+    u1, u2 = (Poly.constant(wl, LaurentU.u_power(-k)) for k in (1, 2))
+    assert r_poly_local(1) == w + d * F(1, 2) - u1
+    assert r_poly_local(2) == ((w + d * F(1, 2)) ** 2 - beta(wl)) * F(1, 2) \
+        + (w - d * F(1, 2)) * u1 - u2 * F(1, 2)
     for g in range(7):
         assert specialize_u(r_poly_local(g), F(1)) == r_poly(g)
+
+
+@pytest.mark.parametrize("local", [False, True])
+def test_r_poly_matches_the_written_bases_oracle(local):
+    """r_1 and r_2 follow from r_0 = 1 and the recursion step."""
+    for g in range(9):
+        assert r_poly(g, local) == r_poly_from_written_bases(g, local)
+
+
+def test_r_poly_runs_the_step_only_past_the_memoized_terms(monkeypatch):
+    monkeypatch.setattr(relations, "_r_cache", {})
+    steps = []
+    step = relations._r_step
+    monkeypatch.setattr(relations, "_r_step", lambda rng, h: steps.append(h) or step(rng, h))
+    for g in (2, 5, 3, 6):
+        assert r_poly(g) == r_poly_from_written_bases(g)
+    assert steps == [1, 2, 3, 4, 5, 6]
 
 
 def test_subleading_structure_of_r():
@@ -451,6 +472,31 @@ def test_solve_subleading_names_and_polys_pinned(g):
     gs = solve_subleading(g)
     assert gs.gens == orbit_by_round_trip(gs.meta["f_hat"], f"fhat_{{{g},3}}", 3)
     assert _digest(gs.to_json()) == SOLVED[g]
+
+
+# JSON digests of rho_series(k, r) for k <= 8, of jgen_n1(g, sign, local) for
+# g <= 6 and of gamma_power_witness(g, sign, local) for 1 <= g <= 5, recorded
+# when the series products and the r_g step were each written out twice
+RHO_SERIES = {-3: "595cc81540f46056", -1: "5d98136aec6b5013", 1: "2377a389c4487cb2",
+              3: "f11d170517f62590", 5: "87279d8bfdc46e15", 7: "db29ae4f9f5fb0e1"}
+JGEN_N1 = {("+", False): "6577248eb9fb13af", ("+", True): "fa26110be77b844b",
+           ("-", False): "d96ab7c366430c2d", ("-", True): "2e8ff5741dcba758"}
+GAMMA_WITNESS = {("+", False): "82f8d9426318c194", ("+", True): "93c029eb3cea9610",
+                 ("-", False): "4f89b4b0be794f26", ("-", True): "a47735fad335ca40"}
+
+
+@pytest.mark.parametrize("r", sorted(RHO_SERIES))
+def test_rho_series_pinned(r):
+    assert _digest([rho_series(k, r).to_json() for k in range(9)]) == RHO_SERIES[r]
+
+
+@pytest.mark.parametrize("sign,local", sorted(JGEN_N1))
+def test_jgen_n1_and_gamma_witness_pinned(sign, local):
+    assert _digest([jgen_n1(g, sign, local).to_json() for g in range(7)]) == \
+        JGEN_N1[(sign, local)]
+    witnesses = [{name: p.to_json() for name, p in gamma_power_witness(g, sign, local).items()}
+                 for g in range(1, 6)]
+    assert _digest(witnesses) == GAMMA_WITNESS[(sign, local)]
 
 
 def test_three_point_ideals_names_and_polys_pinned():

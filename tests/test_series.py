@@ -1,6 +1,7 @@
-from fractions import Fraction as F
-
+import hashlib
+import json
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -12,7 +13,7 @@ from instanton.series import (COEFF_RING, RationalFn, SeriesT, a_table,
                               pow_binomial)
 from instanton.poly import Poly
 from oracles import (det_fraction_oracle, exp_series_by_powers, expand_by_long_division,
-                     log_series_by_powers, pow_binomial_by_powers)
+                     log_series_by_powers, pow_binomial_by_powers, series_mul_by_parts)
 
 
 def c(x):
@@ -98,6 +99,23 @@ def _random_series(rand, order, constant):
     return SeriesT(order, [constant] + [(part(), part()) for _ in range(order)])
 
 
+@pytest.mark.parametrize("order", range(7))
+def test_series_mul_matches_the_part_products_oracle(order):
+    """Products and scalings of series whose pairs have zero parts, or are
+    zero, equal the four part products of each pair of pairs."""
+    rand = random.Random(2100 + order)
+
+    def sparse():
+        f = _random_series(rand, order, (c(rand.randint(0, 2)), c(rand.randint(-1, 1))))
+        return SeriesT(order, [rand.choice([(e, o), (e, c(0)), (c(0), o), (c(0), c(0))])
+                               for e, o in f.coeffs])
+    for _ in range(3):
+        a, b = sparse(), sparse()
+        assert a * b == series_mul_by_parts(a, b)
+        for k in (F(-3, 2), omega_poly(), 0):
+            assert a.scale(k) == series_mul_by_parts(a, SeriesT.constant(order, k))
+
+
 @pytest.mark.parametrize("order", range(9))
 def test_kernels_match_the_summed_powers_oracle(order):
     rand = random.Random(1800 + order)
@@ -151,6 +169,9 @@ def test_binom_sqrt_determinants():
     assert dets[0] == 1
     assert dets[1] == F(1, 2)
     assert all(d != 0 for d in dets)
+    # recorded when a_table had its own convolution loop
+    doc = json.dumps([str(d) for d in dets]).encode()
+    assert hashlib.sha256(doc).hexdigest()[:16] == "3aa8e1aa67525e9f"
 
 
 def test_bareiss_det_matches_oracle_on_a_table_minors():
