@@ -343,57 +343,110 @@ def _apply(columns: List[Dict[int, int]], vec: Dict[int, int]) -> Dict[int, int]
     return {i: c for i, c in out.items() if c}
 
 
+def _folds(ring, pairs: List[Tuple[Poly, Poly]]
+           ) -> Tuple[Dict[int, Fraction], List[Tuple[Poly, Poly]]]:
+    """The folds {exponent index of delta_i: c_i}, one per pair (delta_i^2 +
+    beta, delta_i^2 + beta - c_i), the first such pair per i, and the other
+    pairs."""
+    beta = Poly.variable(ring, "beta")
+    squares = {i: Poly.variable(ring, ring.var_names[i]) ** 2 + beta
+               for i in range(3, 3 + ring.n)}
+    folds: Dict[int, Fraction] = {}
+    rest = []
+    for ip, jp in pairs:
+        i = next((i for i, sq in squares.items() if ip == sq and i not in folds), None)
+        if i is not None and (jp - ip).degree() <= 0:
+            folds[i] = -(jp - ip).terms.get(ring.zero_exponents(), Fraction(0))
+        else:
+            rest.append((ip, jp))
+    return folds, rest
+
+
+def _fold(terms: Dict[Exponents, int], folds: List[Tuple[int, int]]) -> Dict[Exponents, int]:
+    """``terms`` with each delta_i^2 of a fold (i, c_i) replaced by c_i - beta
+    until every such delta_i has exponent <= 1: the normal form modulo the
+    binomials delta_i^2 + beta - c_i, whose leading monomials are coprime, so
+    that they are a Groebner basis (Cox-Little-O'Shea, Ideals, Varieties, and
+    Algorithms, Ch. 2 Sections 3 and 9)."""
+    out: Dict[Exponents, int] = {}
+    todo = list(terms.items())
+    while todo:
+        e, x = todo.pop()
+        for i, c in folds:
+            if e[i] > 1:
+                e = e[:i] + (e[i] - 2,) + e[i + 1:]
+                if c:
+                    todo.append((e, c * x))
+                todo.append(((e[0], e[1] + 1) + e[2:], -x))  # beta is variable 1
+                break
+        else:
+            out[e] = out.get(e, 0) + x
+    return out
+
+
 class _ModularTables:
     """The model's elimination over Z/p: the basis decision and normal forms.
 
-    Columns number the monomials of the degrees of ``want`` from the top down,
-    within a degree in ``monomials_of_degree`` order, so a row's smallest
-    column leads it.  Per degree d, in increasing order, the rows of the degree
-    piece of I are taken mod p in ``_ideal_pieces`` order (I-generator index,
-    then cofactor), each dense on d's block of columns, and reduced by
-    ``_reduce_block`` against the heads (degree-d parts) of the rows stored at
-    d.  A row that adds a pivot is stored unit-led, as its head and a tail: the
-    cofactor times the paired J-generator's lower part, with the used heads'
-    tails replayed.  That makes it the paired J-row (which leads with the I-row)
-    reduced on degree d: it lies in J mod p, so its tail is the lower part of a
-    lift of its head.  The basis is the monomials that lead no head.  A degree
-    with fewer of them than ``want[d]`` is a mismatch, since rank_p <= rank_Q;
-    one with more makes the prime unlucky.
+    Each pair (delta_i^2 + beta, delta_i^2 + beta - c_i) is a fold, not rows:
+    ``_fold`` takes every row and every normal-form input modulo the folds.
+    Columns number the monomials of the degrees of ``want`` whose folded
+    delta_i have exponent <= 1, from the top down, within a degree in
+    ``monomials_of_degree`` order, so a row's smallest column leads it.  Per
+    degree d, in increasing order, the rows of the other pairs are taken mod p
+    in ``_ideal_pieces`` order (I-generator index, then cofactor): each is the
+    fold of a J-row, whose degree-d part, dense on d's block of columns, is the
+    folded I-row.  It is reduced by ``_reduce_block`` against the heads
+    (degree-d parts) of the rows stored at d.  A row that adds a pivot is
+    stored unit-led, as its head and a tail: its part below degree d, with the
+    used heads' tails replayed.  That makes it the folded J-row reduced on
+    degree d: it lies in J mod p, so its tail is the lower part of a lift of
+    its head.  delta_i^2 leads delta_i^2 + beta, so the leading monomials of
+    I_d mod p are the unfolded monomials and those of the folded I-rows, and
+    the basis is the columns that lead no head.  A degree with fewer of them
+    than ``want[d]`` is a mismatch, since rank_p <= rank_Q; one with more makes
+    the prime unlucky.
     """
 
     def __init__(self, ring, pairs: List[Tuple[Poly, Poly]], want: Dict[int, int], p: int):
         self.p = p
+        folds, pairs = _folds(ring, pairs)
+        self.folds = list(_mod_terms(folds, p).items())
         column = self.column = {}
         monos: Dict[int, List[Exponents]] = {}
         start: Dict[int, int] = {}  # degree -> its first column
         for d in sorted(want, reverse=True):
-            monos[d], start[d] = monomials_of_degree(ring, d), len(column)
+            monos[d] = [m for m in monomials_of_degree(ring, d) if all(m[i] < 2 for i in folds)]
+            start[d] = len(column)
             for m in monos[d]:
                 column[m] = len(column)
-        # (degree, I-generator, lower part of its J-generator) mod p
-        mod_pairs = [(ip.degree(), _mod_terms(ip.terms, p),
-                      _mod_terms({e: c for e, c in jp.terms.items() if e not in ip.terms}, p))
+        # (degree, folded J-generator) mod p
+        mod_pairs = [(ip.degree(), list(_fold(_mod_terms(jp.terms, p), self.folds).items()))
                      for ip, jp in pairs]
         # per degree, from the top down: (first column, heads, tails by head position)
         self.blocks: List[Tuple[int, List[Optional[_Entries]], Dict[int, _Entries]]] = []
         self.basis: List[Tuple[int, Exponents]] = []
         for d in sorted(want):
             lo, width = start[d], len(monos[d])
+            hi = lo + width
             heads: List[Optional[_Entries]] = [None] * width  # by column - lo
             tails: Dict[int, _Entries] = {}
             free = width
-            for gdeg, iterms, jlower in mod_pairs:
+            for gdeg, jterms in mod_pairs:
                 for mono in monos.get(d - gdeg, ()):
                     if not free:
                         break
-                    dense = [0] * width
-                    for e, c in iterms.items():
-                        dense[column[tuple(map(add, e, mono))] - lo] = c
+                    dense, lower = [0] * width, {}
+                    row = _fold({tuple(map(add, e, mono)): c for e, c in jterms}, self.folds)
+                    for e, c in row.items():
+                        j = column[e]
+                        if j < hi:
+                            dense[j - lo] = c
+                        else:
+                            lower[j] = c
                     used, residual = _reduce_block(dense, heads, p)
                     if not residual:
                         continue
                     q, inv = residual[0][0], pow(residual[0][1], -1, p)
-                    lower = {column[tuple(map(add, e, mono))]: c for e, c in jlower.items()}
                     _replay(lower, used, tails)
                     heads[q] = [(j, c * inv % p) for j, c in residual[1:]]
                     tails[q] = [(j, c * inv % p) for j, c in lower.items() if c % p]
@@ -410,9 +463,10 @@ class _ModularTables:
 
     def normal_form(self, terms: Dict[Exponents, int]) -> List[int]:
         """Coordinates mod p over the basis of {exponents: coefficient mod p}:
-        the blocks in column order, as a replayed tail only reaches later ones."""
+        folded, then the blocks in column order, as a replayed tail only
+        reaches later ones."""
         coords = [0] * len(self.basis_at)
-        row = {self.column[e]: c for e, c in terms.items()}
+        row = {self.column[e]: c for e, c in _fold(terms, self.folds).items()}
         for lo, heads, tails in self.blocks:
             hi = lo + len(heads)
             if min(row, default=hi) >= hi:  # no entry in this block
@@ -455,8 +509,10 @@ class QuotientModel:
     after x*b in the column order.
 
     Why the result is exact, with B the basis:
-    1. The stored rows have a unit minor mod p, so a nonzero minor over Q.  So
-       B spans each (R/I)_d, and R/I vanishes past the window.  Every
+    1. Per degree, the stored heads and the rows m*(delta_i^2 + beta) of the
+       folds (unit-led at the distinct unfolded monomials, one row each) lie in
+       I mod p and have a unit minor mod p, so I has a nonzero minor over Q.
+       So B spans each (R/I)_d, and R/I vanishes past the window.  Every
        I-generator leads a J-generator, so dim R/J <= dim R/I <= |B|.
     2. By (a) and (c), f -> f(M) e_1 factors through R/J, and by (b) it is
        onto, so dim R/J >= |B|.  So B is a basis of R/J and of R/I, M is

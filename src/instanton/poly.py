@@ -358,6 +358,10 @@ class Poly:
             return self
         if not other.terms:
             return other
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            many, one = (self, other) if len(other.terms) == 1 else (other, self)
+            (e1, c1), = one.terms.items()
+            return many.times_monomial(e1, c1)
         den1, left = _numerators(self.ring, self.terms)
         den2, right = _numerators(self.ring, other.terms)
         pairs = ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in left for e2, c2 in right)
@@ -367,16 +371,17 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def times_monomial(self, exps: Exponents) -> "Poly":
-        """``self * Poly.monomial(self.ring, exps)`` as an exponent shift (epsilon
-        folded mod 2).  The shift is injective, so no two terms meet."""
+    def times_monomial(self, exps: Exponents, coeff=None) -> "Poly":
+        """``self * Poly.monomial(self.ring, exps)``, times ``coeff`` if given
+        (nonzero), as an exponent shift (epsilon folded mod 2) and one multiply
+        per term.  The shift is injective, so no two terms meet."""
         has_eps = self.ring.has_epsilon
         out: Dict[Exponents, object] = {}
         for e, c in self.terms.items():
             e = tuple(map(add, e, exps))
             if has_eps and e[-1] > 1:
                 e = e[:-1] + (e[-1] % 2,)
-            out[e] = c
+            out[e] = c if coeff is None else c * coeff
         return Poly(self.ring, out, _normalized=True)
 
     def __truediv__(self, scalar) -> "Poly":

@@ -105,8 +105,10 @@ class SeriesT:
         return self + (-other)
 
     def scale(self, c) -> "SeriesT":
-        cp = (c if isinstance(c, Poly) else Poly.constant(COEFF_RING, c), _zero())
-        return SeriesT(self.order, [_s_products([(a, cp)]) for a in self.coeffs])
+        if isinstance(c, Poly):
+            return SeriesT(self.order, [_s_products([(a, (c, _zero()))]) for a in self.coeffs])
+        return SeriesT(self.order, [tuple(p * c if p.terms else p for p in eo)
+                                    for eo in self.coeffs])
 
     def __mul__(self, other) -> "SeriesT":
         if not isinstance(other, SeriesT):

@@ -602,55 +602,97 @@ def heap_reduce_mod(row: Dict[int, int], pivots: Dict[int, Dict[int, int]], p: i
     return residual
 
 
+def folds_by_equality(ring, pairs: List[Tuple[Poly, Poly]]) -> Dict[int, Fraction]:
+    """{exponent index of delta_i: c_i} for the first pair (I, J) per i with I
+    equal to delta_i^2 + beta and J - I the constant -c_i."""
+    zero, folds = ring.zero_exponents(), {}
+    beta = zero[:1] + (1,) + zero[2:]
+    for ip, jp in pairs:
+        lower = {e: c for e, c in jp.terms.items() if e not in ip.terms}
+        for i in range(3, 3 + ring.n):
+            if (i not in folds and ip.terms == {zero[:i] + (2,) + zero[i + 1:]: 1, beta: 1}
+                    and set(lower) <= {zero} and all(jp.terms[e] == 1 for e in ip.terms)):
+                folds[i] = -lower.get(zero, Fraction(0))
+    return folds
+
+
+def fold_by_binomials(terms: Dict[Exponents, int], folds: Dict[int, int], p: int
+                      ) -> Dict[Exponents, int]:
+    """``terms`` mod p with delta_i^e = delta_i^(e mod 2) (c_i - beta)^(e div 2)
+    expanded by the binomial theorem for every fold {i: c_i}."""
+    out: Dict[Exponents, int] = {}
+    for e, x in terms.items():
+        parts = [(e, x)]
+        for i, c in folds.items():
+            parts = [(f[:1] + (f[1] + k,) + f[2:i] + (f[i] % 2,) + f[i + 1:],
+                      y * math.comb(f[i] // 2, k) * pow(c, f[i] // 2 - k, p) * (-1) ** k)
+                     for f, y in parts for k in range(f[i] // 2 + 1)]
+        for f, y in parts:
+            out[f] = (out.get(f, 0) + y) % p
+    return {f: y for f, y in out.items() if y}
+
+
 class HeapModularTables:
     """``floer._ModularTables`` as it was before it decided the basis with one
     dense elimination per I-row: every row through the heap of
-    ``heap_reduce_mod``, with a ``% p`` on every update.
+    ``heap_reduce_mod``, with a ``% p`` on every update.  Like the package, it
+    folds each delta_i^2 of a pair (delta_i^2 + beta, delta_i^2 + beta - c_i)
+    into c_i - beta, but finds and expands the folds by its own means
+    (``folds_by_equality``, ``fold_by_binomials``).
 
     The model's elimination over Z/p: the basis decision and normal forms.
 
-    Columns number the monomials of the degrees of ``want`` from the top down,
-    within a degree in ``monomials_of_degree`` order, so a row's smallest
-    column leads it.  Per degree d, in increasing order, the rows of the degree
-    piece of I are taken mod p in ``_ideal_pieces`` order (I-generator index,
-    then cofactor) and reduced against the degree-d parts of the stored rows.
-    Only a row that adds a pivot is formed again from the paired J-generator,
-    reduced on its degree-d columns, and stored whole and unit-led: it lies in
-    J mod p, so its columns past degree d are the lower part of a lift of its
-    degree-d part.  The basis is the monomials that lead no stored row.  A
-    degree with fewer of them than ``want[d]`` is a mismatch, since rank_p <=
-    rank_Q; one with more makes the prime unlucky.
+    Columns number the monomials of the degrees of ``want`` whose folded
+    delta_i have exponent <= 1, from the top down, within a degree in
+    ``monomials_of_degree`` order, so a row's smallest column leads it.  Per
+    degree d, in increasing order, the folded rows of the degree piece of I are
+    taken mod p in ``_ideal_pieces`` order (I-generator index, then cofactor)
+    and reduced against the degree-d parts of the stored rows; the rows of the
+    folds themselves fold to zero.  Only a row that adds a pivot is formed
+    again from the paired J-generator, folded, reduced on its degree-d
+    columns, and stored whole and unit-led: it lies in J mod p, so its columns
+    past degree d are the lower part of a lift of its degree-d part.  The basis
+    is the monomials that lead no stored row.  A degree with fewer of them than
+    ``want[d]`` is a mismatch, since rank_p <= rank_Q; one with more makes the
+    prime unlucky.
     """
 
     def __init__(self, ring, pairs: List[Tuple[Poly, Poly]], want: Dict[int, int], p: int):
         self.p = p
+        self.folds = {i: c.numerator * pow(c.denominator, -1, p) % p
+                      for i, c in folds_by_equality(ring, pairs).items()}
+        leading = dict.fromkeys(self.folds, 0)  # delta_i^2 -> -beta on the I-rows
         column = self.column = {}
         stop: Dict[int, int] = {}  # degree -> first column past that degree
+        monos: Dict[int, List[Exponents]] = {}
         for d in sorted(want, reverse=True):
-            for m in monomials_of_degree(ring, d):
+            monos[d] = [m for m in monomials_of_degree(ring, d)
+                        if all(m[i] < 2 for i in self.folds)]
+            for m in monos[d]:
                 column[m] = len(column)
             stop[d] = len(column)
 
-        def row(terms: Dict[Exponents, int], mono: Exponents) -> Dict[int, int]:
-            return {column[tuple(map(add, e, mono))]: c for e, c in terms.items()}
+        def row(terms: Dict[Exponents, int], mono: Exponents, folds) -> Dict[int, int]:
+            shifted = {tuple(map(add, e, mono)): c for e, c in terms.items()}
+            return {column[e]: c for e, c in fold_by_binomials(shifted, folds, p).items()}
 
         mod_pairs = [(ip.degree(), floer._mod_terms(ip.terms, p), floer._mod_terms(jp.terms, p))
                      for ip, jp in pairs]
         rows = self.rows = {}
         self.basis: List[Tuple[int, Exponents]] = []
         for d in sorted(want):
-            monos = monomials_of_degree(ring, d)
             heads: Dict[int, Dict[int, int]] = {}  # the degree-d parts of the rows stored at d
             for gdeg, iterms, jterms in mod_pairs:
-                for mono in monomials_of_degree(ring, d - gdeg):
-                    if len(heads) == len(monos) or not heap_reduce_mod(row(iterms, mono), heads, p):
+                for mono in monos.get(d - gdeg, ()):
+                    if (len(heads) == len(monos[d])
+                            or not heap_reduce_mod(row(iterms, mono, leading), heads, p)):
                         continue
-                    residual = heap_reduce_mod(row(jterms, mono), rows, p, stop[d])
+                    residual = heap_reduce_mod(row(jterms, mono, self.folds), rows, p, stop[d])
                     q = min(residual)
                     inv = pow(residual.pop(q), -1, p)
                     rows[q] = {j: c * inv % p for j, c in residual.items()}
                     heads[q] = {j: c for j, c in rows[q].items() if j < stop[d]}
-            basis_d = [(d, m) for m in monos if column[m] not in rows]
+            basis_d = [(d, m) for m in monos[d] if column[m] not in rows]
             if len(basis_d) != want[d]:
                 message = (f"graded quotient dimension mismatch at degree {d}: "
                            f"computed {len(basis_d)}, formula {want[d]}")
@@ -660,11 +702,113 @@ class HeapModularTables:
         self._memo: Dict[Exponents, List[int]] = {}
 
     def normal_form(self, terms: Dict[Exponents, int]) -> List[int]:
-        """Coordinates mod p over the basis of {exponents: coefficient mod p}."""
+        """Coordinates mod p over the basis of {exponents: coefficient mod p},
+        folded first."""
         coords = [0] * len(self.basis_at)
-        row = {self.column[e]: c for e, c in terms.items()}
+        row = {self.column[e]: c
+               for e, c in fold_by_binomials(terms, self.folds, self.p).items()}
         for j, c in heap_reduce_mod(row, self.rows, self.p).items():
             coords[self.basis_at[j]] = c
+        return coords
+
+    def columns(self, k: int, basis: List[Tuple[int, Exponents]]) -> List[List[int]]:
+        """Normal forms mod p of x_k * b for the basis monomials b."""
+        out = []
+        for _d, mono in basis:
+            e = mono[:k] + (mono[k] + 1,) + mono[k + 1:]
+            col = self._memo.get(e)
+            if col is None:
+                col = self._memo[e] = self.normal_form({e: 1})
+            out.append(col)
+        return out
+
+
+class UnfoldedModularTables:
+    """``floer._ModularTables`` as it was before it folded delta_i^2 into c_i -
+    beta: columns for every monomial of each degree, and the pairs
+    (delta_i^2 + beta, delta_i^2 + beta - c_i) eliminated as rows.
+
+    The model's elimination over Z/p: the basis decision and normal forms.
+
+    Columns number the monomials of the degrees of ``want`` from the top down,
+    within a degree in ``monomials_of_degree`` order, so a row's smallest
+    column leads it.  Per degree d, in increasing order, the rows of the degree
+    piece of I are taken mod p in ``_ideal_pieces`` order (I-generator index,
+    then cofactor), each dense on d's block of columns, and reduced by
+    ``_reduce_block`` against the heads (degree-d parts) of the rows stored at
+    d.  A row that adds a pivot is stored unit-led, as its head and a tail: the
+    cofactor times the paired J-generator's lower part, with the used heads'
+    tails replayed.  That makes it the paired J-row (which leads with the I-row)
+    reduced on degree d: it lies in J mod p, so its tail is the lower part of a
+    lift of its head.  The basis is the monomials that lead no head.  A degree
+    with fewer of them than ``want[d]`` is a mismatch, since rank_p <= rank_Q;
+    one with more makes the prime unlucky.
+    """
+
+    def __init__(self, ring, pairs: List[Tuple[Poly, Poly]], want: Dict[int, int], p: int):
+        self.p = p
+        column = self.column = {}
+        monos: Dict[int, List[Exponents]] = {}
+        start: Dict[int, int] = {}  # degree -> its first column
+        for d in sorted(want, reverse=True):
+            monos[d], start[d] = monomials_of_degree(ring, d), len(column)
+            for m in monos[d]:
+                column[m] = len(column)
+        # (degree, I-generator, lower part of its J-generator) mod p
+        mod_pairs = [(ip.degree(), floer._mod_terms(ip.terms, p),
+                      floer._mod_terms({e: c for e, c in jp.terms.items()
+                                        if e not in ip.terms}, p))
+                     for ip, jp in pairs]
+        # per degree, from the top down: (first column, heads, tails by head position)
+        self.blocks: List[Tuple[int, List[Optional[floer._Entries]],
+                                Dict[int, floer._Entries]]] = []
+        self.basis: List[Tuple[int, Exponents]] = []
+        for d in sorted(want):
+            lo, width = start[d], len(monos[d])
+            heads: List[Optional[floer._Entries]] = [None] * width  # by column - lo
+            tails: Dict[int, floer._Entries] = {}
+            free = width
+            for gdeg, iterms, jlower in mod_pairs:
+                for mono in monos.get(d - gdeg, ()):
+                    if not free:
+                        break
+                    dense = [0] * width
+                    for e, c in iterms.items():
+                        dense[column[tuple(map(add, e, mono))] - lo] = c
+                    used, residual = floer._reduce_block(dense, heads, p)
+                    if not residual:
+                        continue
+                    q, inv = residual[0][0], pow(residual[0][1], -1, p)
+                    lower = {column[tuple(map(add, e, mono))]: c for e, c in jlower.items()}
+                    floer._replay(lower, used, tails)
+                    heads[q] = [(j, c * inv % p) for j, c in residual[1:]]
+                    tails[q] = [(j, c * inv % p) for j, c in lower.items() if c % p]
+                    free -= 1
+            basis_d = [(d, m) for m, head in zip(monos[d], heads) if head is None]
+            if len(basis_d) != want[d]:
+                message = (f"graded quotient dimension mismatch at degree {d}: "
+                           f"computed {len(basis_d)}, formula {want[d]}")
+                raise (VerificationError if len(basis_d) < want[d]
+                       else floer._UnluckyPrime)(message)
+            self.basis.extend(basis_d)
+            self.blocks.insert(0, (lo, heads, tails))
+        self.basis_at = {column[m]: i for i, (_d, m) in enumerate(self.basis)}
+        self._memo: Dict[Exponents, List[int]] = {}
+
+    def normal_form(self, terms: Dict[Exponents, int]) -> List[int]:
+        """Coordinates mod p over the basis of {exponents: coefficient mod p}:
+        the blocks in column order, as a replayed tail only reaches later ones."""
+        coords = [0] * len(self.basis_at)
+        row = {self.column[e]: c for e, c in terms.items()}
+        for lo, heads, tails in self.blocks:
+            hi = lo + len(heads)
+            if min(row, default=hi) >= hi:  # no entry in this block
+                continue
+            dense = [row.pop(j, 0) for j in range(lo, hi)]
+            used, residual = floer._reduce_block(dense, heads, self.p)
+            for i, x in residual:
+                coords[self.basis_at[lo + i]] = x
+            floer._replay(row, used, tails)
         return coords
 
     def columns(self, k: int, basis: List[Tuple[int, Exponents]]) -> List[List[int]]:

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_poly
-from oracles import (HeapModularTables, deforming_pairs_by_scan, exact_basis, lift_table_model,
-                     lift_table_model_n3)
+from oracles import (HeapModularTables, UnfoldedModularTables, deforming_pairs_by_scan,
+                     exact_basis, lift_table_model, lift_table_model_n3)
 
 from instanton import floer, linalg
 from instanton.acceptance import _A3_PAIRS, _A4_PAIRS, _a12_flips
@@ -239,6 +239,19 @@ def test_membership_and_witness():
     assert not m1.membership(Poly.constant(w1, 1))
 
 
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_minimal_polynomial_of_beta_on_the_one_point_model(g, sign):
+    """(beta - 2)^g (beta + 2)^g lies in J, and neither exponent can be
+    lowered to g - 1: 1 generates R/J, so this is the minimal polynomial of
+    the operator of beta."""
+    model = model_for(g, sign)
+    b = Poly.variable(model.ring, "beta")
+    assert model.membership((b - 2) ** g * (b + 2) ** g)
+    assert not model.membership((b - 2) ** (g - 1) * (b + 2) ** g)
+    assert not model.membership((b - 2) ** g * (b + 2) ** (g - 1))
+
+
 def test_gamma_power_witness_membership():
     for g in (1, 2, 3):
         witness = gamma_power_witness(g)
@@ -361,6 +374,16 @@ def test_three_point_model_dimension():
     assert m13.dim == sum(expand_rational_fn(ptgn_series(1, 3), 40)) == 10
     # xi_{0,3} = 1, so gamma times its flip orbit is the one generator gamma
     assert model_n3(0).dim == sum(expand_rational_fn(ptgn_series(0, 3), 40)) == 1
+
+
+def test_three_point_model_at_genus_three():
+    """model_n3(3) has the dimension of its series, and (beta^2 - 4)^4 is the
+    least power of beta^2 - 4 in J."""
+    model = model_n3(3)
+    assert model.dim == sum(expand_rational_fn(ptgn_series(3, 3), 80)) == 84
+    b = Poly.variable(model.ring, "beta")
+    assert model.membership((b * b - 4) ** 4)
+    assert not model.membership((b * b - 4) ** 3)
 
 
 def test_hilbert_report_json_shape():
@@ -900,38 +923,45 @@ def test_model_basis_is_the_exact_standard_basis(case):
     assert model.basis == exact_basis(*ideals)
 
 
-def _check_tables_against_heap_oracle(monkeypatch):
-    """Make every ``_ModularTables`` build check itself against the heap
-    oracle: the same exception type and message, or the same basis, rows and
-    operator columns.  Returns the outcome of each build: None or the type of
-    the exception it raised."""
+def _check_tables_against(monkeypatch, *oracles):
+    """Make every ``_ModularTables`` build check itself against each oracle
+    (built from the same arguments): the same exception type and message, or
+    the same basis and normal forms (operator columns and J-generators), and
+    for the heap oracle the same stored rows.  Returns the outcome of each
+    build: None or the type of the exception it raised."""
     outcomes = []
 
     class Checked(floer._ModularTables):
         def __init__(self, ring, pairs, want, p):
             errors = (VerificationError, floer._UnluckyPrime)
-            try:
-                self.oracle, expected = HeapModularTables(ring, pairs, want, p), None
-            except errors as exc:
-                expected = exc
+            self.oracles, expected = [], []
+            for oracle in oracles:
+                try:
+                    self.oracles.append(oracle(ring, pairs, want, p))
+                    expected.append(None)
+                except errors as exc:
+                    expected.append(exc)
             try:
                 super().__init__(ring, pairs, want, p)
                 got = None
             except errors as exc:
                 got = exc
-            assert (type(got), str(got)) == (type(expected), str(expected))
+            for exc in expected:
+                assert (type(got), str(got)) == (type(exc), str(exc))
             outcomes.append(type(got) if got else None)
             if got:
                 raise got
-            assert self.basis == self.oracle.basis
-            rows = {lo + q: dict([(lo + j, c) for j, c in head] + tails[q])
-                    for lo, heads, tails in self.blocks
-                    for q, head in enumerate(heads) if head is not None}
-            assert rows == self.oracle.rows
+            for tables in self.oracles:
+                assert self.basis == tables.basis
+                if isinstance(tables, HeapModularTables):
+                    rows = {lo + q: dict([(lo + j, c) for j, c in head] + tails[q])
+                            for lo, heads, tails in self.blocks
+                            for q, head in enumerate(heads) if head is not None}
+                    assert rows == tables.rows
 
-        def columns(self, k, basis):
-            out = super().columns(k, basis)
-            assert out == self.oracle.columns(k, basis)
+        def normal_form(self, terms):
+            out = super().normal_form(terms)
+            assert all(out == tables.normal_form(terms) for tables in self.oracles)
             return out
 
     monkeypatch.setattr(floer, "_ModularTables", Checked)
@@ -942,27 +972,73 @@ HEAP_ORACLE_CASES = [c for c in EXACT_BASIS_CASES if not isinstance(c, str)] + [
     "n3_g0", "n3_g1", "n3_g2", "rank_drops", "pivot_moves"]
 
 
-@pytest.mark.parametrize("case", HEAP_ORACLE_CASES,
-                         ids=lambda c: c if isinstance(c, str) else f"g{c[0]}{c[1]}_theta{c[2] or 1}")
-def test_modular_tables_match_the_heap_oracle(monkeypatch, case):
-    """The dense decision stores the rows, and so decides the basis and the
-    operator columns, that reducing every row through the heap did, J-row
-    after I-row; the custom ideals run under the primes 7 and 10007."""
+def _oracle_case_ideals(monkeypatch, case):
+    """(J, I, formula) of an oracle case; the custom ideals run under the
+    primes 7 and 10007."""
     if case in ("rank_drops", "pivot_moves"):
         J, I, _values = {"rank_drops": _degree_two_model_ideals,
                          "pivot_moves": _degree_four_model_ideals}[case]()
-        formula = RationalFn([1] if case == "rank_drops" else [1, 0, 2, 0, 1])
         monkeypatch.setattr(floer, "_PRIMES", (7, 10007))
-        ideals = (J, I, formula)
-    elif isinstance(case, str):
-        ideals = floer._three_point_ideals(int(case[-1]))
-    else:
-        ideals = floer._one_point_ideals(*case)
-    outcomes = _check_tables_against_heap_oracle(monkeypatch)
+        return J, I, RationalFn([1] if case == "rank_drops" else [1, 0, 2, 0, 1])
+    if isinstance(case, str):
+        return floer._three_point_ideals(int(case[-1]))
+    return floer._one_point_ideals(*case)
+
+
+def _case_id(case):
+    return case if isinstance(case, str) else f"g{case[0]}{case[1]}_theta{case[2] or 1}"
+
+
+@pytest.mark.parametrize("case", HEAP_ORACLE_CASES, ids=_case_id)
+def test_modular_tables_match_the_heap_oracle(monkeypatch, case):
+    """The dense decision stores the rows, and so decides the basis and the
+    operator columns, that reducing every row through the heap did, J-row
+    after I-row, on the same folds; the custom ideals run under the primes 7
+    and 10007."""
+    ideals = _oracle_case_ideals(monkeypatch, case)
+    outcomes = _check_tables_against(monkeypatch, HeapModularTables)
     assert QuotientModel(*ideals).dim
     assert outcomes[-1] is None
     if case == "rank_drops":
         assert outcomes[0] is floer._UnluckyPrime
+
+
+@pytest.mark.parametrize("case", HEAP_ORACLE_CASES, ids=_case_id)
+def test_modular_tables_match_the_unfolded_oracle(monkeypatch, case):
+    """Folding delta_i^2 into c_i - beta changes the stored rows but not what
+    they decide: at every prime the folded tables take the basis, operator
+    columns and J-generator normal forms of the tables that span every
+    monomial and eliminate the rows of delta_i^2 + beta, or raise the same
+    exception with the same message."""
+    ideals = _oracle_case_ideals(monkeypatch, case)
+    outcomes = _check_tables_against(monkeypatch, UnfoldedModularTables)
+    assert QuotientModel(*ideals).dim
+    assert outcomes[-1] is None
+
+
+@pytest.mark.parametrize("ideals,n", [(lambda: floer._one_point_ideals(3, "+"), 1),
+                                      (lambda: floer._one_point_ideals(2, "-", F(3, 2)), 1),
+                                      (lambda: floer._three_point_ideals(1), 3)],
+                         ids=["n1_g3", "n1_g2_theta3/2", "n3_g1"])
+def test_standard_tables_fold_every_delta(monkeypatch, ideals, n):
+    """The standard ideals hold delta_i^2 + beta - c for every i, so their
+    tables fold every delta_i and no column has a delta exponent of 2 or
+    more: a build that stopped recognising the folds would fail here, not
+    only run slower."""
+    built = []
+
+    class Recording(floer._ModularTables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(floer, "_ModularTables", Recording)
+    model = QuotientModel(*ideals())
+    deltas = range(3, 3 + n)
+    assert built and model.dim
+    for tables in built:
+        assert sorted(i for i, _c in tables.folds) == list(deltas)
+        assert all(e[i] < 2 for e in tables.column for i in deltas)
 
 
 @pytest.mark.parametrize("degree,change,message", [
@@ -971,12 +1047,13 @@ def test_modular_tables_match_the_heap_oracle(monkeypatch, case):
 def test_model_rejects_a_wrong_formula(monkeypatch, degree, change, message):
     """One coefficient of the (2,+) series changed: fewer basis monomials than
     the formula fails at once, more fails once every prime agrees.  The heap
-    oracle raises the same exception with the same message at every prime."""
+    and unfolded oracles raise the same exception with the same message at
+    every prime."""
     J, I, formula = floer._one_point_ideals(2, "+")
     coeffs = expand_rational_fn(formula, 40)
     assert coeffs[degree] and not any(coeffs[9:])  # the series stops at degree 8
     coeffs[degree] += change
-    outcomes = _check_tables_against_heap_oracle(monkeypatch)
+    outcomes = _check_tables_against(monkeypatch, HeapModularTables, UnfoldedModularTables)
     with pytest.raises(VerificationError,
                        match=f"graded quotient dimension mismatch at degree {degree}: {message}$"):
         QuotientModel(J, I, RationalFn(coeffs))

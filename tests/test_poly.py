@@ -385,12 +385,15 @@ def _kernel_case(draw):
 def test_kernels_match_fraction_oracles_property(case):
     """Products, changes of coordinates and flips against the Fraction bodies
     in tests/oracles.py: the same terms, coefficient types and dict order, with
-    mixed denominators, zero operands and (with epsilon) products that cancel
-    to zero."""
+    mixed denominators, zero and one-term operands and (with epsilon) products
+    that cancel to zero."""
     f, g, I = case
     rng = f.ring
     zero = Poly.zero(rng)
     pairs = [(f, g), (g, f), (f, f), (f, zero), (zero, g)]
+    if g.terms:  # a one-term operand on either side: a shift and a scale
+        one = Poly(rng, dict([next(iter(g.terms.items()))]))
+        pairs += [(f, one), (one, f), (one, one)]
     if rng.has_epsilon:
         eps = epsilon(rng)
         pairs.append((f * (1 + eps), g * (1 - eps)))  # (1 + eps)(1 - eps) = 0
