@@ -1,11 +1,13 @@
 """The named relation families: xi, delta-symmetrics, rho (two routes), w0/w1/W,
 r_g (plain and Laurent), and the labeled generator sets for the ideals.
 
-xi is computed only through its three-term recursion; the generating-series
-route is deliberately avoided for xi itself because of the radical-sign
-ambiguity (see rho_series, which carries that series and whose sign convention
-is pinned empirically against rho_proj).  rho_proj runs the same recursion on
-the delta-symmetric coordinates of xi-bar in R-bar_n, so it never reduces xi.
+xi is computed only through its three-term recursion.  rho_proj runs the same
+recursion on the delta-symmetric coordinates of xi-bar in R-bar_n, so it never
+reduces xi.  rho_series reads rho off its generating series instead; the series
+is written with s = sqrt(-beta), but every factor is even in s, so it is
+evaluated on plain t-series over Q[omega, beta] and no radical appears.  The two
+routes agree up to omega <-> -omega, and acceptance check A6 pins which of the
+two conventions holds.
 """
 
 from __future__ import annotations
@@ -150,43 +152,31 @@ def rho_proj(k: int, n: int, s: int) -> Poly:
 # -- rho: series route (cross-check; sign pinned by the acceptance suite) --------
 
 
-def _conjugate(f: SeriesT) -> SeriesT:
-    """The image of f under s -> -s, which negates the odd parts; a ring
-    automorphism, as (-s)^2 = -beta."""
-    return SeriesT(f.order, [(e, -o) for e, o in f.coeffs])
-
-
 def rho_series(k: int, r: int) -> Poly:
     """rho_{k,r} as the t^k coefficient of the defining series.
 
-    r is an odd integer (negative allowed).  The series is evaluated literally;
-    the odd part in sqrt(-beta) must cancel, which is asserted.
+    r is an odd integer (negative allowed).  With s = sqrt(-beta) the series is
+    (1+beta t^2)^{-3/4} ((1-ts)/(1+ts))^{omega/(2s)} ((1-ts)^{1/2} + (1+ts)^{1/2})
+    2^{(r-1)/2} h^{(r-1)/2}, h = (1 + (1+beta t^2)^{1/2})/2.  Both factors that
+    hold s are even in s, so it is evaluated on plain t-series: the second is
+    exp(-omega sum_j (-beta)^j t^{2j+1}/(2j+1)) (artanh, s^{2j} = (-beta)^j), and
+    the third squares to 2 + 2(1+beta t^2)^{1/2} = 4h with constant term 2, so
+    it is 2 h^{1/2} and the last two factors are 2^{(r+1)/2} h^{r/2}.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if r % 2 == 0:
         raise ValueError("r must be odd")
     one = SeriesT.constant(k, 1)
-    beta = series_mod.beta_poly()
-    omega = series_mod.omega_poly()
-    beta_t2 = SeriesT.term(k, 2, even=beta)        # beta t^2
-    ts = SeriesT.term(k, 1, odd=1)                 # t*s
-    f1 = pow_binomial(one + beta_t2, Fraction(-3, 4))
-    # ((1 - ts)/(1 + ts))^(omega/(2s)) = exp(omega * log((1-ts)/(1+ts)) / (2s)); the
-    # factors at 1 + ts are the conjugates (s -> -s) of those at 1 - ts
-    log_minus = series_mod.log_series(one - ts)
-    log_ratio = log_minus - _conjugate(log_minus)
-    exponent = log_ratio.divide_by_s().scale(Fraction(1, 2)).scale(omega)
-    f2 = exp_series(exponent)
-    root_minus = pow_binomial(one - ts, Fraction(1, 2))
-    f3 = root_minus + _conjugate(root_minus)
-    q = pow_binomial(one + beta_t2, Fraction(1, 2))
-    half_base = (one + q).scale(Fraction(1, 2))    # (1 + sqrt(1+beta t^2)) / 2
-    f4 = pow_binomial(half_base, Fraction(r - 1, 2)).scale(Fraction(2) ** ((r - 1) // 2))
-    total = f1 * f2 * f3 * f4
-    if not total.odd_part_zero():
-        raise AssertionError("rho series has a nonvanishing odd sqrt(-beta) part")
-    return total.coeffs[k][0]
+    base = one + SeriesT.term(k, 2, series_mod.beta_poly())    # 1 + beta t^2
+    exponent = SeriesT(k, [Poly.monomial(series_mod.COEFF_RING, (1, n // 2, 0, 0),
+                                         Fraction((-1) ** (n // 2 + 1), n))
+                           if n % 2 else Poly.zero(series_mod.COEFF_RING)
+                           for n in range(k + 1)])
+    h = (one + pow_binomial(base, Fraction(1, 2))) * Fraction(1, 2)
+    total = (pow_binomial(base, Fraction(-3, 4)) * exp_series(exponent)
+             * pow_binomial(h, Fraction(r, 2)))
+    return total.coeffs[k] * Fraction(2) ** ((r + 1) // 2)
 
 
 # -- generator sets ---------------------------------------------------------------

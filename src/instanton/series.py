@@ -1,11 +1,8 @@
 """Truncated formal power series in t over polynomial coefficients.
 
-A :class:`SeriesT` coefficient is a pair (even, odd) of polynomials
-representing ``even + s*odd`` where ``s`` is a formal square root of ``-beta``
-(so products reduce ``s^2 -> -beta`` eagerly).  This carries the generating
-series used to build the rho family without ever picking a branch of the
-radical: any computation whose answer is a polynomial must end with zero odd
-part, and that is asserted.
+A :class:`SeriesT` coefficient is one polynomial in omega and beta.  This
+carries the generating series of the rho family: every factor of it is a plain
+t-series over Q[omega, beta] (see ``relations.rho_series``).
 
 Also here: integer rational-function expansion for the Poincare formulas and
 the determinant family det(a_{k,s}) from the expansion of (1+sqrt(1+x))^s.
@@ -19,16 +16,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .linalg import Matrix, det
 from .poly import OMEGA, Poly, ring
 
-# Coefficient pairs live in a fixed tiny ring: polynomials in omega, beta.
+# Coefficients live in a fixed tiny ring: polynomials in omega, beta.
 COEFF_RING = ring(1, coordinate=OMEGA)
-
-
-def _zero() -> Poly:
-    return Poly.zero(COEFF_RING)
-
-
-def omega_poly() -> Poly:
-    return Poly.variable(COEFF_RING, "omega")
 
 
 def beta_poly() -> Poly:
@@ -44,128 +33,65 @@ def binomial_coeff(e: Fraction, i: int) -> Fraction:
 
 
 class SeriesT:
-    """Power series sum_k (even_k + s*odd_k) t^k truncated at order N, s^2 = -beta."""
+    """Power series sum_k c_k t^k truncated at order N, each c_k in Q[omega, beta]."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: Optional[Sequence[Tuple[Poly, Poly]]] = None):
+    def __init__(self, order: int, coeffs: Optional[Sequence[Poly]] = None):
         self.order = order
         if coeffs is None:
-            self.coeffs = [(_zero(), _zero()) for _ in range(order + 1)]
+            self.coeffs = [Poly.zero(COEFF_RING) for _ in range(order + 1)]
         else:
             if len(coeffs) != order + 1:
                 raise ValueError("coefficient list does not match order")
-            self.coeffs = [(e, o) for e, o in coeffs]
+            self.coeffs = list(coeffs)
 
     @classmethod
     def constant(cls, order: int, value) -> "SeriesT":
-        s = cls(order)
-        v = value if isinstance(value, Poly) else Poly.constant(COEFF_RING, value)
-        s.coeffs[0] = (v, _zero())
-        return s
+        return cls.term(order, 0, value)
 
     @classmethod
-    def term(cls, order: int, k: int, even=None, odd=None) -> "SeriesT":
+    def term(cls, order: int, k: int, value) -> "SeriesT":
         s = cls(order)
         if k <= order:
-            e = even if isinstance(even, Poly) else Poly.constant(COEFF_RING, even or 0)
-            o = odd if isinstance(odd, Poly) else Poly.constant(COEFF_RING, odd or 0)
-            s.coeffs[k] = (e, o)
+            s.coeffs[k] = value if isinstance(value, Poly) else Poly.constant(COEFF_RING, value)
         return s
-
-    def even_part_zero(self) -> bool:
-        return all(e.is_zero() for e, _ in self.coeffs)
-
-    def odd_part_zero(self) -> bool:
-        return all(o.is_zero() for _, o in self.coeffs)
-
-    def constant_term(self) -> Tuple[Poly, Poly]:
-        return self.coeffs[0]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SeriesT) and self.order == other.order
-                and all(a == c and b == d for (a, b), (c, d) in zip(self.coeffs, other.coeffs)))
+                and self.coeffs == other.coeffs)
 
     def __add__(self, other: "SeriesT") -> "SeriesT":
-        if not isinstance(other, SeriesT):
-            other = SeriesT.constant(self.order, other)
         if self.order != other.order:
             raise ValueError("order mismatch")
-        return SeriesT(self.order, [(a + c, b + d) for (a, b), (c, d)
-                                    in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "SeriesT":
-        return SeriesT(self.order, [(-e, -o) for e, o in self.coeffs])
-
-    def __sub__(self, other) -> "SeriesT":
-        if not isinstance(other, SeriesT):
-            other = SeriesT.constant(self.order, other)
-        return self + (-other)
-
-    def scale(self, c) -> "SeriesT":
-        if isinstance(c, Poly):
-            return SeriesT(self.order, [_s_products([(a, (c, _zero()))]) for a in self.coeffs])
-        return SeriesT(self.order, [tuple(p * c if p.terms else p for p in eo)
-                                    for eo in self.coeffs])
+        return SeriesT(self.order, [a + c for a, c in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other) -> "SeriesT":
         if not isinstance(other, SeriesT):
-            return self.scale(other)
+            return SeriesT(self.order, [a * other for a in self.coeffs])
         if self.order != other.order:
             raise ValueError("order mismatch")
         return SeriesT(self.order, [
-            _s_products((a, other.coeffs[n - i]) for i, a in enumerate(self.coeffs[:n + 1]))
+            _products((a, other.coeffs[n - i]) for i, a in enumerate(self.coeffs[:n + 1]))
             for n in range(self.order + 1)])
 
-    __rmul__ = __mul__
 
-    def divide_by_s(self) -> "SeriesT":
-        """Divide by s; requires identically zero even part."""
-        if not self.even_part_zero():
-            raise ValueError("series is not an s-multiple")
-        return SeriesT(self.order, [(o, _zero()) for _, o in self.coeffs])
-
-
-_MINUS_BETA = -beta_poly()
+def _products(pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
+    """The sum over ``pairs`` of a*b: only products of nonzero operands are
+    formed, and their terms are summed once."""
+    return Poly.from_terms(COEFF_RING, (t for a, b in pairs if a.terms and b.terms
+                                        for t in (a * b).terms.items()))
 
 
-def _s_products(pairs: Iterable[Tuple[Tuple[Poly, Poly], Tuple[Poly, Poly]]]
-                ) -> Tuple[Poly, Poly]:
-    """The sum over ``pairs`` of (e1 + s*o1)(e2 + s*o2) with s^2 = -beta, as its
-    (even, odd) parts e1 e2 - beta o1 o2 and e1 o2 + o1 e2.  Only products of
-    nonzero parts are formed, and each part is summed once."""
-    ev: List[Poly] = []
-    od: List[Poly] = []
-    for (e1, o1), (e2, o2) in pairs:
-        if e1.terms:
-            if e2.terms:
-                ev.append(e1 * e2)
-            if o2.terms:
-                od.append(e1 * o2)
-        if o1.terms:
-            if o2.terms:
-                ev.append(_MINUS_BETA * (o1 * o2))
-            if e2.terms:
-                od.append(o1 * e2)
-    return tuple(Poly.from_terms(COEFF_RING, (t for p in part for t in p.terms.items()))
-                 for part in (ev, od))
-
-
-def _recurrence(b: SeriesT, h0: Poly, weight, shift: bool = False) -> SeriesT:
+def _recurrence(b: SeriesT, h0: Poly, weight) -> SeriesT:
     """The series h with h_0 = ``h0`` and, for 1 <= n <= N,
-    h_n = (b_n if ``shift``) + sum_{j=1..n} weight(n, j) b_j h_{n-j}:
-    O(N^2) coefficient products, where summing N powers of a series takes
-    O(N^3)."""
-    nonzero = [(j, e, o) for j, (e, o) in enumerate(b.coeffs) if j and (e.terms or o.terms)]
-    h = [(h0, _zero())]
+    h_n = sum_{j=1..n} weight(n, j) b_j h_{n-j}: O(N^2) coefficient products,
+    where summing N powers of a series takes O(N^3)."""
+    nonzero = [(j, c) for j, c in enumerate(b.coeffs) if j and c.terms]
+    h = [h0]
     for n in range(1, b.order + 1):
-        ev, od = _s_products(((e * w, o * w), h[n - j]) for j, e, o in nonzero
-                             if j <= n for w in (weight(n, j),) if w)
-        if shift:
-            ev, od = ev + b.coeffs[n][0], od + b.coeffs[n][1]
-        h.append((ev, od))
+        h.append(_products((c * w, h[n - j]) for j, c in nonzero
+                           if j <= n for w in (weight(n, j),) if w))
     return SeriesT(b.order, h)
 
 
@@ -173,30 +99,19 @@ def pow_binomial(base: SeriesT, exponent: Fraction) -> SeriesT:
     """(base)^exponent for a base with constant term 1, by J. C. P. Miller's
     recurrence n h_n = sum_{j=1..n} ((a+1) j - n) b_j h_{n-j} (Knuth, TAOCP
     Vol. 2, 4.7), read off h' b = a b' h."""
-    e0, o0 = base.constant_term()
-    if not (e0 == Poly.constant(COEFF_RING, 1) and o0.is_zero()):
+    one = Poly.constant(COEFF_RING, 1)
+    if base.coeffs[0] != one:
         raise ValueError("binomial power needs constant term 1")
     a1 = Fraction(exponent) + 1
-    return _recurrence(base, e0, lambda n, j: (a1 * j - n) / n)
+    return _recurrence(base, one, lambda n, j: (a1 * j - n) / n)
 
 
 def exp_series(f: SeriesT) -> SeriesT:
     """exp(f) for a series with zero constant term, by the recurrence
     n h_n = sum_{j=1..n} j f_j h_{n-j}, read off h' = f' h."""
-    e0, o0 = f.constant_term()
-    if not (e0.is_zero() and o0.is_zero()):
+    if f.coeffs[0].terms:
         raise ValueError("exp needs zero constant term")
     return _recurrence(f, Poly.constant(COEFF_RING, 1), lambda n, j: Fraction(j, n))
-
-
-def log_series(f: SeriesT) -> SeriesT:
-    """log(f) for a series with constant term 1, by the recurrence
-    h_n = f_n - (1/n) sum_{j=1..n-1} j h_j f_{n-j}, read off f h' = f'; that is
-    h_n = f_n + sum_{j=1..n} ((j - n)/n) f_j h_{n-j}."""
-    e0, o0 = f.constant_term()
-    if not (e0 == Poly.constant(COEFF_RING, 1) and o0.is_zero()):
-        raise ValueError("log needs constant term 1")
-    return _recurrence(f, _zero(), lambda n, j: Fraction(j - n, n), shift=True)
 
 
 # -- integer rational functions -------------------------------------------------

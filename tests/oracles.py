@@ -898,76 +898,129 @@ def _reassemble(rhos: Dict[int, Poly], rng, m: int) -> Poly:
     return total
 
 
-def series_mul_by_parts(a: SeriesT, b: SeriesT) -> SeriesT:
-    """a * b, each coefficient pair of a times each of b by the four part
-    products, s^2 -> -beta.  Oracle for ``SeriesT.__mul__``."""
-    N = a.order
+def series_mul_by_convolution(a: SeriesT, b: SeriesT) -> SeriesT:
+    """a * b with c_n = sum_{i+j=n} a_i b_j, every product a_i b_j formed.
+    Oracle for ``SeriesT.__mul__``."""
+    out = [Poly.zero(COEFF_RING)] * (a.order + 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs[:a.order + 1 - i]):
+            out[i + j] = out[i + j] + x * y
+    return SeriesT(a.order, out)
+
+
+# Series with an adjoined s = sqrt(-beta): lists of (even, odd) coefficient
+# pairs, one per power of t, standing for sum_k (even_k + s odd_k) t^k.
+
+def _pairs_mul(a, b):
+    """a * b, each pair of a times each pair of b by the four part products,
+    s^2 -> -beta."""
+    N = len(a) - 1
+    zero = Poly.zero(COEFF_RING)
     minus_beta = -Poly.variable(COEFF_RING, "beta")
-    out = [(Poly.zero(COEFF_RING), Poly.zero(COEFF_RING)) for _ in range(N + 1)]
-    for i, (e1, o1) in enumerate(a.coeffs):
-        if e1.is_zero() and o1.is_zero():
-            continue
-        for j in range(N - i + 1):
-            e2, o2 = b.coeffs[j]
-            if e2.is_zero() and o2.is_zero():
-                continue
+    out = [(zero, zero)] * (N + 1)
+    for i, (e1, o1) in enumerate(a):
+        for j, (e2, o2) in enumerate(b[:N + 1 - i]):
             ev, od = out[i + j]
             # (e1 + s o1)(e2 + s o2) = e1 e2 - beta o1 o2 + s (e1 o2 + o1 e2)
-            ev = ev + e1 * e2 + minus_beta * (o1 * o2)
-            od = od + e1 * o2 + o1 * e2
-            out[i + j] = (ev, od)
-    return SeriesT(N, out)
+            out[i + j] = (ev + e1 * e2 + minus_beta * (o1 * o2), od + e1 * o2 + o1 * e2)
+    return out
 
 
-def _scaled(f: SeriesT, c: Fraction) -> SeriesT:
-    return SeriesT(f.order, [(e * c, o * c) for e, o in f.coeffs])
+def _pairs_add(a, b):
+    return [(e1 + e2, o1 + o2) for (e1, o1), (e2, o2) in zip(a, b)]
+
+
+def _pairs_scaled(a, c):
+    return [(e * c, o * c) for e, o in a]
+
+
+def _pairs_term(N: int, k: int, even=0, odd=0):
+    """The series (even + s odd) t^k truncated at order N."""
+    zero = Poly.zero(COEFF_RING)
+    out = [(zero, zero)] * (N + 1)
+    if k <= N:
+        out[k] = tuple(x if isinstance(x, Poly) else Poly.constant(COEFF_RING, x)
+                       for x in (even, odd))
+    return out
+
+
+def _pairs_summed_powers(g, weights, message: str):
+    """sum_i weights[i] g^i for a series g with zero constant pair, every power
+    formed: O(N^3) coefficient products."""
+    if any(x.terms for x in g[0]):
+        raise ValueError(message)
+    power = _pairs_term(len(g) - 1, 0, even=1)
+    result = _pairs_scaled(power, weights[0])
+    for w in weights[1:]:
+        power = _pairs_mul(power, g)
+        result = _pairs_add(result, _pairs_scaled(power, w))
+    return result
+
+
+def _pairs_pow(base, exponent):
+    """base^exponent as sum_i C(exponent, i) (base - 1)^i."""
+    g = _pairs_add(base, _pairs_term(len(base) - 1, 0, even=-1))
+    return _pairs_summed_powers(g, [binomial_coeff(Fraction(exponent), i)
+                                    for i in range(len(base))],
+                                "binomial power needs constant term 1")
+
+
+def _pairs_exp(f):
+    """exp(f) as sum_i f^i / i!."""
+    return _pairs_summed_powers(f, [Fraction(1, math.factorial(i)) for i in range(len(f))],
+                                "exp needs zero constant term")
+
+
+def _pairs_log(f):
+    """log(f) as sum_i (-1)^(i+1) (f - 1)^i / i."""
+    g = _pairs_add(f, _pairs_term(len(f) - 1, 0, even=-1))
+    return _pairs_summed_powers(g, [0] + [Fraction((-1) ** (i + 1), i) for i in range(1, len(f))],
+                                "log needs constant term 1")
+
+
+def _even_part(f) -> List[Poly]:
+    if any(o.terms for _, o in f):
+        raise AssertionError("nonvanishing odd sqrt(-beta) part")
+    return [e for e, _ in f]
 
 
 def pow_binomial_by_powers(base: SeriesT, exponent: Fraction) -> SeriesT:
     """(base)^exponent as sum_i C(exponent, i) (base - 1)^i, every power formed:
     O(N^3) coefficient products.  Oracle for ``series.pow_binomial``."""
-    e0, o0 = base.constant_term()
-    if not (e0 == Poly.constant(COEFF_RING, 1) and o0.is_zero()):
-        raise ValueError("binomial power needs constant term 1")
-    exponent = Fraction(exponent)
-    g = base - SeriesT.constant(base.order, 1)
-    result = SeriesT.constant(base.order, 1)
-    power = SeriesT.constant(base.order, 1)
-    for i in range(1, base.order + 1):
-        power = series_mul_by_parts(power, g)
-        c = binomial_coeff(exponent, i)
-        if c:
-            result = result + _scaled(power, c)
-    return result
+    zero = Poly.zero(COEFF_RING)
+    return SeriesT(base.order, _even_part(_pairs_pow([(c, zero) for c in base.coeffs],
+                                                     exponent)))
 
 
 def exp_series_by_powers(f: SeriesT) -> SeriesT:
     """exp(f) as sum_i f^i / i!.  Oracle for ``series.exp_series``."""
-    e0, o0 = f.constant_term()
-    if not (e0.is_zero() and o0.is_zero()):
-        raise ValueError("exp needs zero constant term")
-    result = SeriesT.constant(f.order, 1)
-    power = SeriesT.constant(f.order, 1)
-    fact = Fraction(1)
-    for i in range(1, f.order + 1):
-        power = series_mul_by_parts(power, f)
-        fact /= i
-        result = result + _scaled(power, fact)
-    return result
+    zero = Poly.zero(COEFF_RING)
+    return SeriesT(f.order, _even_part(_pairs_exp([(c, zero) for c in f.coeffs])))
 
 
-def log_series_by_powers(f: SeriesT) -> SeriesT:
-    """log(f) as sum_i (-1)^(i+1) (f - 1)^i / i.  Oracle for ``series.log_series``."""
-    e0, o0 = f.constant_term()
-    if not (e0 == Poly.constant(COEFF_RING, 1) and o0.is_zero()):
-        raise ValueError("log needs constant term 1")
-    g = f - SeriesT.constant(f.order, 1)
-    result = SeriesT(f.order)
-    power = SeriesT.constant(f.order, 1)
-    for i in range(1, f.order + 1):
-        power = series_mul_by_parts(power, g)
-        result = result + _scaled(power, Fraction((-1) ** (i + 1), i))
-    return result
+def rho_series_with_s(k: int, r: int) -> Poly:
+    """rho_{k,r} as the t^k coefficient of the defining series evaluated
+    literally, with s = sqrt(-beta) adjoined:
+    (1+beta t^2)^{-3/4} exp(omega/(2s) (log(1-ts) - log(1+ts)))
+    ((1-ts)^{1/2} + (1+ts)^{1/2}) 2^{(r-1)/2} h^{(r-1)/2},
+    h = (1 + (1+beta t^2)^{1/2})/2, every factor by summed powers and the odd
+    part in s asserted to cancel.  Oracle for ``relations.rho_series``."""
+    one = _pairs_term(k, 0, even=1)
+    base = _pairs_add(one, _pairs_term(k, 2, even=Poly.variable(COEFF_RING, "beta")))
+    minus, plus = (_pairs_add(one, _pairs_term(k, 1, odd=sign)) for sign in (-1, 1))
+    log_ratio = _pairs_add(_pairs_log(minus), _pairs_scaled(_pairs_log(plus), -1))
+    if any(e.terms for e, _ in log_ratio):
+        raise AssertionError("log ratio is not an s-multiple")
+    half_omega = Poly.variable(COEFF_RING, "omega") * Fraction(1, 2)
+    exponent = [(o * half_omega, Poly.zero(COEFF_RING)) for _, o in log_ratio]  # divided by s
+    h = _pairs_scaled(_pairs_add(one, _pairs_pow(base, Fraction(1, 2))), Fraction(1, 2))
+    factors = [_pairs_pow(base, Fraction(-3, 4)), _pairs_exp(exponent),
+               _pairs_add(_pairs_pow(minus, Fraction(1, 2)), _pairs_pow(plus, Fraction(1, 2))),
+               _pairs_scaled(_pairs_pow(h, Fraction(r - 1, 2)), Fraction(2) ** ((r - 1) // 2))]
+    total = factors[0]
+    for f in factors[1:]:
+        total = _pairs_mul(total, f)
+    return _even_part(total)[k]
 
 
 def r_poly_from_written_bases(g: int, local: bool = False) -> Poly:

@@ -4,9 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import (exp_series_by_powers, log_series_by_powers, orbit_by_round_trip,
-                     pow_binomial_by_powers, r_poly_from_written_bases,
-                     rho_proj_all_by_reduction)
+from oracles import (exp_series_by_powers, orbit_by_round_trip, pow_binomial_by_powers,
+                     r_poly_from_written_bases, rho_proj_all_by_reduction, rho_series_with_s)
 
 from instanton import acceptance, relations
 from instanton.floer import (_one_point_ideals, _three_point_ideals, gamma_power_witness,
@@ -76,7 +75,7 @@ def test_delta_sym_examples():
 
 
 def om():
-    return series_mod.omega_poly()
+    return Poly.variable(series_mod.COEFF_RING, "omega")
 
 
 def bt():
@@ -151,35 +150,35 @@ def test_rho_proj_all_errors(args, message):
     assert str(err.value) == message
 
 
+def test_rho_series_matches_the_literal_route_with_s():
+    """The plain t-series route equals the defining series evaluated literally
+    with s = sqrt(-beta) adjoined, its odd part in s cancelling."""
+    for r in range(-5, 10, 2):
+        assert [rho_series(k, r) for k in range(11)] == \
+            [rho_series_with_s(k, r) for k in range(11)]
+
+
 def test_rho_series_matches_the_summed_powers_kernels(monkeypatch):
     """rho_series through the O(N^2) recurrences equals rho_series through
-    powers, exp and log formed by summing powers of a series."""
+    powers and exp formed by summing powers of a series."""
     cases = [(k, r) for k in range(9) for r in (-3, -1, 1, 3, 5, 7)]
     got = [rho_series(k, r) for k, r in cases]
     monkeypatch.setattr(relations, "pow_binomial", pow_binomial_by_powers)
     monkeypatch.setattr(relations, "exp_series", exp_series_by_powers)
-    monkeypatch.setattr(series_mod, "log_series", log_series_by_powers)
     assert got == [rho_series(k, r) for k, r in cases]
 
 
-def test_rho_series_forms_the_factors_at_one_plus_ts_by_conjugation(monkeypatch):
-    """The factors of rho_series at 1 + ts are the conjugates (s -> -s) of
-    those at 1 - ts, so one call runs four pow_binomial, one log_series and
-    one exp_series."""
-    for k in range(9):
-        one, ts = series_mod.SeriesT.constant(k, 1), series_mod.SeriesT.term(k, 1, odd=1)
-        assert relations._conjugate(series_mod.pow_binomial(one - ts, F(1, 2))) == \
-            series_mod.pow_binomial(one + ts, F(1, 2))
-        assert relations._conjugate(series_mod.log_series(one - ts)) == \
-            series_mod.log_series(one + ts)
+def test_rho_series_runs_three_powers_and_one_exp(monkeypatch):
+    """One rho_series call runs three pow_binomial and one exp_series."""
     calls = []
-    for module, name in ((relations, "pow_binomial"), (relations, "exp_series"),
-                         (series_mod, "log_series")):
-        kernel = getattr(module, name)
-        monkeypatch.setattr(module, name,
+    for name in ("pow_binomial", "exp_series"):
+        kernel = getattr(relations, name)
+        monkeypatch.setattr(relations, name,
                             lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a))
-    rho_series(5, 3)
-    assert sorted(calls) == ["exp_series", "log_series"] + ["pow_binomial"] * 4
+    for k, r in ((5, 3), (0, -1)):
+        calls.clear()
+        rho_series(k, r)
+        assert sorted(calls) == ["exp_series"] + ["pow_binomial"] * 3
 
 
 def test_rho_linear_independence():

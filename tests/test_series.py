@@ -7,13 +7,12 @@ import pytest
 
 from instanton import floer
 from instanton.linalg import Matrix, det
-from instanton.series import (COEFF_RING, RationalFn, SeriesT, a_table,
-                              beta_poly, binom_sqrt_dets, exp_series,
-                              expand_rational_fn, log_series, omega_poly,
+from instanton.series import (COEFF_RING, RationalFn, SeriesT, a_table, beta_poly,
+                              binom_sqrt_dets, exp_series, expand_rational_fn,
                               pow_binomial)
 from instanton.poly import Poly
 from oracles import (det_fraction_oracle, exp_series_by_powers, expand_by_long_division,
-                     log_series_by_powers, pow_binomial_by_powers, series_mul_by_parts)
+                     pow_binomial_by_powers, series_mul_by_convolution)
 
 
 def c(x):
@@ -40,20 +39,22 @@ def test_long_division_oracle_agrees(g, n):
         assert expand_rational_fn(rf, 30) == expand_by_long_division(rf, 30)
 
 
+def omega_poly():
+    return Poly.variable(COEFF_RING, "omega")
+
+
 def test_pow_binomial_sqrt():
     one = SeriesT.constant(2, 1)
-    t = SeriesT.term(2, 1, even=1)
+    t = SeriesT.term(2, 1, 1)
     s = pow_binomial(one + t, F(1, 2))
-    assert s.coeffs[0][0] == c(1)
-    assert s.coeffs[1][0] == c(F(1, 2))
-    assert s.coeffs[2][0] == c(F(-1, 8))
+    assert s.coeffs == [c(1), c(F(1, 2)), c(F(-1, 8))]
 
 
 def test_pow_binomial_beta():
     one = SeriesT.constant(2, 1)
-    bt2 = SeriesT.term(2, 2, even=beta_poly())
+    bt2 = SeriesT.term(2, 2, beta_poly())
     s = pow_binomial(one + bt2, F(-1, 2))
-    assert s.coeffs[2][0] == beta_poly() * F(-1, 2)
+    assert s.coeffs[2] == beta_poly() * F(-1, 2)
 
 
 def test_pow_binomial_requires_unit_constant():
@@ -61,84 +62,60 @@ def test_pow_binomial_requires_unit_constant():
         pow_binomial(SeriesT.constant(2, 2), F(1, 2))
 
 
-def test_exp_log_examples():
+def test_exp_examples():
     n = 3
-    zero = SeriesT(n)
-    assert exp_series(zero) == SeriesT.constant(n, 1)
-    one = SeriesT.constant(n, 1)
-    t = SeriesT.term(n, 1, even=1)
-    lg = log_series(one + t)
-    assert [lg.coeffs[k][0] for k in range(4)] == [c(0), c(1), c(F(-1, 2)), c(F(1, 3))]
-
-
-def test_exp_log_round_trip():
-    n = 5
-    f = SeriesT.term(n, 1, even=omega_poly()) + SeriesT.term(n, 2, even=beta_poly())
-    assert log_series(exp_series(f)) == f
-
-
-def test_log_ratio_divided_by_s():
-    # (1/s) log((1-ts)/(1+ts)) = -2t + (2 beta/3) t^3 + ... (s^2 = -beta)
-    n = 3
-    one = SeriesT.constant(n, 1)
-    ts = SeriesT.term(n, 1, odd=1)
-    lg = log_series(one - ts) - log_series(one + ts)
-    half = lg.divide_by_s()
-    assert half.coeffs[1][0] == c(-2)
-    assert half.coeffs[3][0] == beta_poly() * F(2, 3)
-    assert half.coeffs[2][0].is_zero()
+    assert exp_series(SeriesT(n)) == SeriesT.constant(n, 1)
+    e = exp_series(SeriesT.term(n, 1, 1))
+    assert e.coeffs == [c(1), c(1), c(F(1, 2)), c(F(1, 6))]
 
 
 def _random_series(rand, order, constant):
-    """A series with the given constant pair and random (even, odd) pairs after
-    it, every one of them with a nonzero odd part."""
-    def part():
+    """A series with the given constant coefficient and random nonzero
+    coefficients after it."""
+    def coeff():
         return Poly.from_terms(COEFF_RING, [
             ((rand.randint(0, 2), rand.randint(0, 2), 0, 0),
              F(rand.randint(-5, 5) or 1, rand.randint(1, 4))) for _ in range(rand.randint(1, 3))])
-    return SeriesT(order, [constant] + [(part(), part()) for _ in range(order)])
+    return SeriesT(order, [constant] + [coeff() for _ in range(order)])
 
 
 @pytest.mark.parametrize("order", range(7))
 def test_series_mul_matches_the_part_products_oracle(order):
-    """Products and scalings of series whose pairs have zero parts, or are
-    zero, equal the four part products of each pair of pairs."""
+    """Products and scalings of series with zero coefficients equal the
+    convolution that forms every part product a_i b_j."""
     rand = random.Random(2100 + order)
 
     def sparse():
-        f = _random_series(rand, order, (c(rand.randint(0, 2)), c(rand.randint(-1, 1))))
-        return SeriesT(order, [rand.choice([(e, o), (e, c(0)), (c(0), o), (c(0), c(0))])
-                               for e, o in f.coeffs])
+        f = _random_series(rand, order, c(rand.randint(0, 2)))
+        return SeriesT(order, [rand.choice([x, c(0)]) for x in f.coeffs])
     for _ in range(3):
         a, b = sparse(), sparse()
-        assert a * b == series_mul_by_parts(a, b)
+        assert a * b == series_mul_by_convolution(a, b)
         for k in (F(-3, 2), omega_poly(), 0):
-            assert a.scale(k) == series_mul_by_parts(a, SeriesT.constant(order, k))
+            assert a * k == series_mul_by_convolution(a, SeriesT.constant(order, k))
 
 
 @pytest.mark.parametrize("order", range(9))
 def test_kernels_match_the_summed_powers_oracle(order):
     rand = random.Random(1800 + order)
-    one, zero = (c(1), c(0)), (c(0), c(0))
     for _ in range(2):
-        base = _random_series(rand, order, one)
+        base = _random_series(rand, order, c(1))
         for a in (F(0), F(-1), F(-3), F(1), F(4), F(1, 2), F(-3, 4), F(7, 3)):
             assert pow_binomial(base, a) == pow_binomial_by_powers(base, a)
-        assert log_series(base) == log_series_by_powers(base)
-        f = _random_series(rand, order, zero)
+        f = _random_series(rand, order, c(0))
         assert exp_series(f) == exp_series_by_powers(f)
 
 
+# "even" constants are scalars, "odd" ones carry an omega term
 @pytest.mark.parametrize("kernel,constant,message", [
-    (lambda f: pow_binomial(f, F(1, 2)), (2, 0), "binomial power needs constant term 1"),
-    (lambda f: pow_binomial(f, F(1, 2)), (1, 1), "binomial power needs constant term 1"),
-    (log_series, (2, 0), "log needs constant term 1"),
-    (log_series, (1, 1), "log needs constant term 1"),
-    (exp_series, (1, 0), "exp needs zero constant term"),
-    (exp_series, (0, 1), "exp needs zero constant term"),
-], ids=["pow_even", "pow_odd", "log_even", "log_odd", "exp_even", "exp_odd"])
+    (lambda f: pow_binomial(f, F(1, 2)), c(2), "binomial power needs constant term 1"),
+    (lambda f: pow_binomial(f, F(1, 2)), c(1) + omega_poly(),
+     "binomial power needs constant term 1"),
+    (exp_series, c(1), "exp needs zero constant term"),
+    (exp_series, omega_poly(), "exp needs zero constant term"),
+], ids=["pow_even", "pow_odd", "exp_even", "exp_odd"])
 def test_kernels_keep_their_preconditions(kernel, constant, message):
-    f = SeriesT(2, [(c(constant[0]), c(constant[1]))] + [(c(1), c(1))] * 2)
+    f = SeriesT(2, [constant] + [c(1)] * 2)
     with pytest.raises(ValueError) as err:
         kernel(f)
     assert str(err.value) == message
@@ -146,14 +123,12 @@ def test_kernels_keep_their_preconditions(kernel, constant, message):
 
 def test_series_mul_ring_laws():
     n = 4
-    a = SeriesT.term(n, 1, even=omega_poly(), odd=1)
-    b = SeriesT.term(n, 0, even=1) + SeriesT.term(n, 2, odd=beta_poly())
-    cc = SeriesT.term(n, 1, odd=omega_poly())
+    a = SeriesT.term(n, 1, omega_poly()) + SeriesT.term(n, 3, 1)
+    b = SeriesT.term(n, 0, 1) + SeriesT.term(n, 2, beta_poly())
+    cc = SeriesT.term(n, 1, omega_poly() * beta_poly())
     assert a * b == b * a
     assert (a + cc) * b == a * b + cc * b
-    # s^2 = -beta
-    s = SeriesT.term(n, 0, odd=1)
-    assert s * s == SeriesT.term(n, 0, even=-beta_poly())
+    assert (a * b) * cc == a * (b * cc)
 
 
 def test_a_table_values():
