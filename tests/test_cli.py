@@ -68,7 +68,7 @@ def _readme_examples():
 
 
 def _slug(argv):
-    return "_".join(a.lstrip("-").replace("/", "-") for a in argv)
+    return "_".join(a.removeprefix("--").replace("/", "-") for a in argv)
 
 
 @pytest.mark.parametrize("argv", list(_readme_examples()), ids=_slug)
@@ -83,7 +83,7 @@ def test_readme_examples_print_the_golden_bytes(capsys, tmp_path, argv):
 
 def test_every_golden_output_has_its_readme_example():
     names = {f"{_slug(argv)}.out" for argv in _readme_examples()}
-    assert len(names) == 24
+    assert len(names) == 26
     assert names == {p.name for p in GOLDEN_DIR.iterdir()}
 
 

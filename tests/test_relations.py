@@ -489,6 +489,23 @@ def test_rho_series_pinned(r):
     assert _digest([rho_series(k, r).to_json() for k in range(9)]) == RHO_SERIES[r]
 
 
+def test_rho_series_pinned_to_order_14():
+    """One digest of rho_series(k, r) for k <= 14 and every odd r in -9..13,
+    recorded when the series ran through powers and exp of truncated series."""
+    doc = [rho_series(k, r).to_json() for r in range(-9, 14, 2) for k in range(15)]
+    assert _digest(doc) == "285dda919729f574"
+
+
+@pytest.mark.parametrize("args,message", [
+    ((-1, 1), "k must be >= 0"),
+    ((3, 2), "r must be odd"),
+])
+def test_rho_series_errors(args, message):
+    with pytest.raises(ValueError) as err:
+        rho_series(*args)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("sign,local", sorted(JGEN_N1))
 def test_jgen_n1_and_gamma_witness_pinned(sign, local):
     assert _digest([jgen_n1(g, sign, local).to_json() for g in range(7)]) == \
