@@ -288,9 +288,6 @@ class Poly:
             return LaurentU() if self.ring.coeff_kind == LAURENT_U else Fraction(0)
         return c
 
-    def constant_term(self):
-        return self.coefficient(self.ring.zero_exponents())
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:

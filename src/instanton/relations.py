@@ -3,11 +3,13 @@ r_g (plain and Laurent), and the labeled generator sets for the ideals.
 
 xi is computed only through its three-term recursion.  rho_proj runs the same
 recursion on the delta-symmetric coordinates of xi-bar in R-bar_n, so it never
-reduces xi.  rho_series reads rho off its generating series instead; the series
-is written with s = sqrt(-beta), but every factor is even in s, so it is
-evaluated on plain t-series over Q[omega, beta] and no radical appears.  The two
+reduces xi.  rho_series reads rho off its generating series F instead: the
+series is written with s = sqrt(-beta), but its log-derivative F'/F is an
+explicit series over Q[omega, beta] with one monomial per power of t, so
+F' = (F'/F) F is one coefficient recurrence and no radical appears.  The two
 routes agree up to omega <-> -omega, and acceptance check A6 pins which of the
-two conventions holds.
+two conventions holds.  The gamma^g cofactors over (r_g, r_{g+1}, r_{g+2}) come
+from the same r_g step, run as a three-term window.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from itertools import combinations
 from math import factorial
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from . import series as series_mod
 from .poly import (ALPHA, LAURENT_U, OMEGA, RATIONAL, LaurentU, Poly,
                    RingDescriptor, _summed, ring)
 from .quotient import canonical_rep, rbar_spec
-from .series import SeriesT, exp_series, pow_binomial
+from .series import COEFF_RING, binomial_coeff
 
 # xi lives in alpha, beta, gamma only; we store raw exponent dicts keyed (a, b, c)
 _xi_cache: Dict[Tuple[int, int], Dict[Tuple[int, int, int], Fraction]] = {}
@@ -132,7 +133,7 @@ def _rho_proj_all(k: int, n: int) -> Dict[int, Poly]:
             nxt.append(_summed(pairs))
         prev, cur = cur, nxt
     scale = Fraction(2 ** (m + 1), 2 ** k * factorial(k))
-    out = {s: Poly.from_terms(series_mod.COEFF_RING, ((e, co * scale) for e, co in a_s.items()))
+    out = {s: Poly.from_terms(COEFF_RING, ((e, co * scale) for e, co in a_s.items()))
            for s, a_s in enumerate(cur)}
     _rho_proj_cache[key] = out
     return out
@@ -157,26 +158,38 @@ def rho_series(k: int, r: int) -> Poly:
 
     r is an odd integer (negative allowed).  With s = sqrt(-beta) the series is
     (1+beta t^2)^{-3/4} ((1-ts)/(1+ts))^{omega/(2s)} ((1-ts)^{1/2} + (1+ts)^{1/2})
-    2^{(r-1)/2} h^{(r-1)/2}, h = (1 + (1+beta t^2)^{1/2})/2.  Both factors that
-    hold s are even in s, so it is evaluated on plain t-series: the second is
-    exp(-omega sum_j (-beta)^j t^{2j+1}/(2j+1)) (artanh, s^{2j} = (-beta)^j), and
-    the third squares to 2 + 2(1+beta t^2)^{1/2} = 4h with constant term 2, so
-    it is 2 h^{1/2} and the last two factors are 2^{(r+1)/2} h^{r/2}.
+    2^{(r-1)/2} h^{(r-1)/2}, h = (1+q)/2, q = (1+beta t^2)^{1/2}.  Both factors
+    that hold s are even in s: the second is exp(E), E = -omega sum_j (-beta)^j
+    t^{2j+1}/(2j+1) (artanh, s^{2j} = (-beta)^j), and the third squares to
+    2 + 2q = 4h with constant term 2, so it is 2 h^{1/2}.  The series is
+    F = 2^{(r+1)/2} (1+beta t^2)^{-3/4} exp(E) h^{r/2}, and its log-derivative
+    is explicit: h'/h = (1 - q^{-1})/t, because (1+q)(q-1) = beta t^2, so
+    G = F'/F = -(omega + (3/2) beta t)/(1+beta t^2) + (r/2)(1 - q^{-1})/t, with
+    g_{2j} = -omega (-beta)^j and
+    g_{2j+1} = ((-1)^{j+1} 3/2 - (r/2) C(-1/2, j+1)) beta^{j+1}.  Each is one
+    monomial, and none is zero for odd r, since 3 4^i / C(2i, i) is never an
+    odd integer.  F' = G F gives F_0 = 2^{(r+1)/2} and
+    n F_n = sum_{j=1..n} g_{j-1} F_{n-j}.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if r % 2 == 0:
         raise ValueError("r must be odd")
-    one = SeriesT.constant(k, 1)
-    base = one + SeriesT.term(k, 2, series_mod.beta_poly())    # 1 + beta t^2
-    exponent = SeriesT(k, [Poly.monomial(series_mod.COEFF_RING, (1, n // 2, 0, 0),
-                                         Fraction((-1) ** (n // 2 + 1), n))
-                           if n % 2 else Poly.zero(series_mod.COEFF_RING)
-                           for n in range(k + 1)])
-    h = (one + pow_binomial(base, Fraction(1, 2))) * Fraction(1, 2)
-    total = (pow_binomial(base, Fraction(-3, 4)) * exp_series(exponent)
-             * pow_binomial(h, Fraction(r, 2)))
-    return total.coeffs[k] * Fraction(2) ** ((r + 1) // 2)
+    g = []
+    for i in range(k):
+        j = i // 2
+        if i % 2:
+            c = (-1) ** (j + 1) * Fraction(3, 2) \
+                - Fraction(r, 2) * binomial_coeff(Fraction(-1, 2), j + 1)
+            g.append(Poly.monomial(COEFF_RING, (0, j + 1, 0, 0), c))
+        else:
+            g.append(Poly.monomial(COEFF_RING, (1, j, 0, 0), (-1) ** (j + 1)))
+    f = [Poly.constant(COEFF_RING, Fraction(2) ** ((r + 1) // 2))]
+    for n in range(1, k + 1):
+        f.append(Poly.from_terms(COEFF_RING, (t for j in range(1, n + 1)
+                                              for t in (g[j - 1] * f[n - j]).terms.items()))
+                 * Fraction(1, n))
+    return f[k]
 
 
 # -- generator sets ---------------------------------------------------------------
@@ -457,41 +470,23 @@ def jgen_n1(g: int, sign: str = "+", local: bool = False) -> GeneratorSet:
 def gamma_cofactors(g: int, sign: str = "+", local: bool = False) -> Dict[int, Poly]:
     """Explicit cofactors {i: a_i} with gamma^g = sum_i a_i * r_{g+i}, i in {0,1,2}.
 
-    Built from the defining recursion, so the identity is exact in the
-    polynomial ring; verified by the caller/test with plain arithmetic.
+    A window (c0, c1, c2) with gamma^j = c0 r_j + c1 r_{j+1} + c2 r_{j+2} starts
+    at gamma^0 = r_0 and is multiplied by gamma g times.  Only gamma r_j leaves
+    the window; the step of ``_r_step`` at h = j + 3 rewrites it as
+    2 (lin r_{j+2} + mid r_{j+1} - (j+3) r_{j+3}), and gamma stays in the
+    cofactors of r_{j+1} and r_{j+2}.  The identity is exact in the polynomial
+    ring; ``floer.gamma_power_witness`` re-checks it.
     """
     if g < 1:
         raise ValueError("g must be >= 1")
     rng = _n1_ring(local)
     gamma_var = Poly.variable(rng, "gamma")
-
-    # gamma * r_{h-3} = 2*(lin(h) r_{h-1} + mid(h) r_{h-2} - h r_h)
-    def gamma_times_r(k_idx: int) -> Dict[int, Poly]:
-        h = k_idx + 3
-        lin, mid = _r_step(rng, h)
-        return {
-            k_idx + 2: lin * 2,
-            k_idx + 1: mid * 2,
-            k_idx + 3: Poly.constant(rng, -2 * h),
-        }
-
-    # window invariant: gamma^j = sum of cof[i] * r_i over i in {j, j+1, j+2};
-    # only the bottom index leaves the next window and needs the recursion,
-    # the other two terms keep gamma as part of their cofactor.
-    cof: Dict[int, Poly] = gamma_times_r(0)  # gamma^1 = gamma * r_0
-    for j in range(1, g):
-        nxt: Dict[int, Poly] = {j + 1: Poly.zero(rng), j + 2: Poly.zero(rng),
-                                j + 3: Poly.zero(rng)}
-        bottom = cof.get(j, Poly.zero(rng))
-        for idx, cpoly in gamma_times_r(j).items():
-            nxt[idx] = nxt[idx] + bottom * cpoly
-        for idx in (j + 1, j + 2):
-            a = cof.get(idx)
-            if a is not None:
-                nxt[idx] = nxt[idx] + a * gamma_var
-        cof = {k2: v for k2, v in nxt.items() if not v.is_zero()}
-    out = {i - g: p for i, p in cof.items()}
-    assert set(out) <= {0, 1, 2}
+    c0, c1, c2 = Poly.constant(rng, 1), Poly.zero(rng), Poly.zero(rng)
+    for j in range(g):
+        lin, mid = _r_step(rng, j + 3)
+        c0, c1, c2 = (gamma_var * c1 + mid * c0 * 2, gamma_var * c2 + lin * c0 * 2,
+                      c0 * (-2 * (j + 3)))
+    out = {0: c0, 1: c1, 2: c2}
     if sign == "-":
         out = {i: phi_negate(p) * ((-1) ** g) for i, p in out.items()}
     return out

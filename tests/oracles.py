@@ -18,7 +18,7 @@ from instanton.poly import (ALPHA, LAURENT_U, OMEGA, RATIONAL, Exponents, Lauren
                             monomials_of_degree, ring)
 from instanton.quotient import QuotientSpec, canonical_rep, delta_support, rbar_spec
 from instanton.relations import GeneratorSet, delta_sym, xi
-from instanton.series import (COEFF_RING, RationalFn, SeriesT, binomial_coeff,
+from instanton.series import (COEFF_RING, RationalFn, binomial_coeff,
                               expand_rational_fn, poly_mul)
 
 
@@ -898,16 +898,6 @@ def _reassemble(rhos: Dict[int, Poly], rng, m: int) -> Poly:
     return total
 
 
-def series_mul_by_convolution(a: SeriesT, b: SeriesT) -> SeriesT:
-    """a * b with c_n = sum_{i+j=n} a_i b_j, every product a_i b_j formed.
-    Oracle for ``SeriesT.__mul__``."""
-    out = [Poly.zero(COEFF_RING)] * (a.order + 1)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs[:a.order + 1 - i]):
-            out[i + j] = out[i + j] + x * y
-    return SeriesT(a.order, out)
-
-
 # Series with an adjoined s = sqrt(-beta): lists of (even, odd) coefficient
 # pairs, one per power of t, standing for sum_k (even_k + s odd_k) t^k.
 
@@ -982,20 +972,6 @@ def _even_part(f) -> List[Poly]:
     if any(o.terms for _, o in f):
         raise AssertionError("nonvanishing odd sqrt(-beta) part")
     return [e for e, _ in f]
-
-
-def pow_binomial_by_powers(base: SeriesT, exponent: Fraction) -> SeriesT:
-    """(base)^exponent as sum_i C(exponent, i) (base - 1)^i, every power formed:
-    O(N^3) coefficient products.  Oracle for ``series.pow_binomial``."""
-    zero = Poly.zero(COEFF_RING)
-    return SeriesT(base.order, _even_part(_pairs_pow([(c, zero) for c in base.coeffs],
-                                                     exponent)))
-
-
-def exp_series_by_powers(f: SeriesT) -> SeriesT:
-    """exp(f) as sum_i f^i / i!.  Oracle for ``series.exp_series``."""
-    zero = Poly.zero(COEFF_RING)
-    return SeriesT(f.order, _even_part(_pairs_exp([(c, zero) for c in f.coeffs])))
 
 
 def rho_series_with_s(k: int, r: int) -> Poly:

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,17 @@ def test_package_imports_only_the_standard_library():
             outside += [f"{path.name}: {m}" for m in modules
                         if m.split(".")[0] not in sys.stdlib_module_names]
     assert not outside
+
+
+def test_every_oracle_the_readme_names_exists():
+    """Each `tests/oracles.py::name` in README.md is a top-level function or
+    class of tests/oracles.py."""
+    named = set(re.findall(r"tests/oracles\.py::(\w+)", (ROOT / "README.md").read_text()))
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert named
+    assert sorted(named - defined) == []
 
 
 _TRACE_EVERY_BOUNDARY = """

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import (exp_series_by_powers, orbit_by_round_trip, pow_binomial_by_powers,
-                     r_poly_from_written_bases, rho_proj_all_by_reduction, rho_series_with_s)
+from oracles import (orbit_by_round_trip, r_poly_from_written_bases, rho_proj_all_by_reduction,
+                     rho_series_with_s)
 
 from instanton import acceptance, relations
 from instanton.floer import (_one_point_ideals, _three_point_ideals, gamma_power_witness,
@@ -19,7 +19,7 @@ from instanton.relations import (EtaChoice, GeneratorSet, delta_sym,
                                  kprime_gen, phi_negate, r_poly, r_poly_local,
                                  rho_proj, rho_series, specialize_u, w0, w1,
                                  w_skeleton, xi)
-from instanton import series as series_mod
+from instanton.series import COEFF_RING
 
 R1 = ring(1)
 W1 = ring(1, coordinate=OMEGA)
@@ -75,24 +75,24 @@ def test_delta_sym_examples():
 
 
 def om():
-    return Poly.variable(series_mod.COEFF_RING, "omega")
+    return Poly.variable(COEFF_RING, "omega")
 
 
 def bt():
-    return series_mod.beta_poly()
+    return Poly.variable(COEFF_RING, "beta")
 
 
 def test_rho_proj_examples():
     assert rho_proj(1, 3, 0) == om() * 4
-    assert rho_proj(1, 3, 1) == Poly.constant(series_mod.COEFF_RING, -2)
+    assert rho_proj(1, 3, 1) == Poly.constant(COEFF_RING, -2)
     for n in (1, 3, 5):
         m = (n - 1) // 2
-        assert rho_proj(0, n, 0) == Poly.constant(series_mod.COEFF_RING, 2 ** (m + 1))
+        assert rho_proj(0, n, 0) == Poly.constant(COEFF_RING, 2 ** (m + 1))
     assert rho_proj(2, 3, 3).is_zero()  # s > k
 
 
 def test_rho_series_examples():
-    assert rho_series(0, 1) == Poly.constant(series_mod.COEFF_RING, 2)
+    assert rho_series(0, 1) == Poly.constant(COEFF_RING, 2)
     # sign branch pinned by the acceptance suite: series carries omega -> -omega
     assert rho_series(1, 1) == om() * -2
     p = rho_series(2, 1)
@@ -156,29 +156,6 @@ def test_rho_series_matches_the_literal_route_with_s():
     for r in range(-5, 10, 2):
         assert [rho_series(k, r) for k in range(11)] == \
             [rho_series_with_s(k, r) for k in range(11)]
-
-
-def test_rho_series_matches_the_summed_powers_kernels(monkeypatch):
-    """rho_series through the O(N^2) recurrences equals rho_series through
-    powers and exp formed by summing powers of a series."""
-    cases = [(k, r) for k in range(9) for r in (-3, -1, 1, 3, 5, 7)]
-    got = [rho_series(k, r) for k, r in cases]
-    monkeypatch.setattr(relations, "pow_binomial", pow_binomial_by_powers)
-    monkeypatch.setattr(relations, "exp_series", exp_series_by_powers)
-    assert got == [rho_series(k, r) for k, r in cases]
-
-
-def test_rho_series_runs_three_powers_and_one_exp(monkeypatch):
-    """One rho_series call runs three pow_binomial and one exp_series."""
-    calls = []
-    for name in ("pow_binomial", "exp_series"):
-        kernel = getattr(relations, name)
-        monkeypatch.setattr(relations, name,
-                            lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a))
-    for k, r in ((5, 3), (0, -1)):
-        calls.clear()
-        rho_series(k, r)
-        assert sorted(calls) == ["exp_series"] + ["pow_binomial"] * 3
 
 
 def test_rho_linear_independence():
