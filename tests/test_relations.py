@@ -78,10 +78,6 @@ def om():
     return Poly.variable(COEFF_RING, "omega")
 
 
-def bt():
-    return Poly.variable(COEFF_RING, "beta")
-
-
 def test_rho_proj_examples():
     assert rho_proj(1, 3, 0) == om() * 4
     assert rho_proj(1, 3, 1) == Poly.constant(COEFF_RING, -2)
