@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -384,6 +385,46 @@ def test_three_point_model_at_genus_three():
     b = Poly.variable(model.ring, "beta")
     assert model.membership((b * b - 4) ** 4)
     assert not model.membership((b * b - 4) ** 3)
+
+
+# sha256 of repr((basis, {variable: (nums, den)})) of each model, as built
+# before the mod-p build shared canonical_rep's delta-square fold
+MODEL_DIGESTS = {
+    (1, "+", None): "a3375b1075dd25548d077abe74416d99eac5b291cae7ca5e6204c96a556ae910",
+    (1, "-", None): "245af121eb3b51a5158de3698149acaa2694438ec2c6a7abab424bd1db6edf31",
+    (2, "+", None): "5a640b336557427eab5b551c777c1600a52025c24ed9ea1003d1725299b96879",
+    (2, "-", None): "43da591a9daf95e527f9facaabd88f640d655f7114b1b1f1cc2226876e8733e5",
+    (3, "+", None): "f77a980d3a9059a6b86a106cda8a01063097bd63b05a48f3131d7cffe5486099",
+    (3, "-", None): "d6be114de21bd883a7f955de42f9cc58690333caecabd33e610d73919789e486",
+    (4, "+", None): "7b368698b436913ac5c27cce4eada76c444c86034590f1c495a2beb7b96434e6",
+    (4, "-", None): "be861fdb280d76bd2dd2bdc3ff3b2aa8a54a27a138d40e92059b17f5d2f60112",
+    (5, "+", None): "375adabe048459451f4ad01dfd54ce1fdc2a91807eb1766b6e7ad4f19ef0d202",
+    (5, "-", None): "64a74c81b9d04ccebf33c6e35fea8357860da110011b7070de0335bb30f0bf8e",
+    (0, "+", F(2)): "0e266e72f901225a584418545a2aeeb58a57fe56eea0f73b0637072ba751bf4c",
+    (0, "+", F(3, 2)): "0e266e72f901225a584418545a2aeeb58a57fe56eea0f73b0637072ba751bf4c",
+    (1, "+", F(2)): "27e42168508f3948caa633f350a8c4a501085f19cc2f0367350afbea6e954328",
+    (1, "+", F(3, 2)): "43e68bfc651eaec37db57f074a871770a5fbec7f62bdb86ad401036603851d2a",
+    (2, "+", F(2)): "bc6d14d87a58d319d02f8506fab8d4863906877a65ca096a08699f634ba88520",
+    (2, "+", F(3, 2)): "06941fced8154c43d5455a4381fe109877b2c888fdd4a79d8ec3ea3064670ea4",
+    (3, "+", F(2)): "a6cc5832bf1dd9620ca220def1c396da1bf951db737b2e327e94dfbf18a2ff4e",
+    (3, "+", F(3, 2)): "42e49b354ed4bb00e031b42d59bea1e26657c94b0c78681139e7b205e498c7d9",
+    "n3_0": "db61c8d4cd0ec40b54b1a86c1b3e19d097cae798bf1726c614a664f3df842831",
+    "n3_1": "7e5de735ea460f4d03e8617f58777493bfe9740241d18a5cb778340b9de5b4c0",
+    "n3_2": "38808565736583c987c189f4961c158a48877977378df27e3d262509b9663d37",
+}
+
+
+def test_models_match_their_pinned_digests():
+    """Every basis and operator of the pinned one-point (both signs, u = 1 and
+    u = theta) and three-point models is byte-for-byte the recorded one."""
+    def digest(model):
+        ops = {v: (model.operator(v).nums, model.operator(v).den)
+               for v in model.ring.var_names}
+        return hashlib.sha256(repr((model.basis, ops)).encode()).hexdigest()
+
+    got = {key: digest(model_n3(int(key[-1])) if isinstance(key, str) else model_for(*key))
+           for key in MODEL_DIGESTS}
+    assert got == MODEL_DIGESTS
 
 
 def test_hilbert_report_json_shape():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -200,6 +203,23 @@ def test_canonical_rep_is_evaluation_on_the_relations(rand, rng, spec):
         assert all(rep.terms.values())
         assert rep.evaluate_alpha_point(alpha, c - d * d, 0, deltas, eps, u_value=u) == \
             f.evaluate_alpha_point(alpha, c - d * d, 0, deltas, eps, u_value=u)
+
+
+def test_canonical_rep_matches_its_pinned_digest():
+    """canonical_rep on seeded random polynomials over the spec x ring grid of
+    test_canonical_rep_is_evaluation_on_the_relations: the JSON of every
+    representative is byte-for-byte the recorded one."""
+    grid = [(ring(3), rbar_spec()), (W3, model_spec(2)), (W3, r1_spec()), (W3, mod_beta_spec()),
+            (WL3, local_spec()), (ring(3, coeff_kind=LAURENT_U), local_spec(2)),
+            (ring(3, has_epsilon=True), model_spec(1))]
+    rand = random.Random(20240817)
+    docs = []
+    for rng, spec in grid:
+        make = random_laurent_poly if rng.coeff_kind == LAURENT_U else random_poly
+        for _ in range(40):
+            docs.append(canonical_rep(make(rng, rand, terms=6, max_exp=3), spec).to_json())
+    assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == \
+        "bf7e2b961b4dd63d02663bc73527ed44b82ee8b561f295dc2697012877013c59"
 
 
 def test_iso_project_examples():
