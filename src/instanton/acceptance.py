@@ -360,30 +360,35 @@ _CHECKS: Dict[str, Callable[..., CheckResult]] = {
 }
 
 
+# the least (g, n) cases of each criterion that g_max limits (and n_max, for
+# A3, A4 and A11); the limits must leave it one
+_LEAST_CASES = {"A1": [(0, 1)], "A2": [(1, 1)], "A3": _A3_PAIRS, "A4": _A4_PAIRS,
+                "A7": [(1, 1)], "A8": [(1, 1)], "A10": [(0, 1)], "A11": [(0, 1)]}
+
+
 def run_suite(suite: str = "all", g_max: Optional[int] = None,
               n_max: Optional[int] = None, cache=None,
               emit: Callable[[str], None] = print) -> List[CheckResult]:
+    """Run the criteria of ``suite`` in order, emitting each line; ValueError,
+    before any check runs, if the limits leave a criterion no case."""
     if suite == "all":
         names = [f"A{i}" for i in range(1, 14)]
     else:
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}")
         names = SUITES[suite]
+    limits: Dict[str, Dict[str, int]] = {}  # the keyword arguments of each limited check
+    for name in [name for name in names if name in _LEAST_CASES]:
+        given = {"g_max": g_max, "n_max": n_max if name in ("A3", "A4", "A11") else None}
+        limits[name] = {k: v for k, v in given.items() if v is not None}
+        g, n = limits[name].get("g_max", math.inf), limits[name].get("n_max", math.inf)
+        if not any(a <= g and b <= n for a, b in _LEAST_CASES[name]):
+            raise ValueError(f"{name} has no case within "
+                             + ", ".join(f"{k}={v}" for k, v in limits[name].items()))
     results = []
     for name in names:
-        kwargs = {}
-        fn = _CHECKS[name]
-        if name == "A6":
-            kwargs = {"cache": cache}
-        elif g_max is not None and name in ("A1", "A2", "A7", "A8", "A10"):
-            kwargs = {"g_max": g_max}
-        elif name in ("A3", "A4", "A11"):
-            if g_max is not None:
-                kwargs["g_max"] = g_max
-            if n_max is not None:
-                kwargs["n_max"] = n_max
         try:
-            res = fn(**kwargs)
+            res = _CHECKS[name](**({"cache": cache} if name == "A6" else limits.get(name, {})))
         except Exception as exc:  # a raised assertion is a failed criterion
             res = CheckResult(name, False, f"exception: {exc}")
         results.append(res)

@@ -9,14 +9,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import add
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import linalg
 from .linalg import Matrix, subspace_intersection
-from .poly import (ALPHA, OMEGA, RATIONAL, Exponents, Poly,
+from .poly import (ALPHA, OMEGA, RATIONAL, Exponents, Poly, _summed,
                    monomials_of_degree, ring)
-from .quotient import (QuotientSpec, canonical_monomials, canonical_rep,
+from .quotient import (QuotientSpec, _fold_squares, canonical_monomials, canonical_rep,
                        delta_support, model_spec, rbar_spec)
 from .relations import (GeneratorSet, flip_orbit, flip_subsets, gamma_cofactors,
                         igen, jgen_n1, kprime_gen, specialize_u, xi)
@@ -344,83 +345,69 @@ def _apply(columns: List[Dict[int, int]], vec: Dict[int, int]) -> Dict[int, int]
 
 
 def _folds(ring, pairs: List[Tuple[Poly, Poly]]
-           ) -> Tuple[Dict[int, Fraction], List[Tuple[Poly, Poly]]]:
-    """The folds {exponent index of delta_i: c_i}, one per pair (delta_i^2 +
-    beta, delta_i^2 + beta - c_i), the first such pair per i, and the other
-    pairs."""
+           ) -> Tuple[Optional[Fraction], List[Tuple[Poly, Poly]]]:
+    """(c, the other pairs) when every delta_i has a pair (delta_i^2 + beta,
+    delta_i^2 + beta - c), the first such pair per i, with one c for every i;
+    else (None, all the pairs)."""
     beta = Poly.variable(ring, "beta")
     squares = {i: Poly.variable(ring, ring.var_names[i]) ** 2 + beta
                for i in range(3, 3 + ring.n)}
-    folds: Dict[int, Fraction] = {}
+    cs: Dict[int, Fraction] = {}
     rest = []
     for ip, jp in pairs:
-        i = next((i for i, sq in squares.items() if ip == sq and i not in folds), None)
+        i = next((i for i, sq in squares.items() if ip == sq and i not in cs), None)
         if i is not None and (jp - ip).degree() <= 0:
-            folds[i] = -(jp - ip).terms.get(ring.zero_exponents(), Fraction(0))
+            cs[i] = -(jp - ip).terms.get(ring.zero_exponents(), Fraction(0))
         else:
             rest.append((ip, jp))
-    return folds, rest
-
-
-def _fold(terms: Dict[Exponents, int], folds: List[Tuple[int, int]]) -> Dict[Exponents, int]:
-    """``terms`` with each delta_i^2 of a fold (i, c_i) replaced by c_i - beta
-    until every such delta_i has exponent <= 1: the normal form modulo the
-    binomials delta_i^2 + beta - c_i, whose leading monomials are coprime, so
-    that they are a Groebner basis (Cox-Little-O'Shea, Ideals, Varieties, and
-    Algorithms, Ch. 2 Sections 3 and 9)."""
-    out: Dict[Exponents, int] = {}
-    todo = list(terms.items())
-    while todo:
-        e, x = todo.pop()
-        for i, c in folds:
-            if e[i] > 1:
-                e = e[:i] + (e[i] - 2,) + e[i + 1:]
-                if c:
-                    todo.append((e, c * x))
-                todo.append(((e[0], e[1] + 1) + e[2:], -x))  # beta is variable 1
-                break
-        else:
-            out[e] = out.get(e, 0) + x
-    return out
+    if len(cs) == ring.n and len(set(cs.values())) == 1:
+        return cs.popitem()[1], rest
+    return None, pairs
 
 
 class _ModularTables:
     """The model's elimination over Z/p: the basis decision and normal forms.
 
-    Each pair (delta_i^2 + beta, delta_i^2 + beta - c_i) is a fold, not rows:
-    ``_fold`` takes every row and every normal-form input modulo the folds.
-    Columns number the monomials of the degrees of ``want`` whose folded
-    delta_i have exponent <= 1, from the top down, within a degree in
-    ``monomials_of_degree`` order, so a row's smallest column leads it.  Per
-    degree d, in increasing order, the rows of the other pairs are taken mod p
-    in ``_ideal_pieces`` order (I-generator index, then cofactor): each is the
-    fold of a J-row, whose degree-d part, dense on d's block of columns, is the
-    folded I-row.  It is reduced by ``_reduce_block`` against the heads
-    (degree-d parts) of the rows stored at d.  A row that adds a pivot is
-    stored unit-led, as its head and a tail: its part below degree d, with the
-    used heads' tails replayed.  That makes it the folded J-row reduced on
-    degree d: it lies in J mod p, so its tail is the lower part of a lift of
-    its head.  delta_i^2 leads delta_i^2 + beta, so the leading monomials of
-    I_d mod p are the unfolded monomials and those of the folded I-rows, and
-    the basis is the columns that lead no head.  A degree with fewer of them
-    than ``want[d]`` is a mismatch, since rank_p <= rank_Q; one with more makes
-    the prime unlucky.
+    When the pairs hold (delta_i^2 + beta, delta_i^2 + beta - c) for every
+    delta_i, with one c (``_folds``), those pairs are a fold, not rows: every
+    row and every normal-form input is taken through canonical_rep's fold
+    delta_i^2 -> c - beta (``quotient._fold_squares``) with c mod p; otherwise
+    the build runs unfolded.  Columns number the monomials of the degrees of
+    ``want`` (with a fold, those whose delta exponents are <= 1), from the top
+    down, within a degree in ``monomials_of_degree`` order, so a row's smallest
+    column leads it.  Per degree d, in increasing order, the rows of the other
+    pairs are taken mod p in ``_ideal_pieces`` order (I-generator index, then
+    cofactor): each is the folded cofactor times a J-generator, whose degree-d
+    part, dense on d's block of columns, is the folded I-row.  It is reduced by
+    ``_reduce_block`` against the heads (degree-d parts) of the rows stored at
+    d.  A row that adds a pivot is stored unit-led, as its head and a tail: its
+    part below degree d, with the used heads' tails replayed.  That makes it
+    the folded J-row reduced on degree d: it lies in J mod p, so its tail is
+    the lower part of a lift of its head.  delta_i^2 leads delta_i^2 + beta, so
+    the leading monomials of I_d mod p are the unfolded monomials and those of
+    the folded I-rows, and the basis is the columns that lead no head.  A
+    degree with fewer of them than ``want[d]`` is a mismatch, since rank_p <=
+    rank_Q; one with more makes the prime unlucky.
     """
 
     def __init__(self, ring, pairs: List[Tuple[Poly, Poly]], want: Dict[int, int], p: int):
         self.p = p
-        folds, pairs = _folds(ring, pairs)
-        self.folds = list(_mod_terms(folds, p).items())
+        c, pairs = _folds(ring, pairs)
+        # (exponents, residue) pairs -> the same folded, or None without a fold
+        self.fold = None if c is None else partial(
+            _fold_squares, ring=ring, c=c.numerator * pow(c.denominator, -1, p) % p)
+        fold = self.fold or iter
+        deltas = ring.delta_slice()
         column = self.column = {}
         monos: Dict[int, List[Exponents]] = {}
         start: Dict[int, int] = {}  # degree -> its first column
         for d in sorted(want, reverse=True):
-            monos[d] = [m for m in monomials_of_degree(ring, d) if all(m[i] < 2 for i in folds)]
+            monos[d] = [m for m in monomials_of_degree(ring, d) if c is None or max(m[deltas]) < 2]
             start[d] = len(column)
             for m in monos[d]:
                 column[m] = len(column)
         # (degree, folded J-generator) mod p
-        mod_pairs = [(ip.degree(), list(_fold(_mod_terms(jp.terms, p), self.folds).items()))
+        mod_pairs = [(ip.degree(), list(_summed(fold(_mod_terms(jp.terms, p).items())).items()))
                      for ip, jp in pairs]
         # per degree, from the top down: (first column, heads, tails by head position)
         self.blocks: List[Tuple[int, List[Optional[_Entries]], Dict[int, _Entries]]] = []
@@ -436,20 +423,19 @@ class _ModularTables:
                     if not free:
                         break
                     dense, lower = [0] * width, {}
-                    row = _fold({tuple(map(add, e, mono)): c for e, c in jterms}, self.folds)
-                    for e, c in row.items():
+                    for e, x in fold([(tuple(map(add, e, mono)), x) for e, x in jterms]):
                         j = column[e]
                         if j < hi:
-                            dense[j - lo] = c
+                            dense[j - lo] += x
                         else:
-                            lower[j] = c
+                            lower[j] = lower.get(j, 0) + x
                     used, residual = _reduce_block(dense, heads, p)
                     if not residual:
                         continue
                     q, inv = residual[0][0], pow(residual[0][1], -1, p)
                     _replay(lower, used, tails)
-                    heads[q] = [(j, c * inv % p) for j, c in residual[1:]]
-                    tails[q] = [(j, c * inv % p) for j, c in lower.items() if c % p]
+                    heads[q] = [(j, x * inv % p) for j, x in residual[1:]]
+                    tails[q] = [(j, x * inv % p) for j, x in lower.items() if x % p]
                     free -= 1
             basis_d = [(d, m) for m, head in zip(monos[d], heads) if head is None]
             if len(basis_d) != want[d]:
@@ -466,7 +452,7 @@ class _ModularTables:
         folded, then the blocks in column order, as a replayed tail only
         reaches later ones."""
         coords = [0] * len(self.basis_at)
-        row = {self.column[e]: c for e, c in _fold(terms, self.folds).items()}
+        row = _summed((self.column[e], x) for e, x in (self.fold or iter)(terms.items()))
         for lo, heads, tails in self.blocks:
             hi = lo + len(heads)
             if min(row, default=hi) >= hi:  # no entry in this block
@@ -509,9 +495,10 @@ class QuotientModel:
     after x*b in the column order.
 
     Why the result is exact, with B the basis:
-    1. Per degree, the stored heads and the rows m*(delta_i^2 + beta) of the
-       folds (unit-led at the distinct unfolded monomials, one row each) lie in
-       I mod p and have a unit minor mod p, so I has a nonzero minor over Q.
+    1. Per degree, the stored heads and, when the tables fold delta_i^2 into
+       the one c - beta, the rows m*(delta_i^2 + beta) (unit-led at the
+       distinct unfolded monomials, one row each) lie in I mod p and have a
+       unit minor mod p, so I has a nonzero minor over Q.
        So B spans each (R/I)_d, and R/I vanishes past the window.  Every
        I-generator leads a J-generator, so dim R/J <= dim R/I <= |B|.
     2. By (a) and (c), f -> f(M) e_1 factors through R/J, and by (b) it is

@@ -282,12 +282,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exps: Exponents):
-        c = self.terms.get(tuple(exps))
-        if c is None:
-            return LaurentU() if self.ring.coeff_kind == LAURENT_U else Fraction(0)
-        return c
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:

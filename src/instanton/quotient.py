@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 from operator import add
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .poly import (ALPHA, LAURENT_U, OMEGA, Exponents, LaurentU, Poly, RingDescriptor,
                    _summed)
@@ -64,6 +64,45 @@ def mod_beta_spec() -> QuotientSpec:
     return QuotientSpec(gamma_truncation=1, delta_square=0, beta_zero=True)
 
 
+# (type of c, c) -> c^k (LaurentU has no **) and (c - beta)^k as (beta exponent, coefficient) pairs
+_C_MINUS_BETA: Dict[Tuple[type, object], Tuple[list, list]] = {}
+
+
+def _fold_squares(pairs: Iterable[Tuple[Exponents, object]], ring: RingDescriptor, c,
+                  beta_zero: bool = False) -> Iterator[Tuple[Exponents, object]]:
+    """The (exponents, coefficient) pairs, in omega-coordinates, with every
+    delta_i^2 replaced by c - beta (and beta dropped when beta_zero), not
+    summed; c and the coefficients are Fractions, LaurentU or unreduced
+    residues mod p.  Without beta_zero it is the normal form modulo the
+    binomials delta_i^2 + beta - c: their leading monomials are coprime, so
+    they are a Groebner basis (Cox-Little-O'Shea, Ideals, Varieties, and
+    Algorithms, Ch. 2 Sections 3 and 9)."""
+    lo, hi = 3, 3 + ring.n  # the deltas
+    memo = _C_MINUS_BETA.get((type(c), c))
+    if memo is None:
+        one = LaurentU.coerce(1) if isinstance(c, LaurentU) else type(c)(1)
+        memo = _C_MINUS_BETA[type(c), c] = ([one], [[(0, one)]])
+    c_powers, binomials = memo
+    for exps, coeff in pairs:
+        deltas = exps[lo:hi]
+        if max(deltas) < 2:
+            if not (beta_zero and exps[1]):
+                yield exps, coeff
+            continue
+        head, b = exps[0], exps[1]
+        parities = tuple(d & 1 for d in deltas)
+        tail = exps[2:lo] + parities + exps[hi:]
+        k = (sum(deltas) - sum(parities)) >> 1
+        while len(binomials) <= k:  # the terms C(k, j) c^(k-j) (-1)^j beta^j
+            k2 = len(binomials)
+            c_powers.append(c_powers[-1] * c)
+            binomials.append([(j, c_powers[k2 - j] * (comb(k2, j) * (-1) ** j))
+                              for j in range(k2 + 1) if c_powers[k2 - j]])
+        for j, cj in binomials[k]:
+            if not (beta_zero and b + j):
+                yield (head, b + j) + tail, cj * coeff
+
+
 def canonical_rep(f: Poly, spec: QuotientSpec) -> Poly:
     """The canonical representative of f in the quotient, in omega-coordinates.
 
@@ -76,42 +115,13 @@ def canonical_rep(f: Poly, spec: QuotientSpec) -> Poly:
     expansion of (omega - S/2)^a is never formed.
     """
     ring = f.ring.with_coordinate(OMEGA)
-    G = spec.gamma_truncation
-    beta_zero = spec.beta_zero
+    G, beta_zero = spec.gamma_truncation, spec.beta_zero
     one = LaurentU.coerce(1) if ring.coeff_kind == LAURENT_U else Fraction(1)
     c = spec.delta_square
     if ring.coeff_kind == LAURENT_U:
         c = LaurentU.coerce(c)
     elif isinstance(c, LaurentU):
         c = c.constant_value()
-    lo, hi = ring.delta_slice().start, ring.delta_slice().stop
-    c_powers = [one]  # c^k by repeated products: LaurentU has no **
-    binomials = [[(0, one)]]  # (c - beta)^k as (beta exponent, coefficient) pairs
-
-    def c_minus_beta_power(k: int) -> List[Tuple[int, object]]:
-        """The nonzero terms C(k, j) c^(k-j) (-1)^j beta^j of (c - beta)^k."""
-        while len(binomials) <= k:
-            k2 = len(binomials)
-            c_powers.append(c_powers[-1] * c)
-            binomials.append([(j, c_powers[k2 - j] * (comb(k2, j) * (-1) ** j))
-                              for j in range(k2 + 1) if c_powers[k2 - j]])
-        return binomials[k]
-
-    def fold(pairs):
-        """The pairs with every delta_i^2 replaced by c - beta (and beta
-        dropped when beta = 0); gamma is not touched."""
-        for exps, coeff in pairs:
-            deltas = exps[lo:hi]
-            if max(deltas) < 2:
-                if not (beta_zero and exps[1]):
-                    yield exps, coeff
-                continue
-            head, b = exps[0], exps[1]
-            parities = tuple(d & 1 for d in deltas)
-            tail = exps[2:lo] + parities + exps[hi:]
-            for j, cj in c_minus_beta_power((sum(deltas) - sum(parities)) >> 1):
-                if not (beta_zero and b + j):
-                    yield (head, b + j) + tail, cj * coeff
 
     # S^j carries exponents relative to omega^j, so adding a term's own
     # exponents x^a * rest places it at omega^(a-j) * rest.  ``zero`` and
@@ -122,10 +132,11 @@ def canonical_rep(f: Poly, spec: QuotientSpec) -> Poly:
     s_powers = [[(zero, one)]]  # canonical S^j as (exponents, coefficient) pairs
     if f.ring.coordinate == ALPHA:
         s_terms = [tuple(int(j == i) - int(j == 0) for j in range(ring.nvars))
-                   for i in range(lo, hi)]
+                   for i in range(3, 3 + ring.n)]
         for _ in range(max((e[0] for e in f.terms), default=0)):
-            s_powers.append(list(_summed(fold(
-                (tuple(map(add, e, s)), sc) for e, sc in s_powers[-1] for s in s_terms)).items()))
+            s_powers.append(list(_summed(_fold_squares(
+                ((tuple(map(add, e, s)), sc) for e, sc in s_powers[-1] for s in s_terms),
+                ring, c, beta_zero)).items()))
     half = Fraction(-1, 2)
 
     def shifted():
@@ -139,7 +150,7 @@ def canonical_rep(f: Poly, spec: QuotientSpec) -> Poly:
                     yield (exps if e is zero else tuple(map(add, e, exps)),
                            w if sc is one else sc * w)
 
-    return Poly.from_terms(ring, fold(shifted()))
+    return Poly.from_terms(ring, _fold_squares(shifted(), ring, c, beta_zero))
 
 
 def delta_support(ring: RingDescriptor, exps: Exponents) -> FrozenSet[int]:

@@ -197,3 +197,28 @@ def test_suite_runner_collects_all(tmp_path):
     assert len(results) == 13
     assert all(r.passed for r in results)
     assert all(line.startswith("[A") for line in lines)
+
+
+@pytest.mark.parametrize("g_max, n_max, criterion", [
+    (0, None, "A2"), (-1, None, "A1"), (None, 0, "A3"), (2, -1, "A3")])
+def test_suite_refuses_limits_that_leave_a_criterion_no_case(monkeypatch, g_max, n_max,
+                                                             criterion):
+    """The first criterion in suite order with nothing to check within the
+    limits is named, before any check runs."""
+    ran = []
+    for name in acceptance._CHECKS:
+        monkeypatch.setitem(acceptance._CHECKS, name, lambda name=name, **_kw: ran.append(name))
+    with pytest.raises(ValueError, match=f"^{criterion} has no case within "):
+        acceptance.run_suite("all", g_max=g_max, n_max=n_max, emit=ran.append)
+    assert ran == []
+
+
+@pytest.mark.parametrize("g_max, n_max", [(1, 1), (1, 3), (1, None), (None, 1)])
+def test_suite_runs_every_criterion_that_has_a_case(monkeypatch, g_max, n_max):
+    """Limits that leave each criterion at least one case run the whole suite."""
+    ran = []
+    for name in acceptance._CHECKS:
+        monkeypatch.setitem(acceptance._CHECKS, name,
+                            lambda name=name, **_kw: acceptance.CheckResult(name, True, ""))
+    results = acceptance.run_suite("all", g_max=g_max, n_max=n_max, emit=ran.append)
+    assert [r.criterion for r in results] == [f"A{i}" for i in range(1, 14)]

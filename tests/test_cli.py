@@ -190,6 +190,20 @@ def test_verify_runs_the_genus_asked_for(capsys, tmp_path):
     assert out.startswith("[A8] PASS - ") and out.endswith("; g=5:3 cofactors\n")
 
 
+@pytest.mark.parametrize("argv,error", [
+    (("eigen", "--g-max", "0"), "A2 has no case within g_max=0"),
+    (("membership", "--g-max", "0"), "A8 has no case within g_max=0"),
+    (("subleading", "--g-max", "0"), "A7 has no case within g_max=0"),
+    (("poincare", "--g-max", "0", "--n-max", "1"), "A4 has no case within g_max=0, n_max=1"),
+], ids=["eigen", "membership", "subleading", "poincare"])
+def test_verify_limits_that_leave_a_criterion_no_case_exit_two(capsys, tmp_path, argv, error):
+    """A limit that leaves a criterion nothing to check is bad input, not a
+    PASS: one error line, nothing on stdout, exit 2."""
+    code = run(["verify", "--suite", *argv, "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {error}\n")
+
+
 def test_verify_json_prints_one_document_of_records(capsys, monkeypatch):
     """Text lines or one JSON list of records in run order; the exit code is 1
     on a failed criterion either way."""

@@ -1078,8 +1078,56 @@ def test_standard_tables_fold_every_delta(monkeypatch, ideals, n):
     deltas = range(3, 3 + n)
     assert built and model.dim
     for tables in built:
-        assert sorted(i for i, _c in tables.folds) == list(deltas)
+        assert tables.fold is not None
         assert all(e[i] < 2 for e in tables.column for i in deltas)
+
+
+def _model_pairs(monkeypatch, ideals):
+    """The ring and the (I-generator, J-generator) pairs that the first
+    ``_ModularTables`` of the build of ``ideals`` is given."""
+    given = []
+
+    class Recording(floer._ModularTables):
+        def __init__(self, ring, pairs, want, p):
+            given.append((ring, list(pairs)))
+            super().__init__(ring, pairs, want, p)
+
+    monkeypatch.setattr(floer, "_ModularTables", Recording)
+    QuotientModel(*ideals)
+    return given[0]
+
+
+@pytest.mark.parametrize("ideals,c", [(lambda: floer._one_point_ideals(3, "+"), 2),
+                                      (lambda: floer._one_point_ideals(2, "-"), 2),
+                                      (lambda: floer._one_point_ideals(2, "+", F(3, 2)),
+                                       F(9, 4) + F(4, 9)),
+                                      (lambda: floer._three_point_ideals(1), 2)],
+                         ids=["n1_g3", "n1_g2_minus", "n1_g2_theta3/2", "n3_g1"])
+def test_folds_take_the_one_c_of_every_delta(monkeypatch, ideals, c):
+    """The standard pairs hold delta_i^2 + beta - c for every i with c = 2 at
+    u = 1 and c = theta^2 + theta^-2 at u = theta: ``_folds`` returns that c
+    and every other pair, in order."""
+    rng, pairs = _model_pairs(monkeypatch, ideals())
+    got, rest = floer._folds(rng, pairs)
+    assert got == c
+    assert len(rest) == len(pairs) - rng.n
+    assert [pair for pair in pairs if pair not in rest] == [
+        (ip, ip - c) for ip in (Poly.variable(rng, f"delta{i}") ** 2 + Poly.variable(rng, "beta")
+                                for i in range(1, rng.n + 1))]
+
+
+def test_folds_need_every_delta_and_one_c(monkeypatch):
+    """A pair list that lacks one delta_i's pair, or whose pairs hold two
+    different c, gives no fold and keeps every pair in place."""
+    rng, pairs = _model_pairs(monkeypatch, floer._three_point_ideals(1))
+    beta = Poly.variable(rng, "beta")
+    squares = [Poly.variable(rng, f"delta{i}") ** 2 + beta for i in (1, 2, 3)]
+    assert floer._folds(rng, pairs)[0] == 2
+    lacking = [pair for pair in pairs if pair[0] != squares[1]]
+    assert len(lacking) == len(pairs) - 1
+    assert floer._folds(rng, lacking) == (None, lacking)
+    two_cs = [(ip, ip - 3) if ip == squares[2] else (ip, jp) for ip, jp in pairs]
+    assert floer._folds(rng, two_cs) == (None, two_cs)
 
 
 @pytest.mark.parametrize("degree,change,message", [

@@ -91,3 +91,26 @@ def test_the_traced_model_workload_calls_every_numeric_boundary():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_every_package_import_is_used():
+    """Every name a module of the package imports is read somewhere in that
+    module: as a name, or as the base of an attribute.  The re-exports of
+    ``__init__`` and ``from __future__ import annotations`` are exempt."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in sorted(imported.items())
+                   if name not in used]
+    assert unused == []
