@@ -423,7 +423,9 @@ class _ModularTables:
                     if not free:
                         break
                     dense, lower = [0] * width, {}
-                    for e, x in fold([(tuple(map(add, e, mono)), x) for e, x in jterms]):
+                    # jterms and mono are folded, so only a delta of mono can square
+                    shift = fold if any(mono[deltas]) else iter
+                    for e, x in shift([(tuple(map(add, e, mono)), x) for e, x in jterms]):
                         j = column[e]
                         if j < hi:
                             dense[j - lo] += x
