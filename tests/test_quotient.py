@@ -182,8 +182,7 @@ def test_canonical_rep_never_changes_coordinates(monkeypatch):
 @pytest.mark.parametrize("rng,spec", [
     (ring(3), rbar_spec()), (W3, model_spec(2)), (W3, r1_spec()), (W3, mod_beta_spec()),
     (WL3, local_spec()), (ring(3, coeff_kind=LAURENT_U), local_spec(2)),
-    (ring(3, has_epsilon=True), model_spec(1)),
-], ids=["rbar_alpha", "model2", "r1", "mod_beta", "local", "local2_alpha", "model1_epsilon"])
+], ids=["rbar_alpha", "model2", "r1", "mod_beta", "local", "local2_alpha"])
 def test_canonical_rep_is_evaluation_on_the_relations(rand, rng, spec):
     """canonical_rep(f) equals f at every point where the relations hold:
     delta_i = +-d, beta = c - d^2, gamma = 0 (and d^2 = c when beta = 0)."""
@@ -198,11 +197,10 @@ def test_canonical_rep_is_evaluation_on_the_relations(rand, rng, spec):
         d = F(0) if spec.beta_zero else F(rand.randint(-9, 9), rand.randint(1, 5))
         deltas = [d * rand.choice((1, -1)) for _ in range(rng.n)]
         alpha = F(rand.randint(-9, 9), rand.randint(1, 5))
-        eps = rand.choice((1, -1))
         rep = canonical_rep(f, spec)
         assert all(rep.terms.values())
-        assert rep.evaluate_alpha_point(alpha, c - d * d, 0, deltas, eps, u_value=u) == \
-            f.evaluate_alpha_point(alpha, c - d * d, 0, deltas, eps, u_value=u)
+        assert rep.evaluate_alpha_point(alpha, c - d * d, 0, deltas, u_value=u) == \
+            f.evaluate_alpha_point(alpha, c - d * d, 0, deltas, u_value=u)
 
 
 def test_canonical_rep_matches_its_pinned_digest():
@@ -210,8 +208,7 @@ def test_canonical_rep_matches_its_pinned_digest():
     test_canonical_rep_is_evaluation_on_the_relations: the JSON of every
     representative is byte-for-byte the recorded one."""
     grid = [(ring(3), rbar_spec()), (W3, model_spec(2)), (W3, r1_spec()), (W3, mod_beta_spec()),
-            (WL3, local_spec()), (ring(3, coeff_kind=LAURENT_U), local_spec(2)),
-            (ring(3, has_epsilon=True), model_spec(1))]
+            (WL3, local_spec()), (ring(3, coeff_kind=LAURENT_U), local_spec(2))]
     rand = random.Random(20240817)
     docs = []
     for rng, spec in grid:
@@ -219,7 +216,7 @@ def test_canonical_rep_matches_its_pinned_digest():
         for _ in range(40):
             docs.append(canonical_rep(make(rng, rand, terms=6, max_exp=3), spec).to_json())
     assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == \
-        "bf7e2b961b4dd63d02663bc73527ed44b82ee8b561f295dc2697012877013c59"
+        "aeb605391c562a6f84aa32d60aefa92117072930f3bd21d256c3f4a7c67145a9"
 
 
 def test_iso_project_examples():
