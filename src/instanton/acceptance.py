@@ -28,8 +28,8 @@ from .floer import (decomposition_identity_check, eigen_verify,
                     model_for, model_n3, ptgn_series)
 from .poly import ALPHA, OMEGA, Poly, ring
 from .quotient import QuotientSpec, canonical_rep, mod_beta_spec
-from .relations import (GeneratorSet, flip_orbit, jgen_n1, r_poly, r_poly_local,
-                        rho_proj, rho_series, specialize_u, xi)
+from .relations import (EtaChoice, GeneratorSet, flip_orbit, jgen_n1, r_poly, r_poly_local,
+                        rho_proj, rho_series, specialize_u, w_skeleton, xi)
 from .series import binom_sqrt_dets
 
 
@@ -200,17 +200,13 @@ def check_a7(g_max: int = 5) -> CheckResult:
     g <= 2 and modulo (delta^2 + beta) beyond (the inherent ambiguity of the
     sub-leading term; the difference is asserted divisible)."""
     reduce_spec = QuotientSpec(gamma_truncation=None, delta_square=0)
+    eta = EtaChoice({1}, 1)
     mod_count = 0
     for g in range(1, g_max + 1):
-        rg = r_poly(g)
-        top = rg.homogeneous_component(2 * g)
-        want_top = xi(g, 1).change_coordinates(OMEGA).flip([1])
-        if top != want_top:
+        rg, want = r_poly(g), w_skeleton(g, 1, eta, 1)
+        if rg.homogeneous_component(2 * g) != want.homogeneous_component(2 * g):
             return CheckResult("A7", False, f"leading component mismatch at g={g}")
-        sub = rg.homogeneous_component(2 * g - 2)
-        want_sub = xi(g - 1, -1, target=ring(1, coordinate=ALPHA)) \
-            .change_coordinates(OMEGA) * ((-1) ** g)
-        diff = sub - want_sub
+        diff = rg.homogeneous_component(2 * g - 2) - want.homogeneous_component(2 * g - 2)
         if g <= 2:
             if not diff.is_zero():
                 return CheckResult("A7", False, f"sub-leading not exact at g={g}")

@@ -19,8 +19,8 @@ from .poly import (ALPHA, OMEGA, RATIONAL, Exponents, Poly, _summed,
                    monomials_of_degree, ring)
 from .quotient import (QuotientSpec, _fold_squares, canonical_monomials, canonical_rep,
                        delta_support, model_spec, rbar_spec)
-from .relations import (GeneratorSet, flip_orbit, flip_subsets, gamma_cofactors,
-                        igen, jgen_n1, kprime_gen, specialize_u, xi)
+from .relations import (EtaChoice, GeneratorSet, flip_orbit, flip_subsets, gamma_cofactors,
+                        igen, jgen_n1, kprime_gen, specialize_u, w_skeleton, xi)
 from .series import RationalFn, expand_rational_fn, poly_add, poly_mul, poly_pow, poly_scale, poly_shift
 
 
@@ -527,8 +527,6 @@ class QuotientModel:
         self.J = J
         self.I = I
         self.ring = J.ambient.with_coordinate(OMEGA)
-        if self.ring.has_epsilon:
-            raise ValueError("quotient models need a ring without epsilon")
         if self.ring.coeff_kind != RATIONAL:
             raise ValueError("quotient models need rational coefficients; specialize u first")
         self._build(formula)
@@ -863,11 +861,11 @@ def _eigen_verify_local(g: int, sign: str, theta: Fraction, model: QuotientModel
 def solve_subleading(g: int, n: int = 3) -> GeneratorSet:
     """Solve for the minimal-degree relation at three points.
 
-    Ansatz: xi_{g+1,3} + (-1)^{g+1} tau_123(xi_{g,1}) + h with deg h <= 2(g-1),
-    h over canonical monomials.  Constraints: the point-reduction images of the
-    even-flip orbit reduce to zero in the one-point model, and the candidate
-    vanishes at the alternating odd evaluation points.  The system must have a
-    unique solution.
+    Ansatz: W(g, 3, {}, +1) = xi_{g+1,3} + (-1)^{g+1} tau_123(xi_{g,1}), plus h
+    with deg h <= 2(g-1), h over canonical monomials.  Constraints: the
+    point-reduction images of the even-flip orbit reduce to zero in the
+    one-point model, and the candidate vanishes at the alternating odd
+    evaluation points.  The system must have a unique solution.
     """
     if n != 3:
         raise ValueError("solver supports n = 3")
@@ -875,9 +873,7 @@ def solve_subleading(g: int, n: int = 3) -> GeneratorSet:
         raise ValueError("g must be >= 0")
     m = 1
     rng = ring(3, coordinate=OMEGA)
-    base = xi(g + m, 3).change_coordinates(OMEGA)
-    tail = xi(g + m - 1, 1, target=ring(3, coordinate=ALPHA)).change_coordinates(OMEGA)
-    base = base + tail.flip(range(1, 4)) * ((-1) ** (g + m))
+    base = w_skeleton(g, 3, EtaChoice((), 3), 1)
     # unknowns: canonical monomials of degree <= 2(g-1)
     unknowns: List[Exponents] = []
     spec = model_spec(g)

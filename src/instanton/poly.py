@@ -1,12 +1,10 @@
-"""Sparse graded polynomials in (alpha|omega), beta, gamma, delta_1..delta_n, epsilon.
+"""Sparse graded polynomials in (alpha|omega), beta, gamma, delta_1..delta_n.
 
 Coefficients are exact: either ``fractions.Fraction`` or Laurent polynomials in
 ``u`` (:class:`LaurentU`).  Variable degrees are fixed:
 
-    deg(alpha) = deg(omega) = deg(delta_i) = deg(epsilon) = 2,
-    deg(beta) = 4,  deg(gamma) = 6,
-
-and ``epsilon^2 = 1`` (the epsilon exponent is stored reduced mod 2).
+    deg(alpha) = deg(omega) = deg(delta_i) = 2,
+    deg(beta) = 4,  deg(gamma) = 6.
 
 A polynomial is a dict mapping exponent tuples to coefficients; zero
 coefficients are never stored.  All operations return new values; instances
@@ -152,7 +150,6 @@ class RingDescriptor:
     n: int
     coeff_kind: str = RATIONAL
     coordinate: str = ALPHA
-    has_epsilon: bool = False
 
     def __post_init__(self):
         if self.n < 1 or self.n % 2 == 0:
@@ -168,28 +165,22 @@ class RingDescriptor:
 
     @property
     def nvars(self) -> int:
-        return 3 + self.n + (1 if self.has_epsilon else 0)
+        return 3 + self.n
 
     @property
     def var_names(self) -> Tuple[str, ...]:
-        names = [self.coordinate, "beta", "gamma"]
-        names += [f"delta{i}" for i in range(1, self.n + 1)]
-        if self.has_epsilon:
-            names.append("epsilon")
-        return tuple(names)
+        deltas = tuple(f"delta{i}" for i in range(1, self.n + 1))
+        return (self.coordinate, "beta", "gamma") + deltas
 
     @property
     def degrees(self) -> Tuple[int, ...]:
-        degs = [2, 4, 6] + [2] * self.n
-        if self.has_epsilon:
-            degs.append(2)
-        return tuple(degs)
+        return (2, 4, 6) + (2,) * self.n
 
     def with_coordinate(self, coordinate: str) -> "RingDescriptor":
-        return RingDescriptor(self.n, self.coeff_kind, coordinate, self.has_epsilon)
+        return RingDescriptor(self.n, self.coeff_kind, coordinate)
 
     def with_n(self, n: int) -> "RingDescriptor":
-        return RingDescriptor(n, self.coeff_kind, self.coordinate, self.has_epsilon)
+        return RingDescriptor(n, self.coeff_kind, self.coordinate)
 
     def var_index(self, name: str) -> int:
         try:
@@ -208,16 +199,12 @@ class RingDescriptor:
         return sum(e * d for e, d in zip(exps, degs))
 
     def sort_key(self, exps: Exponents) -> Tuple[int, ...]:
-        # lexicographic priority (omega-or-alpha, delta_1..delta_n, beta, gamma, epsilon)
-        key = (exps[0],) + tuple(exps[3:3 + self.n]) + (exps[1], exps[2])
-        if self.has_epsilon:
-            key += (exps[-1],)
-        return key
+        # lexicographic priority (omega-or-alpha, delta_1..delta_n, beta, gamma)
+        return (exps[0],) + tuple(exps[3:3 + self.n]) + (exps[1], exps[2])
 
 
-def ring(n: int, coeff_kind: str = RATIONAL, coordinate: str = ALPHA,
-         has_epsilon: bool = False) -> RingDescriptor:
-    return RingDescriptor(n, coeff_kind, coordinate, has_epsilon)
+def ring(n: int, coeff_kind: str = RATIONAL, coordinate: str = ALPHA) -> RingDescriptor:
+    return RingDescriptor(n, coeff_kind, coordinate)
 
 
 class Poly:
@@ -233,18 +220,15 @@ class Poly:
         self.terms = terms if _normalized else _summed(self._checked(terms.items()))
 
     def _checked(self, pairs):
-        """The pairs with exponents validated (epsilon folded mod 2) and
-        coefficients coerced to the ring's kind."""
-        ring = self.ring
-        nv = ring.nvars
+        """The pairs with exponents validated and coefficients coerced to the
+        ring's kind."""
+        nv = self.ring.nvars
         for exps, coeff in pairs:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nv:
                 raise ValueError(f"expected {nv} exponents, got {len(exps)}")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            if ring.has_epsilon and exps[-1] > 1:
-                exps = exps[:-1] + (exps[-1] % 2,)  # epsilon^2 = 1
             yield exps, self._coerce_scalar(coeff)
 
     # -- constructors ------------------------------------------------------
@@ -253,9 +237,9 @@ class Poly:
     def from_terms(cls, ring: RingDescriptor,
                    pairs: Iterable[Tuple[Exponents, object]]) -> "Poly":
         """The sum of ``(exponents, coefficient)`` pairs, for trusted input:
-        exponent tuples of the ring's length, nonnegative and with epsilon
-        folded, and coefficients of the ring's kind.  Pairs may repeat an
-        exponent tuple or carry a zero coefficient."""
+        exponent tuples of the ring's length and nonnegative, and coefficients
+        of the ring's kind.  Pairs may repeat an exponent tuple or carry a zero
+        coefficient."""
         return cls(ring, _summed(pairs), _normalized=True)
 
     @classmethod
@@ -356,24 +340,16 @@ class Poly:
         den1, left = _numerators(self.ring, self.terms)
         den2, right = _numerators(self.ring, other.terms)
         pairs = ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in left for e2, c2 in right)
-        if self.ring.has_epsilon:
-            pairs = ((e[:-1] + (e[-1] % 2,), c) for e, c in pairs)
         return Poly(self.ring, _over(den1 and den1 * den2, _summed(pairs)), _normalized=True)
 
     __rmul__ = __mul__
 
     def times_monomial(self, exps: Exponents, coeff=None) -> "Poly":
         """``self * Poly.monomial(self.ring, exps)``, times ``coeff`` if given
-        (nonzero), as an exponent shift (epsilon folded mod 2) and one multiply
-        per term.  The shift is injective, so no two terms meet."""
-        has_eps = self.ring.has_epsilon
-        out: Dict[Exponents, object] = {}
-        for e, c in self.terms.items():
-            e = tuple(map(add, e, exps))
-            if has_eps and e[-1] > 1:
-                e = e[:-1] + (e[-1] % 2,)
-            out[e] = c if coeff is None else c * coeff
-        return Poly(self.ring, out, _normalized=True)
+        (nonzero), as an exponent shift and one multiply per term.  The shift
+        is injective, so no two terms meet."""
+        return Poly(self.ring, {tuple(map(add, e, exps)): c if coeff is None else c * coeff
+                                for e, c in self.terms.items()}, _normalized=True)
 
     def __truediv__(self, scalar) -> "Poly":
         return self * (Fraction(1) / _fr(scalar))
@@ -465,16 +441,12 @@ class Poly:
         if n < 3:
             raise ValueError("pi_reduce needs at least 3 delta variables")
         new_ring = self.ring.with_n(n - 2)
-        eps = 1 if self.ring.has_epsilon else 0
 
         def pairs():
             for exps, coeff in self.terms.items():
                 d_last, d_mid, d_keep = exps[2 + n], exps[1 + n], exps[n]
                 head = exps[:n]  # first var, beta, gamma, delta_1..delta_{n-3}
-                new = head + (d_keep + d_mid + d_last,)
-                if eps:
-                    new += (exps[-1],)
-                yield new, -coeff if d_mid % 2 else coeff
+                yield head + (d_keep + d_mid + d_last,), -coeff if d_mid % 2 else coeff
 
         return Poly.from_terms(new_ring, pairs())
 
@@ -504,8 +476,7 @@ class Poly:
         return total
 
     def evaluate_alpha_point(self, alpha: Scalar, beta: Scalar, gamma: Scalar,
-                             deltas: Sequence[Scalar], epsilon: Scalar = 1,
-                             u_value: Optional[Scalar] = None):
+                             deltas: Sequence[Scalar], u_value: Optional[Scalar] = None):
         """Evaluate at a point given in (alpha, beta, gamma, delta_*) coordinates."""
         if len(deltas) != self.ring.n:
             raise ValueError("wrong number of delta values")
@@ -516,8 +487,6 @@ class Poly:
             point["alpha"] = alpha
         else:
             point["omega"] = _fr(alpha) + sum(map(_fr, deltas), Fraction(0)) / 2
-        if self.ring.has_epsilon:
-            point["epsilon"] = epsilon
         return self.evaluate(point, u_value=u_value)
 
     # -- presentation ---------------------------------------------------------
@@ -566,9 +535,8 @@ class Poly:
         names = doc["vars"]
         coordinate = names[0]
         n = sum(1 for v in names if v.startswith("delta"))
-        has_eps = "epsilon" in names
         laurent = any(isinstance(t["coeff"], list) for t in doc["terms"])
-        rng = RingDescriptor(n, LAURENT_U if laurent else RATIONAL, coordinate, has_eps)
+        rng = RingDescriptor(n, LAURENT_U if laurent else RATIONAL, coordinate)
         if list(rng.var_names) != list(names):
             raise ValueError(f"unsupported variable layout {names}")
         terms = {}
@@ -615,9 +583,9 @@ def _over(den: Optional[int], numerators: dict) -> dict:
 
 def _first_substituted(ring: RingDescriptor, image: Poly,
                        terms: Mapping[Exponents, object]) -> Poly:
-    """The sum of the terms with their first variable replaced by ``image``, an
-    epsilon-free polynomial over ``ring``: the powers of ``image`` shifted by
-    the other exponents, all on numerators over one denominator."""
+    """The sum of the terms with their first variable replaced by ``image``, a
+    polynomial over ``ring``: the powers of ``image`` shifted by the other
+    exponents, all on numerators over one denominator."""
     den, pairs = _numerators(ring, terms)
     powers = [Poly.constant(ring, 1)]  # image^k
     for _ in range(max((e[0] for e in terms), default=0)):
@@ -658,10 +626,6 @@ def delta(ring: RingDescriptor, i: int) -> Poly:
     return Poly.variable(ring, f"delta{i}")
 
 
-def epsilon(ring: RingDescriptor) -> Poly:
-    return Poly.variable(ring, "epsilon")
-
-
 def monomials_of_degree(ring: RingDescriptor, d: int) -> List[Exponents]:
     """All exponent tuples of total degree d, sorted by the display order (descending)."""
     if d < 0:
@@ -676,10 +640,7 @@ def monomials_of_degree(ring: RingDescriptor, d: int) -> List[Exponents]:
                 out.append(tuple(acc))
             return
         w = degs[i]
-        top = remaining // w
-        if ring.has_epsilon and i == nv - 1:
-            top = min(top, 1)
-        for e in range(top + 1):
+        for e in range(remaining // w + 1):
             acc.append(e)
             rec(i + 1, remaining - e * w, acc)
             acc.pop()

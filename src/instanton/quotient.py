@@ -157,23 +157,11 @@ def delta_support(ring: RingDescriptor, exps: Exponents) -> FrozenSet[int]:
     return frozenset(i + 1 for i, d in enumerate(exps[ring.delta_slice()]) if d % 2)
 
 
-def iso_project(f: Poly, I: Iterable[int], spec: QuotientSpec) -> Poly:
-    """Isotypic component p_I: canonical-form terms with delta-support I or I-complement."""
-    g = canonical_rep(f, spec)
-    ring = g.ring
-    I = frozenset(I)
-    if len(I) > ring.m:
-        raise ValueError(f"|I| must be <= m = {ring.m}")
-    Ic = frozenset(range(1, ring.n + 1)) - I
-    return Poly.from_terms(ring, ((e, c) for e, c in g.terms.items()
-                                  if delta_support(ring, e) in (I, Ic)))
-
-
 def canonical_monomials(ring: RingDescriptor, spec: QuotientSpec, degree: int) -> List[Exponents]:
     """Canonical-form monomials of the given total degree, display order (descending)."""
     if degree < 0 or degree % 2:
         return []
-    if ring.coordinate != OMEGA or ring.has_epsilon:
+    if ring.coordinate != OMEGA:
         raise ValueError("canonical monomials live in the omega-coordinate ring")
     n = ring.n
     G = spec.gamma_truncation

@@ -1,4 +1,4 @@
-"""The named relation families: xi, delta-symmetrics, rho (two routes), w0/w1/W,
+"""The named relation families: xi, rho (two routes), the two leading terms W,
 r_g (plain and Laurent), and the labeled generator sets for the ideals.
 
 xi is computed only through its three-term recursion.  rho_proj runs the same
@@ -68,24 +68,6 @@ def xi(k: int, n: int, target: Optional[RingDescriptor] = None) -> Poly:
         target = ring(max(n, 1), coordinate=ALPHA)
     pad = (0,) * (target.nvars - 3)
     return Poly.from_terms(target, ((abc + pad, co) for abc, co in raw.items()))
-
-
-def delta_sym(n: int, s: int, target: Optional[RingDescriptor] = None) -> Poly:
-    """Elementary symmetric polynomial of degree s in delta_1..delta_n."""
-    if not 0 <= s <= n:
-        raise ValueError(f"s must be in 0..{n}")
-    if target is None:
-        target = ring(n, coordinate=OMEGA)
-    if target.n != n:
-        raise ValueError("target ring has the wrong number of deltas")
-    terms = {}
-    base = [0] * target.nvars
-    for sup in combinations(range(n), s):
-        exps = list(base)
-        for i in sup:
-            exps[3 + i] = 1
-        terms[tuple(exps)] = Fraction(1)
-    return Poly(target, terms)
 
 
 # -- rho: projection route (ground truth: the xi recursion in R-bar_n) -----------
@@ -288,27 +270,17 @@ class EtaChoice:
         return frozenset(range(1, self.n + 1)) - self.eta
 
 
-def w0(g: int, n: int, eta: EtaChoice) -> Poly:
-    """Leading Mumford relation tau_eta(xi_{g+m,n}), in omega-coordinates."""
+def w_skeleton(g: int, n: int, eta: EtaChoice, eps: int) -> Poly:
+    """W(g, n, eta, eps) = w0 + (-1)^{g+m} eps w1 in omega-coordinates, the two
+    leading terms of the relations: w0 = tau_eta(xi_{g+m,n}) and
+    w1 = tau_eta'(xi_{g+m-1,n-2}), eta' the complement of eta.  ``eps`` is the
+    sign +1 or -1."""
+    if eps not in (1, -1):
+        raise ValueError(f"eps must be +1 or -1, got {eps!r}")
     m = (n - 1) // 2
-    return xi(g + m, n).change_coordinates(OMEGA).flip(eta.eta)
-
-
-def w1(g: int, n: int, eta: EtaChoice) -> Poly:
-    """Sub-leading relation tau_eta'(xi_{g+m-1,n-2}), in omega-coordinates."""
-    m = (n - 1) // 2
-    base = xi(g + m - 1, n - 2, target=ring(n, coordinate=ALPHA))
-    return base.change_coordinates(OMEGA).flip(eta.complement)
-
-
-def w_skeleton(g: int, n: int, eta: EtaChoice) -> Poly:
-    """w0 + (-1)^g * epsilon-hat * w1; the known two leading terms only."""
-    eps_ring = ring(n, coordinate=OMEGA, has_epsilon=True)
-    m = (n - 1) // 2
-    a = w0(g, n, eta).cast(eps_ring)
-    b = w1(g, n, eta).cast(eps_ring)
-    eps_hat = Poly.variable(eps_ring, "epsilon") * ((-1) ** m)
-    return a + eps_hat * b * ((-1) ** g)
+    w0 = xi(g + m, n).change_coordinates(OMEGA).flip(eta.eta)
+    w1 = xi(g + m - 1, n - 2, target=ring(n, coordinate=ALPHA)).change_coordinates(OMEGA)
+    return w0 + w1.flip(eta.complement) * (eps * (-1) ** (g + m))
 
 
 def flip_subsets(n: int, even: bool) -> List[Tuple[int, ...]]:
@@ -427,7 +399,7 @@ def specialize_u(f: Poly, u_value: Fraction) -> Poly:
     """Evaluate Laurent coefficients at a nonzero rational u."""
     if f.ring.coeff_kind != LAURENT_U:
         return f
-    rng = RingDescriptor(f.ring.n, RATIONAL, f.ring.coordinate, f.ring.has_epsilon)
+    rng = RingDescriptor(f.ring.n, RATIONAL, f.ring.coordinate)
     return Poly.from_terms(rng, ((e, c.evaluate(u_value)) for e, c in f.terms.items()))
 
 

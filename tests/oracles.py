@@ -15,9 +15,9 @@ from instanton import floer
 from instanton.floer import VerificationError
 from instanton.linalg import Matrix, _echelon, _integer_row, _stable_power, restrict, rref
 from instanton.poly import (ALPHA, LAURENT_U, OMEGA, RATIONAL, Exponents, LaurentU, Poly,
-                            monomials_of_degree, ring)
+                            RingDescriptor, monomials_of_degree, ring)
 from instanton.quotient import QuotientSpec, canonical_rep, delta_support, rbar_spec
-from instanton.relations import GeneratorSet, delta_sym, xi
+from instanton.relations import GeneratorSet, xi
 from instanton.series import (COEFF_RING, RationalFn, binomial_coeff,
                               expand_rational_fn, poly_mul)
 
@@ -122,12 +122,9 @@ def _summed_one_by_one(pairs) -> dict:
 
 def poly_mul_by_fractions(p: Poly, q: Poly) -> Poly:
     """p * q with one coefficient product and one coefficient sum per pair of
-    terms (epsilon folded mod 2): the product before it ran on integer
-    numerators."""
+    terms: the product before it ran on integer numerators."""
     pairs = ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in p.terms.items()
              for e2, c2 in q.terms.items())
-    if p.ring.has_epsilon:
-        pairs = ((e[:-1] + (e[-1] % 2,), c) for e, c in pairs)
     return Poly(p.ring, _summed_one_by_one(pairs), _normalized=True)
 
 
@@ -169,27 +166,6 @@ def orbit_by_round_trip(p: Poly, label: str, n: int, even: bool = True
     return [(f"tau_{{{','.join(map(str, I))}}}({label})", flip_round_trip(p, I))
             for size in range(0 if even else 1, n + 1, 2)
             for I in combinations(range(1, n + 1), size)]
-
-
-def even_average(f: Poly, I: Iterable[int], spec: QuotientSpec) -> Poly:
-    """Character projector (1/2^{n-1}) sum_{|J| even} (-1)^{|I cap J|} tau_J.
-
-    Independent oracle for :func:`instanton.quotient.iso_project`; the two agree
-    exactly.
-    """
-    g = canonical_rep(f, spec)
-    ring = g.ring
-    I = frozenset(I)
-    if len(I) > ring.m:
-        raise ValueError(f"|I| must be <= m = {ring.m}")
-    n = ring.n
-    total = Poly.zero(ring)
-    indices = list(range(1, n + 1))
-    for size in range(0, n + 1, 2):
-        for J in combinations(indices, size):
-            sign = (-1) ** len(I & set(J))
-            total = total + g.flip(J) * sign
-    return total * Fraction(1, 2 ** (n - 1))
 
 
 def canonical_rep_two_step(f: Poly, spec: QuotientSpec) -> Poly:
@@ -882,6 +858,25 @@ def rho_proj_all_by_reduction(k: int, n: int, reduce=canonical_rep) -> Dict[int,
     if _reassemble(out, rng, m) != xbar:
         raise AssertionError("decomposition residual nonzero")
     return out
+
+
+def delta_sym(n: int, s: int, target: Optional[RingDescriptor] = None) -> Poly:
+    """Elementary symmetric polynomial of degree s in delta_1..delta_n, over
+    ``target`` (the omega-coordinate ring with n deltas by default)."""
+    if not 0 <= s <= n:
+        raise ValueError(f"s must be in 0..{n}")
+    if target is None:
+        target = ring(n, coordinate=OMEGA)
+    if target.n != n:
+        raise ValueError("target ring has the wrong number of deltas")
+    base = [0] * target.nvars
+    terms = {}
+    for sup in combinations(range(n), s):
+        exps = list(base)
+        for i in sup:
+            exps[3 + i] = 1
+        terms[tuple(exps)] = Fraction(1)
+    return Poly(target, terms)
 
 
 def _reassemble(rhos: Dict[int, Poly], rng, m: int) -> Poly:

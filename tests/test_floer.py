@@ -846,15 +846,6 @@ def test_a_generator_past_the_degree_window_leaves_the_model_unchanged():
         assert model.operator(var) == plain.operator(var), var
 
 
-def test_model_rejects_a_ring_with_epsilon():
-    """epsilon^2 = 1 is a relation, not a free variable, so the certificate's
-    polynomial ring does not apply."""
-    rng = ring(1, coordinate=OMEGA, has_epsilon=True)
-    gens = GeneratorSet("E", rng, [("epsilon-1", Poly.variable(rng, "epsilon") - 1)])
-    with pytest.raises(ValueError, match="epsilon"):
-        QuotientModel(gens, gens, RationalFn([1]))
-
-
 def test_cached_model_keeps_no_build_tables():
     model = model_for(3, "+")
     assert set(vars(model)) == {"J", "I", "ring", "basis", "basis_index",
@@ -1057,29 +1048,29 @@ def test_modular_tables_match_the_unfolded_oracle(monkeypatch, case):
     assert outcomes[-1] is None
 
 
-@pytest.mark.parametrize("ideals,n", [(lambda: floer._one_point_ideals(3, "+"), 1),
-                                      (lambda: floer._one_point_ideals(2, "-", F(3, 2)), 1),
-                                      (lambda: floer._three_point_ideals(1), 3)],
+@pytest.mark.parametrize("ideals", [lambda: floer._one_point_ideals(3, "+"),
+                                    lambda: floer._one_point_ideals(2, "-", F(3, 2)),
+                                    lambda: floer._three_point_ideals(1)],
                          ids=["n1_g3", "n1_g2_theta3/2", "n3_g1"])
-def test_standard_tables_fold_every_delta(monkeypatch, ideals, n):
+def test_standard_tables_fold_every_delta(monkeypatch, ideals):
     """The standard ideals hold delta_i^2 + beta - c for every i, so their
     tables fold every delta_i and no column has a delta exponent of 2 or
     more: a build that stopped recognising the folds would fail here, not
-    only run slower."""
+    only run slower.  A three-point build may first build the solver's
+    one-point tables, so each tables' deltas are read off its own ring."""
     built = []
 
     class Recording(floer._ModularTables):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
+        def __init__(self, ring, *args):
+            super().__init__(ring, *args)
+            built.append((ring, self))
 
     monkeypatch.setattr(floer, "_ModularTables", Recording)
     model = QuotientModel(*ideals())
-    deltas = range(3, 3 + n)
     assert built and model.dim
-    for tables in built:
+    for ring_, tables in built:
         assert tables.fold is not None
-        assert all(e[i] < 2 for e in tables.column for i in deltas)
+        assert all(e[i] < 2 for e in tables.column for i in range(3, 3 + ring_.n))
 
 
 def _model_pairs(monkeypatch, ideals):

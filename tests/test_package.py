@@ -114,3 +114,26 @@ def test_every_package_import_is_used():
         unused += [f"{path.name}:{line}: {name}" for name, line in sorted(imported.items())
                    if name not in used]
     assert unused == []
+
+
+def test_every_package_export_is_read_in_the_package():
+    """Every name ``__init__`` re-exports is read, as a name or as an
+    attribute, in some other module of the package: exported API that
+    nothing calls is deleted."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.name: node.module for node in init.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    assert exported
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [f"{module}.{name}" for name, module in sorted(exported.items())
+              if name not in read]
+    assert unread == []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import random_laurent_poly, random_poly
 from oracles import first_substituted_by_fractions, flip_round_trip, poly_mul_by_fractions
 from instanton.poly import (ALPHA, LAURENT_U, OMEGA, LaurentU, Poly, _delta_sum, alpha,
-                            beta, delta, epsilon, gamma,
+                            beta, delta, gamma,
                             monomials_of_degree, omega, ring)
 
 R1 = ring(1)
@@ -127,14 +127,6 @@ def test_laurent_coefficients_and_evaluation():
     assert prod == LaurentU({2: F(1, 2), -2: F(1, 2)})
 
 
-def test_epsilon_squares_to_one():
-    re = ring(1, has_epsilon=True)
-    e = epsilon(re)
-    assert e * e == Poly.constant(re, 1)
-    f = (alpha(re) + e) * (alpha(re) - e)
-    assert f == alpha(re) * alpha(re) - 1
-
-
 def test_degree_multiplicative_and_components(rand):
     for _ in range(10):
         f = random_poly(R3, rand)
@@ -149,9 +141,8 @@ def test_degree_multiplicative_and_components(rand):
 
 
 def test_monomial_degree_convention():
-    re = ring(3, has_epsilon=True)
-    exps = (1, 1, 1, 1, 1, 1, 1)  # alpha beta gamma delta1 delta2 delta3 epsilon
-    assert re.monomial_degree(exps) == 2 + 4 + 6 + 2 + 2 + 2 + 2
+    exps = (1, 1, 1, 1, 1, 1)  # alpha beta gamma delta1 delta2 delta3
+    assert R3.monomial_degree(exps) == 2 + 4 + 6 + 2 + 2 + 2
 
 
 def test_monomials_of_degree_counts():
@@ -167,6 +158,12 @@ def test_json_round_trip(rand):
             f = f * Poly.constant(rng, LaurentU({-1: 1, 2: F(1, 3)}))
         doc = f.to_json()
         assert Poly.from_json(doc) == f
+    # epsilon = +-1 is a sign, never a ring variable
+    doc = alpha(R1).to_json()
+    doc["vars"].append("epsilon")
+    doc["terms"][0]["exps"].append(0)
+    with pytest.raises(ValueError, match="epsilon"):
+        Poly.from_json(doc)
 
 
 def test_power_and_scalar_ops():
@@ -178,9 +175,8 @@ def test_power_and_scalar_ops():
         a ** -1
 
 
-@pytest.mark.parametrize("rng", [ring(3), ring(1, coordinate=OMEGA), ring(3, has_epsilon=True),
-                                 ring(3, coeff_kind=LAURENT_U, has_epsilon=True)],
-                         ids=["rational", "omega", "epsilon", "laurent_epsilon"])
+@pytest.mark.parametrize("rng", [ring(3), ring(1, coordinate=OMEGA), ring(3, coeff_kind=LAURENT_U)],
+                         ids=["rational", "omega", "laurent"])
 def test_times_monomial_is_the_monomial_product(rand, rng):
     zero = Poly.zero(rng)
     for _ in range(25):
@@ -188,8 +184,6 @@ def test_times_monomial_is_the_monomial_product(rand, rng):
         if rng.coeff_kind == LAURENT_U:
             p = p * LaurentU({-2: 1, 1: F(rand.randint(1, 9), 4)})
         mono = tuple(rand.randint(0, 2) for _ in range(rng.nvars))
-        if rng.has_epsilon:
-            mono = mono[:-1] + (rand.randint(0, 1),)
         shifted = p.times_monomial(mono)
         assert shifted == p * Poly.monomial(rng, mono)
         assert len(shifted.terms) == len(p.terms)
@@ -198,9 +192,8 @@ def test_times_monomial_is_the_monomial_product(rand, rng):
 
 # -- arithmetic checked by evaluation, not by Poly's own arithmetic ---------------
 
-EVAL_RINGS = [ring(3), ring(3, coordinate=OMEGA), ring(3, coeff_kind=LAURENT_U),
-              ring(3, has_epsilon=True), ring(3, coeff_kind=LAURENT_U, has_epsilon=True)]
-EVAL_IDS = ["rational", "omega", "laurent", "epsilon", "laurent_epsilon"]
+EVAL_RINGS = [ring(3), ring(3, coordinate=OMEGA), ring(3, coeff_kind=LAURENT_U)]
+EVAL_IDS = ["rational", "omega", "laurent"]
 
 
 def _poly(rng, rand, **kw):
@@ -210,11 +203,8 @@ def _poly(rng, rand, **kw):
 
 
 def _point(rng, rand):
-    """A random rational point of the ring (epsilon = +-1, so epsilon^2 = 1
-    holds there) and a random nonzero u."""
+    """A random rational point of the ring and a random nonzero u."""
     point = {name: F(rand.randint(-9, 9), rand.randint(1, 5)) for name in rng.var_names}
-    if rng.has_epsilon:
-        point["epsilon"] = rand.choice((1, -1))
     return point, F(rand.choice((-1, 1)) * rand.randint(1, 7), rand.randint(1, 5))
 
 
@@ -259,25 +249,24 @@ def test_structure_maps_are_evaluation(rand, rng):
         point, u = _point(rng, rand)
         a, b, c = point[rng.var_names[0]], point["beta"], point["gamma"]
         ds = [point[f"delta{i}"] for i in (1, 2, 3)]
-        e = point.get("epsilon", 1)
         if rng.coordinate == OMEGA:
             a -= sum(ds) / 2  # the alpha value of this point
-        fv = f.evaluate_alpha_point(a, b, c, ds, e, u_value=u)
+        fv = f.evaluate_alpha_point(a, b, c, ds, u_value=u)
         other = OMEGA if rng.coordinate == ALPHA else ALPHA
         moved = f.change_coordinates(other)
-        assert moved.evaluate_alpha_point(a, b, c, ds, e, u_value=u) == fv
+        assert moved.evaluate_alpha_point(a, b, c, ds, u_value=u) == fv
         for I in ((1,), (1, 3), (1, 2, 3)):
             flipped = [-d if i + 1 in I else d for i, d in enumerate(ds)]
             a_flip = a + sum(ds[i - 1] for i in I)
-            assert f.flip(I).evaluate_alpha_point(a, b, c, ds, e, u_value=u) == \
-                f.evaluate_alpha_point(a_flip, b, c, flipped, e, u_value=u)
+            assert f.flip(I).evaluate_alpha_point(a, b, c, ds, u_value=u) == \
+                f.evaluate_alpha_point(a_flip, b, c, flipped, u_value=u)
         small_point = {k: v for k, v in point.items() if k not in ("delta2", "delta3")}
         big_point = dict(small_point, delta2=-point["delta1"], delta3=point["delta1"])
         assert f.pi_reduce().evaluate(small_point, u_value=u) == f.evaluate(big_point, u_value=u)
         _no_zero_stored(moved, f.flip((1, 3)), f.pi_reduce())
 
 
-_HYP_RINGS = [ring(3), ring(1, coeff_kind=LAURENT_U, coordinate=OMEGA), ring(1, has_epsilon=True)]
+_HYP_RINGS = [ring(3), ring(1, coeff_kind=LAURENT_U, coordinate=OMEGA), ring(1)]
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
@@ -295,8 +284,6 @@ def _poly_pair_and_point(draw):
         return Poly(rng, {k: coeff() for k in keys})
 
     point = {name: draw(_small) for name in rng.var_names}
-    if rng.has_epsilon:
-        point["epsilon"] = draw(st.sampled_from((1, -1)))
     u = draw(_small.filter(bool))
     return poly(), poly(), point, u
 
@@ -313,8 +300,7 @@ def test_arithmetic_is_evaluation_property(case):
 
 
 _FLIP_RINGS = [ring(3), ring(3, coordinate=OMEGA), ring(3, coeff_kind=LAURENT_U),
-               ring(3, coeff_kind=LAURENT_U, coordinate=OMEGA),
-               ring(3, has_epsilon=True), ring(3, coordinate=OMEGA, has_epsilon=True)]
+               ring(3, coeff_kind=LAURENT_U, coordinate=OMEGA)]
 
 
 @st.composite
@@ -350,10 +336,9 @@ def test_flip_group_laws_property(case):
 
 # -- the integer-numerator kernels against their Fraction oracles ------------------
 
-_KERNEL_RINGS = [ring(n, coordinate=c, has_epsilon=e)
-                 for n in (1, 3, 5) for c in (ALPHA, OMEGA) for e in (False, True)] \
+_KERNEL_RINGS = [ring(n, coordinate=c) for n in (1, 3, 5) for c in (ALPHA, OMEGA)] \
     + [ring(1, coeff_kind=LAURENT_U), ring(3, coeff_kind=LAURENT_U, coordinate=OMEGA),
-       ring(3, coeff_kind=LAURENT_U, has_epsilon=True)]
+       ring(3, coeff_kind=LAURENT_U)]
 _mixed = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 
 
@@ -385,8 +370,7 @@ def _kernel_case(draw):
 def test_kernels_match_fraction_oracles_property(case):
     """Products, changes of coordinates and flips against the Fraction bodies
     in tests/oracles.py: the same terms, coefficient types and dict order, with
-    mixed denominators, zero and one-term operands and (with epsilon) products
-    that cancel to zero."""
+    mixed denominators and zero and one-term operands."""
     f, g, I = case
     rng = f.ring
     zero = Poly.zero(rng)
@@ -394,10 +378,6 @@ def test_kernels_match_fraction_oracles_property(case):
     if g.terms:  # a one-term operand on either side: a shift and a scale
         one = Poly(rng, dict([next(iter(g.terms.items()))]))
         pairs += [(f, one), (one, f), (one, one)]
-    if rng.has_epsilon:
-        eps = epsilon(rng)
-        pairs.append((f * (1 + eps), g * (1 - eps)))  # (1 + eps)(1 - eps) = 0
-        assert (pairs[-1][0] * pairs[-1][1]).is_zero()
     for left, right in pairs:
         _same_terms(left * right, poly_mul_by_fractions(left, right))
     _same_terms(f + zero, f)

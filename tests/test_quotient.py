@@ -11,9 +11,8 @@ from conftest import random_laurent_poly, random_poly
 from instanton.poly import (LAURENT_U, OMEGA, LaurentU, Poly, beta, delta,
                             gamma, omega, ring)
 from instanton.quotient import (QuotientSpec, canonical_monomials, canonical_rep,
-                                iso_project, mod_beta_spec, model_spec, rbar_spec)
-from oracles import (canonical_rep_two_step, dense_reduce_oracle, even_average,
-                     rho_proj_all_by_reduction)
+                                mod_beta_spec, model_spec, rbar_spec)
+from oracles import canonical_rep_two_step, dense_reduce_oracle, rho_proj_all_by_reduction
 
 W1 = ring(1, coordinate=OMEGA)
 W3 = ring(3, coordinate=OMEGA)
@@ -112,8 +111,7 @@ def test_canonical_rep_matches_dense_oracle_property(case):
 
 _ORACLE_SPECS = [rbar_spec(), model_spec(0), model_spec(1), model_spec(3), r1_spec(),
                  mod_beta_spec(), local_spec(), local_spec(2)]
-_ALPHA_RINGS = [ring(1), ring(3), ring(5), ring(3, coeff_kind=LAURENT_U),
-                ring(3, has_epsilon=True), ring(3, coeff_kind=LAURENT_U, has_epsilon=True)]
+_ALPHA_RINGS = [ring(1), ring(3), ring(5), ring(3, coeff_kind=LAURENT_U)]
 
 
 @st.composite
@@ -217,68 +215,6 @@ def test_canonical_rep_matches_its_pinned_digest():
             docs.append(canonical_rep(make(rng, rand, terms=6, max_exp=3), spec).to_json())
     assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == \
         "aeb605391c562a6f84aa32d60aefa92117072930f3bd21d256c3f4a7c67145a9"
-
-
-def test_iso_project_examples():
-    spec = rbar_spec()
-    f = omega(W3) * delta(W3, 1) + delta(W3, 2)
-    assert iso_project(f, {1}, spec) == omega(W3) * delta(W3, 1)
-    full = delta(W3, 1) * delta(W3, 2) * delta(W3, 3)
-    assert iso_project(full, set(), spec) == full  # complement support
-    with pytest.raises(ValueError):
-        iso_project(f, {1, 2}, spec)  # |I| > m
-
-
-def test_iso_project_equivariance(rand):
-    spec = rbar_spec()
-    for _ in range(6):
-        f = random_poly(W3, rand, max_exp=2)
-        assert iso_project(f.flip([1, 2]), {1}, spec) == \
-            iso_project(f, {1}, spec).flip([1, 2])
-
-
-def test_projector_algebra(rand):
-    spec = rbar_spec()
-    supports = [frozenset(),frozenset({1}), frozenset({2}), frozenset({3})]
-    for _ in range(5):
-        f = random_poly(W3, rand, max_exp=2)
-        total = Poly.zero(W3)
-        for I in supports:
-            pI = iso_project(f, I, spec)
-            total = total + pI
-            assert iso_project(pI, I, spec) == pI
-            for J in supports:
-                if J != I:
-                    assert iso_project(pI, J, spec).is_zero()
-        assert total == canonical_rep(f, spec)
-
-
-def test_even_average_is_iso_project(rand):
-    spec = rbar_spec()
-    cases = [omega(W3) * delta(W3, 1) + delta(W3, 2),
-             delta(W3, 1) * delta(W3, 2) * delta(W3, 3),
-             random_poly(W3, rand, max_exp=2)]
-    for f in cases:
-        for I in (frozenset(), frozenset({1}), frozenset({3})):
-            assert even_average(f, I, spec) == iso_project(f, I, spec)
-
-
-def test_even_flip_acts_by_character():
-    spec = rbar_spec()
-    f = omega(W3) * delta(W3, 1) + delta(W3, 2) * beta(W3)
-    p1 = iso_project(f, {1}, spec)
-    assert p1.flip([1, 2]) == -p1  # (-1)^{|I cap J|} with I={1}, J={1,2}
-    assert p1.flip([2, 3]) == p1
-
-
-def test_even_average_of_symmetric_poly():
-    # averaging with I = empty keeps the delta-free and full-support parts
-    from instanton.relations import xi
-    spec = rbar_spec()
-    xbar = canonical_rep(xi(1, 3), spec)
-    avg = even_average(xbar, set(), spec)
-    assert avg == iso_project(xbar, set(), spec)
-    assert avg == omega(W3)  # xi-bar_{1,3} support-empty part
 
 
 def test_pi_on_quotient_examples():

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import (orbit_by_round_trip, r_poly_from_written_bases, rho_proj_all_by_reduction,
-                     rho_series_with_s)
+from oracles import (delta_sym, orbit_by_round_trip, r_poly_from_written_bases,
+                     rho_proj_all_by_reduction, rho_series_with_s)
 
 from instanton import acceptance, relations
 from instanton.floer import (_one_point_ideals, _three_point_ideals, gamma_power_witness,
@@ -14,10 +14,10 @@ from instanton.linalg import Matrix, rank
 from instanton.poly import (OMEGA, LaurentU, Poly, alpha, beta, delta,
                             gamma, omega, ring)
 from instanton.quotient import QuotientSpec, canonical_rep, rbar_spec
-from instanton.relations import (EtaChoice, GeneratorSet, delta_sym,
+from instanton.relations import (EtaChoice, GeneratorSet,
                                  flip_orbit, flip_subsets, gamma_cofactors, igen, jgen_n1,
                                  kprime_gen, phi_negate, r_poly, r_poly_local,
-                                 rho_proj, rho_series, specialize_u, w0, w1,
+                                 rho_proj, rho_series, specialize_u,
                                  w_skeleton, xi)
 from instanton.series import COEFF_RING
 
@@ -170,27 +170,35 @@ def test_rho_linear_independence():
             assert rank(Matrix(rows)) == len(fam)
 
 
-# -- w0 / w1 / W -------------------------------------------------------------------
+# -- W ---------------------------------------------------------------------------
 
 
 def test_w_family_one_point():
+    """W(g, 1, {1}, -1) is the sign-minus family: (-1)^g phi_negate(r_g) has its
+    top component, and its sub-leading one exactly for g <= 2 and up to a
+    nonzero multiple of delta^2 + beta beyond, the rule A7 applies to sign +."""
     eta = EtaChoice({1}, 1)
-    assert w0(1, 1, eta) == omega(W1) + delta(W1, 1) * F(1, 2)
-    assert w1(1, 1, eta) == Poly.constant(W1, 1)
-    w = w_skeleton(1, 1, eta)
-    # with epsilon-hat = +1 this is r_1
-    at_plus = w.evaluate({"omega": F(7), "beta": 0, "gamma": 0, "delta1": 0,
-                          "epsilon": 1})
-    assert at_plus == r_poly(1).evaluate({"omega": F(7), "beta": 0, "gamma": 0,
-                                          "delta1": 0})
+    assert w_skeleton(1, 1, eta, -1) == omega(W1) + delta(W1, 1) * F(1, 2) + 1
+    mod_delta_square = QuotientSpec(gamma_truncation=None, delta_square=0)
+    for g in range(1, 6):
+        minus, want = phi_negate(r_poly(g)) * (-1) ** g, w_skeleton(g, 1, eta, -1)
+        assert minus.homogeneous_component(2 * g) == want.homogeneous_component(2 * g)
+        diff = minus.homogeneous_component(2 * g - 2) - want.homogeneous_component(2 * g - 2)
+        assert diff.is_zero() == (g <= 2), g
+        assert canonical_rep(diff, mod_delta_square).is_zero(), g
 
 
 def test_w_skeleton_is_r1():
     eta = EtaChoice({1}, 1)
-    w = w_skeleton(1, 1, eta)
-    # set epsilon-hat = +1 (here epsilon = 1): drop the epsilon slot and sum
-    collapsed = Poly.from_terms(W1, ((e[:4], c) for e, c in w.terms.items()))
-    assert collapsed == r_poly(1)
+    assert w_skeleton(1, 1, eta, 1) == r_poly(1)
+    assert w_skeleton(1, 1, eta, 1).ring == W1
+
+
+def test_w_skeleton_takes_a_sign():
+    eta = EtaChoice({1}, 1)
+    for eps in (0, 2, -2, None):
+        with pytest.raises(ValueError, match="eps"):
+            w_skeleton(1, 1, eta, eps)
 
 
 def test_eta_parity_validation():
