@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import linalg
 from .linalg import Matrix, subspace_intersection
-from .poly import (ALPHA, OMEGA, RATIONAL, Exponents, Poly, _summed,
+from .poly import (ALPHA, OMEGA, RATIONAL, Exponents, Poly, RingDescriptor, _summed,
                    monomials_of_degree, ring)
 from .quotient import (QuotientSpec, _fold_squares, canonical_monomials, canonical_rep,
                        delta_support, model_spec, rbar_spec)
@@ -65,34 +65,34 @@ def k_series(g: int, n: int) -> RationalFn:
 
 def _ideal_pieces(gens: GeneratorSet, spec: Optional[QuotientSpec]):
     """A function taking a degree d to the degree-d monomial basis and a lazy
-    iterator of sparse rows ``{basis index: coefficient}`` spanning the ideal
-    piece, one per (generator index, cofactor monomial) in that order.  A row's
-    product is formed only when the row is taken, and each generator is brought
-    to canonical form inside ``spec`` once, when it is first needed; a generator
-    that reduces to zero gives no rows.  The function's ``form(k)`` is generator
-    k in that canonical form, the one its rows are formed from."""
-    if spec is None:
-        rng = gens.ambient
+    iterator of sparse integer rows ``{basis index: coefficient}`` spanning the
+    ideal piece, one per (generator index, cofactor monomial) in that order; a
+    row is formed only when it is taken.  The function's ``form(k)`` is
+    generator k as its rows are formed from: the generator itself without a
+    spec, else its canonical form inside ``spec``, reduced once, when first
+    needed.  A generator whose form is zero gives no rows.
 
-        def monomials(d):
-            return monomials_of_degree(rng, d)
+    Each form is scaled once to integer coefficients, and each row is formed
+    from the scaled form by ``_product_row``, with no ``Poly``, no
+    ``canonical_rep`` and no ``Fraction``.  A row is the row of the product
+    of the form and the cofactor, brought to canonical form inside ``spec``,
+    times the form's nonzero integer scale, so the rows span the same piece."""
+    rng = gens.ambient if spec is None else gens.ambient.with_coordinate(OMEGA)
+    forms: List[Tuple[Poly, int, List[Tuple[Exponents, int]]]] = []  # (form, degree, scaled terms)
+    bases: Dict[int, List[Exponents]] = {}  # degree -> its monomials, as far as used
 
-        def reduce(p):
-            return p
-    else:
-        rng = gens.ambient.with_coordinate(OMEGA)
+    def monomials(d: int) -> List[Exponents]:
+        if d not in bases:
+            bases[d] = (monomials_of_degree(rng, d) if spec is None
+                        else canonical_monomials(rng, spec, d))
+        return bases[d]
 
-        def monomials(d):
-            return canonical_monomials(rng, spec, d)
-
-        def reduce(p):
-            return canonical_rep(p, spec)
-    reduced: List[Poly] = []  # the generators' reduced forms, in order, as far as used
-
-    def form(k: int) -> Poly:
-        while len(reduced) <= k:
-            reduced.append(reduce(gens.gens[len(reduced)][1]))
-        return reduced[k]
+    def scaled(k: int) -> Tuple[Poly, int, List[Tuple[Exponents, int]]]:
+        while len(forms) <= k:
+            p = gens.gens[len(forms)][1]
+            p = p if spec is None else canonical_rep(p, spec)
+            forms.append((p, p.degree(), list(linalg._integer_row(p.terms).items())))
+        return forms[k]
 
     def piece(degree: int):
         basis = monomials(degree)
@@ -100,15 +100,30 @@ def _ideal_pieces(gens: GeneratorSet, spec: Optional[QuotientSpec]):
 
         def rows():
             for k in range(len(gens)):
-                gp = form(k)
-                if gp.is_zero():
-                    continue
-                for mono in monomials(degree - gp.degree()):
-                    prod = reduce(gp.times_monomial(mono))
-                    yield {index[e]: c for e, c in prod.terms.items() if e in index}
+                _form, d, terms = scaled(k)
+                if terms:  # a zero form gives no rows
+                    for mono in monomials(degree - d):
+                        yield _product_row(terms, mono, index, rng, spec)
         return basis, rows()
-    piece.form = form
+    piece.form = lambda k: scaled(k)[0]
     return piece
+
+
+def _product_row(terms: List[Tuple[Exponents, int]], mono: Exponents, index: Dict[Exponents, int],
+                 rng: RingDescriptor, spec: Optional[QuotientSpec]) -> Dict[int, int]:
+    """The sparse integer row, on the degree basis ``index``, of the form with
+    integer ``terms`` times the cofactor monomial ``mono``: each term's
+    exponents shifted by ``mono``; inside ``spec``, the terms with gamma
+    exponent >= G dropped and every delta_i^2 folded into -beta
+    (``_fold_squares`` with c = 0: the c part of c - beta has a lower degree
+    than the row, so it meets no basis monomial); then summed by column, with
+    the terms outside the basis left out."""
+    G = math.inf if spec is None or spec.gamma_truncation is None else spec.gamma_truncation
+    room = G - mono[2]
+    shifted = ((tuple(map(add, e, mono)), c) for e, c in terms if e[2] < room)
+    if spec is not None:
+        shifted = _fold_squares(shifted, rng, 0, spec.beta_zero)
+    return _summed((index[e], c) for e, c in shifted if e in index)
 
 
 def _graded_ranks(gens: GeneratorSet, max_degree: int,
@@ -123,10 +138,12 @@ def _graded_ranks(gens: GeneratorSet, max_degree: int,
     ``delta_support``).  A piece of a flip-closed ideal is the direct sum of its
     block projections, and canonical_rep(tau_I(b) m) = +-tau_I(canonical_rep(b m))
     for a cofactor monomial m, so the block projections of the rows of the
-    orbit representatives (``GeneratorSet.flip_reps``) span every block.  The
-    columns are numbered block by block and each row is split into its
-    projections; those of different blocks share no column, so one
-    ``linalg.row_rank`` sums the block ranks.  An unmarked set, or rows in
+    orbit representatives (``GeneratorSet.flip_reps``) span every block.  Only
+    the representatives are read, so the other members of a marked set's
+    orbits are never built here.  The columns are numbered block by block and
+    each integer row of ``_ideal_pieces`` is split into its projections; those
+    of different blocks share no column, so one pass of the rank kernel
+    ``linalg._echelon`` sums the block ranks.  An unmarked set, or rows in
     alpha coordinates (no spec), take the trivial group: every generator, one
     block.
     """
@@ -160,7 +177,7 @@ def _graded_ranks(gens: GeneratorSet, max_degree: int,
         for b, members in enumerate(blocks.values()):
             for i in members:
                 column[i] = (b, len(column))
-        out.append((len(basis), linalg.row_rank(_block_projections(rows, column), len(basis))))
+        out.append((len(basis), len(linalg._echelon(_block_projections(rows, column), len(basis)))))
     return out
 
 
@@ -168,7 +185,7 @@ def _block_projections(rows, column: Dict[int, Tuple[int, int]]):
     """Each sparse row split into its block projections, with the columns and
     blocks of ``column`` (basis index -> (block number, column))."""
     for row in rows:
-        parts: Dict[int, Dict[int, Fraction]] = {}
+        parts: Dict[int, Dict[int, int]] = {}
         for i, c in row.items():
             b, j = column[i]
             parts.setdefault(b, {})[j] = c

@@ -14,7 +14,7 @@ from the same r_g step, run as a three-term window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -177,7 +177,18 @@ def rho_series(k: int, r: int) -> Poly:
 # -- generator sets ---------------------------------------------------------------
 
 
-@dataclass
+def _checked(gens: Sequence[Tuple[str, Poly]]) -> List[Tuple[str, Poly]]:
+    """The named generators as a list, refusing a repeated name or a zero."""
+    gens = list(gens)
+    names = [name for name, _ in gens]
+    if len(set(names)) != len(names):
+        raise ValueError("generator names must be unique")
+    for name, p in gens:
+        if p.is_zero():
+            raise ValueError(f"generator {name} is zero")
+    return gens
+
+
 class GeneratorSet:
     """A labeled ideal presentation: named generators over an ambient ring.
 
@@ -188,40 +199,46 @@ class GeneratorSet:
     serialized, and a set built from another set's generators starts unmarked.
     """
 
-    label: str
-    ambient: RingDescriptor
-    gens: List[Tuple[str, Poly]]
-    meta: Dict[str, object] = field(default_factory=dict)
-    flip_reps: Optional[Tuple[int, ...]] = None
+    def __init__(self, label: str, ambient: RingDescriptor, gens: Sequence[Tuple[str, Poly]],
+                 meta: Optional[Dict[str, object]] = None):
+        self.label, self.ambient = label, ambient
+        self.meta = {} if meta is None else meta
+        self.flip_reps: Optional[Tuple[int, ...]] = None
+        self._orbits: List[Sequence[Tuple[str, Poly]]] = []
+        self._gens: Optional[List[Tuple[str, Poly]]] = _checked(gens)
 
-    def __post_init__(self):
-        names = [name for name, _ in self.gens]
-        if len(set(names)) != len(names):
-            raise ValueError("generator names must be unique")
-        for name, p in self.gens:
-            if p.is_zero():
-                raise ValueError(f"generator {name} is zero")
+    @property
+    def gens(self) -> List[Tuple[str, Poly]]:
+        """The named generators in order; a marked set reads the members of its
+        orbits here, the first time."""
+        if self._gens is None:
+            self._gens = _checked([gen for orbit in self._orbits for gen in orbit])
+        return self._gens
 
     @classmethod
     def of_orbits(cls, label: str, ambient: RingDescriptor,
-                  orbits: List[List[Tuple[str, Poly]]], meta: Dict[str, object]) -> "GeneratorSet":
+                  orbits: List[Sequence[Tuple[str, Poly]]], meta: Dict[str, object]) -> "GeneratorSet":
         """The generators of ``orbits`` in order, marked with each orbit's first
         member as its representative.  Each orbit must be a whole even-flip
         orbit up to sign: an even orbit from ``flip_orbit``, an odd one (the
-        even flips act transitively on it), or one flip-invariant generator."""
-        gens: List[Tuple[str, Poly]] = []
-        reps = []
+        even flips act transitively on it), or one flip-invariant generator.
+        Only the representatives are read here; the other members are read
+        when ``gens`` first is, so an orbit from ``flip_orbit`` builds them
+        then, and ``representatives()`` never does."""
+        gs = cls(label, ambient, [orbit[0] for orbit in orbits], meta)
+        reps, start = [], 0
         for orbit in orbits:
-            reps.append(len(gens))
-            gens.extend(orbit)
-        return cls(label, ambient, gens, meta, tuple(reps))
+            reps.append(start)
+            start += len(orbit)
+        gs.flip_reps, gs._orbits, gs._gens = tuple(reps), orbits, None
+        return gs
 
     def representatives(self) -> "GeneratorSet":
         """The orbit representatives of a marked set, as an unmarked set; an
         unmarked set is its own."""
         if self.flip_reps is None:
             return self
-        return GeneratorSet(self.label, self.ambient, [self.gens[k] for k in self.flip_reps],
+        return GeneratorSet(self.label, self.ambient, [orbit[0] for orbit in self._orbits],
                             self.meta)
 
     def names(self) -> List[str]:
@@ -294,10 +311,32 @@ def flip_subsets(n: int, even: bool) -> List[Tuple[int, ...]]:
     return out
 
 
-def flip_orbit(p: Poly, label: str, n: int, even: bool = True) -> List[Tuple[str, Poly]]:
-    """The named images tau_I(p), I over ``flip_subsets(n, even)``."""
-    return [(f"tau_{{{','.join(map(str, I))}}}({label})", p.flip(I))
-            for I in flip_subsets(n, even)]
+class _FlipOrbit(Sequence):
+    """The named images tau_I(p), I over ``flip_subsets(n, even)``, each built
+    the first time it is read."""
+
+    def __init__(self, p: Poly, label: str, n: int, even: bool):
+        self._p, self._label = p, label
+        self._subsets = flip_subsets(n, even)
+        self._images: List[Optional[Tuple[str, Poly]]] = [None] * len(self._subsets)
+
+    def __len__(self) -> int:
+        return len(self._subsets)
+
+    def __getitem__(self, k: int) -> Tuple[str, Poly]:
+        if self._images[k] is None:
+            I = self._subsets[k]
+            self._images[k] = (f"tau_{{{','.join(map(str, I))}}}({self._label})", self._p.flip(I))
+        return self._images[k]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
+def flip_orbit(p: Poly, label: str, n: int, even: bool = True) -> Sequence[Tuple[str, Poly]]:
+    """The named images tau_I(p), I over ``flip_subsets(n, even)``, as a
+    sequence that builds each image the first time it is read."""
+    return _FlipOrbit(p, label, n, even)
 
 
 def igen(g: int, n: int, parity: str) -> GeneratorSet:

@@ -13,10 +13,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from instanton import floer
 from instanton.floer import VerificationError
-from instanton.linalg import Matrix, _echelon, _integer_row, _stable_power, restrict, rref
+from instanton.linalg import Matrix, _echelon, _stable_power, restrict, row_rank, rref
 from instanton.poly import (ALPHA, LAURENT_U, OMEGA, RATIONAL, Exponents, LaurentU, Poly,
                             RingDescriptor, monomials_of_degree, ring)
-from instanton.quotient import QuotientSpec, canonical_rep, delta_support, rbar_spec
+from instanton.quotient import (QuotientSpec, canonical_monomials, canonical_rep, delta_support,
+                                rbar_spec)
 from instanton.relations import GeneratorSet, xi
 from instanton.series import (COEFF_RING, RationalFn, binomial_coeff,
                               expand_rational_fn, poly_mul)
@@ -541,9 +542,51 @@ def exact_basis(J: GeneratorSet, I: GeneratorSet, formula: RationalFn) -> List[T
     basis = []
     for d in range(0, max(top + 6, top_j) + 1, 2):
         monos, rows = piece(d)
-        pivots = _echelon(map(_integer_row, rows), len(monos))
+        pivots = _echelon(rows, len(monos))
         basis.extend((d, m) for j, m in enumerate(monos) if j not in pivots)
     return basis
+
+
+def graded_ranks_by_products(gens: GeneratorSet, max_degree: int,
+                             spec: Optional[QuotientSpec]) -> List[Tuple[int, int]]:
+    """``floer._graded_ranks`` with its rows formed as they were before they
+    were integer: each row is the ``Poly`` product of a generator's form and a
+    cofactor monomial, brought to canonical form by ``canonical_rep`` in
+    ``Fraction`` arithmetic (without a spec, the product itself), and the
+    rational rows are ranked by ``linalg.row_rank``.  A marked set in omega
+    coordinates gives the rows of its orbit representatives, each split into
+    its projections on the blocks {S, S^c} of delta supports, as there."""
+    rng = gens.ambient if spec is None else gens.ambient.with_coordinate(OMEGA)
+    flip_closed = gens.flip_reps is not None and rng.coordinate == OMEGA
+
+    def reduce(p: Poly) -> Poly:
+        return p if spec is None else canonical_rep(p, spec)
+
+    def monomials(d: int) -> List[Exponents]:
+        return monomials_of_degree(rng, d) if spec is None else canonical_monomials(rng, spec, d)
+
+    def block(mono: Exponents):
+        support = delta_support(rng, mono)
+        return frozenset((support, frozenset(range(1, rng.n + 1)) - support)) if flip_closed else None
+
+    reps = gens.representatives() if flip_closed else gens
+    forms = [reduce(p) for _name, p in reps.gens]
+    out = []
+    for d in range(max_degree + 1):
+        basis = monomials(d)
+        index = {m: i for i, m in enumerate(basis)}
+        rows = []
+        for form in forms:
+            if form.is_zero():
+                continue
+            for mono in monomials(d - form.degree()):
+                parts: Dict[object, Dict[int, Fraction]] = {}
+                for e, c in reduce(form.times_monomial(mono)).terms.items():
+                    if e in index:
+                        parts.setdefault(block(e), {})[index[e]] = c
+                rows.extend(parts.values())
+        out.append((len(basis), row_rank(rows, len(basis))))
+    return out
 
 
 def heap_reduce_mod(row: Dict[int, int], pivots: Dict[int, Dict[int, int]], p: int,

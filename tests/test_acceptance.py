@@ -172,9 +172,9 @@ def test_a12_n3_stacks_pinned():
         shapes[s] = (len(flip_rows), cols, linalg.row_rank(flip_rows, cols),
                      len(prod_rows), tcols, linalg.row_rank(prod_rows, tcols))
     assert shapes == {1: (4, 4, 4, 16, 7, 7), 2: (4, 7, 4, 16, 8, 8)}
-    # alpha' = omega - (delta1 + delta2 + delta3)/2, unflipped
+    # alpha' = omega - (delta1 + delta2 + delta3)/2, unflipped, scaled to integers
     _basis, flip_rows = _ideal_pieces(acceptance._a12_flips(3, 1), mod_beta_spec())(2)
-    assert next(flip_rows) == {0: F(1), 1: F(-1, 2), 2: F(-1, 2), 3: F(-1, 2)}
+    assert next(flip_rows) == {0: 2, 1: -1, 2: -1, 3: -1}
 
 
 @pytest.mark.parametrize("check, g_max, expected", [

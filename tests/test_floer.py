@@ -5,7 +5,8 @@ import pytest
 
 from conftest import random_poly
 from oracles import (HeapModularTables, UnfoldedModularTables, deforming_pairs_by_scan,
-                     exact_basis, lift_table_model, lift_table_model_n3)
+                     exact_basis, graded_ranks_by_products, lift_table_model,
+                     lift_table_model_n3)
 
 from instanton import floer, linalg
 from instanton.acceptance import _A3_PAIRS, _A4_PAIRS, _a12_flips
@@ -88,11 +89,28 @@ def _graded_case(source, g, n):
 
 
 @pytest.mark.parametrize("source, g, n", [("ptgn", g, n) for g, n in _A3_PAIRS]
-                         + [("k", g, n) for g, n in _A4_PAIRS + [(2, 3), (3, 1), (1, 5)]])
+                         + [("k", g, n) for g, n in _A4_PAIRS + [(2, 3), (3, 1), (1, 5)]]
+                         + [("ptgn", 3, 3), ("k", 3, 3), ("k", 2, 5)])
 def test_blocked_ranks_match_the_unmarked_copy(source, g, n):
+    """The integer rows of the orbit representatives give the ranks of the
+    rational product rows (the oracle) and of the unmarked full orbits."""
     gens, spec, top = _graded_case(source, g, n)
     assert gens.flip_reps is not None
-    assert floer._graded_ranks(gens, top, spec) == floer._graded_ranks(_unmarked(gens), top, spec)
+    ranks = floer._graded_ranks(gens, top, spec)
+    assert ranks == graded_ranks_by_products(gens, top, spec)
+    assert ranks == floer._graded_ranks(_unmarked(gens), top, spec)
+
+
+@pytest.mark.parametrize("source, g, n", [("ptgn", 2, 5), ("ptgn", 1, 7), ("k", 1, 7),
+                                          ("ptgn", 0, 9)])
+def test_blocked_ranks_at_larger_n_match_the_product_oracle(source, g, n):
+    """Here the unmarked route, one block over every member of every orbit,
+    takes 25 to 120 s each, so the rational product rows of the
+    representatives (the oracle) and the formulas check the integer rows."""
+    gens, spec, top = _graded_case(source, g, n)
+    ranks = floer._graded_ranks(gens, top, spec)
+    assert ranks == graded_ranks_by_products(gens, top, spec)
+    assert hilbert_compare(g, n, source, top).match
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -101,8 +119,26 @@ def test_blocked_a12_ranks_match_the_unmarked_copy(n):
     for s in (m, m + 1):
         gens = _a12_flips(n, s)
         assert gens.flip_reps is not None
-        assert (floer._graded_ranks(gens, 2 * s + 2, mod_beta_spec())
-                == floer._graded_ranks(_unmarked(gens), 2 * s + 2, mod_beta_spec()))
+        ranks = floer._graded_ranks(gens, 2 * s + 2, mod_beta_spec())
+        assert ranks == graded_ranks_by_products(gens, 2 * s + 2, mod_beta_spec())
+        assert ranks == floer._graded_ranks(_unmarked(gens), 2 * s + 2, mod_beta_spec())
+
+
+def test_ptgn_ranks_build_no_xi_member_but_the_representatives(monkeypatch):
+    """``hilbert_compare`` reads igen's xi orbits through their representatives,
+    so its only alpha-coordinate flips are tau_{} of the three even orbits at
+    (1, 5); building every member would take 15 more substitutions per orbit."""
+    alpha_flips = []
+    flip = Poly.flip
+
+    def counted(self, indices):
+        indices = tuple(indices)
+        if self.ring.coordinate == ALPHA:
+            alpha_flips.append(indices)
+        return flip(self, indices)
+    monkeypatch.setattr(Poly, "flip", counted)
+    assert hilbert_compare(1, 5, "ptgn", 14).match
+    assert alpha_flips == [()] * 3
 
 
 @pytest.mark.parametrize("source, max_degree", [("k", 14), ("ptgn", 8)])
@@ -112,7 +148,7 @@ def test_blocked_ranks_at_seven_points_match_the_formulas(source, max_degree):
 
 
 def test_blocked_ranks_form_one_product_per_representative_and_cofactor(monkeypatch):
-    """The marked set forms at most one canonical product per (orbit
+    """The marked set forms at most one product row per (orbit
     representative, cofactor monomial); the unmarked route forms one per
     generator, 16 times as many at n = 5."""
     gens, spec, top = _graded_case("k", 0, 5)
@@ -120,12 +156,12 @@ def test_blocked_ranks_form_one_product_per_representative_and_cofactor(monkeypa
     bound = sum(len(canonical_monomials(gens.ambient, spec, d - p.degree()))
                 for p in orbit_heads for d in range(0, top + 1, 2))
     products = []
-    times_monomial = Poly.times_monomial
+    product_row = floer._product_row
 
-    def counted(self, exps):
-        products.append(exps)
-        return times_monomial(self, exps)
-    monkeypatch.setattr(Poly, "times_monomial", counted)
+    def counted(terms, mono, *args):
+        products.append(mono)
+        return product_row(terms, mono, *args)
+    monkeypatch.setattr(floer, "_product_row", counted)
     assert hilbert_compare(0, 5, "k", top).match
     assert 0 < len(products) <= bound
 

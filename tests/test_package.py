@@ -93,6 +93,35 @@ def test_the_traced_model_workload_calls_every_numeric_boundary():
     assert proc.stdout.split() == []
 
 
+_TRACE_THE_VERIFY_WORKLOAD = """
+import sys
+sys.path.insert(0, "perfbench")
+import instanton
+import layertrace
+import run
+from instanton import acceptance
+tracer = layertrace.Tracer("")
+layertrace.install(tracer)
+failed = [i for i in range(1, 14) if not getattr(acceptance, f"check_a{i}")().passed]
+print(*[f"A{i}:failed" for i in failed],
+      *[m for m in run.EXPECTED_CALLS["verify"] if not tracer.stats[m].calls])
+"""
+
+
+def test_the_traced_verify_workload_calls_every_expected_boundary():
+    """What the traced sample of the benchmark's ``verify`` workload runs, in
+    one interpreter: wrap every layer boundary, then run A1..A13.  Each check
+    must pass and each boundary of ``run.EXPECTED_CALLS["verify"]`` must record
+    a call, or the benchmark run exits 1 (a path that routes around
+    ``floer.graded``, ``quotient.canonical_rep`` or ``poly.flip`` reads as a
+    silent zero)."""
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", _TRACE_THE_VERIFY_WORKLOAD], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_every_package_import_is_used():
     """Every name a module of the package imports is read somewhere in that
     module: as a name, or as the base of an attribute.  The re-exports of
