@@ -105,8 +105,9 @@ def test_blocked_ranks_match_the_unmarked_copy(source, g, n):
                                           ("ptgn", 0, 9)])
 def test_blocked_ranks_at_larger_n_match_the_product_oracle(source, g, n):
     """Here the unmarked route, one block over every member of every orbit,
-    takes 25 to 120 s each, so the rational product rows of the
-    representatives (the oracle) and the formulas check the integer rows."""
+    takes 25 to 120 s raw per case on a 2-core x86_64 VM, so the rational
+    product rows of the representatives (the oracle) and the formulas check
+    the integer rows."""
     gens, spec, top = _graded_case(source, g, n)
     ranks = floer._graded_ranks(gens, top, spec)
     assert ranks == graded_ranks_by_products(gens, top, spec)
