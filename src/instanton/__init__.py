@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .poly import LaurentU, Poly, RingDescriptor, ring  # noqa: F401
 from .quotient import QuotientSpec, canonical_rep  # noqa: F401
 from .relations import (EtaChoice, GeneratorSet, igen, jgen_n1, kprime_gen,  # noqa: F401
-                        r_poly, r_poly_local, rho_proj, rho_series, w_skeleton, xi)
+                        r_poly, rho_proj, rho_series, w_skeleton, xi)
 from .floer import (EigenReport, HilbertReport, QuotientModel,  # noqa: F401
                     decomposition_identity_check,
                     eigen_verify, gamma_power_witness, graded_ideal_dims,

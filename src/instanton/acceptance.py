@@ -25,10 +25,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import floer, series
 from .floer import (decomposition_identity_check, eigen_verify,
                     expand_rational_fn, hilbert_compare, local_eigen_point,
-                    model_for, model_n3, ptgn_series)
+                    marked_model, model_for, ptgn_series)
 from .poly import ALPHA, OMEGA, Poly, ring
 from .quotient import QuotientSpec, canonical_rep, mod_beta_spec
-from .relations import (EtaChoice, GeneratorSet, flip_orbit, jgen_n1, r_poly, r_poly_local,
+from .relations import (EtaChoice, GeneratorSet, flip_orbit, jgen_n1, r_poly,
                         rho_proj, rho_series, specialize_u, w_skeleton, xi)
 from .series import binom_sqrt_dets
 
@@ -251,7 +251,7 @@ def check_a9() -> CheckResult:
     for name, p in x1.gens:
         if not model1.membership(p.pi_reduce()):
             return CheckResult("A9", False, f"pi image of {name} not in the one-point ideal")
-    m13 = model_n3(1)
+    m13 = marked_model(1, 3)
     expected_dim = sum(expand_rational_fn(ptgn_series(1, 3), 40))
     if m13.dim != expected_dim:
         return CheckResult("A9", False,
@@ -263,7 +263,7 @@ def check_a9() -> CheckResult:
 
 def check_a10(g_max: int = 6) -> CheckResult:
     for g in range(g_max + 1):
-        if specialize_u(r_poly_local(g), Fraction(1)) != r_poly(g):
+        if specialize_u(r_poly(g, local=True), Fraction(1)) != r_poly(g):
             return CheckResult("A10", False, f"u=1 specialization fails at g={g}")
     theta_results = []
     for g in (1, 2):

@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=_parse_fraction, default=None,
                    help="rational local-coefficient specialization u = theta")
 
-    p = add_parser("solve", alpha_coords, timestamps, help="sub-leading solver at three points")
+    p = add_parser("solve", alpha_coords, timestamps, help="sub-leading solver at n marked points")
     p.add_argument("--g", type=_nonneg, required=True)
     p.add_argument("--n", type=_odd_positive, default=3)
 
@@ -267,11 +267,9 @@ def run(argv) -> int:
                     print(f"  (alpha,beta,gamma,delta)=({t['alpha']},{t['beta']},"
                           f"{t['gamma']},{t['delta'][0]}) mult {t['gen_mult']}")
         elif args.command == "solve":
-            if args.n != 3:
-                parser.error("solver supports n = 3 only")
-            compute = partial(solve_subleading, args.g, 3)
+            compute = partial(solve_subleading, args.g, args.n)
             if args.json:
-                emit_cached(f"solve_g{args.g}_n3", compute)
+                emit_cached(f"solve_g{args.g}_n{args.n}", compute)
             else:
                 _print_genset(compute(), args)
         elif args.command == "verify":

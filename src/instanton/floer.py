@@ -1,7 +1,7 @@
 """The engine: graded Hilbert computations, filtered quotient models for the
 inhomogeneous ideals, multiplication operators with eigen verification, ideal
-membership with explicit gamma-power witnesses, and the sub-leading solver for
-three marked points.
+membership with explicit gamma-power witnesses, and the sub-leading solver and
+quotient models for any odd number of marked points.
 """
 
 from __future__ import annotations
@@ -872,41 +872,44 @@ def _eigen_verify_local(g: int, sign: str, theta: Fraction, model: QuotientModel
     }])
 
 
-# -- sub-leading solver (three points) ------------------------------------------------
+# -- sub-leading solver and marked-point models ---------------------------------------
 
 
 def solve_subleading(g: int, n: int = 3) -> GeneratorSet:
-    """Solve for the minimal-degree relation at three points.
+    """Solve for the minimal-degree relation at n marked points, n odd >= 3.
 
-    Ansatz: W(g, 3, {}, +1) = xi_{g+1,3} + (-1)^{g+1} tau_123(xi_{g,1}), plus h
-    with deg h <= 2(g-1), h over canonical monomials.  Constraints: the
+    With m = (n-1)/2, the ansatz is W(g, n, eta, +1) with eta = {} for odd m
+    and {1} for even m (``EtaChoice``'s parity rule), plus h with
+    deg h <= 2(g+m-2), h over canonical monomials.  Constraints: the
     point-reduction images of the even-flip orbit reduce to zero in the
-    one-point model, and the candidate vanishes at the alternating odd
-    evaluation points.  The system must have a unique solution.
+    (n-2)-point model at the same g, and the candidate vanishes at the
+    alternating odd evaluation points (lambda, 2, 0, 0, ...).  The system must
+    have a unique solution.
     """
-    if n != 3:
-        raise ValueError("solver supports n = 3")
+    if n < 3 or n % 2 == 0:
+        raise ValueError("n must be an odd integer >= 3")
     if g < 0:
         raise ValueError("g must be >= 0")
-    m = 1
-    rng = ring(3, coordinate=OMEGA)
-    base = w_skeleton(g, 3, EtaChoice((), 3), 1)
-    # unknowns: canonical monomials of degree <= 2(g-1)
+    m = (n - 1) // 2
+    rng = ring(n, coordinate=OMEGA)
+    base = w_skeleton(g, n, EtaChoice(() if m % 2 else (1,), n), 1)
+    # unknowns: canonical monomials of degree <= 2(g+m-2)
     unknowns: List[Exponents] = []
     spec = model_spec(g)
     for d in range(0, max(-1, 2 * (g + m - 2)) + 1, 2):
         unknowns.extend(canonical_monomials(rng, spec, d))
-    model = model_for(g, "+")
+    model = model_for(g, "+") if n == 3 else marked_model(g, n - 2)
     rows: List[List[Fraction]] = []  # the augmented system [A | rhs]
-    for I in flip_subsets(3, even=True):
+    for I in flip_subsets(n, even=True):
         nf_base = model.normal_form(base.flip(I).pi_reduce())
         nf_unknowns = [model.normal_form(Poly.monomial(rng, mono).flip(I).pi_reduce())
                        for mono in unknowns]
         rows.extend([vu[i] for vu in nf_unknowns] + [-b] for i, b in enumerate(nf_base))
-    # evaluation constraints at (lambda, 2, 0, 0, 0, 0)
+    # evaluation constraints at (lambda, 2, 0, 0, ...)
+    zeros = [0] * n
     for lam in _lambda_seq(g + m):
-        rows.append([Poly.monomial(rng, mono).evaluate_alpha_point(lam, 2, 0, [0, 0, 0])
-                     for mono in unknowns] + [-base.evaluate_alpha_point(lam, 2, 0, [0, 0, 0])])
+        rows.append([Poly.monomial(rng, mono).evaluate_alpha_point(lam, 2, 0, zeros)
+                     for mono in unknowns] + [-base.evaluate_alpha_point(lam, 2, 0, zeros)])
     # one RREF: the rhs column leads a row iff the system is infeasible
     k = len(unknowns)
     R, pivots = linalg.row_reduce(Matrix(rows, k + 1))
@@ -916,53 +919,46 @@ def solve_subleading(g: int, n: int = 3) -> GeneratorSet:
         raise VerificationError("sub-leading system is not unique (convention drift)")
     f_hat = base + Poly(rng, {mono: R[i, k] for i, mono in enumerate(unknowns)})
     return GeneratorSet(
-        label=f"X_{{{g},3}}", ambient=rng, gens=flip_orbit(f_hat, f"fhat_{{{g},3}}", 3),
-        meta={"g": g, "n": 3, "sign": "+", "f_hat": f_hat},
+        label=f"X_{{{g},{n}}}", ambient=rng, gens=flip_orbit(f_hat, f"fhat_{{{g},{n}}}", n),
+        meta={"g": g, "n": n, "sign": "+", "f_hat": f_hat},
     )
 
 
-def jgen_n3(g: int) -> GeneratorSet:
-    """Generators of the three-point ideal from solved minimal-degree relations:
-    orbits of g and g+1 plus gamma times the orbit of g-1, with the relations."""
-    rng = ring(3, coordinate=OMEGA)
-    gens: List[Tuple[str, Poly]] = []
-    x_g = solve_subleading(g)
-    x_g1 = solve_subleading(g + 1)
-    gens.extend(x_g.gens)
-    gens.extend((f"{name}@{g + 1}", p) for name, p in x_g1.gens)
+def _marked_ideals(g: int, n: int):
+    """(J, I, formula) of the n-point model, n odd >= 3, from solver output.
+
+    J: the even-flip orbits of fhat_g and fhat_{g+1} and, for g >= 1, gamma
+    times the orbit of fhat_{g-1}; then delta_i^2 + beta - 2 and gamma^{g+1}.
+    I: ``igen(g, n, "even")`` without its xi_{g+m+2} orbit; for g >= 1,
+    gamma^{g+1} gives way to gamma times the xi_{g+m-1} orbit, with igen's
+    flips, last."""
+    m = (n - 1) // 2
+    rng = ring(n, coordinate=OMEGA)
+    gamma_p, beta_p = Poly.variable(rng, "gamma"), Poly.variable(rng, "beta")
+    jgens = list(solve_subleading(g, n).gens)
+    jgens += [(f"{name}@{g + 1}", p) for name, p in solve_subleading(g + 1, n).gens]
     if g >= 1:
-        x_prev = solve_subleading(g - 1)
-        gamma_p = Poly.variable(rng, "gamma")
-        gens.extend((f"gamma*{name}", gamma_p * p) for name, p in x_prev.gens)
-    beta_p = Poly.variable(rng, "beta")
-    for i in range(1, 4):
+        jgens += [(f"gamma*{name}", gamma_p * p) for name, p in solve_subleading(g - 1, n).gens]
+    for i in range(1, n + 1):
         di = Poly.variable(rng, f"delta{i}")
-        gens.append((f"delta{i}^2+beta-2", di * di + beta_p - 2))
-    gens.append((f"gamma^{g + 1}", Poly.variable(rng, "gamma") ** (g + 1)))
-    return GeneratorSet(
-        label=f"J_{{{g},3}}^+", ambient=rng, gens=gens,
-        meta={"g": g, "n": 3, "sign": "+", "local": False},
-    )
+        jgens.append((f"delta{i}^2+beta-2", di * di + beta_p - 2))
+    jgens.append((f"gamma^{g + 1}", gamma_p ** (g + 1)))
+    J = GeneratorSet(f"J_{{{g},{n}}}^+", rng, jgens,
+                     meta={"g": g, "n": n, "sign": "+", "local": False})
+    I_full = igen(g, n, "even")
+    top = f"xi_{{{g + m + 2},{n}}}"
+    igens = [(name, p) for name, p in I_full.gens if top not in name]
+    if g >= 1:
+        k, rng_a = g + m - 1, I_full.ambient
+        igens = [gen for gen in igens if gen[0] != f"gamma^{g + 1}"]
+        # igen's flips at parity "even": even exactly when m is odd
+        igens += [(f"gamma*{name}", Poly.variable(rng_a, "gamma") * p) for name, p in
+                  flip_orbit(xi(k, n, target=rng_a), f"xi_{{{k},{n}}}", n, m % 2 == 1)]
+    I = GeneratorSet(I_full.label, I_full.ambient, igens, meta=I_full.meta)
+    return J, I, ptgn_series(g, n)
 
 
-def _three_point_ideals(g: int):
-    """(J, I, formula) of the three-point model built from solver output."""
-    J = jgen_n3(g)
-    I_full = igen(g, 3, "even")
-    # gamma^{g+1} and the xi_{g+3} orbit give way to gamma times the xi_g orbit
-    keep = [(name, p) for name, p in I_full.gens
-            if not name.startswith("gamma^") and f"xi_{{{g + 3},3}}" not in name]
-    rng3 = ring(3, coordinate=ALPHA)
-    gamma_p = Poly.variable(rng3, "gamma")
-    # one generator per distinct image: at g = 0 the orbit of xi_{0,3} = 1 is four 1s
-    images: Dict[Poly, Tuple[str, Poly]] = {}
-    for name, p in flip_orbit(xi(g, 3, target=rng3), f"xi_{{{g},3}}", 3):
-        images.setdefault(p, (f"gamma*{name}", gamma_p * p))
-    keep += images.values()
-    I_set = GeneratorSet(I_full.label, I_full.ambient, keep, meta=I_full.meta)
-    return J, I_set, ptgn_series(g, 3)
-
-
-def model_n3(g: int) -> QuotientModel:
-    """Filtered model of the three-point quotient built from solver output."""
-    return QuotientModel(*_three_point_ideals(g))
+def marked_model(g: int, n: int) -> QuotientModel:
+    """Filtered model of the n-point quotient, n odd >= 3, built from solver
+    output."""
+    return QuotientModel(*_marked_ideals(g, n))

@@ -269,15 +269,6 @@ def rref(M: Matrix) -> Tuple[Matrix, List[int], Matrix]:
     return R, pivots, T
 
 
-def row_rank(rows: Iterable[Mapping[int, Fraction]], cols: int) -> int:
-    """Exact rank of sparse rational rows ``{column: value}`` with ``cols``
-    columns: each row is cleared over its denominators (``_integer_row``) and
-    handed to ``_echelon``.  Integer rows need no clearing; the graded ranks
-    of ``floer._graded_ranks`` are formed as integer rows and go to
-    ``_echelon`` directly."""
-    return len(_echelon(map(_integer_row, rows), cols))
-
-
 def det(M: Matrix) -> Fraction:
     """Determinant of a square matrix by Bareiss elimination on its integer
     rows: each step divides exactly by the previous pivot."""

@@ -132,10 +132,6 @@ class LaurentU:
     def to_json(self) -> list:
         return [{"u": k, "coeff": str(self.terms[k])} for k in sorted(self.terms)]
 
-    @classmethod
-    def from_json(cls, doc: list) -> "LaurentU":
-        return cls({int(t["u"]): Fraction(t["coeff"]) for t in doc})
-
 
 RATIONAL = "rational"
 LAURENT_U = "laurent_u"
@@ -158,10 +154,6 @@ class RingDescriptor:
             raise ValueError(f"unknown coeff_kind {self.coeff_kind!r}")
         if self.coordinate not in (ALPHA, OMEGA):
             raise ValueError(f"unknown coordinate {self.coordinate!r}")
-
-    @property
-    def m(self) -> int:
-        return (self.n - 1) // 2
 
     @property
     def nvars(self) -> int:
@@ -529,22 +521,6 @@ class Poly:
             cj = coeff.to_json() if isinstance(coeff, LaurentU) else str(coeff)
             terms.append({"coeff": cj, "exps": list(exps)})
         return {"vars": list(self.ring.var_names), "terms": terms}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Poly":
-        names = doc["vars"]
-        coordinate = names[0]
-        n = sum(1 for v in names if v.startswith("delta"))
-        laurent = any(isinstance(t["coeff"], list) for t in doc["terms"])
-        rng = RingDescriptor(n, LAURENT_U if laurent else RATIONAL, coordinate)
-        if list(rng.var_names) != list(names):
-            raise ValueError(f"unsupported variable layout {names}")
-        terms = {}
-        for t in doc["terms"]:
-            c = t["coeff"]
-            coeff = LaurentU.from_json(c) if isinstance(c, list) else Fraction(c)
-            terms[tuple(t["exps"])] = coeff
-        return cls(rng, terms)
 
 
 # -- helpers -------------------------------------------------------------------

@@ -258,15 +258,6 @@ class GeneratorSet:
         }
         return doc
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "GeneratorSet":
-        gens = [(g["name"], Poly.from_json(g["poly"])) for g in doc["gens"]]
-        if not gens:
-            raise ValueError(f"generator set {doc['label']!r} has no generators")
-        ambient = gens[0][1].ring
-        meta = {"g": doc.get("g"), "sign": doc.get("sign"), "local": doc.get("local")}
-        return cls(doc["label"], ambient, gens, meta=meta)
-
 
 class EtaChoice:
     """A marked-point subset with the degree-parity constraint |eta| odd iff m even."""
@@ -428,10 +419,6 @@ def r_poly(g: int, local: bool = False) -> Poly:
                 * Fraction(1, h)
         table.append(_r_cache[h, local])
     return table[-1]
-
-
-def r_poly_local(g: int) -> Poly:
-    return r_poly(g, local=True)
 
 
 def specialize_u(f: Poly, u_value: Fraction) -> Poly:

@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from instanton import floer
 from instanton.floer import VerificationError
-from instanton.linalg import Matrix, _echelon, _stable_power, restrict, row_rank, rref
+from instanton.linalg import Matrix, _echelon, _integer_row, _stable_power, restrict, rref
 from instanton.poly import (ALPHA, LAURENT_U, OMEGA, RATIONAL, Exponents, LaurentU, Poly,
                             RingDescriptor, monomials_of_degree, ring)
 from instanton.quotient import (QuotientSpec, canonical_monomials, canonical_rep, delta_support,
@@ -21,6 +21,15 @@ from instanton.quotient import (QuotientSpec, canonical_monomials, canonical_rep
 from instanton.relations import GeneratorSet, xi
 from instanton.series import (COEFF_RING, RationalFn, binomial_coeff,
                               expand_rational_fn, poly_mul)
+
+
+def row_rank(rows: Iterable[Dict[int, Fraction]], cols: int) -> int:
+    """Exact rank of sparse rational rows ``{column: value}`` with ``cols``
+    columns: each row is cleared over its denominators
+    (``linalg._integer_row``) and handed to the package's rank kernel
+    ``linalg._echelon``, which the graded ranks of ``floer._graded_ranks``
+    feed with integer rows directly."""
+    return len(_echelon(map(_integer_row, rows), cols))
 
 
 def char_poly(M: Matrix) -> List[Fraction]:
@@ -854,10 +863,10 @@ def lift_table_model(g: int, sign: str = "+", theta: Optional[Fraction] = None) 
 
 
 def lift_table_model_n3(g: int) -> LiftTableModel:
-    """The lift-table model of ``floer.model_n3(g)``, memoized."""
+    """The lift-table model of ``floer.marked_model(g, 3)``, memoized."""
     key = ("n3", g)
     if key not in _lift_table_models:
-        _lift_table_models[key] = LiftTableModel(*floer._three_point_ideals(g))
+        _lift_table_models[key] = LiftTableModel(*floer._marked_ideals(g, 3))
     return _lift_table_models[key]
 
 

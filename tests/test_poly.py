@@ -151,21 +151,6 @@ def test_monomials_of_degree_counts():
     assert monomials_of_degree(R1, 3) == []
 
 
-def test_json_round_trip(rand):
-    for rng in (R3, ring(1, coeff_kind="laurent_u", coordinate=OMEGA)):
-        f = random_poly(rng, rand)
-        if rng.coeff_kind == "laurent_u":
-            f = f * Poly.constant(rng, LaurentU({-1: 1, 2: F(1, 3)}))
-        doc = f.to_json()
-        assert Poly.from_json(doc) == f
-    # epsilon = +-1 is a sign, never a ring variable
-    doc = alpha(R1).to_json()
-    doc["vars"].append("epsilon")
-    doc["terms"][0]["exps"].append(0)
-    with pytest.raises(ValueError, match="epsilon"):
-        Poly.from_json(doc)
-
-
 def test_power_and_scalar_ops():
     a = alpha(R1)
     assert a ** 0 == Poly.constant(R1, 1)

@@ -8,7 +8,7 @@ from oracles import (delta_sym, orbit_by_round_trip, r_poly_from_written_bases,
                      rho_proj_all_by_reduction, rho_series_with_s)
 
 from instanton import acceptance, relations
-from instanton.floer import (_one_point_ideals, _three_point_ideals, gamma_power_witness,
+from instanton.floer import (_marked_ideals, _one_point_ideals, gamma_power_witness,
                              solve_subleading)
 from instanton.linalg import Matrix, rank
 from instanton.poly import (OMEGA, LaurentU, Poly, alpha, beta, delta,
@@ -16,7 +16,7 @@ from instanton.poly import (OMEGA, LaurentU, Poly, alpha, beta, delta,
 from instanton.quotient import QuotientSpec, canonical_rep, rbar_spec
 from instanton.relations import (EtaChoice, GeneratorSet,
                                  flip_orbit, flip_subsets, gamma_cofactors, igen, jgen_n1,
-                                 kprime_gen, phi_negate, r_poly, r_poly_local,
+                                 kprime_gen, phi_negate, r_poly,
                                  rho_proj, rho_series, specialize_u,
                                  w_skeleton, xi)
 from instanton.series import COEFF_RING
@@ -282,11 +282,11 @@ def test_r_poly_local_base_and_specialization():
     wl = ring(1, coeff_kind="laurent_u", coordinate=OMEGA)
     w, d = omega(wl), delta(wl, 1)
     u1, u2 = (Poly.constant(wl, LaurentU.u_power(-k)) for k in (1, 2))
-    assert r_poly_local(1) == w + d * F(1, 2) - u1
-    assert r_poly_local(2) == ((w + d * F(1, 2)) ** 2 - beta(wl)) * F(1, 2) \
+    assert r_poly(1, local=True) == w + d * F(1, 2) - u1
+    assert r_poly(2, local=True) == ((w + d * F(1, 2)) ** 2 - beta(wl)) * F(1, 2) \
         + (w - d * F(1, 2)) * u1 - u2 * F(1, 2)
     for g in range(7):
-        assert specialize_u(r_poly_local(g), F(1)) == r_poly(g)
+        assert specialize_u(r_poly(g, local=True), F(1)) == r_poly(g)
 
 
 @pytest.mark.parametrize("local", [False, True])
@@ -374,23 +374,6 @@ def test_gamma_cofactor_identity_all_variants():
                 total = total + a * gens.gens[i][1]
             target = gamma(gens.ambient.with_coordinate(OMEGA)) ** g
             assert total == target
-
-
-def test_generator_set_json_round_trip(tmp_path):
-    import json
-    gs = jgen_n1(1, local=True)
-    doc = gs.to_json()
-    text = json.dumps(doc, sort_keys=True)
-    back = GeneratorSet.from_json(json.loads(text))
-    assert back.names() == gs.names()
-    assert back.gens == gs.gens
-
-
-def test_generator_set_from_json_without_generators_is_refused():
-    doc = jgen_n1(1).to_json()
-    doc["gens"] = []
-    with pytest.raises(ValueError, match="has no generators"):
-        GeneratorSet.from_json(doc)
 
 
 # -- flip orbits against the round-trip oracle ---------------------------------------
@@ -497,7 +480,7 @@ def test_jgen_n1_and_gamma_witness_pinned(sign, local):
 
 
 def test_three_point_ideals_names_and_polys_pinned():
-    J, I, _ = _three_point_ideals(1)
+    J, I, _ = _marked_ideals(1, 3)
     gamma3 = gamma(ring(3))
     assert I.gens[-4:] == [(f"gamma*{name}", gamma3 * p) for name, p in
                            orbit_by_round_trip(xi(1, 3, target=ring(3)), "xi_{1,3}", 3)]
@@ -526,9 +509,7 @@ def test_sets_built_from_a_marked_set_are_unmarked():
     gs = igen(1, 3, "even")
     assert gs.flip_reps is not None
     assert _one_point_ideals(1)[1].flip_reps is None
-    assert _three_point_ideals(1)[1].flip_reps is None
-    back = GeneratorSet.from_json(gs.to_json())
-    assert back.flip_reps is None and back.gens == gs.gens
+    assert _marked_ideals(1, 3)[1].flip_reps is None
     assert GeneratorSet(gs.label, gs.ambient, gs.gens, gs.meta).to_json() == gs.to_json()
 
 
