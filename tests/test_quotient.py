@@ -205,16 +205,12 @@ def test_canonical_rep_matches_its_pinned_digest():
     """canonical_rep on seeded random polynomials over the spec x ring grid of
     test_canonical_rep_is_evaluation_on_the_relations: the JSON of every
     representative is byte-for-byte the recorded one."""
-    grid = [(ring(3), rbar_spec()), (W3, model_spec(2)), (W3, r1_spec()), (W3, mod_beta_spec()),
-            (WL3, local_spec()), (ring(3, coeff_kind=LAURENT_U), local_spec(2))]
+    grid = [(ring(3), rbar_spec()), (W3, QuotientSpec(gamma_truncation=3)), (W3, mod_beta_spec())]
     rand = random.Random(20240817)
-    docs = []
-    for rng, spec in grid:
-        make = random_laurent_poly if rng.coeff_kind == LAURENT_U else random_poly
-        for _ in range(40):
-            docs.append(canonical_rep(make(rng, rand, terms=6, max_exp=3), spec).to_json())
+    docs = [canonical_rep(random_poly(rng, rand, terms=6, max_exp=3), spec).to_json()
+            for rng, spec in grid for _ in range(40)]
     assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == \
-        "aeb605391c562a6f84aa32d60aefa92117072930f3bd21d256c3f4a7c67145a9"
+        "c4ec955d984f494e63f9355b4628695afe009df3da767d6c0305450cf55ed16e"
 
 
 def test_pi_on_quotient_examples():
