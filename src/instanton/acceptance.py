@@ -199,7 +199,7 @@ def check_a7(g_max: int = 5) -> CheckResult:
     """Sub-leading structure of r_g: top component exact, next component exact for
     g <= 2 and modulo (delta^2 + beta) beyond (the inherent ambiguity of the
     sub-leading term; the difference is asserted divisible)."""
-    reduce_spec = QuotientSpec(gamma_truncation=None, delta_square=0)
+    reduce_spec = QuotientSpec()
     eta = EtaChoice({1}, 1)
     mod_count = 0
     for g in range(1, g_max + 1):

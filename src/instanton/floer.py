@@ -114,10 +114,9 @@ def _product_row(terms: List[Tuple[Exponents, int]], mono: Exponents, index: Dic
     """The sparse integer row, on the degree basis ``index``, of the form with
     integer ``terms`` times the cofactor monomial ``mono``: each term's
     exponents shifted by ``mono``; inside ``spec``, the terms with gamma
-    exponent >= G dropped and every delta_i^2 folded into -beta
-    (``_fold_squares`` with c = 0: the c part of c - beta has a lower degree
-    than the row, so it meets no basis monomial); then summed by column, with
-    the terms outside the basis left out."""
+    exponent >= G dropped and every delta_i^2 folded into -beta, the spec's
+    relation (``_fold_squares`` with c = 0); then summed by column, with the
+    terms outside the basis left out."""
     G = math.inf if spec is None or spec.gamma_truncation is None else spec.gamma_truncation
     room = G - mono[2]
     shifted = ((tuple(map(add, e, mono)), c) for e, c in terms if e[2] < room)
@@ -259,7 +258,7 @@ def hilbert_compare(g: int, n: int, source: str, max_degree: int) -> HilbertRepo
         formula = expand_rational_fn(ptgn_series(g, n), max_degree)
         # delta_i^2 + beta and gamma^{g+1} reduce to zero in this ring
         gens = igen(g, n, "odd" if (1 + (n - 1) // 2) % 2 == 1 else "even")
-        spec = QuotientSpec(gamma_truncation=g + 1, delta_square=0)
+        spec = model_spec(g)
         computed = graded_quotient_dims(gens, max_degree, spec)
     elif source == "k":
         formula = expand_rational_fn(k_series(g, n), max_degree)
@@ -387,7 +386,7 @@ class _ModularTables:
 
     When the pairs hold (delta_i^2 + beta, delta_i^2 + beta - c) for every
     delta_i, with one c (``_folds``), those pairs are a fold, not rows: every
-    row and every normal-form input is taken through canonical_rep's fold
+    row and every normal-form input is taken through the package's one fold
     delta_i^2 -> c - beta (``quotient._fold_squares``) with c mod p; otherwise
     the build runs unfolded.  Columns number the monomials of the degrees of
     ``want`` (with a fold, those whose delta exponents are <= 1), from the top
@@ -713,8 +712,11 @@ class QuotientModel:
         return len(self.basis)
 
     def normal_form(self, f: Poly) -> List[Fraction]:
-        """Coordinates of f modulo J over the basis: f(M) e_1."""
-        f = f.change_coordinates(OMEGA).cast(self.ring)
+        """Coordinates of f modulo J over the basis: f(M) e_1.  In
+        omega-coordinates f must lie in the model's ring."""
+        f = f.change_coordinates(OMEGA)
+        if f.ring != self.ring:
+            raise ValueError("ring mismatch")
         if not self.basis:
             return []
         terms = [(c, self._vector(e)) for e, c in f.terms.items()]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -104,14 +104,6 @@ class LaurentU:
         if u == 0 and any(k < 0 for k in self.terms):
             raise ValueError("cannot evaluate negative u-powers at u = 0")
         return sum((c * u ** k for k, c in self.terms.items()), Fraction(0))
-
-    def is_constant(self) -> bool:
-        return set(self.terms) <= {0}
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("Laurent polynomial is not constant")
-        return self.terms.get(0, Fraction(0))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -370,27 +362,6 @@ class Poly:
 
     # -- structure maps -----------------------------------------------------
 
-    def cast(self, target: RingDescriptor) -> "Poly":
-        """Reinterpret in a larger ring; variables absent from the target must be unused."""
-        if target == self.ring:
-            return self
-        if target.coordinate != self.ring.coordinate:
-            raise ValueError("cast cannot change coordinates; use change_coordinates")
-        out: Dict[Exponents, object] = {}
-        for exps, coeff in self.terms.items():
-            fixed = [0] * target.nvars
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                name = self.ring.var_names[i]
-                fixed[target.var_index(name)] = e
-            if target.coeff_kind == LAURENT_U:
-                coeff = LaurentU.coerce(coeff)
-            elif isinstance(coeff, LaurentU):
-                coeff = coeff.constant_value()
-            out[tuple(fixed)] = coeff
-        return Poly(target, out)
-
     def change_coordinates(self, target_coordinate: str) -> "Poly":
         """Rewrite between alpha- and omega-coordinates: omega = alpha + (sum delta_i)/2."""
         if target_coordinate not in (ALPHA, OMEGA):
@@ -580,26 +551,6 @@ def _first_substituted(ring: RingDescriptor, image: Poly,
                 yield tuple(map(add, e, rest)), c * coeff
 
     return Poly(ring, _over(den and den * top, _summed(shifted())), _normalized=True)
-
-
-def alpha(ring: RingDescriptor) -> Poly:
-    return Poly.variable(ring, ALPHA)
-
-
-def omega(ring: RingDescriptor) -> Poly:
-    return Poly.variable(ring, OMEGA)
-
-
-def beta(ring: RingDescriptor) -> Poly:
-    return Poly.variable(ring, "beta")
-
-
-def gamma(ring: RingDescriptor) -> Poly:
-    return Poly.variable(ring, "gamma")
-
-
-def delta(ring: RingDescriptor, i: int) -> Poly:
-    return Poly.variable(ring, f"delta{i}")
 
 
 def monomials_of_degree(ring: RingDescriptor, d: int) -> List[Exponents]:

@@ -1,14 +1,13 @@
-"""Canonical representatives in the delta-square / gamma-truncation quotient rings.
+"""Canonical representatives in the graded delta-square / gamma-truncation quotient rings.
 
 A :class:`QuotientSpec` packages the relations
 
     gamma^G = 0            (optional truncation G),
-    delta_i^2 = c - beta   (one constant c for every i),
+    delta_i^2 = -beta      (every i),
     beta = 0               (optional, on top of the above),
 
-covering the gamma-killed ring (G=1, c=0), the graded model rings (G=g+1,
-c=2) and the mod-beta rings used here, as well as the one-point ring (no
-truncation, c=2) and the local-coefficient variant (c = u^2 + u^{-2}).
+covering the gamma-killed ring R-bar_n (G=1), the graded model rings (G=g+1)
+and the mod-beta rings.
 
 Canonical form: omega-coordinates, every delta exponent in {0, 1}, gamma
 exponent below G, and no beta when beta_zero.  Reduction is a linear
@@ -25,63 +24,56 @@ from math import comb
 from operator import add
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from .poly import (ALPHA, LAURENT_U, OMEGA, Exponents, LaurentU, Poly, RingDescriptor,
-                   _summed)
+from .poly import ALPHA, OMEGA, Exponents, Poly, RingDescriptor, _summed
 
 
 @dataclass(frozen=True)
 class QuotientSpec:
-    """Relation package: gamma^G = 0, delta_i^2 = c - beta, optionally beta = 0."""
+    """Relation package: gamma^G = 0, delta_i^2 = -beta, optionally beta = 0."""
 
     gamma_truncation: Optional[int] = None
-    delta_square: object = Fraction(0)  # the constant c
     beta_zero: bool = False
 
     def __post_init__(self):
         if self.gamma_truncation is not None and self.gamma_truncation < 1:
             raise ValueError("gamma truncation must be >= 1")
-        c = self.delta_square
-        if not isinstance(c, LaurentU):
-            object.__setattr__(self, "delta_square", Fraction(c))
-
-    def __hash__(self):
-        return hash((self.gamma_truncation, self.delta_square, self.beta_zero))
 
 
 # the rings used throughout the package
 def rbar_spec() -> QuotientSpec:
     """R-bar_n: gamma = 0 and delta_i^2 = -beta."""
-    return QuotientSpec(gamma_truncation=1, delta_square=0)
+    return QuotientSpec(gamma_truncation=1)
 
 
 def model_spec(g: int) -> QuotientSpec:
-    """R_{g,n}: gamma^{g+1} = 0 and delta_i^2 = 2 - beta."""
-    return QuotientSpec(gamma_truncation=g + 1, delta_square=2)
+    """The graded R_{g,n}: gamma^{g+1} = 0 and delta_i^2 = -beta."""
+    return QuotientSpec(gamma_truncation=g + 1)
 
 
 def mod_beta_spec() -> QuotientSpec:
     """R-bar_n/(beta): gamma = 0, delta_i^2 = 0, beta = 0."""
-    return QuotientSpec(gamma_truncation=1, delta_square=0, beta_zero=True)
+    return QuotientSpec(gamma_truncation=1, beta_zero=True)
 
 
-# (type of c, c) -> c^k (LaurentU has no **) and (c - beta)^k as (beta exponent, coefficient) pairs
-_C_MINUS_BETA: Dict[Tuple[type, object], Tuple[list, list]] = {}
+# c -> its powers c^k and the terms of (c - beta)^k as (beta exponent, coefficient) pairs
+_C_MINUS_BETA: Dict[int, Tuple[List[int], list]] = {}
 
 
-def _fold_squares(pairs: Iterable[Tuple[Exponents, object]], ring: RingDescriptor, c,
+def _fold_squares(pairs: Iterable[Tuple[Exponents, object]], ring: RingDescriptor, c: int,
                   beta_zero: bool = False) -> Iterator[Tuple[Exponents, object]]:
     """The (exponents, coefficient) pairs, in omega-coordinates, with every
     delta_i^2 replaced by c - beta (and beta dropped when beta_zero), not
-    summed; c and the coefficients are Fractions, LaurentU or unreduced
-    residues mod p.  Without beta_zero it is the normal form modulo the
-    binomials delta_i^2 + beta - c: their leading monomials are coprime, so
-    they are a Groebner basis (Cox-Little-O'Shea, Ideals, Varieties, and
-    Algorithms, Ch. 2 Sections 3 and 9)."""
+    summed.  The integer c is 0 in the graded rings (``canonical_rep``) and a
+    residue mod p in the model build (``floer._ModularTables``); the
+    coefficients are Fractions, LaurentU or unreduced residues mod p.  Without
+    beta_zero it is the normal form modulo the binomials delta_i^2 + beta - c:
+    their leading monomials are coprime, so they are a Groebner basis
+    (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, Ch. 2 Sections 3
+    and 9)."""
     lo, hi = 3, 3 + ring.n  # the deltas
-    memo = _C_MINUS_BETA.get((type(c), c))
+    memo = _C_MINUS_BETA.get(c)
     if memo is None:
-        one = LaurentU.coerce(1) if isinstance(c, LaurentU) else type(c)(1)
-        memo = _C_MINUS_BETA[type(c), c] = ([one], [[(0, one)]])
+        memo = _C_MINUS_BETA[c] = ([1], [[(0, 1)]])
     c_powers, binomials = memo
     for exps, coeff in pairs:
         deltas = exps[lo:hi]
@@ -116,19 +108,13 @@ def canonical_rep(f: Poly, spec: QuotientSpec) -> Poly:
     """
     ring = f.ring.with_coordinate(OMEGA)
     G, beta_zero = spec.gamma_truncation, spec.beta_zero
-    one = LaurentU.coerce(1) if ring.coeff_kind == LAURENT_U else Fraction(1)
-    c = spec.delta_square
-    if ring.coeff_kind == LAURENT_U:
-        c = LaurentU.coerce(c)
-    elif isinstance(c, LaurentU):
-        c = c.constant_value()
 
     # S^j carries exponents relative to omega^j, so adding a term's own
     # exponents x^a * rest places it at omega^(a-j) * rest.  ``zero`` and
     # ``one`` are shared: an exponent tuple or coefficient that is one of them
     # is not added or multiplied, so omega-coordinate input (S^0 only) reaches
-    # the fold untouched.
-    zero = ring.zero_exponents()
+    # the fold untouched.  S^j has rational coefficients over either ring.
+    zero, one = ring.zero_exponents(), Fraction(1)
     s_powers = [[(zero, one)]]  # canonical S^j as (exponents, coefficient) pairs
     if f.ring.coordinate == ALPHA:
         s_terms = [tuple(int(j == i) - int(j == 0) for j in range(ring.nvars))
@@ -136,7 +122,7 @@ def canonical_rep(f: Poly, spec: QuotientSpec) -> Poly:
         for _ in range(max((e[0] for e in f.terms), default=0)):
             s_powers.append(list(_summed(_fold_squares(
                 ((tuple(map(add, e, s)), sc) for e, sc in s_powers[-1] for s in s_terms),
-                ring, c, beta_zero)).items()))
+                ring, 0, beta_zero)).items()))
     half = Fraction(-1, 2)
 
     def shifted():
@@ -150,7 +136,7 @@ def canonical_rep(f: Poly, spec: QuotientSpec) -> Poly:
                     yield (exps if e is zero else tuple(map(add, e, exps)),
                            w if sc is one else sc * w)
 
-    return Poly.from_terms(ring, _fold_squares(shifted(), ring, c, beta_zero))
+    return Poly.from_terms(ring, _fold_squares(shifted(), ring, 0, beta_zero))
 
 
 def delta_support(ring: RingDescriptor, exps: Exponents) -> FrozenSet[int]:

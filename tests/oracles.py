@@ -180,7 +180,7 @@ def orbit_by_round_trip(p: Poly, label: str, n: int, even: bool = True
 
 def canonical_rep_two_step(f: Poly, spec: QuotientSpec) -> Poly:
     """The canonical representative by two passes: the full change to
-    omega-coordinates, then one fold of delta_i^2 -> (c - beta) per term.
+    omega-coordinates, then one fold of delta_i^2 -> -beta per term.
 
     Slow-path oracle for :func:`instanton.quotient.canonical_rep`, which never
     forms the unreduced omega-coordinate expansion; the two agree term for term.
@@ -188,13 +188,8 @@ def canonical_rep_two_step(f: Poly, spec: QuotientSpec) -> Poly:
     f = f.change_coordinates(OMEGA)
     ring = f.ring
     G = spec.gamma_truncation
-    c = spec.delta_square
-    if ring.coeff_kind == LAURENT_U:
-        c = LaurentU.coerce(c)
-    elif isinstance(c, LaurentU):
-        c = c.constant_value()
-    cb = Poly.constant(ring, c) - Poly.variable(ring, "beta")
-    cb_powers: Dict[int, Poly] = {}  # (c - beta)^k, a polynomial in beta
+    minus_beta = -Poly.variable(ring, "beta")
+    minus_beta_powers: Dict[int, Poly] = {}  # (-beta)^k
     ds = ring.delta_slice()
 
     def pairs():
@@ -206,10 +201,10 @@ def canonical_rep_two_step(f: Poly, spec: QuotientSpec) -> Poly:
             if not k:
                 yield exps, coeff
                 continue
-            if k not in cb_powers:
-                cb_powers[k] = cb ** k
+            if k not in minus_beta_powers:
+                minus_beta_powers[k] = minus_beta ** k
             reduced = exps[:3] + tuple(d % 2 for d in deltas) + exps[ds.stop:]
-            for e, c2 in cb_powers[k].terms.items():
+            for e, c2 in minus_beta_powers[k].terms.items():
                 yield tuple(map(add, e, reduced)), c2 * coeff
 
     terms = pairs()
@@ -222,12 +217,7 @@ def dense_reduce_oracle(f: Poly, spec: QuotientSpec) -> Poly:
     """Second, naive reduction path: rewrite one delta-square at a time to a fixpoint."""
     g = f.change_coordinates(OMEGA)
     ring = g.ring
-    c = spec.delta_square
-    if ring.coeff_kind == LAURENT_U:
-        c = LaurentU.coerce(c)
-    elif isinstance(c, LaurentU):
-        c = c.constant_value()
-    cb = Poly.constant(ring, c) - Poly.variable(ring, "beta")
+    minus_beta = -Poly.variable(ring, "beta")
     changed = True
     while changed:
         changed = False
@@ -243,7 +233,7 @@ def dense_reduce_oracle(f: Poly, spec: QuotientSpec) -> Poly:
                 changed = True
                 lowered = list(exps)
                 lowered[3 + hit] -= 2
-                out = out + Poly.monomial(ring, tuple(lowered), coeff) * cb
+                out = out + Poly.monomial(ring, tuple(lowered), coeff) * minus_beta
         g = out
     if spec.beta_zero:
         g = Poly.from_terms(g.ring, ((e, c2) for e, c2 in g.terms.items() if e[1] == 0))
@@ -470,7 +460,9 @@ class LiftTableModel:
 
     def normal_form(self, f: Poly) -> List[Fraction]:
         """Coordinates of f over the basis, reducing modulo the J-ideal."""
-        f = f.change_coordinates(OMEGA).cast(self.ring)
+        f = f.change_coordinates(OMEGA)
+        if f.ring != self.ring:
+            raise ValueError("ring mismatch")
         coords = [Fraction(0)] * len(getattr(self, "basis", []))
         guard = 0
         while not f.is_zero():

@@ -16,7 +16,7 @@ from instanton.floer import (QuotientModel, VerificationError,
                              graded_ideal_dims, hilbert_compare, model_for,
                              marked_model, ptgn_series, solve_subleading)
 from instanton.linalg import Matrix
-from instanton.poly import ALPHA, OMEGA, Poly, gamma, omega, ring
+from instanton.poly import ALPHA, OMEGA, Poly, ring
 from instanton.quotient import (QuotientSpec, canonical_monomials, mod_beta_spec,
                                 rbar_spec)
 from instanton.relations import (EtaChoice, GeneratorSet, igen, jgen_n1, kprime_gen,
@@ -27,7 +27,7 @@ R1 = ring(1)
 
 
 def test_graded_ideal_dims_single_gamma():
-    gs = GeneratorSet("gamma", R1, [("gamma", gamma(R1))])
+    gs = GeneratorSet("gamma", R1, [("gamma", Poly.variable(R1, "gamma"))])
     dims = graded_ideal_dims(gs, 6)
     assert dims[6] == 1
     assert dims[:6] == [0] * 6
@@ -57,7 +57,7 @@ def test_ptgn_dims_of_the_whole_igen_are_those_of_its_xi_generators(g, n):
     from instanton.floer import graded_quotient_dims
     gens = igen(g, n, "odd" if (1 + (n - 1) // 2) % 2 == 1 else "even")
     xi_only = GeneratorSet(gens.label, gens.ambient, [gv for gv in gens.gens if "xi" in gv[0]])
-    spec = QuotientSpec(gamma_truncation=g + 1, delta_square=0)
+    spec = QuotientSpec(gamma_truncation=g + 1)
     rep = hilbert_compare(g, n, "ptgn", 6 * g + 8)
     assert [c for _d, c, _f in rep.degrees] == graded_quotient_dims(xi_only, 6 * g + 8, spec)
 
@@ -84,7 +84,7 @@ def _graded_case(source, g, n):
     """(generator set, spec, max degree) of ``hilbert_compare`` at A3's and A4's degrees."""
     if source == "ptgn":
         parity = "odd" if (1 + (n - 1) // 2) % 2 == 1 else "even"
-        return igen(g, n, parity), QuotientSpec(gamma_truncation=g + 1, delta_square=0), 6 * g + 8
+        return igen(g, n, parity), QuotientSpec(gamma_truncation=g + 1), 6 * g + 8
     return kprime_gen(g, n), rbar_spec(), 2 * (g + (n - 1) // 2 + 4)
 
 
@@ -169,7 +169,7 @@ def test_blocked_ranks_form_one_product_per_representative_and_cofactor(monkeypa
 
 def test_graded_ranks_reject_an_inhomogeneous_generator():
     rng = ring(3, coordinate=OMEGA)
-    gens = GeneratorSet.of_orbits("bad", rng, [[("omega+1", omega(rng) + 1)]], {})
+    gens = GeneratorSet.of_orbits("bad", rng, [[("omega+1", Poly.variable(rng, "omega") + 1)]], {})
     with pytest.raises(ValueError, match="inhomogeneous generator omega\\+1 in graded mode"):
         graded_ideal_dims(gens, 4, rbar_spec())
     with pytest.raises(ValueError, match="inhomogeneous generator omega\\+1 in graded mode"):
@@ -248,13 +248,23 @@ def test_normal_form_examples():
     assert m1.normal_form(r_poly(1)) == [0, 0]
     a = xi(1, 1)  # alpha
     assert m1.normal_form(a.change_coordinates(OMEGA)) == [1, -1]
-    assert m1.normal_form(gamma(m1.ring)) == [0, 0]
+    assert m1.normal_form(Poly.variable(m1.ring, "gamma")) == [0, 0]
+
+
+def test_normal_form_refuses_a_polynomial_of_another_ring():
+    """normal_form reads its input in the model's own ring once in
+    omega-coordinates: beta over three marked points, or with Laurent
+    coefficients, is not taken for the one-point beta."""
+    model = model_for(1, "+")
+    for rng in (ring(3, coordinate=OMEGA), ring(1, coeff_kind="laurent_u", coordinate=OMEGA)):
+        with pytest.raises(ValueError, match="ring mismatch"):
+            model.normal_form(Poly.variable(rng, "beta"))
 
 
 def test_normal_form_is_linear():
     m2 = model_for(2)
-    f = r_poly(2) * omega(m2.ring) + gamma(m2.ring)
-    g = omega(m2.ring) ** 3
+    f = r_poly(2) * Poly.variable(m2.ring, "omega") + Poly.variable(m2.ring, "gamma")
+    g = Poly.variable(m2.ring, "omega") ** 3
     nf = m2.normal_form
     left = nf(f + g)
     right = [a + b for a, b in zip(nf(f), nf(g))]
@@ -265,13 +275,12 @@ def test_membership_and_witness():
     m1 = model_for(1)
     w1 = m1.ring
     # gamma = 2[(omega + delta/2 - 5) r_2 - 2(beta - 2 delta - 2) r_1 - 3 r_3]
-    from instanton.poly import beta, delta
-    wd = omega(w1) + delta(w1, 1) * F(1, 2)
-    combo = ((wd - 5) * r_poly(2) - (beta(w1) - delta(w1, 1) * 2 - 2) * r_poly(1) * 2
-             - r_poly(3) * 3) * 2
-    assert combo == gamma(w1)
-    assert m1.membership(gamma(w1))
-    rel = delta(w1, 1) ** 2 + beta(w1) - 2
+    w, b, c, d = (Poly.variable(w1, v) for v in w1.var_names)
+    wd = w + d * F(1, 2)
+    combo = ((wd - 5) * r_poly(2) - (b - d * 2 - 2) * r_poly(1) * 2 - r_poly(3) * 3) * 2
+    assert combo == c
+    assert m1.membership(c)
+    rel = d ** 2 + b - 2
     assert m1.membership(rel)
     assert m1.membership(Poly.zero(w1))
     assert not m1.membership(Poly.constant(w1, 1))
@@ -295,7 +304,7 @@ def test_gamma_power_witness_membership():
         witness = gamma_power_witness(g)
         assert set(witness) == {f"r_{g}", f"r_{g + 1}", f"r_{g + 2}"}
         model = model_for(g)
-        assert model.membership(gamma(model.ring) ** g)
+        assert model.membership(Poly.variable(model.ring, "gamma") ** g)
 
 
 def test_operators_commute_and_leading_containment():
@@ -304,7 +313,7 @@ def test_operators_commute_and_leading_containment():
     # leading order of r_g sits in the degree-2g piece of the graded ideal
     for g in (1, 2, 3, 4):
         gs = igen(g, 1, "even")
-        spec = QuotientSpec(gamma_truncation=g + 1, delta_square=0)
+        spec = QuotientSpec(gamma_truncation=g + 1)
         lead = r_poly(g).leading_order()
         from instanton.quotient import canonical_rep, canonical_monomials
         from instanton.floer import _ideal_pieces
@@ -371,18 +380,15 @@ def test_solver_genus_zero_exact():
     gs = solve_subleading(0)
     f_hat = gs.meta["f_hat"].change_coordinates(ALPHA)
     rng3 = ring(3)
-    from instanton.poly import alpha
-    assert f_hat == alpha(rng3) - 1
+    assert f_hat == Poly.variable(rng3, "alpha") - 1
     assert len(gs) == 4  # even flips of {1,2,3}
 
 
 def test_solver_genus_one_value_and_membership():
     gs = solve_subleading(1)
     f_hat = gs.meta["f_hat"].change_coordinates(ALPHA)
-    rng3 = ring(3)
-    from instanton.poly import alpha, delta
-    expected = alpha(rng3) ** 2 * F(1, 2) + alpha(rng3) \
-        + delta(rng3, 1) + delta(rng3, 2) + delta(rng3, 3) - F(3, 2)
+    a, _b, _c, d1, d2, d3 = (Poly.variable(ring(3), v) for v in ring(3).var_names)
+    expected = a ** 2 * F(1, 2) + a + d1 + d2 + d3 - F(3, 2)
     assert f_hat == expected
     m1 = model_for(1)
     for _name, p in gs.gens:
@@ -891,8 +897,8 @@ def test_model_rejects_a_generator_that_does_not_deform(monkeypatch):
     """omega - 3 joins J but leads no I-generator: the check mod the first prime
     raises at once."""
     J, I, formula = floer._one_point_ideals(2, "+")
-    J = GeneratorSet(J.label, J.ambient, J.gens + [("omega-3", omega(J.ambient) - 3)],
-                     meta=J.meta)
+    w = Poly.variable(J.ambient, "omega")
+    J = GeneratorSet(J.label, J.ambient, J.gens + [("omega-3", w - 3)], meta=J.meta)
     built = []
 
     class Counting(floer._ModularTables):
@@ -912,8 +918,8 @@ def test_a_generator_past_the_degree_window_leaves_the_model_unchanged():
     are full, and basis and operators are those of the model without it."""
     J, I, formula = floer._one_point_ideals(1, "+")
     r1 = dict(J.gens)["r_1"]
-    J = GeneratorSet(J.label, J.ambient, J.gens + [("r_1*omega^12", r1 * omega(J.ambient) ** 12)],
-                     meta=J.meta)
+    w = Poly.variable(J.ambient, "omega")
+    J = GeneratorSet(J.label, J.ambient, J.gens + [("r_1*omega^12", r1 * w ** 12)], meta=J.meta)
     model, plain = QuotientModel(J, I, formula), model_for(1, "+")
     assert model.dim == 2 and model.basis == plain.basis
     for var in model.ring.var_names:

@@ -166,3 +166,28 @@ def test_every_package_export_is_read_in_the_package():
     unread = [f"{module}.{name}" for name, module in sorted(exported.items())
               if name not in read]
     assert unread == []
+
+
+def test_every_package_function_is_read_in_the_package():
+    """Every top-level function and class of the package, and every method of
+    a top-level class, is read, as a name or as an attribute, somewhere in the
+    package: API that nothing calls is deleted.  Dunder methods are exempt."""
+    defined, read = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(path.name, item.lineno, f"{node.name}.{item.name}")
+                            for item in node.body if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert defined
+    unread = [f"{name}:{line}: {qualname}" for name, line, qualname in defined
+              if qualname.rpartition(".")[2] not in read]
+    assert unread == []

@@ -6,26 +6,25 @@ from hypothesis import strategies as st
 
 from conftest import random_laurent_poly, random_poly
 from oracles import first_substituted_by_fractions, flip_round_trip, poly_mul_by_fractions
-from instanton.poly import (ALPHA, LAURENT_U, OMEGA, LaurentU, Poly, _delta_sum, alpha,
-                            beta, delta, gamma,
-                            monomials_of_degree, omega, ring)
+from instanton.poly import (ALPHA, LAURENT_U, OMEGA, LaurentU, Poly, _delta_sum,
+                            monomials_of_degree, ring)
 
 R1 = ring(1)
 R3 = ring(3)
 
 
 def test_leading_order_keeps_all_top_degree_terms():
-    f = alpha(R1) + delta(R1, 1) - 1
-    assert f.leading_order() == alpha(R1) + delta(R1, 1)
+    f = Poly.variable(R1, "alpha") + Poly.variable(R1, "delta1") - 1
+    assert f.leading_order() == Poly.variable(R1, "alpha") + Poly.variable(R1, "delta1")
 
 
 def test_leading_order_homogeneous_is_identity():
-    assert beta(R1).leading_order() == beta(R1)
+    assert Poly.variable(R1, "beta").leading_order() == Poly.variable(R1, "beta")
 
 
 def test_leading_order_inhomogeneous_relation():
     # the degree-4 relation with its lower-order tail
-    a, b, d = alpha(R1), beta(R1), delta(R1, 1)
+    a, b, d = Poly.variable(R1, "alpha"), Poly.variable(R1, "beta"), Poly.variable(R1, "delta1")
     f2 = (a * a - b) * F(1, 2) + (a + d) - F(1, 2)
     assert f2.leading_order() == (a * a - b) * F(1, 2)
     assert f2.degree() == 4
@@ -37,12 +36,13 @@ def test_leading_order_zero_errors():
 
 
 def test_change_coordinates_examples():
-    assert alpha(R1).change_coordinates(OMEGA) == omega(ring(1, coordinate=OMEGA)) \
-        - delta(ring(1, coordinate=OMEGA), 1) * F(1, 2)
-    w = omega(ring(1, coordinate=OMEGA))
-    assert w.change_coordinates(ALPHA) == alpha(R1) + delta(R1, 1) * F(1, 2)
-    f = alpha(R3) + (delta(R3, 1) + delta(R3, 2) + delta(R3, 3)) * F(1, 2)
-    assert f.change_coordinates(OMEGA) == omega(ring(3, coordinate=OMEGA))
+    w1 = ring(1, coordinate=OMEGA)
+    a, d = Poly.variable(R1, "alpha"), Poly.variable(R1, "delta1")
+    w, wd = Poly.variable(w1, "omega"), Poly.variable(w1, "delta1")
+    assert a.change_coordinates(OMEGA) == w - wd * F(1, 2)
+    assert w.change_coordinates(ALPHA) == a + d * F(1, 2)
+    f = Poly.variable(R3, "alpha") + _delta_sum(R3, (1, 2, 3)) * F(1, 2)
+    assert f.change_coordinates(OMEGA) == Poly.variable(ring(3, coordinate=OMEGA), "omega")
 
 
 def test_change_coordinates_roundtrip_and_degree(rand):
@@ -54,15 +54,16 @@ def test_change_coordinates_roundtrip_and_degree(rand):
 
 
 def test_flip_examples():
-    assert alpha(R1).flip([]) == alpha(R1)
-    w3 = ring(3, coordinate=OMEGA)
-    assert delta(w3, 1).flip([1]) == -delta(w3, 1)
-    assert alpha(R1).flip([1]) == alpha(R1) + delta(R1, 1)
+    a = Poly.variable(R1, "alpha")
+    assert a.flip([]) == a
+    d = Poly.variable(ring(3, coordinate=OMEGA), "delta1")
+    assert d.flip([1]) == -d
+    assert a.flip([1]) == a + Poly.variable(R1, "delta1")
 
 
 def test_flip_out_of_range():
     with pytest.raises(ValueError):
-        alpha(R1).flip([2])
+        Poly.variable(R1, "alpha").flip([2])
 
 
 def test_flip_group_law_and_automorphism(rand):
@@ -76,7 +77,8 @@ def test_flip_group_law_and_automorphism(rand):
 
 def test_flip_group_has_order_eight_for_three_points():
     w3 = ring(3, coordinate=OMEGA)
-    probe = delta(w3, 1) + delta(w3, 2) * 2 + delta(w3, 3) * 4
+    d1, d2, d3 = (Poly.variable(w3, f"delta{i}") for i in (1, 2, 3))
+    probe = d1 + d2 * 2 + d3 * 4
     from itertools import combinations
     images = set()
     for size in range(4):
@@ -87,10 +89,10 @@ def test_flip_group_has_order_eight_for_three_points():
 
 def test_pi_reduce_examples():
     w3 = ring(3, coordinate=OMEGA)
-    assert (delta(w3, 2) * delta(w3, 3)).pi_reduce() == \
-        -(delta(ring(1, coordinate=OMEGA), 1) ** 2)
-    assert (delta(w3, 2) + delta(w3, 3)).pi_reduce().is_zero()
-    assert alpha(R3).pi_reduce() == alpha(R1)
+    assert (Poly.variable(w3, "delta2") * Poly.variable(w3, "delta3")).pi_reduce() == \
+        -(Poly.variable(ring(1, coordinate=OMEGA), "delta1") ** 2)
+    assert (Poly.variable(w3, "delta2") + Poly.variable(w3, "delta3")).pi_reduce().is_zero()
+    assert Poly.variable(R3, "alpha").pi_reduce() == Poly.variable(R1, "alpha")
 
 
 def test_pi_reduce_linear_and_multiplicative(rand):
@@ -103,16 +105,17 @@ def test_pi_reduce_linear_and_multiplicative(rand):
 
 def test_evaluate_examples():
     w1 = ring(1, coordinate=OMEGA)
-    r1 = omega(w1) + delta(w1, 1) * F(1, 2) - 1
+    r1 = Poly.variable(w1, "omega") + Poly.variable(w1, "delta1") * F(1, 2) - 1
     assert r1.evaluate({"omega": 1, "beta": 0, "gamma": 0, "delta1": 0}) == 0
-    rel = delta(R1, 1) ** 2 + beta(R1) - 2
+    rel = Poly.variable(R1, "delta1") ** 2 + Poly.variable(R1, "beta") - 2
     assert rel.evaluate({"alpha": 0, "beta": 2, "gamma": 0, "delta1": 0}) == 0
-    assert alpha(R1).evaluate({"alpha": -3, "beta": 0, "gamma": 0, "delta1": 0}) == -3
+    a = Poly.variable(R1, "alpha")
+    assert a.evaluate({"alpha": -3, "beta": 0, "gamma": 0, "delta1": 0}) == -3
 
 
 def test_evaluate_alpha_point_translates_coordinates():
     w1 = ring(1, coordinate=OMEGA)
-    r1 = omega(w1) + delta(w1, 1) * F(1, 2) - 1
+    r1 = Poly.variable(w1, "omega") + Poly.variable(w1, "delta1") * F(1, 2) - 1
     # (alpha, beta, gamma, delta) = (1, 2, 0, 0) is a root of r_1
     assert r1.evaluate_alpha_point(1, 2, 0, [0]) == 0
     assert r1.evaluate_alpha_point(-1, -2, 0, [2]) == 0
@@ -152,7 +155,7 @@ def test_monomials_of_degree_counts():
 
 
 def test_power_and_scalar_ops():
-    a = alpha(R1)
+    a = Poly.variable(R1, "alpha")
     assert a ** 0 == Poly.constant(R1, 1)
     assert a ** 3 == a * a * a
     assert (a * 2) / 2 == a
@@ -375,5 +378,5 @@ def test_kernels_match_fraction_oracles_property(case):
                 first_substituted_by_fractions(moved, image, f.terms.items()))
     if rng.coordinate == ALPHA:
         signed = [(e, -c if sum(e[2 + i] for i in I) % 2 else c) for e, c in f.terms.items()]
-        _same_terms(f.flip(I),
-                    first_substituted_by_fractions(rng, alpha(rng) + _delta_sum(rng, I), signed))
+        image = Poly.variable(rng, "alpha") + _delta_sum(rng, I)
+        _same_terms(f.flip(I), first_substituted_by_fractions(rng, image, signed))

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_laurent_poly, random_poly
-from instanton.poly import (LAURENT_U, OMEGA, LaurentU, Poly, beta, delta,
-                            gamma, omega, ring)
+from conftest import random_poly
+from instanton.poly import LAURENT_U, OMEGA, LaurentU, Poly, ring
 from instanton.quotient import (QuotientSpec, canonical_monomials, canonical_rep,
                                 mod_beta_spec, model_spec, rbar_spec)
 from oracles import canonical_rep_two_step, dense_reduce_oracle, rho_proj_all_by_reduction
@@ -19,38 +18,28 @@ W3 = ring(3, coordinate=OMEGA)
 WL3 = ring(3, coeff_kind=LAURENT_U, coordinate=OMEGA)
 
 
-def r1_spec() -> QuotientSpec:
-    """R_1: delta^2 = 2 - beta, no gamma truncation."""
-    return QuotientSpec(gamma_truncation=None, delta_square=2)
-
-
-def local_spec(g=None) -> QuotientSpec:
-    """Local-coefficient variant: delta_i^2 = u^2 + u^{-2} - beta."""
-    c = LaurentU({2: 1, -2: 1})
-    return QuotientSpec(gamma_truncation=None if g is None else g + 1, delta_square=c)
-
-
 def pi_on_quotient(f: Poly, spec_from: QuotientSpec, spec_to: QuotientSpec) -> Poly:
     """Reduce then apply the point-reduction map; specs must agree."""
-    if (spec_from.gamma_truncation != spec_to.gamma_truncation
-            or spec_from.delta_square != spec_to.delta_square
-            or spec_from.beta_zero != spec_to.beta_zero):
+    if spec_from != spec_to:
         raise ValueError("incompatible quotient specs")
     return canonical_rep(canonical_rep(f, spec_from).pi_reduce(), spec_to)
 
 
 def test_canonical_rep_examples():
-    spec2 = r1_spec()  # delta^2 = 2 - beta
-    assert canonical_rep(delta(W1, 1) ** 2, spec2) == 2 - beta(W1)
+    w, b, c, d = (Poly.variable(W1, v) for v in W1.var_names)
+    assert canonical_rep(d ** 2, QuotientSpec()) == -b  # delta^2 = -beta
+    assert canonical_rep(d ** 5 * w, QuotientSpec()) == b ** 2 * d * w
     g = 2
     spec_g = model_spec(g)
-    assert canonical_rep(gamma(W1) ** (g + 1), spec_g).is_zero()
-    f = omega(W3) * delta(W3, 1) ** 2 * delta(W3, 2)
-    assert canonical_rep(f, rbar_spec()) == -beta(W3) * omega(W3) * delta(W3, 2)
+    assert canonical_rep(c ** g * d ** 3, spec_g) == -(c ** g) * b * d
+    assert canonical_rep(c ** (g + 1), spec_g).is_zero()
+    assert canonical_rep(d ** 2 + b, mod_beta_spec()).is_zero()
+    w3, b3, _c3, d1, d2, _d3 = (Poly.variable(W3, v) for v in W3.var_names)
+    assert canonical_rep(w3 * d1 ** 2 * d2, rbar_spec()) == -b3 * w3 * d2
 
 
 def test_canonical_rep_properties(rand):
-    for spec in (rbar_spec(), model_spec(1), r1_spec()):
+    for spec in (rbar_spec(), model_spec(1), QuotientSpec()):
         for _ in range(8):
             f = random_poly(W3 if spec.gamma_truncation == 1 else W1, rand, max_exp=3)
             rep = canonical_rep(f, spec)
@@ -66,30 +55,22 @@ def test_canonical_rep_properties(rand):
 
 def test_canonical_rep_matches_dense_oracle(rand):
     """Fast reduction against the one-rewrite-at-a-time second path."""
-    specs = [rbar_spec(), model_spec(2), r1_spec(), mod_beta_spec()]
-    for spec in specs:
+    for spec in (rbar_spec(), model_spec(2), mod_beta_spec()):
         for _ in range(200):
             f = random_poly(W3, rand, terms=4, max_exp=3)
             assert canonical_rep(f, spec) == dense_reduce_oracle(f, spec)
-    for spec in (local_spec(), local_spec(2)):
-        for _ in range(100):
-            f = random_laurent_poly(WL3, rand, terms=4, max_exp=3)
-            assert canonical_rep(f, spec) == dense_reduce_oracle(f, spec)
 
 
-_REDUCTION_SPECS = [rbar_spec(), model_spec(0), model_spec(1), model_spec(3), r1_spec(),
-                    mod_beta_spec(), local_spec(), local_spec(2)]
+_SPECS = [rbar_spec(), model_spec(0), model_spec(1), model_spec(3), QuotientSpec(),
+          mod_beta_spec()]
 _REDUCTION_RINGS = [ring(3), W3, ring(3, coeff_kind=LAURENT_U), WL3]
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 @st.composite
 def _reduction_case(draw):
-    spec = draw(st.sampled_from(_REDUCTION_SPECS))
-    # u^2 + u^-2 has no rational value: the local specs need Laurent coefficients
-    local = isinstance(spec.delta_square, LaurentU)
-    rng = draw(st.sampled_from([r for r in _REDUCTION_RINGS
-                                if r.coeff_kind == LAURENT_U or not local]))
+    spec = draw(st.sampled_from(_SPECS))
+    rng = draw(st.sampled_from(_REDUCTION_RINGS))
 
     def coeff():
         if rng.coeff_kind == LAURENT_U:
@@ -109,17 +90,13 @@ def test_canonical_rep_matches_dense_oracle_property(case):
     assert canonical_rep(f, spec) == dense_reduce_oracle(f, spec)
 
 
-_ORACLE_SPECS = [rbar_spec(), model_spec(0), model_spec(1), model_spec(3), r1_spec(),
-                 mod_beta_spec(), local_spec(), local_spec(2)]
 _ALPHA_RINGS = [ring(1), ring(3), ring(5), ring(3, coeff_kind=LAURENT_U)]
 
 
 @st.composite
 def _alpha_case(draw):
-    spec = draw(st.sampled_from(_ORACLE_SPECS))
-    local = isinstance(spec.delta_square, LaurentU)
-    rng = draw(st.sampled_from([r for r in _ALPHA_RINGS
-                                if r.coeff_kind == LAURENT_U or not local]))
+    spec = draw(st.sampled_from(_SPECS))
+    rng = draw(st.sampled_from(_ALPHA_RINGS))
 
     def coeff():
         if rng.coeff_kind == LAURENT_U:
@@ -155,7 +132,7 @@ def test_canonical_rep_of_xi_matches_two_step_oracle(n):
 def test_canonical_rep_of_igen_orbits_matches_two_step_oracle(g, n):
     """A3's generators, both parities, in the ring A3 ranks them in."""
     from instanton.relations import igen
-    spec = QuotientSpec(gamma_truncation=g + 1, delta_square=0)
+    spec = model_spec(g)
     for parity in ("even", "odd"):
         for _name, f in igen(g, n, parity).gens:
             assert canonical_rep(f, spec).terms == canonical_rep_two_step(f, spec).terms
@@ -178,27 +155,20 @@ def test_canonical_rep_never_changes_coordinates(monkeypatch):
 
 
 @pytest.mark.parametrize("rng,spec", [
-    (ring(3), rbar_spec()), (W3, model_spec(2)), (W3, r1_spec()), (W3, mod_beta_spec()),
-    (WL3, local_spec()), (ring(3, coeff_kind=LAURENT_U), local_spec(2)),
-], ids=["rbar_alpha", "model2", "r1", "mod_beta", "local", "local2_alpha"])
+    (ring(3), rbar_spec()), (W3, model_spec(2)), (W3, mod_beta_spec()),
+], ids=["rbar_alpha", "model2", "mod_beta"])
 def test_canonical_rep_is_evaluation_on_the_relations(rand, rng, spec):
     """canonical_rep(f) equals f at every point where the relations hold:
-    delta_i = +-d, beta = c - d^2, gamma = 0 (and d^2 = c when beta = 0)."""
+    delta_i = +-d, beta = -d^2, gamma = 0 (and d = 0 when beta = 0)."""
     for _ in range(40):
-        if rng.coeff_kind == LAURENT_U:
-            f = random_laurent_poly(rng, rand, terms=6, max_exp=3)
-        else:
-            f = random_poly(rng, rand, terms=6, max_exp=3)
-        u = F(rand.randint(1, 7), rand.randint(1, 5))
-        c = spec.delta_square
-        c = c.evaluate(u) if isinstance(c, LaurentU) else c
+        f = random_poly(rng, rand, terms=6, max_exp=3)
         d = F(0) if spec.beta_zero else F(rand.randint(-9, 9), rand.randint(1, 5))
         deltas = [d * rand.choice((1, -1)) for _ in range(rng.n)]
         alpha = F(rand.randint(-9, 9), rand.randint(1, 5))
         rep = canonical_rep(f, spec)
         assert all(rep.terms.values())
-        assert rep.evaluate_alpha_point(alpha, c - d * d, 0, deltas, u_value=u) == \
-            f.evaluate_alpha_point(alpha, c - d * d, 0, deltas, u_value=u)
+        assert rep.evaluate_alpha_point(alpha, -d * d, 0, deltas) == \
+            f.evaluate_alpha_point(alpha, -d * d, 0, deltas)
 
 
 def test_canonical_rep_matches_its_pinned_digest():
@@ -214,10 +184,10 @@ def test_canonical_rep_matches_its_pinned_digest():
 
 
 def test_pi_on_quotient_examples():
-    spec = r1_spec()
-    f = delta(W3, 2) * delta(W3, 3)
-    assert pi_on_quotient(f, spec, spec) == -(2 - beta(W1))
-    assert pi_on_quotient(omega(W3), spec, spec) == omega(W1)
+    spec = QuotientSpec()
+    f = Poly.variable(W3, "delta2") * Poly.variable(W3, "delta3")
+    assert pi_on_quotient(f, spec, spec) == Poly.variable(W1, "beta")  # -delta_1^2 = beta
+    assert pi_on_quotient(Poly.variable(W3, "omega"), spec, spec) == Poly.variable(W1, "omega")
     with pytest.raises(ValueError):
         pi_on_quotient(f, spec, rbar_spec())
 
@@ -257,11 +227,3 @@ def test_canonical_monomials_counts():
     assert len(canonical_monomials(W3, mod_beta_spec(), 4)) == \
         len(canonical_monomials(W3, rbar_spec(), 4)) - 1
 
-
-def test_local_spec_reduction():
-    wl = ring(1, coeff_kind=LAURENT_U, coordinate=OMEGA)
-    spec = local_spec()
-    f = delta(wl, 1) ** 2
-    rep = canonical_rep(f, spec)
-    expected = Poly.constant(wl, LaurentU({2: 1, -2: 1})) - beta(wl)
-    assert rep == expected

@@ -11,8 +11,7 @@ from instanton import acceptance, relations
 from instanton.floer import (_marked_ideals, _one_point_ideals, gamma_power_witness,
                              solve_subleading)
 from instanton.linalg import Matrix, rank
-from instanton.poly import (OMEGA, LaurentU, Poly, alpha, beta, delta,
-                            gamma, omega, ring)
+from instanton.poly import OMEGA, LaurentU, Poly, ring
 from instanton.quotient import QuotientSpec, canonical_rep, rbar_spec
 from instanton.relations import (EtaChoice, GeneratorSet,
                                  flip_orbit, flip_subsets, gamma_cofactors, igen, jgen_n1,
@@ -29,20 +28,21 @@ W1 = ring(1, coordinate=OMEGA)
 
 
 def test_xi_base_cases_and_paper_values():
-    assert xi(1, 3) == alpha(ring(3))
-    assert xi(2, 1) == (alpha(R1) ** 2 - beta(R1)) * F(1, 2)
-    assert xi(3, 1) == alpha(R1) ** 3 * F(1, 6) - alpha(R1) * beta(R1) * F(5, 6) \
-        - gamma(R1) * F(1, 6)
+    assert xi(1, 3) == Poly.variable(ring(3), "alpha")
+    a, b, c = (Poly.variable(R1, v) for v in ("alpha", "beta", "gamma"))
+    assert xi(2, 1) == (a ** 2 - b) * F(1, 2)
+    assert xi(3, 1) == a ** 3 * F(1, 6) - a * b * F(5, 6) - c * F(1, 6)
 
 
 def test_xi_recursion_step():
     # (k+1) xi_{k+1} = alpha xi_k + (m-k) beta xi_{k-1} - gamma/2 xi_{k-2}
     n, m = 5, 2
     rng = ring(5)
+    a, b, c = (Poly.variable(rng, v) for v in ("alpha", "beta", "gamma"))
     for k in range(2, 7):
         lhs = xi(k + 1, n, rng) * (k + 1)
-        rhs = alpha(rng) * xi(k, n, rng) + beta(rng) * xi(k - 1, n, rng) * (m - k) \
-            - gamma(rng) * xi(k - 2, n, rng) * F(1, 2)
+        rhs = a * xi(k, n, rng) + b * xi(k - 1, n, rng) * (m - k) \
+            - c * xi(k - 2, n, rng) * F(1, 2)
         assert lhs == rhs
 
 
@@ -65,8 +65,9 @@ def test_xi_negative_k_errors():
 def test_delta_sym_examples():
     w3 = ring(3, coordinate=OMEGA)
     assert delta_sym(3, 0) == Poly.constant(w3, 1)
-    assert delta_sym(3, 1) == delta(w3, 1) + delta(w3, 2) + delta(w3, 3)
-    assert delta_sym(3, 3) == delta(w3, 1) * delta(w3, 2) * delta(w3, 3)
+    d1, d2, d3 = (Poly.variable(w3, f"delta{i}") for i in (1, 2, 3))
+    assert delta_sym(3, 1) == d1 + d2 + d3
+    assert delta_sym(3, 3) == d1 * d2 * d3
     with pytest.raises(ValueError):
         delta_sym(3, 4)
 
@@ -178,14 +179,15 @@ def test_w_family_one_point():
     top component, and its sub-leading one exactly for g <= 2 and up to a
     nonzero multiple of delta^2 + beta beyond, the rule A7 applies to sign +."""
     eta = EtaChoice({1}, 1)
-    assert w_skeleton(1, 1, eta, -1) == omega(W1) + delta(W1, 1) * F(1, 2) + 1
-    mod_delta_square = QuotientSpec(gamma_truncation=None, delta_square=0)
+    w, d = Poly.variable(W1, "omega"), Poly.variable(W1, "delta1")
+    assert w_skeleton(1, 1, eta, -1) == w + d * F(1, 2) + 1
+    reduce_spec = QuotientSpec()
     for g in range(1, 6):
         minus, want = phi_negate(r_poly(g)) * (-1) ** g, w_skeleton(g, 1, eta, -1)
         assert minus.homogeneous_component(2 * g) == want.homogeneous_component(2 * g)
         diff = minus.homogeneous_component(2 * g - 2) - want.homogeneous_component(2 * g - 2)
         assert diff.is_zero() == (g <= 2), g
-        assert canonical_rep(diff, mod_delta_square).is_zero(), g
+        assert canonical_rep(diff, reduce_spec).is_zero(), g
 
 
 def test_w_skeleton_is_r1():
@@ -226,8 +228,8 @@ def test_igen_unit_at_genus_zero():
 def test_igen_g1_list():
     gs = igen(1, 1, "odd")
     polys = [p for _, p in gs.gens]
-    assert delta(R1, 1) ** 2 + beta(R1) in polys
-    assert gamma(R1) ** 2 in polys
+    assert Poly.variable(R1, "delta1") ** 2 + Poly.variable(R1, "beta") in polys
+    assert Poly.variable(R1, "gamma") ** 2 in polys
     for k in (1, 2, 3):
         assert xi(k, 1) in polys
     assert len(gs) == 5
@@ -247,7 +249,7 @@ def test_igen_gamma_power_redundant():
     without = GeneratorSet(gs.label, gs.ambient,
                            [gv for gv in gs.gens if not gv[0].startswith("gamma^")],
                            meta=gs.meta)
-    spec = QuotientSpec(gamma_truncation=None, delta_square=0)
+    spec = QuotientSpec()
     full = graded_ideal_dims(gs, 16, spec)
     reduced = graded_ideal_dims(without, 16, spec)
     assert full == reduced
@@ -257,13 +259,13 @@ def test_kprime_gen_examples():
     gs = kprime_gen(0, 1)
     assert len(gs) == 2
     assert gs.gens[0][1] == Poly.constant(W1, 1)
-    assert gs.gens[1][1] == omega(W1) - delta(W1, 1) * F(1, 2)
+    assert gs.gens[1][1] == Poly.variable(W1, "omega") - Poly.variable(W1, "delta1") * F(1, 2)
     gs3 = kprime_gen(0, 3)
     assert len(gs3) == 8  # 4 even flips per xi-bar, two xi-bars
 
 
 def test_r_poly_paper_values():
-    w, b, d = omega(W1), beta(W1), delta(W1, 1)
+    w, b, d = Poly.variable(W1, "omega"), Poly.variable(W1, "beta"), Poly.variable(W1, "delta1")
     wd = w + d * F(1, 2)
     assert r_poly(0) == Poly.constant(W1, 1)
     assert r_poly(1) == wd - 1
@@ -271,7 +273,7 @@ def test_r_poly_paper_values():
 
 
 def test_r_poly_recursion_step():
-    w, b, d, c = omega(W1), beta(W1), delta(W1, 1), gamma(W1)
+    w, b, c, d = (Poly.variable(W1, v) for v in W1.var_names)
     wd = w + d * F(1, 2)
     expected = ((wd - 5) * r_poly(2) - (b - d * 2 - 2) * r_poly(1) * 2
                 - c * F(1, 2)) * F(1, 3)
@@ -280,10 +282,10 @@ def test_r_poly_recursion_step():
 
 def test_r_poly_local_base_and_specialization():
     wl = ring(1, coeff_kind="laurent_u", coordinate=OMEGA)
-    w, d = omega(wl), delta(wl, 1)
+    w, d = Poly.variable(wl, "omega"), Poly.variable(wl, "delta1")
     u1, u2 = (Poly.constant(wl, LaurentU.u_power(-k)) for k in (1, 2))
     assert r_poly(1, local=True) == w + d * F(1, 2) - u1
-    assert r_poly(2, local=True) == ((w + d * F(1, 2)) ** 2 - beta(wl)) * F(1, 2) \
+    assert r_poly(2, local=True) == ((w + d * F(1, 2)) ** 2 - Poly.variable(wl, "beta")) * F(1, 2) \
         + (w - d * F(1, 2)) * u1 - u2 * F(1, 2)
     for g in range(7):
         assert specialize_u(r_poly(g, local=True), F(1)) == r_poly(g)
@@ -309,7 +311,7 @@ def test_r_poly_runs_the_step_only_past_the_memoized_terms(monkeypatch):
 def test_subleading_structure_of_r():
     """Top component is the flipped Mumford relation; the next one matches the
     closed form exactly for g <= 2 and modulo (delta^2 + beta) afterwards."""
-    reduce_spec = QuotientSpec(gamma_truncation=None, delta_square=0)
+    reduce_spec = QuotientSpec()
     for g in range(1, 6):
         rg = r_poly(g)
         assert rg.homogeneous_component(2 * g) == \
@@ -325,7 +327,7 @@ def test_subleading_structure_of_r():
     d3 = r_poly(3).homogeneous_component(4) - \
         xi(2, -1, target=R1).change_coordinates(OMEGA) * -1
     w1 = ring(1, coordinate=OMEGA)
-    assert d3 == (delta(w1, 1) ** 2 + beta(w1)) * F(1, 2)
+    assert d3 == (Poly.variable(w1, "delta1") ** 2 + Poly.variable(w1, "beta")) * F(1, 2)
 
 
 def test_jgen_examples():
@@ -343,14 +345,16 @@ def test_jgen_local_relation():
     gs = jgen_n1(1, local=True)
     rel = gs.gens[-1][1]
     wl = rel.ring
-    expected = delta(wl, 1) ** 2 + beta(wl) - Poly.constant(wl, LaurentU({2: 1, -2: 1}))
+    u2 = Poly.constant(wl, LaurentU({2: 1, -2: 1}))
+    expected = Poly.variable(wl, "delta1") ** 2 + Poly.variable(wl, "beta") - u2
     assert rel == expected
 
 
 def test_phi_negate_in_both_coordinates():
-    f = alpha(R1) * gamma(R1) + beta(R1) * delta(R1, 1)
+    a, b, c, d = (Poly.variable(R1, v) for v in R1.var_names)
+    f = a * c + b * d
     g = phi_negate(f)
-    assert g == alpha(R1) * gamma(R1) - beta(R1) * delta(R1, 1)
+    assert g == a * c - b * d
     assert phi_negate(f.change_coordinates(OMEGA)) == g.change_coordinates(OMEGA)
 
 
@@ -372,7 +376,7 @@ def test_gamma_cofactor_identity_all_variants():
             total = Poly.zero(gens.ambient)
             for i, a in cof.items():
                 total = total + a * gens.gens[i][1]
-            target = gamma(gens.ambient.with_coordinate(OMEGA)) ** g
+            target = Poly.variable(gens.ambient.with_coordinate(OMEGA), "gamma") ** g
             assert total == target
 
 
@@ -481,7 +485,7 @@ def test_jgen_n1_and_gamma_witness_pinned(sign, local):
 
 def test_three_point_ideals_names_and_polys_pinned():
     J, I, _ = _marked_ideals(1, 3)
-    gamma3 = gamma(ring(3))
+    gamma3 = Poly.variable(ring(3), "gamma")
     assert I.gens[-4:] == [(f"gamma*{name}", gamma3 * p) for name, p in
                            orbit_by_round_trip(xi(1, 3, target=ring(3)), "xi_{1,3}", 3)]
     assert _digest(J.to_json()) == "a5c4592b9e07cf75"
@@ -514,7 +518,7 @@ def test_sets_built_from_a_marked_set_are_unmarked():
 
 
 def test_flip_orbit_names_and_order():
-    p = delta(ring(3, coordinate=OMEGA), 1)
+    p = Poly.variable(ring(3, coordinate=OMEGA), "delta1")
     assert flip_orbit(p, "d", 3) == [("tau_{}(d)", p), ("tau_{1,2}(d)", -p),
                                      ("tau_{1,3}(d)", -p), ("tau_{2,3}(d)", p)]
     assert [name for name, _ in flip_orbit(p, "d", 3, even=False)] == [
