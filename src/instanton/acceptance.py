@@ -18,9 +18,8 @@ Two checks assert sign/ambiguity-corrected statements:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import floer, series
 from .floer import (decomposition_identity_check, eigen_verify,
@@ -33,8 +32,7 @@ from .relations import (EtaChoice, GeneratorSet, flip_orbit, jgen_n1, r_poly,
 from .series import binom_sqrt_dets
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     criterion: str
     passed: bool
     detail: str

@@ -7,11 +7,10 @@ quotient models for any odd number of marked points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import add
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .linalg import Matrix, subspace_intersection
@@ -210,8 +209,7 @@ def graded_quotient_dims(gens: GeneratorSet, max_degree: int,
 # -- reports ----------------------------------------------------------------------
 
 
-@dataclass
-class HilbertReport:
+class HilbertReport(NamedTuple):
     degrees: List[Tuple[int, int, int]]  # (degree, computed, formula)
     source: str
     match: bool
@@ -224,8 +222,7 @@ class HilbertReport:
         }
 
 
-@dataclass
-class EigenReport:
+class EigenReport(NamedTuple):
     subspace_dim: int
     total_dim: int
     tuples: List[dict]  # alpha, beta, gamma, delta (list), gen_mult
@@ -296,8 +293,10 @@ def _exterior_sum(g: int, max_degree: int, piece: Callable[[int], List[int]]) ->
 # -- the filtered quotient model ----------------------------------------------------
 
 # Primes of the modular model build, in the order they are tried.  Each further
-# prime is combined with the earlier ones by Chinese remaindering.
-_PRIMES = (2 ** 61 - 1, 2 ** 62 - 57, 2 ** 63 - 25, 2 ** 64 - 59)
+# prime is combined with the earlier ones by Chinese remaindering.  Below 2^60 a
+# residue is two 30-bit CPython digits, and one prime's Wang bound is 2^29.5.
+_PRIMES = (2 ** 60 - 93, 2 ** 60 - 107, 2 ** 60 - 173, 2 ** 60 - 179)
+
 
 class _UnluckyPrime(Exception):
     """A degree of I has more quotient monomials mod p than the formula allows:
@@ -877,6 +876,10 @@ def _eigen_verify_local(g: int, sign: str, theta: Fraction, model: QuotientModel
 # -- sub-leading solver and marked-point models ---------------------------------------
 
 
+# (g, n) -> solution; marked_model(g, n) solves g - 1, g and g + 1 at n points
+_solve_cache: Dict[Tuple[int, int], GeneratorSet] = {}
+
+
 def solve_subleading(g: int, n: int = 3) -> GeneratorSet:
     """Solve for the minimal-degree relation at n marked points, n odd >= 3.
 
@@ -892,6 +895,8 @@ def solve_subleading(g: int, n: int = 3) -> GeneratorSet:
         raise ValueError("n must be an odd integer >= 3")
     if g < 0:
         raise ValueError("g must be >= 0")
+    if (g, n) in _solve_cache:
+        return _solve_cache[g, n]
     m = (n - 1) // 2
     rng = ring(n, coordinate=OMEGA)
     base = w_skeleton(g, n, EtaChoice(() if m % 2 else (1,), n), 1)
@@ -920,10 +925,11 @@ def solve_subleading(g: int, n: int = 3) -> GeneratorSet:
     if len(pivots) < k:
         raise VerificationError("sub-leading system is not unique (convention drift)")
     f_hat = base + Poly(rng, {mono: R[i, k] for i, mono in enumerate(unknowns)})
-    return GeneratorSet(
+    out = _solve_cache[g, n] = GeneratorSet(
         label=f"X_{{{g},{n}}}", ambient=rng, gens=flip_orbit(f_hat, f"fhat_{{{g},{n}}}", n),
         meta={"g": g, "n": n, "sign": "+", "f_hat": f_hat},
     )
+    return out
 
 
 def _marked_ideals(g: int, n: int):

@@ -13,11 +13,10 @@ are never mutated after construction, so they are safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -131,21 +130,25 @@ ALPHA = "alpha"
 OMEGA = "omega"
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
+class _RingFields(NamedTuple):
+    n: int
+    coeff_kind: str
+    coordinate: str
+
+
+class RingDescriptor(_RingFields):
     """Ambient ring shape: number of marked points, coefficient kind, coordinate."""
 
-    n: int
-    coeff_kind: str = RATIONAL
-    coordinate: str = ALPHA
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or self.n % 2 == 0:
-            raise ValueError(f"n must be a positive odd integer, got {self.n}")
-        if self.coeff_kind not in (RATIONAL, LAURENT_U):
-            raise ValueError(f"unknown coeff_kind {self.coeff_kind!r}")
-        if self.coordinate not in (ALPHA, OMEGA):
-            raise ValueError(f"unknown coordinate {self.coordinate!r}")
+    def __new__(cls, n: int, coeff_kind: str = RATIONAL, coordinate: str = ALPHA):
+        if n < 1 or n % 2 == 0:
+            raise ValueError(f"n must be a positive odd integer, got {n}")
+        if coeff_kind not in (RATIONAL, LAURENT_U):
+            raise ValueError(f"unknown coeff_kind {coeff_kind!r}")
+        if coordinate not in (ALPHA, OMEGA):
+            raise ValueError(f"unknown coordinate {coordinate!r}")
+        return super().__new__(cls, n, coeff_kind, coordinate)
 
     @property
     def nvars(self) -> int:

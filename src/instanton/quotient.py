@@ -17,26 +17,29 @@ degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from operator import add
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .poly import ALPHA, OMEGA, Exponents, Poly, RingDescriptor, _summed
 
 
-@dataclass(frozen=True)
-class QuotientSpec:
+class _SpecFields(NamedTuple):
+    gamma_truncation: Optional[int]
+    beta_zero: bool
+
+
+class QuotientSpec(_SpecFields):
     """Relation package: gamma^G = 0, delta_i^2 = -beta, optionally beta = 0."""
 
-    gamma_truncation: Optional[int] = None
-    beta_zero: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.gamma_truncation is not None and self.gamma_truncation < 1:
+    def __new__(cls, gamma_truncation: Optional[int] = None, beta_zero: bool = False):
+        if gamma_truncation is not None and gamma_truncation < 1:
             raise ValueError("gamma truncation must be >= 1")
+        return super().__new__(cls, gamma_truncation, beta_zero)
 
 
 # the rings used throughout the package

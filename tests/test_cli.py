@@ -263,6 +263,22 @@ def test_verify_no_cache_records_nothing(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_verify_suite_choices_are_the_acceptance_suites(capsys):
+    """cli lists the suite names itself, so that no other command loads
+    acceptance; they are acceptance.SUITES's names, and an unknown one is a
+    usage error that lists them."""
+    assert list(cli.SUITE_NAMES) == sorted(acceptance.SUITES)
+    assert run(["verify", "--suite", "bogus"]) == 2
+    assert ("invalid choice: 'bogus' (choose from 'all', 'eigen', 'local', 'membership', "
+            "'poincare', 'rho', 'subleading')") in capsys.readouterr().err
+
+
+def test_default_cache_dir_is_under_home(monkeypatch, tmp_path):
+    monkeypatch.delenv("FLOER_CACHE_DIR", raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert cli.default_cache_dir() == str(tmp_path / ".cache" / "floer")
+
+
 def test_env_cache_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("FLOER_CACHE_DIR", str(tmp_path / "envcache"))
     code, _out = run_cli(capsys, "jgen", "--g", "0", "--json")

@@ -8,7 +8,7 @@ from oracles import (HeapModularTables, UnfoldedModularTables, deforming_pairs_b
                      exact_basis, graded_ranks_by_products, lift_table_model,
                      lift_table_model_n3)
 
-from instanton import floer, linalg
+from instanton import acceptance, floer, linalg
 from instanton.acceptance import _A3_PAIRS, _A4_PAIRS, _a12_flips
 from instanton.floer import (QuotientModel, VerificationError,
                              decomposition_identity_check, eigen_verify,
@@ -400,6 +400,7 @@ def test_solver_reports_an_infeasible_system(monkeypatch, g):
     """One more evaluation point, where the solution does not vanish, makes the
     system infeasible, with unknowns (g = 1) and without (g = 0)."""
     lambdas = floer._lambda_seq
+    monkeypatch.setattr(floer, "_solve_cache", {})
     monkeypatch.setattr(floer, "_lambda_seq", lambda h: lambdas(h) + [7])
     with pytest.raises(VerificationError, match=r"^sub-leading system is infeasible"):
         solve_subleading(g)
@@ -408,9 +409,63 @@ def test_solver_reports_an_infeasible_system(monkeypatch, g):
 def test_solver_reports_a_system_that_is_not_unique(monkeypatch):
     """Every unknown listed twice: the system stays solvable, but not uniquely."""
     monomials = floer.canonical_monomials
+    monkeypatch.setattr(floer, "_solve_cache", {})
     monkeypatch.setattr(floer, "canonical_monomials", lambda *args: monomials(*args) * 2)
     with pytest.raises(VerificationError, match=r"^sub-leading system is not unique"):
         solve_subleading(1)
+
+
+def test_check_a9_solves_each_three_point_genus_once(monkeypatch):
+    """A9 asks for the g = 0 and g = 1 solutions and builds marked_model(1, 3),
+    which solves g = 0, 1 and 2: from cold caches the solver computes each
+    (g, 3) once (counted by its one call of w_skeleton)."""
+    solved = []
+    skeleton = floer.w_skeleton
+
+    def counted(g, n, *rest):
+        solved.append((g, n))
+        return skeleton(g, n, *rest)
+
+    monkeypatch.setattr(floer, "_solve_cache", {})
+    monkeypatch.setattr(floer, "_model_cache", {})
+    monkeypatch.setattr(floer, "w_skeleton", counted)
+    assert acceptance.check_a9().passed
+    assert sorted(solved) == [(0, 3), (1, 3), (2, 3)]
+
+
+def test_model_primes_are_distinct_primes_below_2_to_60():
+    """Each prime of the model build is below 2^60, so a residue is two 30-bit
+    CPython digits; primality by deterministic Miller-Rabin, whose bases up to
+    37 decide every n < 3.3 * 10^24."""
+    def is_prime(n):
+        if n < 2:
+            return False
+        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+        if n in bases:
+            return True
+        if any(n % b == 0 for b in bases):
+            return False
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in bases:
+            x = pow(a, d, n)
+            if x in (1, n - 1):
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        return True
+
+    assert len(set(floer._PRIMES)) == len(floer._PRIMES) == 4
+    assert all(p < 2 ** 60 and is_prime(p) for p in floer._PRIMES)
+    # the test itself: a Mersenne prime, a Carmichael number, a strong
+    # pseudoprime to the bases 2, 3, 5 and 7, and an odd neighbour of a prime
+    assert is_prime(2 ** 61 - 1)
+    assert not any(is_prime(n) for n in (561, 3215031751, 2 ** 60 - 95))
 
 
 def test_three_point_model_dimension():

@@ -39,6 +39,35 @@ def test_every_oracle_the_readme_names_exists():
     assert sorted(named - defined) == []
 
 
+_IMPORT_WHAT_EVERY_COMMAND_LOADS = """
+import sys
+import instanton, instanton.cli
+print(*sorted(m for m in sys.modules if m.startswith("instanton.")))
+print(*sorted(set(sys.argv[1:]) & set(sys.modules)))
+"""
+
+
+def test_import_loads_what_every_command_needs_and_no_more():
+    """``import instanton, instanton.cli``, which every ``floer`` process runs,
+    loads the eager modules of ``__init__`` (the benchmark's setup probes time
+    that import, and its tracer reads ``floer`` and ``relations``), but not
+    ``dataclasses`` with ``inspect`` and the modules they pull in, not
+    ``pathlib``, and not ``acceptance``, which only ``verify`` imports.  ``-S``
+    keeps whatever the host's ``site`` imports out of the measurement."""
+    unwanted = ["dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "copy",
+                "pathlib", "instanton.acceptance"]
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-S", "-c", _IMPORT_WHAT_EVERY_COMMAND_LOADS,
+                           *unwanted], cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    package, loaded = proc.stdout.split("\n")[:2]
+    assert package.split() == ["instanton.cli", "instanton.floer", "instanton.linalg",
+                               "instanton.poly", "instanton.quotient", "instanton.relations",
+                               "instanton.series"]
+    assert loaded == ""
+
+
 _TRACE_EVERY_BOUNDARY = """
 import sys
 sys.path.insert(0, "perfbench")

@@ -6,11 +6,32 @@ from hypothesis import strategies as st
 
 from conftest import random_laurent_poly, random_poly
 from oracles import first_substituted_by_fractions, flip_round_trip, poly_mul_by_fractions
-from instanton.poly import (ALPHA, LAURENT_U, OMEGA, LaurentU, Poly, _delta_sum,
-                            monomials_of_degree, ring)
+from instanton.poly import (ALPHA, LAURENT_U, OMEGA, RATIONAL, LaurentU, Poly,
+                            RingDescriptor, _delta_sum, monomials_of_degree, ring)
 
 R1 = ring(1)
 R3 = ring(3)
+
+
+def test_ring_descriptor_is_a_checked_frozen_value():
+    """A ring's repr names its fields; equal fields give equal rings with equal
+    hashes (rings key the memo dicts); it cannot be changed in place; and bad
+    arguments raise ValueError."""
+    assert repr(R3) == "RingDescriptor(n=3, coeff_kind='rational', coordinate='alpha')"
+    assert (repr(RingDescriptor(1, LAURENT_U, OMEGA))
+            == "RingDescriptor(n=1, coeff_kind='laurent_u', coordinate='omega')")
+    omega3 = R3.with_coordinate(OMEGA)
+    assert omega3 == ring(3, coordinate=OMEGA) != R3
+    assert hash(omega3) == hash(ring(3, RATIONAL, OMEGA))
+    assert omega3.with_coordinate(ALPHA) == R3 != R1 == R3.with_n(1)
+    with pytest.raises(AttributeError):
+        R3.n = 5
+    for args, message in [((2,), "n must be a positive odd integer, got 2"),
+                          ((-1,), "n must be a positive odd integer, got -1"),
+                          ((1, "integer"), "unknown coeff_kind 'integer'"),
+                          ((1, RATIONAL, "beta"), "unknown coordinate 'beta'")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RingDescriptor(*args)
 
 
 def test_leading_order_keeps_all_top_degree_terms():

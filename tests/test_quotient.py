@@ -183,6 +183,21 @@ def test_canonical_rep_matches_its_pinned_digest():
         "c4ec955d984f494e63f9355b4628695afe009df3da767d6c0305450cf55ed16e"
 
 
+def test_quotient_spec_is_a_checked_frozen_value():
+    """A spec's repr names its fields; equal fields give equal specs with equal
+    hashes; it cannot be changed in place; and a gamma truncation below 1
+    raises ValueError."""
+    assert repr(QuotientSpec()) == "QuotientSpec(gamma_truncation=None, beta_zero=False)"
+    assert repr(mod_beta_spec()) == "QuotientSpec(gamma_truncation=1, beta_zero=True)"
+    assert model_spec(0) == rbar_spec() == QuotientSpec(1) != mod_beta_spec()
+    assert hash(model_spec(2)) == hash(QuotientSpec(gamma_truncation=3))
+    with pytest.raises(AttributeError):
+        QuotientSpec().beta_zero = True
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="^gamma truncation must be >= 1$"):
+            QuotientSpec(gamma_truncation=bad)
+
+
 def test_pi_on_quotient_examples():
     spec = QuotientSpec()
     f = Poly.variable(W3, "delta2") * Poly.variable(W3, "delta3")
