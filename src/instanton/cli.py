@@ -213,6 +213,13 @@ def run(argv) -> int:
         print(dump_json(doc))
         return payload
 
+    def emit_genset(key: str, compute) -> None:
+        """``emit_cached`` with --json, else the generator set as text."""
+        if args.json:
+            emit_cached(key, compute)
+        else:
+            _print_genset(compute(), args)
+
     try:
         if args.command == "xi":
             _print_poly(xi(args.k, args.n), args)
@@ -228,18 +235,11 @@ def run(argv) -> int:
             else:
                 print(p)
         elif args.command == "igen":
-            compute = partial(igen, args.g, args.n, args.parity)
-            if args.json:
-                emit_cached(f"igen_g{args.g}_n{args.n}_{args.parity}", compute)
-            else:
-                _print_genset(compute(), args)
+            emit_genset(f"igen_g{args.g}_n{args.n}_{args.parity}",
+                        partial(igen, args.g, args.n, args.parity))
         elif args.command == "jgen":
-            compute = partial(jgen_n1, args.g, _sign(args.sign), local=args.local)
-            if args.json:
-                emit_cached(f"jgen_g{args.g}_{args.sign}_local{int(args.local)}",
-                            compute)
-            else:
-                _print_genset(compute(), args)
+            emit_genset(f"jgen_g{args.g}_{args.sign}_local{int(args.local)}",
+                        partial(jgen_n1, args.g, _sign(args.sign), local=args.local))
         elif args.command == "hilbert":
             compute = partial(hilbert_compare, args.g, args.n, args.source, args.max_degree)
             if args.json:
@@ -267,11 +267,7 @@ def run(argv) -> int:
                     print(f"  (alpha,beta,gamma,delta)=({t['alpha']},{t['beta']},"
                           f"{t['gamma']},{t['delta'][0]}) mult {t['gen_mult']}")
         elif args.command == "solve":
-            compute = partial(solve_subleading, args.g, args.n)
-            if args.json:
-                emit_cached(f"solve_g{args.g}_n{args.n}", compute)
-            else:
-                _print_genset(compute(), args)
+            emit_genset(f"solve_g{args.g}_n{args.n}", partial(solve_subleading, args.g, args.n))
         elif args.command == "verify":
             from . import acceptance
             results = acceptance.run_suite(

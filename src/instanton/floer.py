@@ -62,34 +62,32 @@ def k_series(g: int, n: int) -> RationalFn:
 # -- graded ideal dimensions -------------------------------------------------------
 
 
-def _ideal_pieces(gens: GeneratorSet, spec: Optional[QuotientSpec]):
-    """A function taking a degree d to the degree-d monomial basis and a lazy
-    iterator of sparse integer rows ``{basis index: coefficient}`` spanning the
-    ideal piece, one per (generator index, cofactor monomial) in that order; a
-    row is formed only when it is taken.  The function's ``form(k)`` is
-    generator k as its rows are formed from: the generator itself without a
-    spec, else its canonical form inside ``spec``, reduced once, when first
-    needed.  A generator whose form is zero gives no rows.
+def _ideal_pieces(gens: GeneratorSet, spec: QuotientSpec):
+    """A function taking a degree d to the degree-d canonical monomial basis of
+    ``spec`` and a lazy iterator of sparse integer rows ``{basis index:
+    coefficient}`` spanning the ideal piece, one per (generator index,
+    cofactor monomial) in that order; a row is formed only when it is taken.
+    The function's ``form(k)`` is generator k's canonical form inside
+    ``spec``, reduced once, when first needed.  A generator whose form is zero
+    gives no rows.
 
     Each form is scaled once to integer coefficients, and each row is formed
     from the scaled form by ``_product_row``, with no ``Poly``, no
     ``canonical_rep`` and no ``Fraction``.  A row is the row of the product
     of the form and the cofactor, brought to canonical form inside ``spec``,
     times the form's nonzero integer scale, so the rows span the same piece."""
-    rng = gens.ambient if spec is None else gens.ambient.with_coordinate(OMEGA)
+    rng = gens.ambient.with_coordinate(OMEGA)
     forms: List[Tuple[Poly, int, List[Tuple[Exponents, int]]]] = []  # (form, degree, scaled terms)
     bases: Dict[int, List[Exponents]] = {}  # degree -> its monomials, as far as used
 
     def monomials(d: int) -> List[Exponents]:
         if d not in bases:
-            bases[d] = (monomials_of_degree(rng, d) if spec is None
-                        else canonical_monomials(rng, spec, d))
+            bases[d] = canonical_monomials(rng, spec, d)
         return bases[d]
 
     def scaled(k: int) -> Tuple[Poly, int, List[Tuple[Exponents, int]]]:
         while len(forms) <= k:
-            p = gens.gens[len(forms)][1]
-            p = p if spec is None else canonical_rep(p, spec)
+            p = canonical_rep(gens.gens[len(forms)][1], spec)
             forms.append((p, p.degree(), list(linalg._integer_row(p.terms).items())))
         return forms[k]
 
@@ -109,23 +107,20 @@ def _ideal_pieces(gens: GeneratorSet, spec: Optional[QuotientSpec]):
 
 
 def _product_row(terms: List[Tuple[Exponents, int]], mono: Exponents, index: Dict[Exponents, int],
-                 rng: RingDescriptor, spec: Optional[QuotientSpec]) -> Dict[int, int]:
+                 rng: RingDescriptor, spec: QuotientSpec) -> Dict[int, int]:
     """The sparse integer row, on the degree basis ``index``, of the form with
     integer ``terms`` times the cofactor monomial ``mono``: each term's
-    exponents shifted by ``mono``; inside ``spec``, the terms with gamma
-    exponent >= G dropped and every delta_i^2 folded into -beta, the spec's
-    relation (``_fold_squares`` with c = 0); then summed by column, with the
-    terms outside the basis left out."""
-    G = math.inf if spec is None or spec.gamma_truncation is None else spec.gamma_truncation
-    room = G - mono[2]
-    shifted = ((tuple(map(add, e, mono)), c) for e, c in terms if e[2] < room)
-    if spec is not None:
-        shifted = _fold_squares(shifted, rng, 0, spec.beta_zero)
-    return _summed((index[e], c) for e, c in shifted if e in index)
+    exponents shifted by ``mono`` and every delta_i^2 folded into -beta, the
+    spec's relation (``_fold_squares`` with c = 0); then summed by column.
+    The terms outside the basis, among them those with gamma exponent >= G
+    or, with beta = 0, a beta, are left out."""
+    shifted = ((tuple(map(add, e, mono)), c) for e, c in terms)
+    return _summed((index[e], c) for e, c in _fold_squares(shifted, rng, 0, spec.beta_zero)
+                   if e in index)
 
 
 def _graded_ranks(gens: GeneratorSet, max_degree: int,
-                  spec: Optional[QuotientSpec]) -> List[Tuple[int, int]]:
+                  spec: QuotientSpec) -> List[Tuple[int, int]]:
     """(piece dimension, ideal rank) in each degree 0..max_degree; odd degrees
     give (0, 0).  Raises ValueError for a generator that is not homogeneous in
     canonical form.
@@ -141,12 +136,11 @@ def _graded_ranks(gens: GeneratorSet, max_degree: int,
     orbits are never built here.  The columns are numbered block by block and
     each integer row of ``_ideal_pieces`` is split into its projections; those
     of different blocks share no column, so one pass of the rank kernel
-    ``linalg._echelon`` sums the block ranks.  An unmarked set, or rows in
-    alpha coordinates (no spec), take the trivial group: every generator, one
-    block.
+    ``linalg._echelon`` sums the block ranks.  An unmarked set takes the
+    trivial group: every generator, one block.
     """
-    rng = gens.ambient if spec is None else gens.ambient.with_coordinate(OMEGA)
-    flip_closed = gens.flip_reps is not None and rng.coordinate == OMEGA
+    rng = gens.ambient.with_coordinate(OMEGA)
+    flip_closed = gens.flip_reps is not None
     reps = gens.representatives() if flip_closed else gens
     piece = _ideal_pieces(reps, spec)
     # flips preserve degree, so the representatives' forms stand for every generator
@@ -190,19 +184,15 @@ def _block_projections(rows, column: Dict[int, Tuple[int, int]]):
         yield from parts.values()
 
 
-def graded_ideal_dims(gens: GeneratorSet, max_degree: int,
-                      spec: Optional[QuotientSpec] = None) -> List[int]:
-    """Per-degree dimensions of the ideal generated by homogeneous generators.
-
-    With ``spec`` the computation runs inside that quotient ring (the ideal is
-    the image ideal there).  Generators must be homogeneous.
-    """
+def graded_ideal_dims(gens: GeneratorSet, max_degree: int, spec: QuotientSpec) -> List[int]:
+    """Per-degree dimensions of the image, inside the quotient ring of
+    ``spec``, of the ideal generated by ``gens``, whose canonical forms must be
+    homogeneous."""
     return [rank for _size, rank in _graded_ranks(gens, max_degree, spec)]
 
 
-def graded_quotient_dims(gens: GeneratorSet, max_degree: int,
-                         spec: Optional[QuotientSpec] = None) -> List[int]:
-    """Per-degree dimensions of ambient/spec ring modulo the ideal."""
+def graded_quotient_dims(gens: GeneratorSet, max_degree: int, spec: QuotientSpec) -> List[int]:
+    """Per-degree dimensions of the quotient ring of ``spec`` modulo the ideal."""
     return [size - rank for size, rank in _graded_ranks(gens, max_degree, spec)]
 
 
@@ -359,11 +349,10 @@ def _apply(columns: List[Dict[int, int]], vec: Dict[int, int]) -> Dict[int, int]
     return {i: c for i, c in out.items() if c}
 
 
-def _folds(ring, pairs: List[Tuple[Poly, Poly]]
-           ) -> Tuple[Optional[Fraction], List[Tuple[Poly, Poly]]]:
-    """(c, the other pairs) when every delta_i has a pair (delta_i^2 + beta,
-    delta_i^2 + beta - c), the first such pair per i, with one c for every i;
-    else (None, all the pairs)."""
+def _folds(ring, pairs: List[Tuple[Poly, Poly]]) -> Tuple[Fraction, List[Tuple[Poly, Poly]]]:
+    """(c, the other pairs) for the pairs (delta_i^2 + beta, delta_i^2 + beta -
+    c), the first such pair per delta_i.  Raises ValueError when a delta_i has
+    no such pair or two of them hold different c."""
     beta = Poly.variable(ring, "beta")
     squares = {i: Poly.variable(ring, ring.var_names[i]) ** 2 + beta
                for i in range(3, 3 + ring.n)}
@@ -375,49 +364,52 @@ def _folds(ring, pairs: List[Tuple[Poly, Poly]]
             cs[i] = -(jp - ip).terms.get(ring.zero_exponents(), Fraction(0))
         else:
             rest.append((ip, jp))
-    if len(cs) == ring.n and len(set(cs.values())) == 1:
-        return cs.popitem()[1], rest
-    return None, pairs
+    lacking = [ring.var_names[i] for i in squares if i not in cs]
+    if lacking:
+        raise ValueError(f"J pairs no {lacking[0]}^2+beta-c with I's {lacking[0]}^2+beta")
+    if len(set(cs.values())) > 1:
+        raise ValueError("the pairs delta_i^2+beta-c hold different c: "
+                         + ", ".join(map(str, sorted(set(cs.values())))))
+    return cs.popitem()[1], rest
 
 
 class _ModularTables:
     """The model's elimination over Z/p: the basis decision and normal forms.
 
-    When the pairs hold (delta_i^2 + beta, delta_i^2 + beta - c) for every
-    delta_i, with one c (``_folds``), those pairs are a fold, not rows: every
-    row and every normal-form input is taken through the package's one fold
-    delta_i^2 -> c - beta (``quotient._fold_squares``) with c mod p; otherwise
-    the build runs unfolded.  Columns number the monomials of the degrees of
-    ``want`` (with a fold, those whose delta exponents are <= 1), from the top
-    down, within a degree in ``monomials_of_degree`` order, so a row's smallest
-    column leads it.  Per degree d, in increasing order, the rows of the other
-    pairs are taken mod p in ``_ideal_pieces`` order (I-generator index, then
-    cofactor): each is the folded cofactor times a J-generator, whose degree-d
-    part, dense on d's block of columns, is the folded I-row.  It is reduced by
-    ``_reduce_block`` against the heads (degree-d parts) of the rows stored at
-    d.  A row that adds a pivot is stored unit-led, as its head and a tail: its
-    part below degree d, with the used heads' tails replayed.  That makes it
-    the folded J-row reduced on degree d: it lies in J mod p, so its tail is
-    the lower part of a lift of its head.  delta_i^2 leads delta_i^2 + beta, so
-    the leading monomials of I_d mod p are the unfolded monomials and those of
-    the folded I-rows, and the basis is the columns that lead no head.  A
-    degree with fewer of them than ``want[d]`` is a mismatch, since rank_p <=
-    rank_Q; one with more makes the prime unlucky.
+    The pairs (delta_i^2 + beta, delta_i^2 + beta - c), one per delta_i with
+    one c (``_folds``), are a fold, not rows: every row and every normal-form
+    input is taken through the package's one fold delta_i^2 -> c - beta
+    (``quotient._fold_squares``) with c mod p.  Columns number the monomials
+    of the degrees of ``want`` whose delta exponents are <= 1, from the top
+    down, within a degree in ``monomials_of_degree`` order, so a row's
+    smallest column leads it.  Per degree d, in increasing order, the rows of
+    the other pairs are taken mod p in ``_ideal_pieces`` order (I-generator
+    index, then cofactor): each is the folded cofactor times a J-generator,
+    whose degree-d part, dense on d's block of columns, is the folded I-row.
+    It is reduced by ``_reduce_block`` against the heads (degree-d parts) of
+    the rows stored at d.  A row that adds a pivot is stored unit-led, as its
+    head and a tail: its part below degree d, with the used heads' tails
+    replayed.  That makes it the folded J-row reduced on degree d: it lies in
+    J mod p, so its tail is the lower part of a lift of its head.  delta_i^2
+    leads delta_i^2 + beta, so the leading monomials of I_d mod p are the
+    unfolded monomials and those of the folded I-rows, and the basis is the
+    columns that lead no head.  A degree with fewer of them than ``want[d]``
+    is a mismatch, since rank_p <= rank_Q; one with more makes the prime
+    unlucky.
     """
 
     def __init__(self, ring, pairs: List[Tuple[Poly, Poly]], want: Dict[int, int], p: int):
         self.p = p
         c, pairs = _folds(ring, pairs)
-        # (exponents, residue) pairs -> the same folded, or None without a fold
-        self.fold = None if c is None else partial(
+        # (exponents, residue) pairs -> the same folded
+        fold = self.fold = partial(
             _fold_squares, ring=ring, c=c.numerator * pow(c.denominator, -1, p) % p)
-        fold = self.fold or iter
         deltas = ring.delta_slice()
         column = self.column = {}
         monos: Dict[int, List[Exponents]] = {}
         start: Dict[int, int] = {}  # degree -> its first column
         for d in sorted(want, reverse=True):
-            monos[d] = [m for m in monomials_of_degree(ring, d) if c is None or max(m[deltas]) < 2]
+            monos[d] = [m for m in monomials_of_degree(ring, d) if max(m[deltas]) < 2]
             start[d] = len(column)
             for m in monos[d]:
                 column[m] = len(column)
@@ -469,7 +461,7 @@ class _ModularTables:
         folded, then the blocks in column order, as a replayed tail only
         reaches later ones."""
         coords = [0] * len(self.basis_at)
-        row = _summed((self.column[e], x) for e, x in (self.fold or iter)(terms.items()))
+        row = _summed((self.column[e], x) for e, x in self.fold(terms.items()))
         for lo, heads, tails in self.blocks:
             hi = lo + len(heads)
             if min(row, default=hi) >= hi:  # no entry in this block
@@ -512,10 +504,10 @@ class QuotientModel:
     after x*b in the column order.
 
     Why the result is exact, with B the basis:
-    1. Per degree, the stored heads and, when the tables fold delta_i^2 into
-       the one c - beta, the rows m*(delta_i^2 + beta) (unit-led at the
-       distinct unfolded monomials, one row each) lie in I mod p and have a
-       unit minor mod p, so I has a nonzero minor over Q.
+    1. Per degree, the stored heads and the rows m*(delta_i^2 + beta) of the
+       fold (unit-led at the distinct unfolded monomials, one row each) lie
+       in I mod p and have a unit minor mod p, so I has a nonzero minor over
+       Q.
        So B spans each (R/I)_d, and R/I vanishes past the window.  Every
        I-generator leads a J-generator, so dim R/J <= dim R/I <= |B|.
     2. By (a) and (c), f -> f(M) e_1 factors through R/J, and by (b) it is
@@ -530,6 +522,9 @@ class QuotientModel:
     4. A J-generator with a nonzero normal form mod a prime that passed (1)
        still proves that J does not deform I: only a prime that lost rank
        could blame J where the formula is at fault.
+
+    J must hold delta_i^2 + beta - c for every i, with one c, as the partner
+    of I's delta_i^2 + beta, or the build raises ValueError (``_folds``).
 
     A prime is skipped if it divides a denominator of the generators, if a
     degree has more basis monomials mod p than the formula says (p lost rank;

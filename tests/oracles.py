@@ -531,18 +531,23 @@ def exact_basis(J: GeneratorSet, I: GeneratorSet, formula: RationalFn) -> List[T
     took it before it decided its pivots mod p: in each even degree of the
     window 0..max(T + 6, top degree of J), T the formula's top degree, the
     monomials that lead no vector of the degree piece of I in omega
-    coordinates.  The leading columns are the keys of ``linalg._echelon``, the
-    pivots ``rref`` would give without its transform, which on the thousands of
-    rows of ``model_n3(2)`` costs minutes."""
+    coordinates.  The rows are those of the free ring, with no fold: each
+    I-generator times each cofactor of ``monomials_of_degree``, cleared over
+    its denominators.  The leading columns are the keys of
+    ``linalg._echelon``, the pivots ``rref`` would give without its transform,
+    which on the thousands of rows of ``model_n3(2)`` costs minutes."""
     rng = J.ambient.with_coordinate(OMEGA)
-    piece = floer._ideal_pieces(GeneratorSet(I.label, rng, [
-        (name, p.change_coordinates(OMEGA)) for name, p in I.gens]), None)
+    forms = [p.change_coordinates(OMEGA) for _name, p in I.gens]
     coeffs = expand_rational_fn(formula, 4 * len(formula.numerator) + 64)
     top = max((i for i, c in enumerate(coeffs) if c), default=-2)
     top_j = max(p.change_coordinates(OMEGA).degree() for _name, p in J.gens)
     basis = []
     for d in range(0, max(top + 6, top_j) + 1, 2):
-        monos, rows = piece(d)
+        monos = monomials_of_degree(rng, d)
+        index = {m: j for j, m in enumerate(monos)}
+        rows = (_integer_row({index[e]: c for e, c in f.times_monomial(m).terms.items()})
+                for f in forms if not f.is_zero()
+                for m in monomials_of_degree(rng, d - f.degree()))
         pivots = _echelon(rows, len(monos))
         basis.extend((d, m) for j, m in enumerate(monos) if j not in pivots)
     return basis

@@ -28,7 +28,7 @@ R1 = ring(1)
 
 def test_graded_ideal_dims_single_gamma():
     gs = GeneratorSet("gamma", R1, [("gamma", Poly.variable(R1, "gamma"))])
-    dims = graded_ideal_dims(gs, 6)
+    dims = graded_ideal_dims(gs, 6, QuotientSpec())
     assert dims[6] == 1
     assert dims[:6] == [0] * 6
 
@@ -41,10 +41,9 @@ def test_graded_quotient_dims_match_series_small():
 
 
 def test_full_ring_and_reduced_paths_agree():
-    """Quotient dims computed in the full polynomial ring equal the reduced-ring path."""
-    from instanton.floer import graded_quotient_dims
-    gs = igen(1, 1, "odd")
-    full = graded_quotient_dims(gs, 10, spec=None)
+    """Quotient dims computed in the free polynomial ring (the product oracle
+    without a spec) equal the reduced-ring path."""
+    full = [size - rank for size, rank in graded_ranks_by_products(igen(1, 1, "odd"), 10, None)]
     rep = hilbert_compare(1, 1, "ptgn", 10)
     reduced = [c for _d, c, _f in rep.degrees]
     assert full == reduced
@@ -173,7 +172,7 @@ def test_graded_ranks_reject_an_inhomogeneous_generator():
     with pytest.raises(ValueError, match="inhomogeneous generator omega\\+1 in graded mode"):
         graded_ideal_dims(gens, 4, rbar_spec())
     with pytest.raises(ValueError, match="inhomogeneous generator omega\\+1 in graded mode"):
-        graded_ideal_dims(_unmarked(gens), 4, None)
+        graded_ideal_dims(_unmarked(gens), 4, rbar_spec())
 
 
 def test_decomposition_identity():
@@ -989,27 +988,31 @@ def test_cached_model_keeps_no_build_tables():
 
 
 def _degree_four_model_ideals():
-    """J = I: omega*delta + delta^2, omega*delta + 8 delta^2 + beta, omega^2 and
-    every monomial of degree 6.  Degree 4 leads on omega^2, omega*delta and
-    delta^2 over Q, on beta instead of delta^2 mod 7; delta^2 = -beta/7."""
+    """J = I: omega^2 + omega*delta, omega^2 + 8 omega*delta + beta,
+    delta^2 + beta and every monomial of degree 6.  On the folded columns
+    omega^2, omega*delta, beta, degree 4 leads on omega^2 and omega*delta over
+    Q, on omega^2 and beta mod 7; omega*delta = -beta/7."""
     from instanton.poly import monomials_of_degree
     rng = ring(1, coordinate=OMEGA)
     w, b, d = (Poly.variable(rng, v) for v in ("omega", "beta", "delta1"))
-    gens = [("f1", w * d + d * d), ("f2", w * d + d * d * 8 + b), ("omega^2", w * w)]
+    gens = [("f1", w * w + w * d), ("f2", w * w + w * d * 8 + b), ("delta1^2+beta", d * d + b)]
     gens += [(f"m{k}", Poly.monomial(rng, m)) for k, m in enumerate(monomials_of_degree(rng, 6))]
     return (GeneratorSet("J", rng, gens), GeneratorSet("I", rng, gens),
-            [(w * d, [0, 0, 0, F(1, 7)]), (d * d, [0, 0, 0, F(-1, 7)]), (d + b, [0, 0, 1, 1])])
+            [(w * d, [0, 0, 0, F(-1, 7)]), (w * w, [0, 0, 0, F(1, 7)]),
+             (d * d, [0, 0, 0, -1]), (d + b, [0, 0, 1, 1])])
 
 
 def _degree_two_model_ideals():
     """Mod 7, omega + delta and omega + 8 delta lead on one column, over Q on two;
-    R/J = Q with omega = 8/7 and delta = -1/7."""
+    R/J = Q with omega = 8 and delta = -1, so delta^2 + beta - c holds c = 1,
+    which 7 does not divide."""
     rng = ring(1, coordinate=OMEGA)
     w, b, c, d = (Poly.variable(rng, v) for v in ("omega", "beta", "gamma", "delta1"))
-    leading = [("f1", w + d), ("f2", w + d * 8), ("beta", b), ("gamma", c)]
-    J = [("f1-1", w + d - 1)] + leading[1:]
+    leading = [("f1", w + d), ("f2", w + d * 8), ("beta", b), ("gamma", c),
+               ("delta1^2+beta", d * d + b)]
+    J = [("f1-7", w + d - 7)] + leading[1:4] + [("delta1^2+beta-1", d * d + b - 1)]
     return (GeneratorSet("J", rng, J), GeneratorSet("I", rng, leading),
-            [(w, [F(8, 7)]), (d, [F(-1, 7)]), (w * w + d, [F(64, 49) - F(1, 7)])])
+            [(w, [8]), (d, [-1]), (w * w + d, [63])])
 
 
 @pytest.mark.parametrize("ideals,formula,primes",
@@ -1038,26 +1041,26 @@ def test_a_prime_that_moves_a_pivot_is_skipped(monkeypatch, ideals, formula, pri
 
 
 def test_a_prime_that_moves_a_pivot_gives_no_model_alone(monkeypatch):
-    """Mod 7 the basis takes delta^2 in degree 4 where the standard basis over
-    Q takes beta; with 7 as the only prime the build raises instead of
+    """Mod 7 the basis takes omega*delta in degree 4 where the standard basis
+    over Q takes beta; with 7 as the only prime the build raises instead of
     returning a model in that basis."""
     J, I, _values = _degree_four_model_ideals()
     monkeypatch.setattr(floer, "_PRIMES", (7,))
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="no prime of the modular build"):
         QuotientModel(J, I, RationalFn([1, 0, 2, 0, 1]))
 
 
 def test_certificate_needs_the_leading_condition():
-    """1, omega, delta, delta^2 is a basis of R/J too, but not the standard
-    one: 7 delta^2 + beta lies in I and leads on delta^2.  The true operators
-    in that basis meet (a)-(c) and fail (d)."""
+    """1, omega, delta, omega*delta is a basis of R/J too, but not the
+    standard one: 7 omega*delta + beta lies in I and leads on omega*delta.
+    The true operators in that basis meet (a)-(c) and fail (d)."""
     J, I, _values = _degree_four_model_ideals()
     model = QuotientModel(J, I, RationalFn([1, 0, 2, 0, 1]))
     assert model.basis[3] == (4, (0, 1, 0, 0))  # beta
     to_standard = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, F(-1, 7)]])
     from_standard = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -7]])
     ops = {var: from_standard * model.operator(var) * to_standard for var in model.ring.var_names}
-    model.basis = model.basis[:3] + [(4, (0, 0, 0, 2))]
+    model.basis = model.basis[:3] + [(4, (1, 0, 0, 1))]
     model.basis_index = {bm: i for i, bm in enumerate(model.basis)}
     assert not model._certify(ops)
     assert model._commute()
@@ -1190,8 +1193,8 @@ def test_modular_tables_match_the_unfolded_oracle(monkeypatch, case):
 def test_standard_tables_fold_every_delta(monkeypatch, ideals):
     """The standard ideals hold delta_i^2 + beta - c for every i, so their
     tables fold every delta_i and no column has a delta exponent of 2 or
-    more: a build that stopped recognising the folds would fail here, not
-    only run slower.  A three-point build may first build the solver's
+    more: a build whose columns kept delta_i^2 would fail here, not only run
+    slower.  A three-point build may first build the solver's
     one-point tables, so each tables' deltas are read off its own ring."""
     built = []
 
@@ -1204,7 +1207,6 @@ def test_standard_tables_fold_every_delta(monkeypatch, ideals):
     model = QuotientModel(*ideals())
     assert built and model.dim
     for ring_, tables in built:
-        assert tables.fold is not None
         assert all(e[i] < 2 for e in tables.column for i in range(3, 3 + ring_.n))
 
 
@@ -1244,16 +1246,32 @@ def test_folds_take_the_one_c_of_every_delta(monkeypatch, ideals, c):
 
 def test_folds_need_every_delta_and_one_c(monkeypatch):
     """A pair list that lacks one delta_i's pair, or whose pairs hold two
-    different c, gives no fold and keeps every pair in place."""
-    rng, pairs = _model_pairs(monkeypatch, floer._marked_ideals(1, 3))
+    different c, raises ValueError, and so does a model whose J does: one
+    whose delta2^2 + beta - 2 gains a term omega, or whose delta3^2 + beta - 2
+    becomes delta3^2 + beta - 3."""
+    J, I, formula = floer._marked_ideals(1, 3)
+    rng, pairs = _model_pairs(monkeypatch, (J, I, formula))
     beta = Poly.variable(rng, "beta")
     squares = [Poly.variable(rng, f"delta{i}") ** 2 + beta for i in (1, 2, 3)]
     assert floer._folds(rng, pairs)[0] == 2
     lacking = [pair for pair in pairs if pair[0] != squares[1]]
     assert len(lacking) == len(pairs) - 1
-    assert floer._folds(rng, lacking) == (None, lacking)
+    lacks_delta2 = "J pairs no delta2\\^2\\+beta-c with I's delta2\\^2\\+beta"
+    with pytest.raises(ValueError, match=lacks_delta2):
+        floer._folds(rng, lacking)
     two_cs = [(ip, ip - 3) if ip == squares[2] else (ip, jp) for ip, jp in pairs]
-    assert floer._folds(rng, two_cs) == (None, two_cs)
+    with pytest.raises(ValueError, match="the pairs delta_i\\^2\\+beta-c hold different c: 2, 3$"):
+        floer._folds(rng, two_cs)
+
+    def with_generator(name, p):
+        gens = [(n, p if n == name else q) for n, q in J.gens]
+        return GeneratorSet(J.label, J.ambient, gens, meta=J.meta)
+
+    omega = Poly.variable(rng, "omega")
+    for bad, match in [(with_generator("delta2^2+beta-2", squares[1] - 2 + omega), lacks_delta2),
+                       (with_generator("delta3^2+beta-2", squares[2] - 3), "hold different c")]:
+        with pytest.raises(ValueError, match=match):
+            QuotientModel(bad, I, formula)
 
 
 @pytest.mark.parametrize("degree,change,message", [
