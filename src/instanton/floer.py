@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from operator import add
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -293,10 +293,15 @@ class _UnluckyPrime(Exception):
     p lost rank there.  The message is the mismatch it would be over Q."""
 
 
+@lru_cache(maxsize=8)
+def _wang_bound(m: int) -> int:
+    return math.isqrt(m // 2)
+
+
 def _rational(a: int, m: int) -> Optional[Tuple[int, int]]:
     """(n, d) in lowest terms with n/d congruent to a mod m and |n|, d <= sqrt(m/2),
     d > 0, or None (Wang 1981).  There is at most one such fraction."""
-    bound = math.isqrt(m // 2)
+    bound = _wang_bound(m)
     r0, r1, t0, t1 = m, a, 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -311,6 +316,7 @@ def _mod_terms(terms: Dict[Exponents, Fraction], p: int) -> Dict[Exponents, int]
 
 
 _Entries = List[Tuple[int, int]]  # (position or column, coefficient)
+_Lift = Tuple[int, _Entries, _Entries]  # (pivot q, raw lower part L_q, multipliers U_q)
 
 
 def _reduce_block(dense: List[int], heads: List[Optional[_Entries]],
@@ -331,13 +337,6 @@ def _reduce_block(dense: List[int], heads: List[Optional[_Entries]],
                 for j, c in head:
                     dense[j] -= x * c
     return used, residual
-
-
-def _replay(lower: Dict[int, int], used: _Entries, tails: Dict[int, _Entries]) -> None:
-    """Subtract f * tails[i] from ``lower`` for every multiplier (i, f) used."""
-    for i, x in used:
-        for j, c in tails[i]:
-            lower[j] = lower.get(j, 0) - x * c
 
 
 def _apply(columns: List[Dict[int, int]], vec: Dict[int, int]) -> Dict[int, int]:
@@ -387,15 +386,16 @@ class _ModularTables:
     index, then cofactor): each is the folded cofactor times a J-generator,
     whose degree-d part, dense on d's block of columns, is the folded I-row.
     It is reduced by ``_reduce_block`` against the heads (degree-d parts) of
-    the rows stored at d.  A row that adds a pivot is stored unit-led, as its
-    head and a tail: its part below degree d, with the used heads' tails
-    replayed.  That makes it the folded J-row reduced on degree d: it lies in
-    J mod p, so its tail is the lower part of a lift of its head.  delta_i^2
-    leads delta_i^2 + beta, so the leading monomials of I_d mod p are the
-    unfolded monomials and those of the folded I-rows, and the basis is the
-    columns that lead no head.  A degree with fewer of them than ``want[d]``
-    is a mismatch, since rank_p <= rank_Q; one with more makes the prime
-    unlucky.
+    the rows stored at d; only a row that adds a pivot q forms all its part
+    below d, L_q, and is stored unit-led: its head and its lift (q, L_q, U_q),
+    U_q its multipliers, both times the pivot's inverse.  The tail L_q - sum
+    f * tail_i over (i, f) in U_q (each i stored earlier at d) is never formed;
+    head plus tail, the folded J-row reduced on degree d, lies in J mod p, so
+    the tail is the lower part of a lift of its head.  delta_i^2 leads
+    delta_i^2 + beta, so the leading monomials of I_d mod p are the unfolded
+    monomials and those of the folded I-rows, and the basis is the columns
+    that lead no head.  A degree with fewer of them than ``want[d]`` is a
+    mismatch (rank_p <= rank_Q); one with more makes the prime unlucky.
     """
 
     def __init__(self, ring, pairs: List[Tuple[Poly, Poly]], want: Dict[int, int], p: int):
@@ -413,64 +413,74 @@ class _ModularTables:
             start[d] = len(column)
             for m in monos[d]:
                 column[m] = len(column)
-        # (degree, folded J-generator) mod p
-        mod_pairs = [(ip.degree(), list(_summed(fold(_mod_terms(jp.terms, p).items())).items()))
+        # (degree, I-generator, lower part of its J-generator), folded mod p
+        mod_pairs = [(ip.degree(), *(list(_summed(fold(_mod_terms(f.terms, p).items())).items())
+                                     for f in (ip, jp - ip)))
                      for ip, jp in pairs]
-        # per degree, from the top down: (first column, heads, tails by head position)
-        self.blocks: List[Tuple[int, List[Optional[_Entries]], Dict[int, _Entries]]] = []
+        # per degree, from the top down: (first column, heads, lifts in storage order)
+        self.blocks: List[Tuple[int, List[Optional[_Entries]], List[_Lift]]] = []
         self.basis: List[Tuple[int, Exponents]] = []
         for d in sorted(want):
             lo, width = start[d], len(monos[d])
             hi = lo + width
             heads: List[Optional[_Entries]] = [None] * width  # by column - lo
-            tails: Dict[int, _Entries] = {}
-            free = width
-            for gdeg, jterms in mod_pairs:
+            lifts: List[_Lift] = []
+            for gdeg, iterms, jlower in mod_pairs:
                 for mono in monos.get(d - gdeg, ()):
-                    if not free:
+                    if len(lifts) == width:
                         break
                     dense, lower = [0] * width, {}
-                    # jterms and mono are folded, so only a delta of mono can square
+                    # the terms and mono are folded, so only a delta of mono can square
                     shift = fold if any(mono[deltas]) else iter
-                    for e, x in shift([(tuple(map(add, e, mono)), x) for e, x in jterms]):
+                    for e, x in shift([(tuple(map(add, e, mono)), x) for e, x in iterms]):
                         j = column[e]
                         if j < hi:
                             dense[j - lo] += x
-                        else:
+                        else:  # a c-term of the fold
                             lower[j] = lower.get(j, 0) + x
                     used, residual = _reduce_block(dense, heads, p)
                     if not residual:
                         continue
+                    _summed(((column[e], x) for e, x in
+                             shift([(tuple(map(add, e, mono)), x) for e, x in jlower])), lower)
                     q, inv = residual[0][0], pow(residual[0][1], -1, p)
-                    _replay(lower, used, tails)
                     heads[q] = [(j, x * inv % p) for j, x in residual[1:]]
-                    tails[q] = [(j, x * inv % p) for j, x in lower.items() if x % p]
-                    free -= 1
+                    lifts.append((q, [(j, x * inv % p) for j, x in lower.items() if x % p],
+                                  [(i, x * inv % p) for i, x in used]))
             basis_d = [(d, m) for m, head in zip(monos[d], heads) if head is None]
             if len(basis_d) != want[d]:
                 message = (f"graded quotient dimension mismatch at degree {d}: "
                            f"computed {len(basis_d)}, formula {want[d]}")
                 raise (VerificationError if len(basis_d) < want[d] else _UnluckyPrime)(message)
             self.basis.extend(basis_d)
-            self.blocks.insert(0, (lo, heads, tails))
+            self.blocks.insert(0, (lo, heads, lifts))
         self.basis_at = {column[m]: i for i, (_d, m) in enumerate(self.basis)}
         self._memo: Dict[Exponents, List[int]] = {}
 
     def normal_form(self, terms: Dict[Exponents, int]) -> List[int]:
         """Coordinates mod p over the basis of {exponents: coefficient mod p}:
-        folded, then the blocks in column order, as a replayed tail only
-        reaches later ones."""
+        folded, then the blocks in column order (a lift only reaches later
+        ones), each taking its multipliers y back through its lifts, latest
+        first: y_q * L_q leaves the row and y_q * U_q leaves y."""
+        p = self.p
         coords = [0] * len(self.basis_at)
         row = _summed((self.column[e], x) for e, x in self.fold(terms.items()))
-        for lo, heads, tails in self.blocks:
+        for lo, heads, lifts in self.blocks:
             hi = lo + len(heads)
             if min(row, default=hi) >= hi:  # no entry in this block
                 continue
             dense = [row.pop(j, 0) for j in range(lo, hi)]
-            used, residual = _reduce_block(dense, heads, self.p)
+            used, residual = _reduce_block(dense, heads, p)
             for i, x in residual:
                 coords[self.basis_at[lo + i]] = x
-            _replay(row, used, tails)
+            y = dict(used)
+            for q, lift, multipliers in reversed(lifts):
+                x = y.pop(q, 0) % p
+                if x:
+                    for j, c in lift:
+                        row[j] = row.get(j, 0) - x * c
+                    for i, f in multipliers:
+                        y[i] = y.get(i, 0) - x * f
         return coords
 
     def columns(self, k: int, basis: List[Tuple[int, Exponents]]) -> List[List[int]]:
@@ -494,9 +504,10 @@ class QuotientModel:
     basis, decided mod p by ``_ModularTables`` in the even degrees 0..max(T +
     6, top degree of J), T the formula's top degree: the monomials that lead no
     vector of the degree piece of I mod p, as many per degree as the formula
-    says.  (2) Normal forms mod p and the operator of every ring variable.  (3)
-    Rational reconstruction of every operator entry; the residues of further
-    primes that decide the same basis are combined by Chinese remaindering.
+    says.  (2) Normal forms mod p (through the stored lifts) and the operator
+    of every ring variable.  (3) Rational reconstruction of every nonzero
+    operator entry; the residues of further primes that decide the same
+    basis are combined by Chinese remaindering.
     (4) An exact certificate over Q: (a) the operators commute, (b) b(M) e_1 =
     e_b for every basis monomial b, (c) r(M) e_1 = 0 for every J-generator r,
     (d) for every basis monomial b and variable x with x*b outside the basis,
@@ -624,7 +635,8 @@ class QuotientModel:
         ops = {}
         for k, name in enumerate(self.ring.var_names):
             cols = residues[k * D:(k + 1) * D]
-            entries = [[_rational(col[i], modulus) for col in cols] for i in range(D)]
+            entries = [[_rational(col[i], modulus) if col[i] else (0, 1) for col in cols]
+                       for i in range(D)]
             if any(x is None for row in entries for x in row):
                 return None
             den = math.lcm(*(d for row in entries for _n, d in row))

@@ -627,6 +627,13 @@ def heap_reduce_mod(row: Dict[int, int], pivots: Dict[int, Dict[int, int]], p: i
     return residual
 
 
+def replay(lower: Dict[int, int], used: floer._Entries, tails: Dict[int, floer._Entries]) -> None:
+    """Subtract f * tails[i] from ``lower`` for every multiplier (i, f) used."""
+    for i, x in used:
+        for j, c in tails[i]:
+            lower[j] = lower.get(j, 0) - x * c
+
+
 def folds_by_equality(ring, pairs: List[Tuple[Poly, Poly]]) -> Dict[int, Fraction]:
     """{exponent index of delta_i: c_i} for the first pair (I, J) per i with I
     equal to delta_i^2 + beta and J - I the constant -c_i."""
@@ -805,7 +812,7 @@ class UnfoldedModularTables:
                         continue
                     q, inv = residual[0][0], pow(residual[0][1], -1, p)
                     lower = {column[tuple(map(add, e, mono))]: c for e, c in jlower.items()}
-                    floer._replay(lower, used, tails)
+                    replay(lower, used, tails)
                     heads[q] = [(j, c * inv % p) for j, c in residual[1:]]
                     tails[q] = [(j, c * inv % p) for j, c in lower.items() if c % p]
                     free -= 1
@@ -833,7 +840,7 @@ class UnfoldedModularTables:
             used, residual = floer._reduce_block(dense, heads, self.p)
             for i, x in residual:
                 coords[self.basis_at[lo + i]] = x
-            floer._replay(row, used, tails)
+            replay(row, used, tails)
         return coords
 
     def columns(self, k: int, basis: List[Tuple[int, Exponents]]) -> List[List[int]]:

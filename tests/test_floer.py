@@ -6,7 +6,7 @@ import pytest
 from conftest import random_poly
 from oracles import (HeapModularTables, UnfoldedModularTables, deforming_pairs_by_scan,
                      exact_basis, graded_ranks_by_products, lift_table_model,
-                     lift_table_model_n3)
+                     lift_table_model_n3, replay)
 
 from instanton import acceptance, floer, linalg
 from instanton.acceptance import _A3_PAIRS, _A4_PAIRS, _a12_flips
@@ -914,6 +914,25 @@ def test_small_primes_reach_the_oracle_through_crt(monkeypatch):
         assert model.operator(var) == oracle.operator(var), var
 
 
+def test_rational_reconstruction_of_zero_and_at_the_wang_bound(monkeypatch):
+    """0 is 0/1, and n/d is reconstructed exactly when |n|, d <= isqrt(m/2),
+    70 for m = 10007.  The model build maps a zero residue to 0/1 without a
+    call to ``_rational``."""
+    m = 10007
+    assert floer._wang_bound(m) == 70
+    assert floer._rational(0, m) == (0, 1)
+    for n, d in [(70, 69), (-70, 69), (1, 70), (3, 1)]:
+        assert floer._rational(n * pow(d, -1, m) % m, m) == (n, d)
+    for n, d in [(71, 1), (1, 71), (-71, 2), (70, 71)]:
+        assert floer._rational(n * pow(d, -1, m) % m, m) is None
+    residues = []
+    rational = floer._rational
+    monkeypatch.setattr(floer, "_rational", lambda a, m: residues.append(a) or rational(a, m))
+    model = QuotientModel(*floer._one_point_ideals(2, "+"))
+    assert residues and 0 not in residues
+    assert len(residues) < len(model.ring.var_names) * model.dim ** 2
+
+
 def test_certificate_rejects_a_perturbed_operator(rand):
     model = QuotientModel(*floer._one_point_ideals(2, "+"))
     ops = {var: model.operator(var) for var in model.ring.var_names}
@@ -1078,7 +1097,7 @@ def test_the_model_build_runs_no_exact_elimination(monkeypatch):
 
 
 EXACT_BASIS_CASES = [(4, "+", None), (4, "-", None), (5, "+", None), (3, "+", F(2)),
-                     (2, "-", F(3, 2)), "n3_g0", "n3_g1", "n3_g2"]
+                     (2, "-", F(3, 2)), "n3_g0", "n3_g1", "n3_g2", "n5_g0"]
 
 
 @pytest.mark.parametrize("case", EXACT_BASIS_CASES,
@@ -1086,8 +1105,8 @@ EXACT_BASIS_CASES = [(4, "+", None), (4, "-", None), (5, "+", None), (3, "+", F(
 def test_model_basis_is_the_exact_standard_basis(case):
     """The basis decided mod p is the one the exact elimination over Q takes."""
     if isinstance(case, str):
-        g = int(case[-1])
-        model, ideals = marked_model(g, 3), floer._marked_ideals(g, 3)
+        n, g = int(case[1]), int(case[-1])
+        model, ideals = marked_model(g, n), floer._marked_ideals(g, n)
     else:
         model, ideals = model_for(*case), floer._one_point_ideals(*case)
     assert model.basis == exact_basis(*ideals)
@@ -1097,8 +1116,9 @@ def _check_tables_against(monkeypatch, *oracles):
     """Make every ``_ModularTables`` build check itself against each oracle
     (built from the same arguments): the same exception type and message, or
     the same basis and normal forms (operator columns and J-generators), and
-    for the heap oracle the same stored rows.  Returns the outcome of each
-    build: None or the type of the exception it raised."""
+    for the heap oracle the same stored rows, each the head and the tail its
+    lift and multipliers imply.  Returns the outcome of each build: None or
+    the type of the exception it raised."""
     outcomes = []
 
     class Checked(floer._ModularTables):
@@ -1124,9 +1144,14 @@ def _check_tables_against(monkeypatch, *oracles):
             for tables in self.oracles:
                 assert self.basis == tables.basis
                 if isinstance(tables, HeapModularTables):
-                    rows = {lo + q: dict([(lo + j, c) for j, c in head] + tails[q])
-                            for lo, heads, tails in self.blocks
-                            for q, head in enumerate(heads) if head is not None}
+                    rows = {}
+                    for lo, heads, lifts in self.blocks:
+                        tails = {}
+                        for q, lift, multipliers in lifts:  # tail_q = L_q - U_q . tails
+                            tail = dict(lift)
+                            replay(tail, multipliers, tails)
+                            tails[q] = [(j, c % p) for j, c in tail.items() if c % p]
+                            rows[lo + q] = dict([(lo + j, c) for j, c in heads[q]] + tails[q])
                     assert rows == tables.rows
 
         def normal_form(self, terms):
@@ -1138,8 +1163,7 @@ def _check_tables_against(monkeypatch, *oracles):
     return outcomes
 
 
-HEAP_ORACLE_CASES = [c for c in EXACT_BASIS_CASES if not isinstance(c, str)] + [
-    "n3_g0", "n3_g1", "n3_g2", "rank_drops", "pivot_moves"]
+HEAP_ORACLE_CASES = EXACT_BASIS_CASES + ["rank_drops", "pivot_moves"]
 
 
 def _oracle_case_ideals(monkeypatch, case):
@@ -1151,7 +1175,7 @@ def _oracle_case_ideals(monkeypatch, case):
         monkeypatch.setattr(floer, "_PRIMES", (7, 10007))
         return J, I, RationalFn([1] if case == "rank_drops" else [1, 0, 2, 0, 1])
     if isinstance(case, str):
-        return floer._marked_ideals(int(case[-1]), 3)
+        return floer._marked_ideals(int(case[-1]), int(case[1]))
     return floer._one_point_ideals(*case)
 
 
