@@ -120,12 +120,12 @@ def check_a4(g_max: int = 2, n_max: int = 5) -> CheckResult:
                           "reduced-ideal graded dims match the K-series", g_max, n_max)
 
 
-def check_a5(k_max: int = 6, n_values: Sequence[int] = (1, 3, 5, 7)) -> CheckResult:
+def check_a5() -> CheckResult:
     """Functional identity (with its empirical (-1)^s sign) and the beta=0 closed form."""
     odd_s_flips = 0
     cases = 0
-    for n in n_values:
-        for k in range(k_max + 1):
+    for n in (1, 3, 5, 7):
+        for k in range(7):
             for s in range(0, min(k, n) + 1):
                 if n - 2 * s < 1:
                     continue
@@ -144,7 +144,7 @@ def check_a5(k_max: int = 6, n_values: Sequence[int] = (1, 3, 5, 7)) -> CheckRes
                             f"unsigned identity unexpectedly holds at odd s ({k},{n},{s})")
                     odd_s_flips += 1
     # beta = 0 closed form, in the omega -> -omega branch pinned by A6
-    for n in n_values:
+    for n in (1, 3, 5, 7):
         for k in range(9):
             closed = Poly.monomial(series.COEFF_RING, (k, 0, 0, 0),
                                    Fraction(2 ** ((n + 1) // 2), math.factorial(k)))
@@ -157,7 +157,7 @@ def check_a5(k_max: int = 6, n_values: Sequence[int] = (1, 3, 5, 7)) -> CheckRes
         "in the A6 branch")
 
 
-def check_a6(k_max: int = 6, cache=None) -> CheckResult:
+def check_a6(cache=None) -> CheckResult:
     """Pin the series-vs-projection sign convention; persist and re-assert it.
 
     ``cache`` (a ``cli.Cache`` or None) keeps the branch under key
@@ -165,7 +165,7 @@ def check_a6(k_max: int = 6, cache=None) -> CheckResult:
     """
     votes = set()
     for r in (1, 3, 5):
-        for k in range(k_max + 1):
+        for k in range(7):
             srs = rho_series(k, r)
             prj = rho_proj(k, r, 0)
             identity = srs == prj
@@ -305,11 +305,11 @@ def _a12_flips(n: int, s: int) -> GeneratorSet:
                                   [flip_orbit(alpha_p ** s, f"alpha'^{s}", n)], {})
 
 
-def check_a12(n_values: Sequence[int] = (3, 5)) -> CheckResult:
+def check_a12() -> CheckResult:
     """Modulo beta, the flips of alpha'^s (``_a12_flips``) are independent and
     their ideal is full in degree 2s+2, for s = m, m+1."""
     details = []
-    for n in n_values:
+    for n in (3, 5):
         m = (n - 1) // 2
         for s in (m, m + 1):
             ranks = floer._graded_ranks(_a12_flips(n, s), 2 * s + 2, mod_beta_spec())
@@ -327,12 +327,12 @@ def check_a12(n_values: Sequence[int] = (3, 5)) -> CheckResult:
                                     + ", ".join(details))
 
 
-def check_a13(M_max: int = 8) -> CheckResult:
-    dets = binom_sqrt_dets(M_max)  # raises on a zero determinant
+def check_a13() -> CheckResult:
+    dets = binom_sqrt_dets(8)  # raises on a zero determinant
     if dets[0] != 1 or dets[1] != Fraction(1, 2):
         return CheckResult("A13", False, f"frozen determinant values drifted: {dets[:2]}")
     return CheckResult("A13", True,
-                       f"det(a_ks) nonzero for M<= {M_max}; first values {dets[0]}, {dets[1]}")
+                       f"det(a_ks) nonzero for M<= 8; first values {dets[0]}, {dets[1]}")
 
 
 # -- suite runner -------------------------------------------------------------------

@@ -67,42 +67,29 @@ def _ideal_pieces(gens: GeneratorSet, spec: QuotientSpec):
     ``spec`` and a lazy iterator of sparse integer rows ``{basis index:
     coefficient}`` spanning the ideal piece, one per (generator index,
     cofactor monomial) in that order; a row is formed only when it is taken.
-    The function's ``form(k)`` is generator k's canonical form inside
-    ``spec``, reduced once, when first needed.  A generator whose form is zero
-    gives no rows.
 
-    Each form is scaled once to integer coefficients, and each row is formed
-    from the scaled form by ``_product_row``, with no ``Poly``, no
-    ``canonical_rep`` and no ``Fraction``.  A row is the row of the product
+    Each generator is brought to canonical form inside ``spec`` once, here;
+    a zero form gives no rows, and a form that is not homogeneous raises
+    ValueError.  Each form is scaled once to integer coefficients, and each
+    row is formed from the scaled form by ``_product_row``, with no ``Poly``,
+    no ``canonical_rep`` and no ``Fraction``.  A row is the row of the product
     of the form and the cofactor, brought to canonical form inside ``spec``,
     times the form's nonzero integer scale, so the rows span the same piece."""
     rng = gens.ambient.with_coordinate(OMEGA)
-    forms: List[Tuple[Poly, int, List[Tuple[Exponents, int]]]] = []  # (form, degree, scaled terms)
-    bases: Dict[int, List[Exponents]] = {}  # degree -> its monomials, as far as used
-
-    def monomials(d: int) -> List[Exponents]:
-        if d not in bases:
-            bases[d] = canonical_monomials(rng, spec, d)
-        return bases[d]
-
-    def scaled(k: int) -> Tuple[Poly, int, List[Tuple[Exponents, int]]]:
-        while len(forms) <= k:
-            p = canonical_rep(gens.gens[len(forms)][1], spec)
-            forms.append((p, p.degree(), list(linalg._integer_row(p.terms).items())))
-        return forms[k]
+    forms: List[Tuple[int, List[Tuple[Exponents, int]]]] = []  # (degree, scaled terms)
+    for name, gen in gens.gens:
+        p = canonical_rep(gen, spec)
+        if not p.is_zero():
+            if not p.is_homogeneous():
+                raise ValueError(f"inhomogeneous generator {name} in graded mode")
+            forms.append((p.degree(), list(linalg._integer_row(p.terms).items())))
+    monomials = lru_cache(maxsize=None)(partial(canonical_monomials, rng, spec))  # by degree
 
     def piece(degree: int):
         basis = monomials(degree)
         index = {m: i for i, m in enumerate(basis)}
-
-        def rows():
-            for k in range(len(gens)):
-                _form, d, terms = scaled(k)
-                if terms:  # a zero form gives no rows
-                    for mono in monomials(degree - d):
-                        yield _product_row(terms, mono, index, rng, spec)
-        return basis, rows()
-    piece.form = lambda k: scaled(k)[0]
+        return basis, (_product_row(terms, mono, index, rng, spec)
+                       for d, terms in forms for mono in monomials(degree - d))
     return piece
 
 
@@ -122,8 +109,9 @@ def _product_row(terms: List[Tuple[Exponents, int]], mono: Exponents, index: Dic
 def _graded_ranks(gens: GeneratorSet, max_degree: int,
                   spec: QuotientSpec) -> List[Tuple[int, int]]:
     """(piece dimension, ideal rank) in each degree 0..max_degree; odd degrees
-    give (0, 0).  Raises ValueError for a generator that is not homogeneous in
-    canonical form.
+    have no canonical monomials and give (0, 0).  Raises ValueError for a
+    generator that is not homogeneous in canonical form (``_ideal_pieces``;
+    flips preserve degree, so the representatives stand for every generator).
 
     The rank is taken by blocks of the even-flip group.  In omega coordinates
     tau_I negates delta_i for i in I, so a monomial is an eigenvector whose
@@ -133,55 +121,37 @@ def _graded_ranks(gens: GeneratorSet, max_degree: int,
     for a cofactor monomial m, so the block projections of the rows of the
     orbit representatives (``GeneratorSet.flip_reps``) span every block.  Only
     the representatives are read, so the other members of a marked set's
-    orbits are never built here.  The columns are numbered block by block and
-    each integer row of ``_ideal_pieces`` is split into its projections; those
-    of different blocks share no column, so one pass of the rank kernel
-    ``linalg._echelon`` sums the block ranks.  An unmarked set takes the
-    trivial group: every generator, one block.
+    orbits are never built here.  Each basis index gets its block's number,
+    and each integer row of ``_ideal_pieces`` is split into its projections,
+    which keep their basis indices; those of different blocks share no
+    column, so one pass of the rank kernel ``linalg._echelon`` sums the block
+    ranks.  An unmarked set (its own representatives) takes the trivial
+    group: one block.
     """
     rng = gens.ambient.with_coordinate(OMEGA)
-    flip_closed = gens.flip_reps is not None
-    reps = gens.representatives() if flip_closed else gens
-    piece = _ideal_pieces(reps, spec)
-    # flips preserve degree, so the representatives' forms stand for every generator
-    for k, name in enumerate(reps.names()):
-        form = piece.form(k)
-        if not form.is_zero() and not form.is_homogeneous():
-            raise ValueError(f"inhomogeneous generator {name} in graded mode")
+    piece = _ideal_pieces(gens.representatives(), spec)
     everything = frozenset(range(1, rng.n + 1))
+    numbers = {}  # {S, S^c} -> its block number
 
-    def block(mono: Exponents):
-        if not flip_closed:
-            return None
+    def block(mono: Exponents) -> int:
+        if gens.flip_reps is None:
+            return 0
         support = delta_support(rng, mono)
-        return frozenset((support, everything - support))
+        return numbers.setdefault(frozenset((support, everything - support)), len(numbers))
+
+    def projections(rows, blocks: List[int]):
+        for row in rows:
+            parts: Dict[int, Dict[int, int]] = {}
+            for i, c in row.items():
+                parts.setdefault(blocks[i], {})[i] = c
+            yield from parts.values()
 
     out = []
     for d in range(max_degree + 1):
-        if d % 2:
-            out.append((0, 0))
-            continue
         basis, rows = piece(d)
-        blocks: Dict[object, List[int]] = {}
-        for i, mono in enumerate(basis):
-            blocks.setdefault(block(mono), []).append(i)
-        column = {}  # basis index -> (block number, column in block-major order)
-        for b, members in enumerate(blocks.values()):
-            for i in members:
-                column[i] = (b, len(column))
-        out.append((len(basis), len(linalg._echelon(_block_projections(rows, column), len(basis)))))
+        blocks = [block(mono) for mono in basis]
+        out.append((len(basis), len(linalg._echelon(projections(rows, blocks), len(basis)))))
     return out
-
-
-def _block_projections(rows, column: Dict[int, Tuple[int, int]]):
-    """Each sparse row split into its block projections, with the columns and
-    blocks of ``column`` (basis index -> (block number, column))."""
-    for row in rows:
-        parts: Dict[int, Dict[int, int]] = {}
-        for i, c in row.items():
-            b, j = column[i]
-            parts.setdefault(b, {})[j] = c
-        yield from parts.values()
 
 
 def graded_ideal_dims(gens: GeneratorSet, max_degree: int, spec: QuotientSpec) -> List[int]:

@@ -60,8 +60,8 @@ class LaurentU:
         return cls({0: _fr(x)})
 
     @classmethod
-    def u_power(cls, k: int, coeff: Scalar = 1) -> "LaurentU":
-        return cls({k: _fr(coeff)})
+    def u_power(cls, k: int) -> "LaurentU":
+        return cls({k: 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -173,6 +173,24 @@ def test_graded_ranks_reject_an_inhomogeneous_generator():
         graded_ideal_dims(gens, 4, rbar_spec())
     with pytest.raises(ValueError, match="inhomogeneous generator omega\\+1 in graded mode"):
         graded_ideal_dims(_unmarked(gens), 4, rbar_spec())
+    with pytest.raises(ValueError, match="inhomogeneous generator omega\\+1 in graded mode"):
+        floer._ideal_pieces(gens, rbar_spec())
+
+
+@pytest.mark.parametrize("g, n, source, top, reps", [(1, 5, "ptgn", 14, 9), (0, 5, "k", 12, 2)])
+def test_graded_ranks_reduce_each_representative_once(monkeypatch, g, n, source, top, reps):
+    """``_ideal_pieces`` brings each orbit representative to canonical form
+    once, whatever the number of degrees: igen(1, 5) has 9 orbits and
+    kprime_gen(0, 5) 2."""
+    calls = []
+    canonical_rep = floer.canonical_rep
+
+    def counted(f, spec):
+        calls.append(f)
+        return canonical_rep(f, spec)
+    monkeypatch.setattr(floer, "canonical_rep", counted)
+    assert hilbert_compare(g, n, source, top).match
+    assert len(calls) == reps
 
 
 def test_decomposition_identity():
