@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
-from operator import add
+from functools import lru_cache, partial, reduce
+from operator import add, mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
@@ -577,9 +577,6 @@ class QuotientModel:
             if tables.basis != self.basis:
                 self.basis, residues, modulus = tables.basis, [], 1
                 self.basis_index = {bm: i for i, bm in enumerate(self.basis)}
-            if not self.basis:
-                self._install({x: Matrix.zeros(0, 0) for x in names})
-                return
             for name, jp in jpolys:
                 if any(tables.normal_form(_mod_terms(jp.terms, p))):
                     raise VerificationError(f"J-generator {name} has nonzero normal form; "
@@ -704,6 +701,15 @@ class QuotientModel:
                 acc[i] += s * a
         return [Fraction(a, den) for a in acc]
 
+    def _traces(self) -> List[Fraction]:
+        """The trace form: tau_b = tr(M_b) for each basis monomial b, so that
+        tr(f(M)) = tau . f(M) e_1.  Column c of M_b is (b*c)(M) e_1."""
+        taus = []
+        for _d, b in self.basis:
+            cols = [(i, self._vector(tuple(map(add, b, c)))) for i, (_d, c) in enumerate(self.basis)]
+            taus.append(sum(Fraction(nums[i], den) for i, (nums, den) in cols if i in nums))
+        return taus
+
     def membership(self, f: Poly) -> bool:
         return not any(self.normal_form(f))
 
@@ -775,42 +781,74 @@ def _lambda_seq(g: int) -> List[int]:
     return [(-1) ** (i - 1) * (2 * i - 1) for i in range(1, g + 1)]
 
 
+def _times_factors(op: Matrix, factors, vec: Matrix) -> Matrix:
+    """prod (op - lam)^m vec over the pairs (lam, m), by matrix-vector products."""
+    for lam, m in factors:
+        for _ in range(m):
+            vec = op * vec - vec.scale(lam)
+    return vec
+
+
 def eigen_verify(g: int, sign: str = "+", theta: Optional[Fraction] = None) -> EigenReport:
     """Spectral verification of the one-point model.
 
-    At u = 1: the beta = 2 generalized eigenspace carries the alternating odd
-    alpha-spectrum, gamma and delta are nilpotent there, and the top pair
-    eigenspace is one-dimensional.  At u = theta: the local eigenvalue tuple is
-    checked by evaluation on the generators and by operator kernels.
+    At u = 1: the beta = 2 generalized eigenspace V2 carries the alternating
+    odd alpha-spectrum, gamma and delta are nilpotent there, and the top pair
+    eigenspace is one-dimensional.  e_1 = 1 generates R/J (certificate (b) of
+    ``QuotientModel``), so P(M) = 0 iff P(M) e_1 = 0, and every check is an
+    identity on v = (beta + 2)^g e_1 (Cox-Little-O'Shea, *Using Algebraic
+    Geometry*, Ch. 2 Sections 4-5).  (beta - 2)^g v = 0 puts the beta-spectrum
+    in {2, -2} and makes V2 = R v.  Then tr(X | V2) = tau . (X v) / 4^g with
+    the trace form tau, as (beta + 2)^g is 0 on the beta = -2 part and 4^g
+    plus a nilpotent commuting with X on V2; d = tr(1 | V2) = dim V2.
+    gamma^d v = delta^d v = 0 proves nilpotency.  The alpha-multiplicities m_i
+    solve sum_i m_i l_i^k = tr(alpha^k | V2), k < g, and prod_i (alpha -
+    l_i)^m_i v = 0 proves them: it puts the alpha-spectrum on V2 in {l_i},
+    and the Vandermonde system in distinct l_i has one solution.  At u =
+    theta: the local eigenvalue tuple is checked by evaluation on the
+    generators and by operator kernels inside the beta = 2 eigenspace.
     """
     if g < 1:
         raise ValueError("g must be >= 1")
     model = model_for(g, sign, theta)
     if theta is not None:
         return _eigen_verify_local(g, sign, theta, model)
-    sgn = 1 if sign == "+" else -1
-    v2 = linalg.generalized_eigenspace(model.operator("beta"), 2)
-    ops = [model.operator(var) for var in ("gamma", "delta1", ALPHA)]
-    c_res, d_res, a_res = linalg.restrict(ops, v2)  # one factorisation of V2 for all three
-    for name, res in (("gamma", c_res), ("delta", d_res)):
-        if linalg.eigen_multiplicities(res, [0]) is None:
+    beta, alpha = model.operator("beta"), model.operator(ALPHA)
+    e1 = Matrix.from_integers([[int(i == 0)] for i in range(model.dim)], 1, 1)
+    v = _times_factors(beta, [(-2, g)], e1)
+    if not _times_factors(beta, [(2, g)], v).is_zero():
+        raise AssertionError("beta has an eigenvalue other than 2 and -2")
+    lambdas = [lam if sign == "+" else -lam for lam in _lambda_seq(g)]
+    h = len(lambdas)
+    powers = [v]  # alpha^k v, k < h
+    while len(powers) < h:
+        powers.append(alpha * powers[-1])
+    tau = model._traces()
+    traces = [sum(map(mul, tau, w.col(0))) / 4 ** g for w in powers]  # tr(alpha^k | V2)
+    if traces[0] < 1 or traces[0].denominator != 1:
+        raise AssertionError(f"the beta=2 subspace has dimension {traces[0]}")
+    dim = int(traces[0])
+    for name, var in (("gamma", "gamma"), ("delta", "delta1")):
+        if not _times_factors(model.operator(var), [(0, dim)], v).is_zero():
             raise AssertionError(f"{name} is not nilpotent on the beta=2 subspace")
-    lambdas = [sgn * lam for lam in _lambda_seq(g)]
-    mults = linalg.eigen_multiplicities(a_res, lambdas)
-    if mults is None:
+    system = [[lam ** k for lam in lambdas] + [t] for k, t in enumerate(traces)]
+    mults = linalg.row_reduce(Matrix(system, h + 1))[0].col(h)
+    if (any(m.denominator != 1 or m < 0 for m in mults)
+            or not _times_factors(alpha, [(lam, int(m)) for lam, m in zip(lambdas, mults)],
+                                  v).is_zero()):
         raise AssertionError("unexpected alpha spectrum on the beta=2 subspace")
     tuples = []
-    for lam, mult in zip(lambdas, mults):
+    for lam, mult in zip(lambdas, map(int, mults)):
         if mult < 1:
             raise AssertionError(f"missing alpha eigenvalue {lam} on the beta=2 subspace")
         tuples.append({"alpha": Fraction(lam), "beta": Fraction(2), "gamma": Fraction(0),
                        "delta": [Fraction(0)], "gen_mult": mult})
     # top simultaneous generalized eigenspace for (alpha, beta) is 1-dimensional;
-    # V2 is alpha-invariant, so it is the top lambda's one on a_res
+    # V2 is alpha-invariant, so it is the top lambda's one on V2
     top = tuples[-1]["gen_mult"]
     if top != 1:
         raise AssertionError(f"top simultaneous eigenspace has dimension {top}, wanted 1")
-    return EigenReport(v2.rows, model.dim, tuples)
+    return EigenReport(dim, model.dim, tuples)
 
 
 def local_eigen_point(g: int, sign: str, theta: Fraction) -> Dict[str, Fraction]:
@@ -834,13 +872,13 @@ def _eigen_verify_local(g: int, sign: str, theta: Fraction, model: QuotientModel
         val = p.evaluate(tup)
         if val:
             raise AssertionError(f"local eigen tuple does not annihilate {name}")
-    # operator route: the simultaneous generalized eigenspace is nontrivial
-    space = None
-    for var, lam in tup.items():
-        op = model.operator(var)
-        ker = linalg.generalized_eigenspace(op, lam)
-        space = ker if space is None else subspace_intersection(space, ker)
-    mult = space.rows if space is not None else 0
+    # operator route: the simultaneous generalized eigenspace is nontrivial; it lies
+    # in V2, so the other operators are restricted to V2 once and intersected there
+    v2 = linalg.generalized_eigenspace(model.operator("beta"), tup["beta"])
+    names = ("omega", "delta1", "gamma")
+    ops = linalg.restrict([model.operator(var) for var in names], v2)
+    mult = reduce(subspace_intersection, [linalg.generalized_eigenspace(op, tup[var])
+                                          for var, op in zip(names, ops)]).rows
     if mult < 1:
         raise AssertionError("local eigen tuple is not realized by the operators")
     alpha_val = w_val - d_val / 2

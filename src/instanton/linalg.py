@@ -1,5 +1,6 @@
-"""Exact linear algebra: rank, RREF with transform, products, kernels, and eigen
-helpers (eigenspaces, restriction, multiplicities certified from traces).
+"""Exact linear algebra: rank, RREF with transform, products, kernels, and
+subspace helpers (generalized eigenspaces, restriction to an invariant span,
+intersection).
 
 A ``Matrix`` is integer rows ``nums`` over one positive denominator ``den``,
 kept in lowest terms (gcd(den, every entry) = 1, and den = 1 for the zero
@@ -13,10 +14,9 @@ elimination runs on the integer rows, kept primitive (fraction-free, Bareiss
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Vector = List[Fraction]
 
@@ -126,23 +126,6 @@ class Matrix:
         right = list(zip(*other.nums)) if other.rows else [()] * other.cols
         return Matrix.from_integers([[sum(map(mul, r, c)) for c in right] for r in self.nums],
                                     self.den * other.den, other.cols)
-
-    def power(self, k: int) -> "Matrix":
-        if self.rows != self.cols:
-            raise ValueError("power needs a square matrix")
-        if k < 0:
-            raise ValueError("power needs a non-negative exponent")
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-                if base.is_zero():  # and so is every later factor
-                    return base
-        return Matrix.identity(self.rows) if result is None else result
 
     def is_zero(self) -> bool:
         return not any(map(any, self.nums))
@@ -363,42 +346,6 @@ def restrict(ops: Sequence[Matrix], basis: Matrix) -> List[Matrix]:
             raise ValueError("subspace is not invariant under the operator")
         restricted.append((heads * T).transpose())
     return restricted
-
-
-def _trace_product(X: Matrix, Y: Matrix) -> Fraction:
-    """tr(X*Y) = sum_rs X_rs Y_sr, without forming X*Y."""
-    return Fraction(sum(sum(map(mul, r, c)) for r, c in zip(X.nums, zip(*Y.nums))),
-                    X.den * Y.den)
-
-
-def eigen_multiplicities(A: Matrix, lambdas: Sequence) -> Optional[List[int]]:
-    """Generalized multiplicities m_i = dim ker (A - l_i)^n (n = A.rows) of the
-    distinct values ``lambdas``, or None if A has an eigenvalue outside them.
-
-    The m_i solve sum_i m_i l_i^k = tr(A^k) for k < len(lambdas), and must be
-    non-negative integers with prod_i (A - l_i)^m_i = 0.  Proof: that product
-    puts the spectrum of A in {l_i}, so tr(A^k) = sum_i d_i l_i^k with the true
-    multiplicities d_i; the system is Vandermonde in distinct l_i, so m_i = d_i.
-    Conversely the d_i pass: prod_i (A - l_i)^d_i is the characteristic
-    polynomial at A, zero by Cayley-Hamilton.
-    """
-    lambdas = [_fr(lam) for lam in lambdas]
-    h, n = len(lambdas), A.rows
-    if len(set(lambdas)) != h:
-        raise ValueError("eigenvalues must be distinct")
-    # tr(A^k) = tr(A^ceil(k/2) A^floor(k/2)), so only A^j with j <= h/2 is formed
-    powers = [Matrix.identity(n), A]
-    while len(powers) <= h // 2:
-        powers.append(powers[-1] * A)
-    system = [[lam ** k for lam in lambdas] + [_trace_product(powers[(k + 1) // 2], powers[k // 2])]
-              for k in range(h)]
-    mults = row_reduce(Matrix(system, h + 1))[0].col(h)
-    if any(m.denominator != 1 or m < 0 for m in mults):
-        return None
-    factors = [(A - Matrix.identity(n).scale(lam)).power(int(m))
-               for lam, m in zip(lambdas, mults) if m]
-    product = reduce(mul, factors) if factors else Matrix.identity(n)
-    return [int(m) for m in mults] if product.is_zero() else None
 
 
 def subspace_intersection(A: Matrix, B: Matrix) -> Matrix:

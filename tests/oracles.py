@@ -8,12 +8,13 @@ import heapq
 import math
 from fractions import Fraction
 from itertools import combinations
-from operator import add
+from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from instanton import floer
 from instanton.floer import VerificationError
-from instanton.linalg import Matrix, _echelon, _integer_row, _stable_power, restrict, rref
+from instanton.linalg import (Matrix, _echelon, _integer_row, _stable_power, restrict, row_reduce,
+                              rref)
 from instanton.poly import (ALPHA, LAURENT_U, OMEGA, RATIONAL, Exponents, LaurentU, Poly,
                             RingDescriptor, monomials_of_degree, ring)
 from instanton.quotient import (QuotientSpec, canonical_monomials, canonical_rep, delta_support,
@@ -55,7 +56,7 @@ def char_poly(M: Matrix) -> List[Fraction]:
 
 def generalized_eigenspace_dim(M: Matrix, lam) -> int:
     """dim ker (M - lam)^dim(M), from the rank of the first stable power: one
-    exact elimination chain per eigenvalue, where ``linalg.eigen_multiplicities``
+    exact elimination chain per eigenvalue, where :func:`eigen_multiplicities`
     reads all of them from traces."""
     return M.rows - _stable_power(M, lam)[1]
 
@@ -76,6 +77,59 @@ def is_nilpotent_on(M: Matrix, basis: Matrix) -> bool:
         power = power * power
         exponent *= 2
     return True
+
+
+def matrix_power(M: Matrix, k: int) -> Matrix:
+    """M^k for a square M and k >= 0, by repeated squaring."""
+    if M.rows != M.cols:
+        raise ValueError("power needs a square matrix")
+    if k < 0:
+        raise ValueError("power needs a non-negative exponent")
+    result, base = Matrix.identity(M.rows), M
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+def _trace_product(X: Matrix, Y: Matrix) -> Fraction:
+    """tr(X*Y) = sum_rs X_rs Y_sr, without forming X*Y."""
+    return Fraction(sum(sum(map(mul, r, c)) for r, c in zip(X.nums, zip(*Y.nums))),
+                    X.den * Y.den)
+
+
+def eigen_multiplicities(A: Matrix, lambdas: Sequence) -> Optional[List[int]]:
+    """Generalized multiplicities m_i = dim ker (A - l_i)^n (n = A.rows) of the
+    distinct values ``lambdas``, or None if A has an eigenvalue outside them.
+
+    The m_i solve sum_i m_i l_i^k = tr(A^k) for k < len(lambdas), and must be
+    non-negative integers with prod_i (A - l_i)^m_i = 0.  Proof: that product
+    puts the spectrum of A in {l_i}, so tr(A^k) = sum_i d_i l_i^k with the true
+    multiplicities d_i; the system is Vandermonde in distinct l_i, so m_i = d_i.
+    Conversely the d_i pass: prod_i (A - l_i)^d_i is the characteristic
+    polynomial at A, zero by Cayley-Hamilton.  The matrix form of the check
+    that ``floer.eigen_verify`` runs on one cyclic vector.
+    """
+    lambdas = [Fraction(lam) for lam in lambdas]
+    h, n = len(lambdas), A.rows
+    if len(set(lambdas)) != h:
+        raise ValueError("eigenvalues must be distinct")
+    # tr(A^k) = tr(A^ceil(k/2) A^floor(k/2)), so only A^j with j <= h/2 is formed
+    powers = [Matrix.identity(n), A]
+    while len(powers) <= h // 2:
+        powers.append(powers[-1] * A)
+    system = [[lam ** k for lam in lambdas] + [_trace_product(powers[(k + 1) // 2], powers[k // 2])]
+              for k in range(h)]
+    mults = row_reduce(Matrix(system, h + 1))[0].col(h)
+    if any(m.denominator != 1 or m < 0 for m in mults):
+        return None
+    product = Matrix.identity(n)
+    for lam, m in zip(lambdas, mults):
+        product = product * matrix_power(A - Matrix.identity(n).scale(lam), int(m))
+    return [int(m) for m in mults] if product.is_zero() else None
 
 
 def det_fraction_oracle(M: Matrix) -> Fraction:

@@ -5,12 +5,12 @@ import pytest
 
 from conftest import random_poly
 from oracles import (HeapModularTables, UnfoldedModularTables, deforming_pairs_by_scan,
-                     exact_basis, graded_ranks_by_products, lift_table_model,
-                     lift_table_model_n3, replay)
+                     eigen_multiplicities, exact_basis, graded_ranks_by_products,
+                     lift_table_model, lift_table_model_n3, matrix_power, replay)
 
 from instanton import acceptance, floer, linalg
 from instanton.acceptance import _A3_PAIRS, _A4_PAIRS, _a12_flips
-from instanton.floer import (QuotientModel, VerificationError,
+from instanton.floer import (EigenReport, QuotientModel, VerificationError,
                              decomposition_identity_check, eigen_verify,
                              expand_rational_fn, gamma_power_witness,
                              graded_ideal_dims, hilbert_compare, model_for,
@@ -210,6 +210,18 @@ def test_model_dims_and_basis():
     assert sum(expand_rational_fn(ptgn_series(2, 1), 20)) == 8
 
 
+@pytest.mark.parametrize("sign,theta", [("+", None), ("-", None), ("+", F(2))])
+def test_genus_zero_models_are_empty(sign, theta):
+    """An empty basis takes the general build: 0 x 0 operators over
+    denominator 1 and an empty monomial-vector memo."""
+    model = QuotientModel(*floer._one_point_ideals(0, sign, theta))
+    assert model.dim == 0 and model._memo == {}
+    for var in model.ring.var_names:
+        op = model.operator(var)
+        assert (op.rows, op.cols, op.den) == (0, 0, 1)
+    assert model.normal_form(model.J.gens[0][1]) == []
+
+
 def test_model_rejects_non_deforming_pair():
     # the unit graded ideal is not deformed by a proper inhomogeneous ideal
     J = jgen_n1(1)
@@ -355,7 +367,7 @@ def test_eigen_g1_full_spectrum():
         space = None
         for var, lam in zip((ALPHA, "beta", "gamma", "delta1"), (av, bv, cv, dv)):
             op = m1.operator(var)
-            ker = kernel_basis((op - Matrix.identity(D).scale(lam)).power(D))
+            ker = kernel_basis(matrix_power(op - Matrix.identity(D).scale(lam), D))
             space = ker if space is None else subspace_intersection(space, ker)
         assert space.rows >= 1
         total += space.rows
@@ -517,7 +529,7 @@ def test_five_point_model_dimension_and_spectrum(g, dim, spectrum):
     v2 = linalg.generalized_eigenspace(model.operator("beta"), 2)
     (w,) = linalg.restrict([model.operator("omega")], v2)
     assert v2.rows == sum(spectrum.values())
-    assert linalg.eigen_multiplicities(w, list(spectrum)) == list(spectrum.values())
+    assert eigen_multiplicities(w, list(spectrum)) == list(spectrum.values())
     assert spectrum[(-1) ** (g + 1) * (2 * (g + 2) - 1)] == 1
 
 
@@ -703,7 +715,7 @@ def test_model_eigen_algebra_matches_direct_forms():
     v2 = None
     for var, lam in ((ALPHA, 1), (ALPHA, 5), ("beta", 2), ("beta", 7),
                      ("gamma", 0), ("delta1", 0)):
-        direct = (ops[var] - Matrix.identity(D).scale(lam)).power(D)
+        direct = matrix_power(ops[var] - Matrix.identity(D).scale(lam), D)
         space = linalg.generalized_eigenspace(ops[var], lam)
         assert space == kernel_basis(direct), (var, lam)
         assert generalized_eigenspace_dim(ops[var], lam) == D - rank(direct)
@@ -716,18 +728,20 @@ def test_model_eigen_algebra_matches_direct_forms():
         cols = [solve(bt, apply(op, b)) for b in v2.data]
         oracle = Matrix([[cols[j][i] for j in range(v2.rows)] for i in range(v2.rows)])
         assert restricted[var] == oracle, var
-        assert is_nilpotent_on(op, v2) == restricted[var].power(v2.rows).is_zero()
+        assert is_nilpotent_on(op, v2) == matrix_power(restricted[var], v2.rows).is_zero()
         assert is_nilpotent_on(op, v2) == (var in ("gamma", "delta1"))
-        nilpotent = linalg.eigen_multiplicities(restricted[var], [0]) == [v2.rows]
+        nilpotent = eigen_multiplicities(restricted[var], [0]) == [v2.rows]
         assert nilpotent == (var in ("gamma", "delta1")), var
     lambdas = [1, -3, 5]
-    assert linalg.eigen_multiplicities(restricted[ALPHA], lambdas) == \
+    assert eigen_multiplicities(restricted[ALPHA], lambdas) == \
         [generalized_eigenspace_dim(restricted[ALPHA], lam) for lam in lambdas] == [6, 3, 1]
 
 
 def test_eigen_verify_factors_v2_once(monkeypatch):
-    """The gamma, delta and alpha restrictions to V2 share one rref of V2."""
-    model_for(3, "+")
+    """At u = theta, the omega, delta1 and gamma restrictions to V2 share one
+    rref of V2."""
+    model = model_for(3, "+", F(2))
+    v2 = linalg.generalized_eigenspace(model.operator("beta"), 2)
     calls = []
     real = linalg.rref
 
@@ -735,8 +749,72 @@ def test_eigen_verify_factors_v2_once(monkeypatch):
         calls.append(M.rows)
         return real(M)
     monkeypatch.setattr(linalg, "rref", counting)
-    eigen_verify(3, "+")
-    assert calls == [10]
+    eigen_verify(3, "+", F(2))
+    assert calls == [v2.rows]
+
+
+def _eigen_report_by_matrices(g, sign):
+    """The u = 1 report by the matrix route: V2 as a kernel basis, gamma, delta1
+    and alpha restricted to it, and the trace-certified multiplicities of the
+    restrictions."""
+    model = model_for(g, sign)
+    v2 = linalg.generalized_eigenspace(model.operator("beta"), 2)
+    c_res, d_res, a_res = linalg.restrict([model.operator(var) for var in ("gamma", "delta1", ALPHA)],
+                                          v2)
+    assert eigen_multiplicities(c_res, [0]) == eigen_multiplicities(d_res, [0]) == [v2.rows]
+    lambdas = [(1 if sign == "+" else -1) * lam for lam in floer._lambda_seq(g)]
+    mults = eigen_multiplicities(a_res, lambdas)
+    return EigenReport(v2.rows, model.dim, [
+        {"alpha": F(lam), "beta": F(2), "gamma": F(0), "delta": [F(0)], "gen_mult": m}
+        for lam, m in zip(lambdas, mults)])
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_vector_certificate_matches_the_matrix_route(g, sign):
+    rep, oracle = eigen_verify(g, sign), _eigen_report_by_matrices(g, sign)
+    assert rep == oracle and rep.to_json() == oracle.to_json()
+
+
+def test_vector_certificate_forms_only_matrix_vector_products(monkeypatch):
+    """At u = 1 the check runs no elimination on the model's operators: every
+    product has a one-column right operand."""
+    model_for(4, "+")
+
+    def refused(*args):
+        raise AssertionError("elimination in the u = 1 eigen check")
+    for name in ("rref", "restrict", "kernel_basis"):
+        monkeypatch.setattr(linalg, name, refused)
+    real, columns = Matrix.__mul__, []
+
+    def recording(self, other):
+        columns.append(other.cols)
+        return real(self, other)
+    monkeypatch.setattr(Matrix, "__mul__", recording)
+    assert eigen_verify(4, "+").to_json() == SEED_EIGEN_REPORTS[(4, "+", None)]
+    assert columns and set(columns) == {1}
+
+
+# (operator, shift, message): the operator moved by shift * identity on the
+# cached g = 2 model fails the vector identity that the message names; at
+# alpha - 2 the traces give the non-negative integers (1, 3) and only the
+# annihilation product refuses them
+PERTURBED_OPERATORS = [
+    ("beta", 1, "beta has an eigenvalue other than 2 and -2"),
+    ("gamma", 1, "gamma is not nilpotent on the beta=2 subspace"),
+    ("delta1", 1, "delta is not nilpotent on the beta=2 subspace"),
+    (ALPHA, -2, "unexpected alpha spectrum on the beta=2 subspace"),
+]
+
+
+@pytest.mark.parametrize("var,shift,message", PERTURBED_OPERATORS,
+                         ids=[var for var, _s, _m in PERTURBED_OPERATORS])
+def test_each_vector_identity_is_load_bearing(monkeypatch, var, shift, message):
+    model = model_for(2, "+")
+    op = model.operator(var)
+    monkeypatch.setitem(model._ops, var, op + Matrix.identity(model.dim).scale(shift))
+    with pytest.raises(AssertionError, match=message):
+        eigen_verify(2, "+")
 
 
 def test_eigen_verify_refuses_a_shifted_spectrum(monkeypatch):

@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instanton import linalg
-from instanton.linalg import (Matrix, det, eigen_multiplicities,
-                              generalized_eigenspace, kernel_basis, rank,
+from instanton.linalg import (Matrix, det, generalized_eigenspace, kernel_basis, rank,
                               restrict, row_reduce, rref,
                               subspace_intersection)
-from oracles import (apply, char_poly, det_fraction_oracle, generalized_eigenspace_dim,
-                     is_nilpotent_on, row_rank, solve)
+from oracles import (apply, char_poly, det_fraction_oracle, eigen_multiplicities,
+                     generalized_eigenspace_dim, is_nilpotent_on, matrix_power, row_rank, solve)
 
 
 def test_identity_rank_and_kernel():
@@ -129,7 +128,7 @@ def test_kernel_powers_stabilize():
     shifted = j - Matrix.identity(3).scale(2)
     prev = 0
     for k in range(1, 4):
-        d = kernel_basis(shifted.power(k)).rows
+        d = kernel_basis(matrix_power(shifted, k)).rows
         assert d >= prev
         prev = d
         dims.append(d)
@@ -141,7 +140,7 @@ def test_kernel_powers_stabilize():
 
 def _power_oracle(M, lam):
     n = M.rows
-    return (M - Matrix.identity(n).scale(lam)).power(n)
+    return matrix_power(M - Matrix.identity(n).scale(lam), n)
 
 
 def _restrict_oracle(M, basis):
@@ -216,7 +215,7 @@ def test_restrict_and_nilpotency_match_per_vector_solve(blocks, conjugate):
         restricted = restrict([M, shifted], basis)
         assert restricted == [_restrict_oracle(M, basis), _restrict_oracle(shifted, basis)]
         for op, res in zip((M, shifted), restricted):
-            assert is_nilpotent_on(op, basis) == res.power(basis.rows).is_zero()
+            assert is_nilpotent_on(op, basis) == matrix_power(res, basis.rows).is_zero()
         assert is_nilpotent_on(shifted, basis)
         assert is_nilpotent_on(M, basis) == (lam == 0)
 
@@ -224,7 +223,7 @@ def test_restrict_and_nilpotency_match_per_vector_solve(blocks, conjugate):
 def test_nilpotency_needs_full_index():
     # a single Jordan block of size 5 at 0: J^4 != 0, so squaring must reach 8 >= 5
     J = _jordan([(0, 5)])
-    assert J.power(4) != Matrix.zeros(5, 5)
+    assert matrix_power(J, 4) != Matrix.zeros(5, 5)
     assert is_nilpotent_on(J, Matrix.identity(5))
     # with the eigenvalue 1 no power is zero; squaring gives up at 8 >= 5
     K = _jordan([(0, 4), (1, 1)])
@@ -239,7 +238,7 @@ def test_restrict_rejects_dependent_basis_rows():
         restrict([m], Matrix([[1, 0, 0], [2, 0, 0]]))
 
 
-# -- multiplicities from traces and one annihilation product -------------------------
+# -- the matrix-route oracle: multiplicities from traces and one annihilation product --
 
 
 @pytest.mark.parametrize("blocks", JORDAN_CASES)
@@ -272,8 +271,8 @@ def test_eigen_multiplicities_when_the_index_is_below_the_multiplicity():
     # at 2: blocks of size 3 and 1, so multiplicity 4 and nilpotency index 3
     M = _conjugated([(2, 3), (2, 1), (0, 2)], seed=5)
     shifted = M - Matrix.identity(6).scale(2)
-    assert (shifted.power(3) * M.power(2)).is_zero()
-    assert not (shifted.power(2) * M.power(2)).is_zero()
+    assert (matrix_power(shifted, 3) * matrix_power(M, 2)).is_zero()
+    assert not (matrix_power(shifted, 2) * matrix_power(M, 2)).is_zero()
     assert eigen_multiplicities(M, [2, 0]) == [4, 2]
     # a scalar matrix: index 1, multiplicity 3
     assert eigen_multiplicities(Matrix.identity(3).scale(F(-5, 2)), [F(-5, 2)]) == [3]
@@ -661,7 +660,8 @@ def test_kernel_and_row_reduce_match_rref_on_tall_rank_deficient_matrices():
 
 
 def test_products_differences_and_powers_build_no_fraction(monkeypatch):
-    """Fractions are only the boundary: the dense hot path stays in integers."""
+    """Fractions are only the boundary: the dense hot path stays in integers,
+    also through the repeated products of a power."""
     rng = random.Random(41)
     A, B = _random_matrix(rng, 6, 6, density=0.9), _random_matrix(rng, 6, 6, density=0.9)
     built = []
@@ -672,17 +672,18 @@ def test_products_differences_and_powers_build_no_fraction(monkeypatch):
             return super().__new__(cls, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "Fraction", Counted)
-    product, _difference, _power = A * B, A - B, A.power(5)
+    product, _difference, _power = A * B, A - B, matrix_power(A, 5)
     assert built == []
     # the counter sees the boundary
     assert product[0, 0] == matmul_oracle(A, B)[0, 0] and built
 
 
 def test_power_of_zero_is_the_identity_and_a_negative_exponent_is_refused():
+    """The oracle's matrix_power, which the eigen oracles raise operators with."""
     M = Matrix([[2, 1], [0, F(1, 3)]])
     for A in (M, Matrix.zeros(2, 2), Matrix.zeros(0, 0)):
-        assert A.power(0) == Matrix.identity(A.rows)
-    assert M.power(3) == M * M * M
+        assert matrix_power(A, 0) == Matrix.identity(A.rows)
+    assert matrix_power(M, 3) == M * M * M
     for k in (-1, -2):
         with pytest.raises(ValueError, match="non-negative"):
-            M.power(k)
+            matrix_power(M, k)
