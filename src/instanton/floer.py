@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from operator import add, mul
+from operator import add
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
@@ -318,6 +318,11 @@ def _apply(columns: List[Dict[int, int]], vec: Dict[int, int]) -> Dict[int, int]
     return {i: c for i, c in out.items() if c}
 
 
+def _sparse_columns(op: Matrix) -> Tuple[List[Dict[int, int]], int]:
+    """``op`` as its sparse integer columns and their denominator."""
+    return [{i: x for i, x in enumerate(col) if x} for col in zip(*op.nums)], op.den
+
+
 def _folds(ring, pairs: List[Tuple[Poly, Poly]]) -> Tuple[Fraction, List[Tuple[Poly, Poly]]]:
     """(c, the other pairs) for the pairs (delta_i^2 + beta, delta_i^2 + beta -
     c), the first such pair per delta_i.  Raises ValueError when a delta_i has
@@ -617,11 +622,7 @@ class QuotientModel:
         monomial-vector memo."""
         D = len(self.basis)
         self._ops = dict(ops)
-        self._columns: List[Tuple[List[Dict[int, int]], int]] = []
-        for name in self.ring.var_names:
-            op = ops[name]
-            self._columns.append(([{i: x for i, x in enumerate(col) if x}
-                                   for col in zip(*op.nums)], op.den))
+        self._columns = [_sparse_columns(ops[name]) for name in self.ring.var_names]
         self._memo: Dict[Exponents, Tuple[Dict[int, int], int]] = (
             {self.ring.zero_exponents(): ({0: 1}, 1)} if D else {})
 
@@ -703,11 +704,14 @@ class QuotientModel:
 
     def _traces(self) -> List[Fraction]:
         """The trace form: tau_b = tr(M_b) for each basis monomial b, so that
-        tr(f(M)) = tau . f(M) e_1.  Column c of M_b is (b*c)(M) e_1."""
+        tr(f(M)) = tau . f(M) e_1.  Column c of M_b is (b*c)(M) e_1; the diagonal
+        numerators are summed over their lcm."""
         taus = []
         for _d, b in self.basis:
             cols = [(i, self._vector(tuple(map(add, b, c)))) for i, (_d, c) in enumerate(self.basis)]
-            taus.append(sum(Fraction(nums[i], den) for i, (nums, den) in cols if i in nums))
+            terms = [(nums[i], den) for i, (nums, den) in cols if i in nums]
+            den = math.lcm(*(d for _x, d in terms))
+            taus.append(Fraction(sum(x * (den // d) for x, d in terms), den))
         return taus
 
     def membership(self, f: Poly) -> bool:
@@ -781,12 +785,23 @@ def _lambda_seq(g: int) -> List[int]:
     return [(-1) ** (i - 1) * (2 * i - 1) for i in range(1, g + 1)]
 
 
-def _times_factors(op: Matrix, factors, vec: Matrix) -> Matrix:
-    """prod (op - lam)^m vec over the pairs (lam, m), by matrix-vector products."""
+def _times_factors(op: Tuple[List[Dict[int, int]], int], factors,
+                   vec: Tuple[Dict[int, int], int]) -> Tuple[Dict[int, int], int]:
+    """prod (op - lam)^m vec over the pairs (lam, m), integer lam: op is sparse integer
+    columns over a denominator (``_sparse_columns``), vec its nonzero integer entries
+    over one, in lowest terms.  It stops once vec is 0, which every factor keeps at 0."""
+    (columns, cden), (nums, den) = op, vec
     for lam, m in factors:
         for _ in range(m):
-            vec = op * vec - vec.scale(lam)
-    return vec
+            if not nums:
+                return nums, 1
+            out = _apply(columns, nums)
+            for i, x in nums.items():
+                out[i] = out.get(i, 0) - lam * cden * x
+            den *= cden
+            g = math.gcd(den, *out.values())
+            nums, den = {i: x // g for i, x in out.items() if x}, den // g
+    return nums, den
 
 
 def eigen_verify(g: int, sign: str = "+", theta: Optional[Fraction] = None) -> EigenReport:
@@ -797,11 +812,12 @@ def eigen_verify(g: int, sign: str = "+", theta: Optional[Fraction] = None) -> E
     eigenspace is one-dimensional.  e_1 = 1 generates R/J (certificate (b) of
     ``QuotientModel``), so P(M) = 0 iff P(M) e_1 = 0, and every check is an
     identity on v = (beta + 2)^g e_1 (Cox-Little-O'Shea, *Using Algebraic
-    Geometry*, Ch. 2 Sections 4-5).  (beta - 2)^g v = 0 puts the beta-spectrum
-    in {2, -2} and makes V2 = R v.  Then tr(X | V2) = tau . (X v) / 4^g with
-    the trace form tau, as (beta + 2)^g is 0 on the beta = -2 part and 4^g
-    plus a nilpotent commuting with X on V2; d = tr(1 | V2) = dim V2.
-    gamma^d v = delta^d v = 0 proves nilpotency.  The alpha-multiplicities m_i
+    Geometry*, Ch. 2 Sections 4-5), by products of sparse integer columns that
+    stop once the vector is 0.  (beta - 2)^g v = 0 puts the beta-spectrum in
+    {2, -2} and makes V2 = R v.  Then tr(X | V2) = tau . (X v) / 4^g with the
+    trace form tau, as (beta + 2)^g is 0 on the beta = -2 part and 4^g plus a
+    nilpotent commuting with X on V2; d = tr(1 | V2) = dim V2.  gamma^d v =
+    delta^d v = 0 proves nilpotency.  The alpha-multiplicities m_i
     solve sum_i m_i l_i^k = tr(alpha^k | V2), k < g, and prod_i (alpha -
     l_i)^m_i v = 0 proves them: it puts the alpha-spectrum on V2 in {l_i},
     and the Vandermonde system in distinct l_i has one solution.  At u =
@@ -813,29 +829,28 @@ def eigen_verify(g: int, sign: str = "+", theta: Optional[Fraction] = None) -> E
     model = model_for(g, sign, theta)
     if theta is not None:
         return _eigen_verify_local(g, sign, theta, model)
-    beta, alpha = model.operator("beta"), model.operator(ALPHA)
-    e1 = Matrix.from_integers([[int(i == 0)] for i in range(model.dim)], 1, 1)
-    v = _times_factors(beta, [(-2, g)], e1)
-    if not _times_factors(beta, [(2, g)], v).is_zero():
+    beta, alpha = (_sparse_columns(model.operator(var)) for var in ("beta", ALPHA))
+    v = _times_factors(beta, [(-2, g)], ({0: 1}, 1))
+    if _times_factors(beta, [(2, g)], v)[0]:
         raise AssertionError("beta has an eigenvalue other than 2 and -2")
     lambdas = [lam if sign == "+" else -lam for lam in _lambda_seq(g)]
     h = len(lambdas)
     powers = [v]  # alpha^k v, k < h
     while len(powers) < h:
-        powers.append(alpha * powers[-1])
+        powers.append(_times_factors(alpha, [(0, 1)], powers[-1]))
     tau = model._traces()
-    traces = [sum(map(mul, tau, w.col(0))) / 4 ** g for w in powers]  # tr(alpha^k | V2)
+    traces = [Fraction(sum(tau[i] * x for i, x in nums.items()), den * 4 ** g)
+              for nums, den in powers]  # tr(alpha^k | V2)
     if traces[0] < 1 or traces[0].denominator != 1:
         raise AssertionError(f"the beta=2 subspace has dimension {traces[0]}")
     dim = int(traces[0])
     for name, var in (("gamma", "gamma"), ("delta", "delta1")):
-        if not _times_factors(model.operator(var), [(0, dim)], v).is_zero():
+        if _times_factors(_sparse_columns(model.operator(var)), [(0, dim)], v)[0]:
             raise AssertionError(f"{name} is not nilpotent on the beta=2 subspace")
     system = [[lam ** k for lam in lambdas] + [t] for k, t in enumerate(traces)]
     mults = linalg.row_reduce(Matrix(system, h + 1))[0].col(h)
     if (any(m.denominator != 1 or m < 0 for m in mults)
-            or not _times_factors(alpha, [(lam, int(m)) for lam, m in zip(lambdas, mults)],
-                                  v).is_zero()):
+            or _times_factors(alpha, [(lam, int(m)) for lam, m in zip(lambdas, mults)], v)[0]):
         raise AssertionError("unexpected alpha spectrum on the beta=2 subspace")
     tuples = []
     for lam, mult in zip(lambdas, map(int, mults)):

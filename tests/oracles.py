@@ -132,6 +132,16 @@ def eigen_multiplicities(A: Matrix, lambdas: Sequence) -> Optional[List[int]]:
     return [int(m) for m in mults] if product.is_zero() else None
 
 
+def times_factors(op: Matrix, factors, vec: Matrix) -> Matrix:
+    """prod (op - lam)^m vec over the pairs (lam, m), by dense matrix-vector
+    products through every factor: the route that ``floer._times_factors``
+    runs on sparse integer columns."""
+    for lam, m in factors:
+        for _ in range(m):
+            vec = op * vec - vec.scale(lam)
+    return vec
+
+
 def det_fraction_oracle(M: Matrix) -> Fraction:
     """Gauss elimination over Fraction (the determinant body before Bareiss)."""
     a = [list(r) for r in M.data]

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from conftest import random_poly
 from oracles import (HeapModularTables, UnfoldedModularTables, deforming_pairs_by_scan,
                      eigen_multiplicities, exact_basis, graded_ranks_by_products,
-                     lift_table_model, lift_table_model_n3, matrix_power, replay)
+                     lift_table_model, lift_table_model_n3, matrix_power, replay,
+                     times_factors)
 
 from instanton import acceptance, floer, linalg
 from instanton.acceptance import _A3_PAIRS, _A4_PAIRS, _a12_flips
@@ -776,23 +778,88 @@ def test_vector_certificate_matches_the_matrix_route(g, sign):
     assert rep == oracle and rep.to_json() == oracle.to_json()
 
 
+def _dense_vector(vec, dim):
+    """The entries of a sparse certificate vector, which must hold no zero
+    entry and be in lowest terms."""
+    nums, den = vec
+    assert 0 not in nums.values() and den > 0 and math.gcd(den, *nums.values()) == 1
+    return [F(nums.get(i, 0), den) for i in range(dim)]
+
+
+def _dense_v(model, g):
+    """v = (beta + 2)^g e_1 by the dense route."""
+    e1 = Matrix.from_integers([[int(i == 0)] for i in range(model.dim)], 1, 1)
+    return times_factors(model.operator("beta"), [(-2, g)], e1)
+
+
+def _record_factor_runs(monkeypatch):
+    """Record (op, factors, vector out, products made) for each
+    ``floer._times_factors`` call."""
+    real_times, real_apply, runs, products = floer._times_factors, floer._apply, [], [0]
+
+    def counting(columns, vec):
+        products[0] += 1
+        return real_apply(columns, vec)
+
+    def recording(op, factors, vec):
+        before = products[0]
+        out = real_times(op, factors, vec)
+        runs.append((op, factors, out, products[0] - before))
+        return out
+    monkeypatch.setattr(floer, "_apply", counting)
+    monkeypatch.setattr(floer, "_times_factors", recording)
+    return runs
+
+
 def test_vector_certificate_forms_only_matrix_vector_products(monkeypatch):
-    """At u = 1 the check runs no elimination on the model's operators: every
-    product has a one-column right operand."""
+    """At u = 1 the check runs no elimination on the model's operators and no
+    dense product: every product is a sparse ``floer._apply``."""
     model_for(4, "+")
 
     def refused(*args):
-        raise AssertionError("elimination in the u = 1 eigen check")
+        raise AssertionError("elimination or a dense product in the u = 1 eigen check")
     for name in ("rref", "restrict", "kernel_basis"):
         monkeypatch.setattr(linalg, name, refused)
-    real, columns = Matrix.__mul__, []
-
-    def recording(self, other):
-        columns.append(other.cols)
-        return real(self, other)
-    monkeypatch.setattr(Matrix, "__mul__", recording)
+    monkeypatch.setattr(Matrix, "__mul__", refused)
+    runs = _record_factor_runs(monkeypatch)
     assert eigen_verify(4, "+").to_json() == SEED_EIGEN_REPORTS[(4, "+", None)]
-    assert columns and set(columns) == {1}
+    assert sum(n for _op, _factors, _out, n in runs) > 0
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_sparse_products_match_the_dense_route(monkeypatch, g, sign):
+    """Each vector of the u = 1 certificate equals the dense route's: v and
+    (beta - 2)^g v, alpha^k v for k < g, the gamma and delta1 runs and the
+    annihilation product."""
+    model = model_for(g, sign)
+    runs = _record_factor_runs(monkeypatch)
+    rep = eigen_verify(g, sign)
+    op, v = model.operator, _dense_v(model, g)
+    powers = [v]  # alpha^k v, k < g
+    while len(powers) < g:
+        powers.append(op(ALPHA) * powers[-1])
+    wanted = [v, times_factors(op("beta"), [(2, g)], v)] + powers[1:]
+    wanted += [times_factors(op(var), [(0, rep.subspace_dim)], v) for var in ("gamma", "delta1")]
+    wanted.append(times_factors(op(ALPHA), [(t["alpha"], t["gen_mult"]) for t in rep.tuples], v))
+    assert len(runs) == len(wanted) == g + 4
+    for (_op, _factors, out, _n), w in zip(runs, wanted):
+        assert _dense_vector(out, model.dim) == w.col(0)
+
+
+def test_each_factor_run_stops_at_zero(monkeypatch):
+    """The gamma and delta1 runs stop at their nilpotency index on v, which the
+    dense route finds below dim V2, and not after dim V2 products."""
+    model = model_for(4, "+")
+    runs = _record_factor_runs(monkeypatch)
+    dim, v = eigen_verify(4, "+").subspace_dim, _dense_v(model, 4)
+    for var in ("gamma", "delta1"):
+        index, w = 0, v
+        while not w.is_zero():
+            index, w = index + 1, model.operator(var) * w
+        assert 0 < index < dim
+        columns = floer._sparse_columns(model.operator(var))
+        assert [n for op, _factors, _out, n in runs if op == columns] == [index], var
 
 
 # (operator, shift, message): the operator moved by shift * identity on the
