@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
+from itertools import combinations
 from operator import add
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -286,6 +287,7 @@ def _mod_terms(terms: Dict[Exponents, Fraction], p: int) -> Dict[Exponents, int]
 
 
 _Entries = List[Tuple[int, int]]  # (position or column, coefficient)
+_Columns = Tuple[List[Dict[int, int]], int]  # integer columns over one denominator > 0
 _Lift = Tuple[int, _Entries, _Entries]  # (pivot q, raw lower part L_q, multipliers U_q)
 
 
@@ -316,11 +318,6 @@ def _apply(columns: List[Dict[int, int]], vec: Dict[int, int]) -> Dict[int, int]
         for i, c in columns[j].items():
             out[i] = out.get(i, 0) + a * c
     return {i: c for i, c in out.items() if c}
-
-
-def _sparse_columns(op: Matrix) -> Tuple[List[Dict[int, int]], int]:
-    """``op`` as its sparse integer columns and their denominator."""
-    return [{i: x for i, x in enumerate(col) if x} for col in zip(*op.nums)], op.den
 
 
 def _folds(ring, pairs: List[Tuple[Poly, Poly]]) -> Tuple[Fraction, List[Tuple[Poly, Poly]]]:
@@ -601,49 +598,35 @@ class QuotientModel:
         raise VerificationError("no prime of the modular build gave operators that pass "
                                 "the certificate")
 
-    def _reconstruct(self, residues: List[List[int]], modulus: int) -> Optional[Dict[str, Matrix]]:
-        """The rational operators with the given residue columns, or None."""
+    def _reconstruct(self, residues: List[List[int]], modulus: int) -> Optional[List[_Columns]]:
+        """The rational operators with the given residue columns, or None; the lcm of
+        the reduced denominators of the nonzero entries leaves each in lowest terms."""
         D = self.dim
-        ops = {}
-        for k, name in enumerate(self.ring.var_names):
-            cols = residues[k * D:(k + 1) * D]
-            entries = [[_rational(col[i], modulus) if col[i] else (0, 1) for col in cols]
-                       for i in range(D)]
-            if any(x is None for row in entries for x in row):
+        ops = []
+        for k in range(len(self.ring.var_names)):
+            cols = [{i: _rational(x, modulus) for i, x in enumerate(col) if x}
+                    for col in residues[k * D:(k + 1) * D]]
+            if any(None in col.values() for col in cols):
                 return None
-            den = math.lcm(*(d for row in entries for _n, d in row))
-            ops[name] = Matrix.from_integers([[n * (den // d) for n, d in row] for row in entries],
-                                             den, D)
+            den = math.lcm(*(d for col in cols for _n, d in col.values()))
+            ops.append(([{i: n * (den // d) for i, (n, d) in col.items()} for col in cols], den))
         return ops
 
-    def _install(self, ops: Dict[str, Matrix]) -> None:
-        """Take ``ops`` as the operators of the ring variables: keep them, their
-        sparse integer columns over their denominators, and a fresh
-        monomial-vector memo."""
-        D = len(self.basis)
-        self._ops = dict(ops)
-        self._columns = [_sparse_columns(ops[name]) for name in self.ring.var_names]
+    def _certify(self, ops: List[_Columns]) -> bool:
+        """Take ``ops`` as the operators of the ring variables, in ``var_names``
+        order, with a fresh monomial-vector memo; check the certificate (a)-(d)."""
+        self._columns = ops
         self._memo: Dict[Exponents, Tuple[Dict[int, int], int]] = (
-            {self.ring.zero_exponents(): ({0: 1}, 1)} if D else {})
-
-    def _certify(self, ops: Dict[str, Matrix]) -> bool:
-        """Install ``ops`` and check the exact certificate (a)-(d)."""
-        self._install(ops)
-        if not self._commute():
-            return False
-        for i, (_d, mono) in enumerate(self.basis):
-            if self._vector(mono) != ({i: 1}, 1):
-                return False
-        return not any(any(self.normal_form(jp)) for _name, jp in self.J.gens) and self._leads()
+            {self.ring.zero_exponents(): ({0: 1}, 1)} if self.basis else {})
+        return (self._commute()
+                and all(self._vector(b) == ({i: 1}, 1) for i, (_d, b) in enumerate(self.basis))
+                and not any(any(self.normal_form(jp)) for _name, jp in self.J.gens)
+                and self._leads())
 
     def _commute(self) -> bool:
-        cols = [c for c, _den in self._columns]
-        for a in range(len(cols)):
-            for b in range(a + 1, len(cols)):
-                ca, cb = cols[a], cols[b]
-                if any(_apply(ca, cb[j]) != _apply(cb, ca[j]) for j in range(len(self.basis))):
-                    return False
-        return True
+        """(a), column by column on the integer columns (the denominators cancel)."""
+        return all(_apply(a, b[j]) == _apply(b, a[j])
+                   for (a, _), (b, _) in combinations(self._columns, 2) for j in range(self.dim))
 
     def _leads(self) -> bool:
         """(d): each x*b outside the basis leads the degree-(deg x*b) part of
@@ -718,16 +701,17 @@ class QuotientModel:
         return not any(self.normal_form(f))
 
     def operator(self, var: str) -> Matrix:
-        """Multiplication operator by a ring variable (or 'alpha') over the basis."""
-        if var not in self._ops:
-            if var != ALPHA:
-                self.ring.var_index(var)  # KeyError: the ring has no such variable
+        """Multiplication operator by a ring variable (or 'alpha') over the basis,
+        as a fresh dense matrix built from the stored columns."""
+        if var == ALPHA:
             # alpha = omega - (sum delta_i)/2
-            m = self._ops["omega"]
+            m = self.operator("omega")
             for i in range(1, self.ring.n + 1):
-                m = m - self._ops[f"delta{i}"].scale(Fraction(1, 2))
-            self._ops[var] = m
-        return self._ops[var]
+                m = m - self.operator(f"delta{i}").scale(Fraction(1, 2))
+            return m
+        columns, den = self._columns[self.ring.var_index(var)]
+        D = len(columns)
+        return Matrix.from_integers([[col.get(i, 0) for col in columns] for i in range(D)], den, D)
 
 
 # -- standard models ---------------------------------------------------------------
@@ -785,11 +769,11 @@ def _lambda_seq(g: int) -> List[int]:
     return [(-1) ** (i - 1) * (2 * i - 1) for i in range(1, g + 1)]
 
 
-def _times_factors(op: Tuple[List[Dict[int, int]], int], factors,
+def _times_factors(op: _Columns, factors,
                    vec: Tuple[Dict[int, int], int]) -> Tuple[Dict[int, int], int]:
-    """prod (op - lam)^m vec over the pairs (lam, m), integer lam: op is sparse integer
-    columns over a denominator (``_sparse_columns``), vec its nonzero integer entries
-    over one, in lowest terms.  It stops once vec is 0, which every factor keeps at 0."""
+    """prod (op - lam)^m vec over the pairs (lam, m), integer lam: op as stored in
+    ``QuotientModel._columns``, vec its nonzero integer entries over one denominator,
+    in lowest terms.  It stops once vec is 0, which every factor keeps at 0."""
     (columns, cden), (nums, den) = op, vec
     for lam, m in factors:
         for _ in range(m):
@@ -817,40 +801,43 @@ def eigen_verify(g: int, sign: str = "+", theta: Optional[Fraction] = None) -> E
     {2, -2} and makes V2 = R v.  Then tr(X | V2) = tau . (X v) / 4^g with the
     trace form tau, as (beta + 2)^g is 0 on the beta = -2 part and 4^g plus a
     nilpotent commuting with X on V2; d = tr(1 | V2) = dim V2.  gamma^d v =
-    delta^d v = 0 proves nilpotency.  The alpha-multiplicities m_i
-    solve sum_i m_i l_i^k = tr(alpha^k | V2), k < g, and prod_i (alpha -
-    l_i)^m_i v = 0 proves them: it puts the alpha-spectrum on V2 in {l_i},
-    and the Vandermonde system in distinct l_i has one solution.  At u =
-    theta: the local eigenvalue tuple is checked by evaluation on the
-    generators and by operator kernels inside the beta = 2 eigenspace.
+    delta^d v = 0 proves nilpotency.  delta is then nilpotent on V2 and
+    commutes with omega, so alpha = omega - delta/2 has omega's generalized
+    eigenspaces there and tr(alpha^k | V2) = tr(omega^k | V2): no alpha is
+    formed.  The alpha-multiplicities m_i solve sum_i m_i l_i^k = tr(omega^k
+    | V2), k < g, and prod_i (omega - l_i)^m_i v = 0 proves them: it puts the
+    omega-spectrum on V2 in {l_i}, and the Vandermonde system in distinct l_i
+    has one solution.  At u = theta: the local eigenvalue tuple is checked by
+    evaluation on the generators and by operator kernels inside the beta = 2
+    eigenspace.
     """
     if g < 1:
         raise ValueError("g must be >= 1")
     model = model_for(g, sign, theta)
     if theta is not None:
         return _eigen_verify_local(g, sign, theta, model)
-    beta, alpha = (_sparse_columns(model.operator(var)) for var in ("beta", ALPHA))
+    omega, beta, gamma, delta = model._columns  # var_names of the one-point ring
     v = _times_factors(beta, [(-2, g)], ({0: 1}, 1))
     if _times_factors(beta, [(2, g)], v)[0]:
         raise AssertionError("beta has an eigenvalue other than 2 and -2")
     lambdas = [lam if sign == "+" else -lam for lam in _lambda_seq(g)]
     h = len(lambdas)
-    powers = [v]  # alpha^k v, k < h
+    powers = [v]  # omega^k v, k < h
     while len(powers) < h:
-        powers.append(_times_factors(alpha, [(0, 1)], powers[-1]))
+        powers.append(_times_factors(omega, [(0, 1)], powers[-1]))
     tau = model._traces()
     traces = [Fraction(sum(tau[i] * x for i, x in nums.items()), den * 4 ** g)
-              for nums, den in powers]  # tr(alpha^k | V2)
+              for nums, den in powers]  # tr(omega^k | V2)
     if traces[0] < 1 or traces[0].denominator != 1:
         raise AssertionError(f"the beta=2 subspace has dimension {traces[0]}")
     dim = int(traces[0])
-    for name, var in (("gamma", "gamma"), ("delta", "delta1")):
-        if _times_factors(_sparse_columns(model.operator(var)), [(0, dim)], v)[0]:
+    for name, op in (("gamma", gamma), ("delta", delta)):
+        if _times_factors(op, [(0, dim)], v)[0]:
             raise AssertionError(f"{name} is not nilpotent on the beta=2 subspace")
     system = [[lam ** k for lam in lambdas] + [t] for k, t in enumerate(traces)]
     mults = linalg.row_reduce(Matrix(system, h + 1))[0].col(h)
     if (any(m.denominator != 1 or m < 0 for m in mults)
-            or _times_factors(alpha, [(lam, int(m)) for lam, m in zip(lambdas, mults)], v)[0]):
+            or _times_factors(omega, [(lam, int(m)) for lam, m in zip(lambdas, mults)], v)[0]):
         raise AssertionError("unexpected alpha spectrum on the beta=2 subspace")
     tuples = []
     for lam, mult in zip(lambdas, map(int, mults)):

@@ -142,6 +142,12 @@ def times_factors(op: Matrix, factors, vec: Matrix) -> Matrix:
     return vec
 
 
+def sparse_columns(op: Matrix) -> Tuple[List[Dict[int, int]], int]:
+    """``op`` as its nonzero integer columns over its denominator: the form in
+    which ``floer.QuotientModel`` stores an operator, read off a dense matrix."""
+    return [{i: x for i, x in enumerate(col) if x} for col in zip(*op.nums)], op.den
+
+
 def det_fraction_oracle(M: Matrix) -> Fraction:
     """Gauss elimination over Fraction (the determinant body before Bareiss)."""
     a = [list(r) for r in M.data]

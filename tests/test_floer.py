@@ -8,7 +8,7 @@ from conftest import random_poly
 from oracles import (HeapModularTables, UnfoldedModularTables, deforming_pairs_by_scan,
                      eigen_multiplicities, exact_basis, graded_ranks_by_products,
                      lift_table_model, lift_table_model_n3, matrix_power, replay,
-                     times_factors)
+                     sparse_columns, times_factors)
 
 from instanton import acceptance, floer, linalg
 from instanton.acceptance import _A3_PAIRS, _A4_PAIRS, _a12_flips
@@ -593,6 +593,19 @@ def test_models_match_their_pinned_digests():
     assert got == MODEL_DIGESTS
 
 
+def test_models_store_each_operator_in_lowest_terms():
+    """Every stored operator of the pinned models is integer columns over one
+    denominator den > 0 with no zero entry and gcd(den, every entry) = 1, the
+    form that ``floer._times_factors`` and the dense ``operator()`` rely on."""
+    for key in MODEL_DIGESTS:
+        model = marked_model(int(key[-1]), 3) if isinstance(key, str) else model_for(*key)
+        assert len(model._columns) == len(model.ring.var_names), key
+        for columns, den in model._columns:
+            entries = [x for col in columns for x in col.values()]
+            assert len(columns) == model.dim and den > 0, key
+            assert 0 not in entries and math.gcd(den, *entries) == 1, key
+
+
 def test_hilbert_report_json_shape():
     rep = hilbert_compare(1, 1, "ptgn", 6)
     doc = rep.to_json()
@@ -778,6 +791,24 @@ def test_vector_certificate_matches_the_matrix_route(g, sign):
     assert rep == oracle and rep.to_json() == oracle.to_json()
 
 
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_omega_carries_the_alpha_spectrum_on_v2(g, sign):
+    """The premise of the u = 1 certificate, on the dense route: alpha and
+    omega restricted to V2 have equal tr(X^k) for k < g and equal
+    multiplicities at the alternating odd values, so the certificate may
+    read the alpha-spectrum on omega."""
+    model = model_for(g, sign)
+    v2 = linalg.generalized_eigenspace(model.operator("beta"), 2)
+    alpha, omega = linalg.restrict([model.operator(ALPHA), model.operator("omega")], v2)
+    for k in range(g):
+        a, w = matrix_power(alpha, k), matrix_power(omega, k)
+        assert sum(a[i, i] for i in range(v2.rows)) == sum(w[i, i] for i in range(v2.rows)), k
+    lambdas = [(1 if sign == "+" else -1) * lam for lam in floer._lambda_seq(g)]
+    mults = eigen_multiplicities(alpha, lambdas)
+    assert mults is not None and eigen_multiplicities(omega, lambdas) == mults
+
+
 def _dense_vector(vec, dim):
     """The entries of a sparse certificate vector, which must hold no zero
     entry and be in lowest terms."""
@@ -812,8 +843,9 @@ def _record_factor_runs(monkeypatch):
 
 
 def test_vector_certificate_forms_only_matrix_vector_products(monkeypatch):
-    """At u = 1 the check runs no elimination on the model's operators and no
-    dense product: every product is a sparse ``floer._apply``."""
+    """At u = 1 the check runs no elimination on the model's operators, forms
+    no dense operator and no dense product: every product is a sparse
+    ``floer._apply`` on the stored columns."""
     model_for(4, "+")
 
     def refused(*args):
@@ -821,6 +853,7 @@ def test_vector_certificate_forms_only_matrix_vector_products(monkeypatch):
     for name in ("rref", "restrict", "kernel_basis"):
         monkeypatch.setattr(linalg, name, refused)
     monkeypatch.setattr(Matrix, "__mul__", refused)
+    monkeypatch.setattr(QuotientModel, "operator", refused)
     runs = _record_factor_runs(monkeypatch)
     assert eigen_verify(4, "+").to_json() == SEED_EIGEN_REPORTS[(4, "+", None)]
     assert sum(n for _op, _factors, _out, n in runs) > 0
@@ -830,18 +863,18 @@ def test_vector_certificate_forms_only_matrix_vector_products(monkeypatch):
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_sparse_products_match_the_dense_route(monkeypatch, g, sign):
     """Each vector of the u = 1 certificate equals the dense route's: v and
-    (beta - 2)^g v, alpha^k v for k < g, the gamma and delta1 runs and the
-    annihilation product."""
+    (beta - 2)^g v, omega^k v for k < g, the gamma and delta1 runs and the
+    omega annihilation product."""
     model = model_for(g, sign)
     runs = _record_factor_runs(monkeypatch)
     rep = eigen_verify(g, sign)
     op, v = model.operator, _dense_v(model, g)
-    powers = [v]  # alpha^k v, k < g
+    powers = [v]  # omega^k v, k < g
     while len(powers) < g:
-        powers.append(op(ALPHA) * powers[-1])
+        powers.append(op("omega") * powers[-1])
     wanted = [v, times_factors(op("beta"), [(2, g)], v)] + powers[1:]
     wanted += [times_factors(op(var), [(0, rep.subspace_dim)], v) for var in ("gamma", "delta1")]
-    wanted.append(times_factors(op(ALPHA), [(t["alpha"], t["gen_mult"]) for t in rep.tuples], v))
+    wanted.append(times_factors(op("omega"), [(t["alpha"], t["gen_mult"]) for t in rep.tuples], v))
     assert len(runs) == len(wanted) == g + 4
     for (_op, _factors, out, _n), w in zip(runs, wanted):
         assert _dense_vector(out, model.dim) == w.col(0)
@@ -858,28 +891,35 @@ def test_each_factor_run_stops_at_zero(monkeypatch):
         while not w.is_zero():
             index, w = index + 1, model.operator(var) * w
         assert 0 < index < dim
-        columns = floer._sparse_columns(model.operator(var))
-        assert [n for op, _factors, _out, n in runs if op == columns] == [index], var
+        columns = model._columns[model.ring.var_index(var)]
+        assert [n for op, _factors, _out, n in runs if op is columns] == [index], var
 
 
-# (operator, shift, message): the operator moved by shift * identity on the
-# cached g = 2 model fails the vector identity that the message names; at
-# alpha - 2 the traces give the non-negative integers (1, 3) and only the
-# annihilation product refuses them
+# (operator, shift, message): the stored operator moved by shift * identity on
+# a g = 2 model fails the vector identity that the message names; at omega - 2
+# the traces give the non-negative integers (1, 3) and only the annihilation
+# product refuses them
 PERTURBED_OPERATORS = [
     ("beta", 1, "beta has an eigenvalue other than 2 and -2"),
     ("gamma", 1, "gamma is not nilpotent on the beta=2 subspace"),
     ("delta1", 1, "delta is not nilpotent on the beta=2 subspace"),
-    (ALPHA, -2, "unexpected alpha spectrum on the beta=2 subspace"),
+    ("omega", -2, "unexpected alpha spectrum on the beta=2 subspace"),
 ]
 
 
 @pytest.mark.parametrize("var,shift,message", PERTURBED_OPERATORS,
                          ids=[var for var, _s, _m in PERTURBED_OPERATORS])
 def test_each_vector_identity_is_load_bearing(monkeypatch, var, shift, message):
-    model = model_for(2, "+")
-    op = model.operator(var)
-    monkeypatch.setitem(model._ops, var, op + Matrix.identity(model.dim).scale(shift))
+    """The perturbation goes into a throwaway model put in the cache's place:
+    the trace form is read first, so its monomial vectors are the true ones,
+    and the shared model never sees the moved column."""
+    model = QuotientModel(*floer._one_point_ideals(2, "+"))
+    model._traces()
+    k = model.ring.var_index(var)
+    columns, den = model._columns[k]
+    moved = [{**col, j: col.get(j, 0) + shift * den} for j, col in enumerate(columns)]
+    model._columns[k] = ([{i: x for i, x in col.items() if x} for col in moved], den)
+    monkeypatch.setitem(floer._model_cache, (2, "+", None), model)
     with pytest.raises(AssertionError, match=message):
         eigen_verify(2, "+")
 
@@ -1098,14 +1138,15 @@ def test_rational_reconstruction_of_zero_and_at_the_wang_bound(monkeypatch):
 
 def test_certificate_rejects_a_perturbed_operator(rand):
     model = QuotientModel(*floer._one_point_ideals(2, "+"))
-    ops = {var: model.operator(var) for var in model.ring.var_names}
+    ops = [model.operator(var) for var in model.ring.var_names]
     for _ in range(8):
-        var = rand.choice(model.ring.var_names)
+        k = rand.randrange(len(ops))
         i, j = rand.randrange(model.dim), rand.randrange(model.dim)
-        data = [list(row) for row in ops[var].data]
+        data = [list(row) for row in ops[k].data]
         data[i][j] += F(rand.choice((1, -1)), rand.randint(1, 3))
-        assert not model._certify({**ops, var: Matrix(data)}), (var, i, j)
-    assert model._certify(ops)
+        perturbed = [sparse_columns(Matrix(data) if m == k else op) for m, op in enumerate(ops)]
+        assert not model._certify(perturbed), (k, i, j)
+    assert model._certify([sparse_columns(op) for op in ops])
 
 
 def test_certificate_needs_the_basis_condition():
@@ -1116,7 +1157,8 @@ def test_certificate_needs_the_basis_condition():
     point = {"omega": (theta + 1 / theta) / 2, "delta1": 1 / theta - theta,
              "beta": F(2), "gamma": F(0)}
     assert all(not p.evaluate(point) for _name, p in model.J.gens)
-    ops = {var: Matrix.identity(model.dim).scale(point[var]) for var in model.ring.var_names}
+    ops = [sparse_columns(Matrix.identity(model.dim).scale(point[var]))
+           for var in model.ring.var_names]
     assert model._commute() and model.dim == 2
     assert not model._certify(ops)
 
@@ -1126,7 +1168,7 @@ def test_certificate_needs_the_jgenerator_condition():
     meet b(M) e_1 = e_b in the (3,-) basis, but they do not kill J^-."""
     plus, minus = model_for(3, "+"), QuotientModel(*floer._one_point_ideals(3, "-"))
     assert plus.basis == minus.basis
-    assert not minus._certify({var: plus.operator(var) for var in plus.ring.var_names})
+    assert not minus._certify([sparse_columns(plus.operator(var)) for var in plus.ring.var_names])
 
 
 def test_model_rejects_a_generator_that_does_not_deform(monkeypatch):
@@ -1163,9 +1205,10 @@ def test_a_generator_past_the_degree_window_leaves_the_model_unchanged():
 
 
 def test_cached_model_keeps_no_build_tables():
+    """The operators are kept once, as sparse integer columns: no dense matrix."""
     model = model_for(3, "+")
-    assert set(vars(model)) == {"J", "I", "ring", "basis", "basis_index",
-                                "_ops", "_columns", "_memo"}
+    assert set(vars(model)) == {"J", "I", "ring", "basis", "basis_index", "_columns", "_memo"}
+    assert not any(isinstance(x, Matrix) for x in vars(model).values())
     assert model._commute()
 
 
@@ -1241,7 +1284,8 @@ def test_certificate_needs_the_leading_condition():
     assert model.basis[3] == (4, (0, 1, 0, 0))  # beta
     to_standard = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, F(-1, 7)]])
     from_standard = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -7]])
-    ops = {var: from_standard * model.operator(var) * to_standard for var in model.ring.var_names}
+    ops = [sparse_columns(from_standard * model.operator(var) * to_standard)
+           for var in model.ring.var_names]
     model.basis = model.basis[:3] + [(4, (1, 0, 0, 1))]
     model.basis_index = {bm: i for i, bm in enumerate(model.basis)}
     assert not model._certify(ops)
