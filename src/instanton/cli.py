@@ -13,7 +13,6 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
-from typing import Optional
 
 from . import __version__
 from .floer import VerificationError, eigen_verify, hilbert_compare, solve_subleading
@@ -39,17 +38,16 @@ class Cache:
     tool version; anything else is a miss that the caller recomputes and overwrites.
     """
 
-    def __init__(self, directory: Optional[str], enabled: bool = True):
+    enabled = True  # perfbench's put observer reads it; --no-cache runs without a Cache
+
+    def __init__(self, directory: str):
         self.directory = directory
-        self.enabled = enabled and directory is not None
 
     def _path(self, key: str) -> str:
         safe = re.sub(r"[^A-Za-z0-9_.+-]", "_", key)
         return os.path.join(self.directory, safe + ".json")
 
     def get(self, key: str):
-        if not self.enabled:
-            return None
         try:
             with open(self._path(key)) as fh:
                 entry = json.load(fh)
@@ -62,8 +60,6 @@ class Cache:
         return entry["payload"]
 
     def put(self, key: str, payload) -> None:
-        if not self.enabled:
-            return
         os.makedirs(self.directory, exist_ok=True)
         path = self._path(key)
         entry = {"key": key, "tool_version": __version__, "payload": payload}
@@ -86,13 +82,10 @@ def _print_poly(p: Poly, args) -> None:
 
 
 def _print_genset(gs: GeneratorSet, args) -> None:
-    if args.json:
-        print(dump_json(gs.to_json()))
-    else:
-        print(f"# {gs.label}")
-        for name, p in gs.gens:
-            shown = p.change_coordinates(ALPHA if args.alpha_coords else OMEGA)
-            print(f"{name} = {shown}")
+    print(f"# {gs.label}")
+    for name, p in gs.gens:
+        shown = p.change_coordinates(ALPHA if args.alpha_coords else OMEGA)
+        print(f"{name} = {shown}")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -198,15 +191,17 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    cache = Cache(args.cache_dir or default_cache_dir(), enabled=not args.no_cache)
+    cache = None if args.no_cache else Cache(args.cache_dir or default_cache_dir())
 
     def emit_cached(key: str, compute):
         """Print the payload cached under ``key``; only a miss calls ``compute``,
-        whose result's ``to_json()`` is then stored."""
-        payload = cache.get(key)
+        whose result's ``to_json()`` is then stored.  Without a cache every call
+        computes."""
+        payload = cache.get(key) if cache is not None else None
         if payload is None:
             payload = compute().to_json()
-            cache.put(key, payload)
+            if cache is not None:
+                cache.put(key, payload)
         doc = dict(payload)
         if args.timestamps:
             doc["timestamp"] = time.time()
@@ -272,7 +267,7 @@ def run(argv) -> int:
             from . import acceptance
             results = acceptance.run_suite(
                 args.suite, g_max=args.g_max, n_max=args.n_max,
-                cache=None if args.no_cache else cache,
+                cache=cache,
                 emit=(lambda _line: None) if args.json else print)
             if args.json:
                 print(dump_json([r._asdict() for r in results]))

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .linalg import Matrix, subspace_intersection
-from .poly import (ALPHA, OMEGA, RATIONAL, Exponents, Poly, RingDescriptor, _summed,
+from .poly import (OMEGA, RATIONAL, Exponents, Poly, RingDescriptor, _summed,
                    monomials_of_degree, ring)
 from .quotient import (QuotientSpec, _fold_squares, canonical_monomials, canonical_rep,
                        delta_support, model_spec, rbar_spec)
@@ -701,14 +701,8 @@ class QuotientModel:
         return not any(self.normal_form(f))
 
     def operator(self, var: str) -> Matrix:
-        """Multiplication operator by a ring variable (or 'alpha') over the basis,
-        as a fresh dense matrix built from the stored columns."""
-        if var == ALPHA:
-            # alpha = omega - (sum delta_i)/2
-            m = self.operator("omega")
-            for i in range(1, self.ring.n + 1):
-                m = m - self.operator(f"delta{i}").scale(Fraction(1, 2))
-            return m
+        """Multiplication operator by a ring variable over the basis, as a fresh
+        dense matrix built from the stored columns."""
         columns, den = self._columns[self.ring.var_index(var)]
         D = len(columns)
         return Matrix.from_integers([[col.get(i, 0) for col in columns] for i in range(D)], den, D)

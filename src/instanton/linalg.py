@@ -1,14 +1,14 @@
-"""Exact linear algebra: rank, RREF with transform, products, kernels, and
-subspace helpers (generalized eigenspaces, restriction to an invariant span,
-intersection).
+"""Exact linear algebra: rank, RREF with transform, leading minors, products,
+kernels, and subspace helpers (generalized eigenspaces, restriction to an
+invariant span, intersection).
 
 A ``Matrix`` is integer rows ``nums`` over one positive denominator ``den``,
 kept in lowest terms (gcd(den, every entry) = 1, and den = 1 for the zero
 matrix), and it is immutable.  Fractions are only the boundary: a matrix is
 built from rational rows, and its entries are read back as Fractions; every
 product is a set of integer dot products over one denominator, and every
-elimination runs on the integer rows, kept primitive (fraction-free, Bareiss
-1968, *Math. Comp.* 22).
+elimination is one ``_echelon`` pass on the integer rows, kept primitive
+(fraction-free).
 """
 
 from __future__ import annotations
@@ -84,9 +84,6 @@ class Matrix:
 
     def __getitem__(self, ij: Tuple[int, int]) -> Fraction:
         return Fraction(self.nums[ij[0]][ij[1]], self.den)
-
-    def row(self, i: int) -> Vector:
-        return [Fraction(x, self.den) for x in self.nums[i]]
 
     def col(self, j: int) -> Vector:
         return [Fraction(r[j], self.den) for r in self.nums]
@@ -252,27 +249,29 @@ def rref(M: Matrix) -> Tuple[Matrix, List[int], Matrix]:
     return R, pivots, T
 
 
-def det(M: Matrix) -> Fraction:
-    """Determinant of a square matrix by Bareiss elimination on its integer
-    rows: each step divides exactly by the previous pivot."""
-    if M.rows != M.cols:
+def leading_minors(M: Matrix) -> List[Fraction]:
+    """det M_1, det M_2, ... of the leading k x k blocks M_k of a square matrix,
+    up to and including the first zero.
+
+    One ``_echelon`` pass over the integer rows of [den*M | I]: while the minors
+    are nonzero, the pivot row at column k is the reduction of row k, so its
+    last transform entry is at column n + k, and its entry at column k over
+    den times that one is det M_{k+1} / det M_k (a Schur complement).  Once
+    det M_{k+1} = 0, column k is left to no pivot or to a later row's.
+    """
+    n = M.rows
+    if n != M.cols:
         raise ValueError("square matrix required")
-    a = list(M.nums)
-    n, sign, prev = M.rows, 1, 1
+    echelon = _echelon(({**_sparse(row), n + i: 1} for i, row in enumerate(M.nums)), 2 * n)
+    minors, d = [], Fraction(1)
     for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            return Fraction(0)
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        top = a[k]
-        akk = top[k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            a[i] = [(x * akk - aik * y) // prev for x, y in zip(a[i], top)]
-        prev = akk
-    return Fraction(sign * prev, M.den ** n)
+        row = echelon.get(k)
+        if row is None or max(row) != n + k:
+            minors.append(Fraction(0))
+            break
+        d *= Fraction(row[k], row[n + k] * M.den)
+        minors.append(d)
+    return minors
 
 
 def rank(M: Matrix) -> int:

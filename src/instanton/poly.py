@@ -418,31 +418,25 @@ class Poly:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, point: Mapping[str, Scalar], u_value: Optional[Scalar] = None):
-        """Evaluate at a rational point given by variable name; exact result.
-
-        For Laurent coefficients the result stays a LaurentU unless ``u_value``
-        is supplied.
-        """
+    def evaluate(self, point: Mapping[str, Scalar]):
+        """Evaluate at a rational point given by variable name; exact result, a
+        LaurentU for Laurent coefficients (``relations.specialize_u`` sets u)."""
         vals = []
         for name in self.ring.var_names:
             if name not in point:
                 raise KeyError(f"missing value for {name}")
             vals.append(_fr(point[name]))
-        laurent = self.ring.coeff_kind == LAURENT_U
-        total = LaurentU() if laurent else Fraction(0)
+        total = LaurentU() if self.ring.coeff_kind == LAURENT_U else Fraction(0)
         for exps, coeff in self.terms.items():
             f = Fraction(1)
             for e, v in zip(exps, vals):
                 if e:
                     f *= v ** e
             total = total + coeff * f
-        if laurent and u_value is not None:
-            return total.evaluate(u_value)
         return total
 
     def evaluate_alpha_point(self, alpha: Scalar, beta: Scalar, gamma: Scalar,
-                             deltas: Sequence[Scalar], u_value: Optional[Scalar] = None):
+                             deltas: Sequence[Scalar]):
         """Evaluate at a point given in (alpha, beta, gamma, delta_*) coordinates."""
         if len(deltas) != self.ring.n:
             raise ValueError("wrong number of delta values")
@@ -453,7 +447,7 @@ class Poly:
             point["alpha"] = alpha
         else:
             point["omega"] = _fr(alpha) + sum(map(_fr, deltas), Fraction(0)) / 2
-        return self.evaluate(point, u_value=u_value)
+        return self.evaluate(point)
 
     # -- presentation ---------------------------------------------------------
 

@@ -241,9 +241,6 @@ class GeneratorSet:
         return GeneratorSet(self.label, self.ambient, [orbit[0] for orbit in self._orbits],
                             self.meta)
 
-    def names(self) -> List[str]:
-        return [name for name, _ in self.gens]
-
     def __len__(self) -> int:
         return len(self.gens)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence
 
-from .linalg import Matrix, det
+from .linalg import Matrix, leading_minors
 from .poly import OMEGA, ring
 
 # Coefficients live in a fixed tiny ring: polynomials in omega, beta.
@@ -91,14 +91,10 @@ def expand_rational_fn(rf: RationalFn, N: int) -> List[int]:
 # -- sqrt(1+x) binomial table and its determinants ------------------------------
 
 
-def sqrt_one_plus_x(N: int) -> List[Fraction]:
-    return [binomial_coeff(Fraction(1, 2), k) for k in range(N + 1)]
-
-
 def a_table(N: int) -> List[List[Fraction]]:
     """a[k][s] = coefficient of x^k in (1 + sqrt(1+x))^s for 0 <= k, s <= N."""
-    base = sqrt_one_plus_x(N)
-    base = [base[0] + 1] + base[1:]  # 1 + sqrt(1+x)
+    base = [binomial_coeff(Fraction(1, 2), k) for k in range(N + 1)]  # sqrt(1+x)
+    base[0] += 1
     cols: List[List[Fraction]] = [[Fraction(1)] + [Fraction(0)] * N]
     for _ in range(N):
         cols.append(poly_mul(cols[-1], base)[:N + 1])
@@ -106,13 +102,14 @@ def a_table(N: int) -> List[List[Fraction]]:
 
 
 def binom_sqrt_dets(N: int) -> List[Fraction]:
-    """det(a_{k,s})_{0<=k,s<=M} for M = 0..N; all are asserted nonzero."""
-    table = a_table(N)
-    dets = []
-    for M in range(N + 1):
-        sub = Matrix([row[:M + 1] for row in table[:M + 1]])
-        d = det(sub)
-        if not d:
-            raise AssertionError(f"det(a_ks) vanished at M={M}")
-        dets.append(d)
+    """det(a_{k,s})_{0<=k,s<=M} for M = 0..N; all are asserted nonzero.
+
+    Each is 2^(-M(M+1)/2): with y = sqrt(1+x) - 1, (1 + sqrt(1+x))^s = (2 + y)^s,
+    so the table factors as A = G*B with G_{k,j} = [x^k] y^j, lower triangular
+    with diagonal 2^(-j), and B_{j,s} = C(s, j) 2^(s-j), unit upper triangular;
+    the leading blocks factor alike.
+    """
+    dets = leading_minors(Matrix(a_table(N)))
+    if not dets[-1]:
+        raise AssertionError(f"det(a_ks) vanished at M={len(dets) - 1}")
     return dets

@@ -15,7 +15,7 @@ from instanton import floer
 from instanton.floer import VerificationError
 from instanton.linalg import (Matrix, _echelon, _integer_row, _stable_power, restrict, row_reduce,
                               rref)
-from instanton.poly import (ALPHA, LAURENT_U, OMEGA, RATIONAL, Exponents, LaurentU, Poly,
+from instanton.poly import (LAURENT_U, OMEGA, RATIONAL, Exponents, LaurentU, Poly,
                             RingDescriptor, monomials_of_degree, ring)
 from instanton.quotient import (QuotientSpec, canonical_monomials, canonical_rep, delta_support,
                                 rbar_spec)
@@ -142,6 +142,15 @@ def times_factors(op: Matrix, factors, vec: Matrix) -> Matrix:
     return vec
 
 
+def alpha_operator(model) -> Matrix:
+    """alpha = omega - (delta_1 + ... + delta_n)/2 on a quotient model in
+    omega-coordinates, by ``Matrix`` arithmetic on its variables' operators."""
+    m = model.operator(OMEGA)
+    for i in range(1, model.ring.n + 1):
+        m = m - model.operator(f"delta{i}").scale(Fraction(1, 2))
+    return m
+
+
 def sparse_columns(op: Matrix) -> Tuple[List[Dict[int, int]], int]:
     """``op`` as its nonzero integer columns over its denominator: the form in
     which ``floer.QuotientModel`` stores an operator, read off a dense matrix."""
@@ -149,7 +158,7 @@ def sparse_columns(op: Matrix) -> Tuple[List[Dict[int, int]], int]:
 
 
 def det_fraction_oracle(M: Matrix) -> Fraction:
-    """Gauss elimination over Fraction (the determinant body before Bareiss)."""
+    """The determinant of a square matrix by Gauss elimination over Fraction."""
     a = [list(r) for r in M.data]
     n = len(a)
     det = Fraction(1)
@@ -167,6 +176,17 @@ def det_fraction_oracle(M: Matrix) -> Fraction:
                 f = a[i][c] * inv
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return det
+
+
+def leading_minors_by_blocks(M: Matrix) -> List[Fraction]:
+    """``det_fraction_oracle`` of each leading k x k block of M, k = 1, 2, ...,
+    up to and including the first zero."""
+    minors = []
+    for k in range(1, M.rows + 1):
+        minors.append(det_fraction_oracle(Matrix([row[:k] for row in M.data[:k]], k)))
+        if not minors[-1]:
+            break
+    return minors
 
 
 def apply(M: Matrix, v: Sequence) -> List[Fraction]:
@@ -568,16 +588,9 @@ class LiftTableModel:
         return not any(self.normal_form(f))
 
     def operator(self, var: str) -> Matrix:
-        """Multiplication operator by a ring variable (or 'alpha') over the basis."""
+        """Multiplication operator by a ring variable over the basis."""
         if var in self._op_cache:
             return self._op_cache[var]
-        if var == ALPHA and self.ring.coordinate == OMEGA:
-            # alpha = omega - (sum delta_i)/2
-            m = self.operator("omega")
-            for i in range(1, self.ring.n + 1):
-                m = m - self.operator(f"delta{i}").scale(Fraction(1, 2))
-            self._op_cache[var] = m
-            return m
         vp = Poly.variable(self.ring, var)
         cols = []
         for _d, mono in self.basis:

@@ -6,13 +6,14 @@ there are no tolerances to tune.
 """
 
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from oracles import row_rank
 
-from instanton import acceptance, linalg
+from instanton import acceptance, floer, linalg
 from instanton.cli import Cache
 from instanton.floer import _ideal_pieces
 from instanton.poly import OMEGA, Poly, ring
@@ -142,6 +143,30 @@ def test_a9_subleading_solver():
 
 def test_a10_local_coefficients():
     _run(acceptance.check_a10)
+
+
+@pytest.mark.parametrize("g_max, genera", [(0, []), (1, ["1", "1"]), (6, ["1", "1", "2", "2"])])
+def test_a10_runs_the_theta_cases_up_to_g_max(g_max, genera):
+    detail = _run(acceptance.check_a10, g_max).detail
+    assert re.findall(r"g=(\d+),theta=", detail) == genera
+    assert detail.endswith("operators: none for g<=0") == (g_max == 0)
+
+
+def test_a10_fails_when_the_local_tuple_misses_a_generator(monkeypatch):
+    """eigen_verify evaluates the generators at the tuple: with a shifted omega
+    value it no longer annihilates r_1, and A10 reports the failed operator
+    check."""
+    point = floer.local_eigen_point
+
+    def shifted(g, sign, theta):
+        tup = point(g, sign, theta)
+        return dict(tup, omega=tup["omega"] + 1)
+
+    monkeypatch.setattr(floer, "local_eigen_point", shifted)
+    result = acceptance.check_a10(1)
+    assert not result.passed
+    assert result.detail == ("g=1,theta=2:operator-check FAILED "
+                             "(local eigen tuple does not annihilate r_1)")
 
 
 def test_a11_decomposition_identity():

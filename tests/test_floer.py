@@ -5,10 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_poly
-from oracles import (HeapModularTables, UnfoldedModularTables, deforming_pairs_by_scan,
-                     eigen_multiplicities, exact_basis, graded_ranks_by_products,
-                     lift_table_model, lift_table_model_n3, matrix_power, replay,
-                     sparse_columns, times_factors)
+from oracles import (HeapModularTables, UnfoldedModularTables, alpha_operator,
+                     deforming_pairs_by_scan, eigen_multiplicities, exact_basis,
+                     graded_ranks_by_products, lift_table_model, lift_table_model_n3,
+                     matrix_power, replay, sparse_columns, times_factors)
 
 from instanton import acceptance, floer, linalg
 from instanton.acceptance import _A3_PAIRS, _A4_PAIRS, _a12_flips
@@ -195,6 +195,11 @@ def test_graded_ranks_reduce_each_representative_once(monkeypatch, g, n, source,
     assert len(calls) == reps
 
 
+def _operator(model, var):
+    """The operator of ``var`` on the model, alpha included (``alpha_operator``)."""
+    return alpha_operator(model) if var == ALPHA else model.operator(var)
+
+
 def test_decomposition_identity():
     assert decomposition_identity_check(0, 3, 30)     # reduces to the total itself
     assert decomposition_identity_check(1, 1, 40)
@@ -368,7 +373,7 @@ def test_eigen_g1_full_spectrum():
     for av, bv, cv, dv in tuples:
         space = None
         for var, lam in zip((ALPHA, "beta", "gamma", "delta1"), (av, bv, cv, dv)):
-            op = m1.operator(var)
+            op = _operator(m1, var)
             ker = kernel_basis(matrix_power(op - Matrix.identity(D).scale(lam), D))
             space = ker if space is None else subspace_intersection(space, ker)
         assert space.rows >= 1
@@ -644,7 +649,7 @@ def test_kprime_beta_fine_structure():
                     ideal_m = Matrix([v for v in vectors if any(v)])
                     from instanton.linalg import rref
                     Rm, piv, _t = rref(ideal_m)
-                    ideal_rows = Matrix([Rm.row(r) for r in range(len(piv))])
+                    ideal_rows = Matrix(Rm.data[:len(piv)])
                     inter = subspace_intersection(ideal_rows, Matrix(slice_rows))
                     assert inter.rows == min(i, g) + 1, (n, g, i, I)
                     # predicted spanning vectors lie in the ideal piece
@@ -659,8 +664,7 @@ def test_kprime_beta_fine_structure():
                         vec = [F(0)] * len(basis)
                         for e, cc in vec_poly.terms.items():
                             vec[index[e]] = cc
-                        stacked = Matrix([ideal_rows.row(r) for r in range(ideal_rows.rows)]
-                                         + [vec])
+                        stacked = Matrix(ideal_rows.data + [vec])
                         assert rank(stacked) == ideal_rows.rows, (n, g, i, I, j)
 
 
@@ -726,7 +730,7 @@ def test_model_eigen_algebra_matches_direct_forms():
     from oracles import apply, generalized_eigenspace_dim, is_nilpotent_on, solve
     model = model_for(3, "+")
     D = model.dim
-    ops = {var: model.operator(var) for var in (ALPHA, "beta", "gamma", "delta1")}
+    ops = {var: _operator(model, var) for var in (ALPHA, "beta", "gamma", "delta1")}
     v2 = None
     for var, lam in ((ALPHA, 1), (ALPHA, 5), ("beta", 2), ("beta", 7),
                      ("gamma", 0), ("delta1", 0)):
@@ -774,7 +778,7 @@ def _eigen_report_by_matrices(g, sign):
     restrictions."""
     model = model_for(g, sign)
     v2 = linalg.generalized_eigenspace(model.operator("beta"), 2)
-    c_res, d_res, a_res = linalg.restrict([model.operator(var) for var in ("gamma", "delta1", ALPHA)],
+    c_res, d_res, a_res = linalg.restrict([_operator(model, var) for var in ("gamma", "delta1", ALPHA)],
                                           v2)
     assert eigen_multiplicities(c_res, [0]) == eigen_multiplicities(d_res, [0]) == [v2.rows]
     lambdas = [(1 if sign == "+" else -1) * lam for lam in floer._lambda_seq(g)]
@@ -800,7 +804,7 @@ def test_omega_carries_the_alpha_spectrum_on_v2(g, sign):
     read the alpha-spectrum on omega."""
     model = model_for(g, sign)
     v2 = linalg.generalized_eigenspace(model.operator("beta"), 2)
-    alpha, omega = linalg.restrict([model.operator(ALPHA), model.operator("omega")], v2)
+    alpha, omega = linalg.restrict([alpha_operator(model), model.operator("omega")], v2)
     for k in range(g):
         a, w = matrix_power(alpha, k), matrix_power(omega, k)
         assert sum(a[i, i] for i in range(v2.rows)) == sum(w[i, i] for i in range(v2.rows)), k
@@ -952,7 +956,7 @@ def test_gen_mults_match_full_space_eigenspaces(g, sign):
     v2 = linalg.generalized_eigenspace(model.operator("beta"), 2)
     rep = eigen_verify(g, sign)
     for t in rep.tuples:
-        ga = linalg.generalized_eigenspace(model.operator(ALPHA), t["alpha"])
+        ga = linalg.generalized_eigenspace(alpha_operator(model), t["alpha"])
         assert linalg.subspace_intersection(ga, v2).rows == t["gen_mult"]
     assert rep.tuples[-1]["gen_mult"] == 1
 
@@ -1075,12 +1079,12 @@ def _model_and_oracle(case):
 @pytest.mark.parametrize("case", ORACLE_CASES,
                          ids=lambda c: c if isinstance(c, str) else f"g{c[0]}{c[1]}_theta{c[2] or 1}")
 def test_modular_model_matches_lift_table_oracle(case, rand):
-    """Basis, every operator (alpha too) and the normal forms of the J-generators
+    """Basis, every operator and the normal forms of the J-generators
     and of seeded random polynomials equal those of the Fraction lift tables."""
     model, oracle = _model_and_oracle(case)
     assert model.basis == oracle.basis
     assert model.basis_index == oracle.basis_index
-    for var in model.ring.var_names + (ALPHA,):
+    for var in model.ring.var_names:
         assert model.operator(var) == oracle.operator(var), var
     for name, jp in model.J.gens:
         assert model.normal_form(jp) == oracle.normal_form(jp) == [0] * model.dim, name
@@ -1113,7 +1117,7 @@ def test_small_primes_reach_the_oracle_through_crt(monkeypatch):
     assert moduli[0] == 10007 and len(moduli) > 1
     assert any(r is None for m, r in reconstructions if m == 10007)
     assert model.basis == oracle.basis
-    for var in model.ring.var_names + (ALPHA,):
+    for var in model.ring.var_names:
         assert model.operator(var) == oracle.operator(var), var
 
 

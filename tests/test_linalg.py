@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instanton import linalg
-from instanton.linalg import (Matrix, det, generalized_eigenspace, kernel_basis, rank,
-                              restrict, row_reduce, rref,
-                              subspace_intersection)
-from oracles import (apply, char_poly, det_fraction_oracle, eigen_multiplicities,
-                     generalized_eigenspace_dim, is_nilpotent_on, matrix_power, row_rank, solve)
+from instanton.linalg import (Matrix, generalized_eigenspace, kernel_basis, leading_minors, rank,
+                              restrict, row_reduce, rref, subspace_intersection)
+from oracles import (alpha_operator, apply, char_poly, eigen_multiplicities,
+                     generalized_eigenspace_dim, is_nilpotent_on, leading_minors_by_blocks,
+                     matrix_power, row_rank, solve)
 
 
 def test_identity_rank_and_kernel():
@@ -43,7 +43,7 @@ def test_rank_one_kernel():
     assert rank(m) == 1
     ker = kernel_basis(m)
     assert ker.rows == 1
-    v = ker.row(0)
+    v = ker.data[0]
     # spanned by (-2, 1)
     assert v[0] * 1 == -2 * v[1]
     assert apply(m, v) == [0, 0]
@@ -107,7 +107,7 @@ def test_subspace_intersection():
     b = Matrix([[0, 1, 0], [0, 0, 1]])
     inter = subspace_intersection(a, b)
     assert inter.rows == 1
-    v = inter.row(0)
+    v = inter.data[0]
     assert v[0] == 0 and v[2] == 0 and v[1] != 0
     # an empty side, or a trivial intersection, gives 0 x cols
     for left, right in ((Matrix.zeros(0, 3), b), (a, Matrix.zeros(0, 3)),
@@ -561,9 +561,9 @@ def test_restrict_to_the_zero_subspace():
 
 
 def test_rref_and_products_on_model_operators():
-    from instanton.floer import ALPHA, model_for
+    from instanton.floer import model_for
     model = model_for(3, "+")
-    beta, alpha = model.operator("beta"), model.operator(ALPHA)
+    beta, alpha = model.operator("beta"), alpha_operator(model)
     shifted = beta - Matrix.identity(model.dim).scale(2)
     for M in (beta, alpha, shifted):
         assert_rref_matches_oracle(M)
@@ -583,7 +583,8 @@ def assert_canonical(M: Matrix) -> None:
 
 
 def assert_entrywise_match_oracle(A: Matrix, B: Matrix, c: F) -> None:
-    """transpose, +, -, scale and det against Fraction bodies, entry by entry."""
+    """transpose, +, -, scale and leading minors against Fraction bodies, entry
+    by entry."""
     a, b = A.data, B.data
     results = [
         (A.transpose(), [[a[i][j] for i in range(A.rows)] for j in range(A.cols)]),
@@ -596,7 +597,7 @@ def assert_entrywise_match_oracle(A: Matrix, B: Matrix, c: F) -> None:
         assert got.data == want
     k = min(A.rows, A.cols)
     square = Matrix([r[:k] for r in a[:k]], k)
-    assert det(square) == det_fraction_oracle(square)
+    assert leading_minors(square) == leading_minors_by_blocks(square)
 
 
 @settings(max_examples=120)

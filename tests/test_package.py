@@ -7,6 +7,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "instanton"
+BENCH = ROOT / "perfbench"
 
 
 def test_package_imports_only_the_standard_library():
@@ -198,25 +199,31 @@ def test_every_package_export_is_read_in_the_package():
 
 
 def test_every_package_function_is_read_in_the_package():
-    """Every top-level function and class of the package, and every method of
-    a top-level class, is read, as a name or as an attribute, somewhere in the
-    package: API that nothing calls is deleted.  Dunder methods are exempt."""
-    defined, read = [], set()
+    """Every top-level function and class of the package is read, as a name or
+    as an attribute, somewhere in the package, and every method of a top-level
+    class is read as an attribute (``.name``) there or in ``perfbench``: API
+    that nothing calls is deleted.  A local variable of a method's name does
+    not count.  Dunder methods are exempt."""
+    functions, methods, names, attributes = [], [], set(), {PACKAGE: set(), BENCH: set()}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((path.name, node.lineno, node.name))
+                functions.append((path.name, node.lineno, node.name))
             if isinstance(node, ast.ClassDef):
-                defined += [(path.name, item.lineno, f"{node.name}.{item.name}")
+                methods += [(path.name, item.lineno, f"{node.name}.{item.name}")
                             for item in node.body if isinstance(item, ast.FunctionDef)
                             and not (item.name.startswith("__") and item.name.endswith("__"))]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    assert defined
-    unread = [f"{name}:{line}: {qualname}" for name, line, qualname in defined
-              if qualname.rpartition(".")[2] not in read]
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes[path.parent].add(node.attr)
+            elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                  and path.parent == PACKAGE):
+                names.add(node.id)
+    assert functions and methods
+    unread = [f"{name}:{line}: {qualname}" for name, line, qualname in functions
+              if qualname not in names | attributes[PACKAGE]]
+    unread += [f"{name}:{line}: {qualname}" for name, line, qualname in methods
+               if qualname.rpartition(".")[2] not in attributes[PACKAGE] | attributes[BENCH]]
     assert unread == []

@@ -220,7 +220,7 @@ def test_eta_parity_validation():
 
 def test_igen_unit_at_genus_zero():
     gs = igen(0, 1, "odd")
-    names = gs.names()
+    names = [name for name, _ in gs.gens]
     assert "delta1^2+beta" in names and "gamma^1" in names
     assert any(p == Poly.constant(R1, 1) for _, p in gs.gens)  # unit ideal
 
@@ -334,7 +334,7 @@ def test_jgen_examples():
     gs0 = jgen_n1(0)
     assert gs0.gens[0][1] == Poly.constant(W1, 1)  # r_0 = 1: unit ideal
     gs1 = jgen_n1(1)
-    assert gs1.names() == ["r_1", "r_2", "r_3", "delta^2+beta-2"]
+    assert [name for name, _ in gs1.gens] == ["r_1", "r_2", "r_3", "delta^2+beta-2"]
     assert gs1.gens[0][1] == r_poly(1)
     minus = jgen_n1(1, sign="-")
     for (name_p, p), (_name_m, pm) in zip(gs1.gens, minus.gens):
